@@ -1,29 +1,26 @@
 #!/usr/bin/env python3
 """Rebuild the three counterexample constructions and re-run every check.
 
-Walks the same verification the CLI performs, but through the library API
-and for several ranks in one go, printing a compact pass/fail table.  Handy
-when touching the elimination or valuation internals: a regression shows up
-here as a named failing check rather than a wrong certificate downstream.
+Runs the same library checks the CLI reports, for several ranks in one go,
+and prints a compact pass/fail table.  Handy when touching the elimination
+or valuation internals: a regression shows up here as a named failing check
+rather than a wrong certificate downstream.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import time
 from dataclasses import dataclass, field
 
 from pflab import (
     FieldContext,
-    SqSubspace,
-    build_no_common_slot_family,
     build_quadratic_family,
     build_quat_triple,
-    common_slot_space,
     insep_obstruction,
     quat_triple_obstruction,
+    verify_no_common_slot_family,
 )
 
 
@@ -41,33 +38,23 @@ class RunConfig:
             self.failures.append(label)
 
 
+# table label of each check in the bilinear-family evidence
+BILINEAR_CHECKS = (
+    ("every member anisotropic", "all_anisotropic"),
+    ("pure value spaces match the closed form", "claimed_pure_bases"),
+    ("pairwise intersections drop exactly {1, a^d}", "pairwise_intersections"),
+    ("no common slot across the family", "no_common_slot"),
+    ("every leave-one-out subfamily shares a slot", "sharp_at_all_but_one"),
+)
+
+
 def bilinear_section(cfg: RunConfig, n: int) -> None:
     t0 = time.monotonic()
-    family = build_no_common_slot_family(n)
-    ctx = family[0].ctx
-    print(f"bilinear family, n={n} ({len(family)} forms)")
-    cfg.check("every member anisotropic", all(f.is_anisotropic() for f in family))
-
-    pure_ok = True
-    pair_ok = True
-    base = family[0]
-    for k in range(1, 2**n):
-        d = tuple(k >> i & 1 for i in range(n))
-        others = [
-            ctx.monomial(e)
-            for e in itertools.product((0, 1), repeat=n)
-            if any(e) and e != d
-        ]
-        claimed = SqSubspace.span(ctx, others + [ctx.one + ctx.monomial(d)])
-        pure_ok = pure_ok and claimed == family[k].pure_value_space()
-        pair = base.pure_value_space().intersection(family[k].pure_value_space())
-        pair_ok = pair_ok and pair == SqSubspace.span(ctx, others)
-    cfg.check("pure value spaces match the closed form", pure_ok)
-    cfg.check("pairwise intersections drop exactly {1, a^d}", pair_ok)
-
-    cfg.check("no common slot across the family", common_slot_space(family).is_zero)
-    loo = [common_slot_space(family[:k] + family[k + 1 :]).dim for k in range(len(family))]
-    cfg.check("every leave-one-out subfamily shares a slot", all(d > 0 for d in loo))
+    evidence = verify_no_common_slot_family(n)
+    print(f"bilinear family, n={n} ({evidence['family_size']} forms)")
+    for label, key in BILINEAR_CHECKS:
+        cfg.check(label, evidence["checks"][key])
+    loo = evidence["leave_one_out_dims"]
     print(f"  ({time.monotonic() - t0:.2f}s, leave-one-out dims {loo})")
 
 
@@ -104,8 +91,8 @@ def quaternion_section(cfg: RunConfig) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=3, choices=(2, 3, 4),
-                    help="largest bilinear rank to verify (4 takes a few seconds)")
+    ap.add_argument("--max-n", type=int, default=3, choices=(2, 3, 4, 5),
+                    help="largest bilinear rank to verify (4 takes 1 s, 5 takes 20 s)")
     ap.add_argument("--skip-quat", action="store_true")
     args = ap.parse_args(argv)
 

@@ -15,6 +15,7 @@ from .errors import (
     CompletionNotFound,
     ContextMismatch,
     DivisionByZero,
+    EliminationInvariant,
     EmptyInput,
     HypothesisFailed,
     IsotropicInput,
@@ -36,6 +37,8 @@ from .bilinear import (
     common_factor,
     common_slot_space,
     factor_out,
+    leave_one_out_slot_spaces,
+    verify_no_common_slot_family,
 )
 from .quadratic import (
     InsepObstructionCertificate,
@@ -61,6 +64,7 @@ __all__ = [
     "CompletionNotFound",
     "ContextMismatch",
     "DivisionByZero",
+    "EliminationInvariant",
     "EmptyInput",
     "FactorWitness",
     "FieldContext",
@@ -90,6 +94,7 @@ __all__ = [
     "dominant_term_hypothesis",
     "factor_out",
     "insep_obstruction",
+    "leave_one_out_slot_spaces",
     "necessary_insep_split",
     "parity",
     "parity_span",
@@ -98,4 +103,5 @@ __all__ = [
     "right_slot_from_value",
     "unit_vector",
     "val",
+    "verify_no_common_slot_family",
 ]

@@ -25,8 +25,13 @@ import sys
 import time
 
 from . import __version__
-from .bilinear import build_no_common_slot_family, common_factor, common_slot_space
-from .bilinear import BilinearPfister
+from .bilinear import (
+    BilinearPfister,
+    build_no_common_slot_family,
+    common_factor,
+    common_slot_space,
+    verify_no_common_slot_family,
+)
 from .errors import ParseError, PflabError
 from .field import FieldContext, FieldElement, Poly
 from .quadratic import build_quadratic_family, insep_obstruction
@@ -185,15 +190,10 @@ def _finish(args, command, n, inputs, verdict, evidence, started) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_pattern(n: int, k: int) -> tuple[int, ...]:
-    return tuple((k >> i) & 1 for i in range(n))
-
-
 def _cmd_bilinear_family(args) -> int:
     started = time.monotonic()
     n = args.n
     family = build_no_common_slot_family(n)
-    ctx = family[0].ctx
     inputs = {"n": n, "verify": bool(args.verify), "subset": args.subset}
 
     if args.subset is not None:
@@ -211,46 +211,8 @@ def _cmd_bilinear_family(args) -> int:
         evidence = {"forms": [f.to_json() for f in family]}
         return _finish(args, "bilinear-family", n, inputs, "VALID", evidence, started)
 
-    checks: dict[str, bool] = {}
-    checks["all_anisotropic"] = all(f.is_anisotropic() for f in family)
-
-    # claimed pure bases: drop indices 0 and d from the monomial basis, add 1+a^d
-    from .linalg import SqSubspace
-
-    pure_ok = True
-    pair_ok = True
-    b0 = family[0]
-    for k in range(1, 2**n):
-        d = _family_pattern(n, k)
-        others = [
-            ctx.monomial(e)
-            for e in itertools.product((0, 1), repeat=n)
-            if any(e) and e != d
-        ]
-        claimed = SqSubspace.span(ctx, others + [ctx.one + ctx.monomial(d)])
-        pure_ok = pure_ok and claimed == family[k].pure_value_space()
-        expected_pair = SqSubspace.span(ctx, others)
-        got_pair = b0.pure_value_space().intersection(family[k].pure_value_space())
-        pair_ok = pair_ok and got_pair == expected_pair
-    checks["claimed_pure_bases"] = pure_ok
-    checks["pairwise_intersections"] = pair_ok
-
-    full = common_slot_space(family)
-    checks["no_common_slot"] = full.is_zero
-
-    subset_dims = []
-    for drop in range(len(family)):
-        subset = [f for i, f in enumerate(family) if i != drop]
-        subset_dims.append(common_slot_space(subset).dim)
-    checks["sharp_at_all_but_one"] = all(dim > 0 for dim in subset_dims)
-
-    evidence = {
-        "checks": checks,
-        "family_size": len(family),
-        "common_slot_space_dim": full.dim,
-        "leave_one_out_dims": subset_dims,
-    }
-    verdict = "VALID" if all(checks.values()) else "NOT_VALID"
+    evidence = verify_no_common_slot_family(n)
+    verdict = "VALID" if all(evidence["checks"].values()) else "NOT_VALID"
     return _finish(args, "bilinear-family", n, inputs, verdict, evidence, started)
 
 
@@ -434,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bilinear-family", help="2^n bilinear forms with no common slot")
-    p.add_argument("--n", type=int, choices=(2, 3, 4), required=True)
+    p.add_argument("--n", type=int, choices=(2, 3, 4, 5), required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--subset", help="comma-separated family indices to intersect")
     common(p)

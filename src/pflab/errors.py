@@ -44,6 +44,10 @@ class PreconditionFailed(PflabError, ValueError):
     """An algorithmic precondition (checked at runtime) does not hold."""
 
 
+class EliminationInvariant(PflabError, RuntimeError):
+    """Fraction-free elimination broke one of its own invariants."""
+
+
 class CompletionNotFound(PflabError, RuntimeError):
     """No slot completion exists; reported rather than guessed."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .errors import EliminationInvariant
 from .field import FieldContext, FieldElement, Poly, _divexact
 
 __all__ = ["SqSubspace", "representation_over"]
@@ -103,7 +104,7 @@ def _rref(ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]):
     out = []
     for row, pc in zip(rows[:rank], pivots):
         if row[pc].terms != last.terms:
-            raise AssertionError("pivot normalization lost during elimination")
+            raise EliminationInvariant("pivot normalization lost during elimination")
         out.append(
             tuple(
                 FieldElement(ctx, e, last) if e.terms else ctx.zero for e in row

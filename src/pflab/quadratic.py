@@ -30,6 +30,7 @@ from typing import Sequence
 from .errors import (
     BadRank,
     ContextMismatch,
+    EmptyInput,
     HypothesisFailed,
     ValuationOfZero,
     ZeroSlot,
@@ -254,7 +255,7 @@ def insep_obstruction(forms: Sequence[QuadraticPfister]) -> InsepObstructionCert
     """Certificate that no single inseparable quadratic extension splits all
     forms; raises HypothesisFailed when a form's slots are inadmissible."""
     if not forms:
-        raise ValueError("no forms given")
+        raise EmptyInput("no forms given")
     n = forms[0].ctx.n
     checks = []
     for i, f in enumerate(forms):

@@ -17,6 +17,8 @@ from pflab import (
     common_factor,
     common_slot_space,
     factor_out,
+    leave_one_out_slot_spaces,
+    verify_no_common_slot_family,
 )
 from pflab.errors import BadRank
 
@@ -299,6 +301,86 @@ class TestFamily:
 
     def test_leave_one_out_sharpness(self):
         family = build_no_common_slot_family(2)
-        for drop in range(4):
-            subset = [f for i, f in enumerate(family) if i != drop]
-            assert common_slot_space(subset).dim >= 1
+        by_subfamily = [
+            common_slot_space(family[:k] + family[k + 1 :]).dim for k in range(4)
+        ]
+        by_prefix_suffix = [s.dim for s in leave_one_out_slot_spaces(family)[1]]
+        by_verify = verify_no_common_slot_family(2)["leave_one_out_dims"]
+        for dims in (by_subfamily, by_prefix_suffix, by_verify):
+            assert len(dims) == 4
+            assert all(dim >= 1 for dim in dims)
+
+    def test_verify_evidence_layout(self):
+        evidence = verify_no_common_slot_family(3)
+        assert list(evidence) == [
+            "checks",
+            "family_size",
+            "common_slot_space_dim",
+            "leave_one_out_dims",
+        ]
+        assert list(evidence["checks"]) == [
+            "all_anisotropic",
+            "claimed_pure_bases",
+            "pairwise_intersections",
+            "no_common_slot",
+            "sharp_at_all_but_one",
+        ]
+        assert all(evidence["checks"].values())
+        assert evidence["family_size"] == 8
+        assert evidence["common_slot_space_dim"] == 0
+        assert evidence["leave_one_out_dims"] == [1] * 8
+
+
+def _sharing_family(ctx3):
+    """Five anisotropic forms from the criterion-2 pool, all with slot a1;
+    their common slot space has dimension 6, one leave-one-out space 7."""
+    a1, a2, a3 = ctx3.gens
+    pool = [a2, a3, a1 * a2, a1 * a3, a2 * a3, ctx3.one + a1, ctx3.one + a2 * a3]
+    pairs = itertools.combinations(pool, 2)
+    forms = [BilinearPfister(ctx3, (a1,) + pair) for pair in pairs]
+    return [f for f in forms if f.is_anisotropic()][:5]
+
+
+class TestLeaveOneOutSpaces:
+    """The prefix/suffix spaces against common_slot_space of each subfamily,
+    compared as canonical subspaces, not only by dimension."""
+
+    def check_against_subfamilies(self, family):
+        full, left_out = leave_one_out_slot_spaces(family)
+        assert full == common_slot_space(family)
+        assert len(left_out) == len(family)
+        for k, space in enumerate(left_out):
+            assert space == common_slot_space(family[:k] + family[k + 1 :])
+        return full, left_out
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_common_slot_family(self, n):
+        full, left_out = self.check_against_subfamilies(build_no_common_slot_family(n))
+        assert full.is_zero
+        assert all(space.dim == 1 for space in left_out)
+
+    def test_sharing_family(self, ctx3):
+        full, left_out = self.check_against_subfamilies(_sharing_family(ctx3))
+        assert ctx3.gens[0] in full
+        assert full.dim == 6
+        assert sorted(space.dim for space in left_out) == [6, 6, 6, 6, 7]
+
+    def test_two_forms(self):
+        family = build_no_common_slot_family(2)[:2]
+        full, left_out = self.check_against_subfamilies(family)
+        assert left_out == [family[1].pure_value_space(), family[0].pure_value_space()]
+
+    def test_isotropic_member_rejected(self, ctx2):
+        a1, _ = ctx2.gens
+        family = build_no_common_slot_family(2) + [BilinearPfister(ctx2, (a1, a1))]
+        with pytest.raises(IsotropicInput):
+            leave_one_out_slot_spaces(family)
+
+    def test_context_mismatch(self, ctx2, ctx3, b0):
+        with pytest.raises(ContextMismatch):
+            leave_one_out_slot_spaces([b0, BilinearPfister(ctx3, ctx3.gens[:2])])
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_fewer_than_two_forms(self, b0, size):
+        with pytest.raises(EmptyInput):
+            leave_one_out_slot_spaces([b0] * size)

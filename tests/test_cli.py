@@ -99,6 +99,9 @@ class TestBilinearFamily:
     def test_bad_n(self, capsys):
         assert main(["bilinear-family", "--n", "1"]) == 2
 
+    def test_n_above_cap(self, capsys):
+        assert main(["bilinear-family", "--n", "6"]) == 2
+
     def test_bad_subset_index(self, capsys):
         code, report = run_json(
             capsys, "bilinear-family", "--n", "2", "--subset", "0,9"

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pflab import SqSubspace, representation_over
+from pflab import EliminationInvariant, PflabError, Poly, SqSubspace, representation_over
+from pflab import linalg
 from conftest import CTX2, CTX3, elements
 
 
@@ -119,6 +120,23 @@ class TestIntersection:
         inter = s1.intersection(s2)
         assert s1.contains_subspace(inter)
         assert s2.contains_subspace(inter)
+
+
+class TestEliminationInvariant:
+    def test_lost_pivot_normalization_is_typed(self, ctx2, monkeypatch):
+        real = linalg._bareiss_jordan
+
+        def stub(ctx, rows, search_cols):
+            rank, pivots, _ = real(ctx, rows, search_cols)
+            # a final pivot that no pivot entry can equal
+            return rank, pivots, Poly(frozenset({(9, 9)}), ctx.n)
+
+        monkeypatch.setattr(linalg, "_bareiss_jordan", stub)
+        a1, a2 = ctx2.gens
+        with pytest.raises(EliminationInvariant, match="pivot normalization") as info:
+            span2(ctx2, a1, a2)
+        assert isinstance(info.value, PflabError)
+        assert isinstance(info.value, RuntimeError)
 
 
 def random_space(ctx, rng_elements):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from pflab import (
+    EmptyInput,
     HypothesisFailed,
     ParitySet,
     QuadraticPfister,
@@ -193,6 +194,10 @@ class TestInsepObstruction:
         bad = QuadraticPfister(ctx2, (a1,), a1**3)
         with pytest.raises(HypothesisFailed, match="0"):
             insep_obstruction([bad])
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput):
+            insep_obstruction([])
 
     def test_json(self):
         cert = insep_obstruction(build_quadratic_family(2))
