@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bilinear-family", help="2^n bilinear forms with no common slot")
-    p.add_argument("--n", type=int, choices=(2, 3, 4, 5), required=True)
+    p.add_argument("--n", type=int, choices=(2, 3, 4, 5, 6), required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--subset", help="comma-separated family indices to intersect")
     common(p)

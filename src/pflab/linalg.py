@@ -56,6 +56,19 @@ def _cleared(ctx: FieldContext, row: Sequence[FieldElement]):
     return out, scale
 
 
+def _primitive_row(ctx: FieldContext, row: Sequence[FieldElement]) -> Row:
+    """The row scaled to polynomial entries without a common monomial
+    factor; a nonzero scalar multiple of a row spans the same F-line."""
+    polys, _ = _cleared(ctx, row)
+    contents = [p.monomial_content() for p in polys if p.terms]
+    common = tuple(min(col) for col in zip(*contents))
+    if any(common):
+        polys = [p.shift(common) if p.terms else p for p in polys]
+    return tuple(
+        FieldElement(ctx, p, ctx._one_poly) if p.terms else ctx.zero for p in polys
+    )
+
+
 def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int):
     """One-step fraction-free Gauss-Jordan elimination, in place.
 
@@ -66,6 +79,13 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
     known factor sidesteps both.  After the sweep every pivot entry equals
     the final pivot, so one division per entry recovers the reduced
     echelon form.  Returns (rank, pivots, final pivot).
+
+    The matrices are sparse, so zeros are never multiplied: an entry
+    whose own value is zero updates to c*b/prev, one whose pivot-row
+    partner is zero (or whose row has c = 0) to p*a/prev, and a zero
+    stays zero.  The p*a/prev case is a plain rescaling, so when p equals
+    prev such entries, and whole rows with c = 0, are left as they are;
+    every pivot entry still ends equal to the final pivot.
     """
     prev = ctx._one_poly
     pivots: list[int] = []
@@ -76,18 +96,28 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][col]
+        prow = rows[r]
+        p = prow[col]
         trivial = _poly_is_one(prev)
+        same = p.terms == prev.terms
         for i in range(nrows):
             if i == r:
                 continue
             c = rows[i][col]
-            if c.terms:
-                new = [p * a + c * b for a, b in zip(rows[i], rows[r])]
-            else:
-                new = [p * a for a in rows[i]]
-            if not trivial:
-                new = [_divexact(t, prev) if t.terms else t for t in new]
+            if not c.terms and same:
+                continue
+            new = []
+            for a, b in zip(rows[i], prow):
+                if not c.terms or not b.terms:
+                    if not a.terms or same:
+                        new.append(a)
+                        continue
+                    t = p * a
+                elif a.terms:
+                    t = p * a + c * b
+                else:
+                    t = c * b
+                new.append(t if trivial or not t.terms else _divexact(t, prev))
             rows[i] = new
         pivots.append(col)
         prev = p
@@ -116,11 +146,15 @@ def _rref(ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]):
 class SqSubspace:
     """An F^2-subspace of F with a canonical reduced row basis.
 
-    Besides the canonical rows the object keeps the rows it was spanned
-    from.  Canonical entries are ratios of elimination minors and grow with
-    the dimension, so lattice operations stack the original spanning rows
-    instead; the results are identical and the intermediate minors stay
-    near the input size.
+    Besides the canonical rows the object keeps ``spanners``, rows that
+    span the same space.  Canonical entries are ratios of elimination
+    minors and grow with the dimension, so lattice operations stack the
+    spanners instead; the results are identical.  A space built by
+    ``span`` or ``from_rows`` keeps its input rows.  An intersection keeps
+    one primitive row per kernel vector: polynomial entries without a
+    common monomial factor.  Without that scaling the rows would carry
+    the kernel's minors and the denominators of their inputs, and
+    exponents would double along a chain of intersections.
     """
 
     __slots__ = ("ctx", "rows", "pivots", "spanners")
@@ -239,7 +273,7 @@ class SqSubspace:
             for c, brow in zip(combo[:k], self.spanners):
                 if c:
                     row = [a + c * b for a, b in zip(row, brow)]
-            vecs.append(row)
+            vecs.append(_primitive_row(self.ctx, row))
         return SqSubspace.from_rows(self.ctx, vecs)
 
     def to_json(self):
@@ -284,36 +318,11 @@ def representation_over(
     Unlike SqSubspace.coordinates_of, the combination is over the given
     generators themselves, not over a reduced basis.
     """
-    k = len(generators)
-    ncols = len(ctx.patterns)
-    aug = []
-    for i, g in enumerate(generators):
-        row = list(g.frobenius_decompose().dense())
-        row += [ctx.one if j == i else ctx.zero for j in range(k)]
-        aug.append(row)
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        p = aug[r][col]
-        if p != ctx.one:
-            aug[r] = [e / p for e in aug[r]]
-        for i in range(len(aug)):
-            c = aug[i][col]
-            if i != r and c:
-                aug[i] = [a + c * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    rem = list(f.frobenius_decompose().dense()) + [ctx.zero] * k
-    for row, pc in zip(aug[:r], pivots):
-        c = rem[pc]
-        if c:
-            rem = [a + c * b for a, b in zip(rem, row)]
-    if any(rem[:ncols]):
-        return None
-    return tuple(rem[ncols:])
+    rows = [g.frobenius_decompose().dense() for g in generators]
+    rows.append(f.frobenius_decompose().dense())
+    # x * rows = 0 with x_f != 0 gives f = sum (x_i / x_f) * g_i on the
+    # coordinate rows (signs vanish in characteristic 2)
+    for x in left_kernel(ctx, rows):
+        if x[-1]:
+            return tuple(c / x[-1] for c in x[:-1])
+    return None

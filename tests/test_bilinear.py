@@ -20,6 +20,7 @@ from pflab import (
     leave_one_out_slot_spaces,
     verify_no_common_slot_family,
 )
+from pflab import bilinear
 from pflab.errors import BadRank
 
 
@@ -329,6 +330,81 @@ class TestFamily:
         assert evidence["family_size"] == 8
         assert evidence["common_slot_space_dim"] == 0
         assert evidence["leave_one_out_dims"] == [1] * 8
+
+    def test_isotropic_member_raises(self, monkeypatch):
+        # all_anisotropic never reads false: an isotropic member stops the
+        # certificate before any evidence is returned
+        real = bilinear.build_no_common_slot_family
+
+        def with_isotropic_member(n):
+            family = real(n)
+            a1 = family[0].ctx.gens[0]
+            family[-1] = BilinearPfister(family[0].ctx, (a1,) * n)
+            return family
+
+        monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_isotropic_member)
+        with pytest.raises(IsotropicInput):
+            verify_no_common_slot_family(3)
+
+
+def _family_claims(n):
+    """(ctx, P_0, P_k, others, a^d) for member k (bit vector d) of the
+    no-common-slot family, where the span of others, the nontrivial
+    monomials other than a^d, is P_0 & P_k."""
+    family = build_no_common_slot_family(n)
+    ctx = family[0].ctx
+    base = family[0].pure_value_space()
+    for k in range(1, 2**n):
+        d = tuple((k >> i) & 1 for i in range(n))
+        others = [
+            ctx.monomial(e) for e in itertools.product((0, 1), repeat=n) if any(e) and e != d
+        ]
+        yield ctx, base, family[k].pure_value_space(), others, ctx.monomial(d)
+
+
+class TestPairwiseCheck:
+    """The containment-plus-dimension check against a kernel intersection."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agrees_with_intersection(self, n):
+        for k, (ctx, base, pure, others, excluded) in enumerate(_family_claims(n)):
+            meet = base.intersection(pure)
+            claims = {
+                "exact": others,
+                "one dropped": others[:k % len(others)] + others[k % len(others) + 1 :],
+                "one added": others + [excluded],
+            }
+            for name, gens in claims.items():
+                claimed = SqSubspace.span(ctx, gens)
+                assert (meet == claimed) == (name == "exact")
+                assert bilinear._meet_is(base, pure, claimed) == (name == "exact")
+
+
+class TestIntersectionRows:
+    """Intersections keep primitive polynomial spanners, so exponents stay
+    bounded along the prefix and suffix chains."""
+
+    @staticmethod
+    def largest_exponent(space):
+        largest = 0
+        for row in space.spanners:
+            entries = [c for c in row if c]
+            assert entries
+            assert all(c.den.terms == {(0,) * space.ctx.n} for c in entries)
+            content = zip(*(c.num.monomial_content() for c in entries))
+            assert not any(min(col) for col in content)
+            largest = max(largest, *(max(t) for c in entries for t in c.num.terms))
+        return largest
+
+    def test_no_common_slot_family_n4(self):
+        family = build_no_common_slot_family(4)
+        _, left_out = leave_one_out_slot_spaces(family)
+        chain = [family[0].pure_value_space()]
+        for form in family[1:]:
+            chain.append(chain[-1].intersection(form.pure_value_space()))
+        # measured: 0 in the returned spaces and 1 along the chain; the
+        # unreduced rows reached exponents near 2^40
+        assert max(self.largest_exponent(space) for space in left_out + chain[1:]) < 16
 
 
 def _sharing_family(ctx3):

@@ -139,6 +139,90 @@ class TestEliminationInvariant:
         assert isinstance(info.value, RuntimeError)
 
 
+def textbook_rref(rows):
+    """Plain Gauss-Jordan over field fractions: pivot rows scaled to 1,
+    every other row cleared in the pivot column."""
+    rows = [list(r) for r in rows if any(r)]
+    pivots = []
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][col]
+        rows[r] = [e / p for e in rows[r]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if i != r and c:
+                rows[i] = [a - c * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return [tuple(r) for r in rows[: len(pivots)]], pivots
+
+
+@st.composite
+def sparse_matrices(draw, ctx, max_rows=6):
+    """Coordinate matrices with many zeros and ones, whole zero columns,
+    and rows repeated up to a scalar, so that unit and repeated pivots
+    and the skipped updates of the elimination all occur."""
+    a1, a2 = ctx.gens[:2]
+    pool = [ctx.zero] * 4 + [ctx.one] * 3 + [a1, a2, a1 * a2, ctx.one + a1, a1 / (ctx.one + a2)]
+    entry = st.one_of(st.sampled_from(pool), elements(ctx, max_degree=2, max_terms=2))
+    ncols = len(ctx.patterns)
+    dead = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            scale = draw(st.sampled_from(pool[4:]))
+            rows.append(tuple(scale * e for e in draw(st.sampled_from(rows))))
+        else:
+            rows.append(tuple(ctx.zero if j in dead else draw(entry) for j in range(ncols)))
+    return rows
+
+
+class TestAgainstTextbookElimination:
+    """The fraction-free kernel against plain Gauss-Jordan over fractions."""
+
+    @given(rows=sparse_matrices(CTX2))
+    def test_rref_n2(self, ctx2, rows):
+        self.check_rref(ctx2, rows)
+
+    @given(rows=sparse_matrices(CTX3, max_rows=4))
+    def test_rref_n3(self, ctx3, rows):
+        self.check_rref(ctx3, rows)
+
+    def check_rref(self, ctx, rows):
+        got, pivots = linalg._rref(ctx, rows)
+        want, want_pivots = textbook_rref(rows)
+        assert len(got) == len(want)
+        assert pivots == want_pivots
+        # compared outside the assert: a failure report would print the
+        # unreduced textbook fractions, and printing reduces them by gcd
+        rows_match = all(g == w for g, w in zip(got, want))
+        assert rows_match
+
+    @given(rows=sparse_matrices(CTX2))
+    def test_left_kernel_n2(self, ctx2, rows):
+        kernel = linalg.left_kernel(ctx2, rows)
+        rank = len(textbook_rref(rows)[1])
+        assert len(kernel) == len(rows) - rank
+        for x in kernel:
+            assert len(x) == len(rows)
+            for col in range(len(ctx2.patterns)):
+                assert sum((c * row[col] for c, row in zip(x, rows)), ctx2.zero).is_zero
+        # a basis: the kernel vectors are independent
+        assert len(textbook_rref(kernel)[1]) == len(kernel)
+
+    @given(r1=sparse_matrices(CTX2, max_rows=4), r2=sparse_matrices(CTX2, max_rows=4))
+    def test_intersection_n2(self, ctx2, r1, r2):
+        s1 = SqSubspace.from_rows(ctx2, r1)
+        s2 = SqSubspace.from_rows(ctx2, r2)
+        inter = s1.intersection(s2)
+        assert s1.contains_subspace(inter) and s2.contains_subspace(inter)
+        assert inter.dim + s1.sum_with(s2).dim == s1.dim + s2.dim
+
+
 def random_space(ctx, rng_elements):
     return SqSubspace.span(ctx, rng_elements)
 
