@@ -18,8 +18,10 @@ from .errors import (
     EliminationInvariant,
     EmptyInput,
     HypothesisFailed,
+    IdentityFailed,
     IsotropicInput,
     NotASquare,
+    NotDivisible,
     ParseError,
     PflabError,
     PreconditionFailed,
@@ -70,9 +72,11 @@ __all__ = [
     "FieldContext",
     "FieldElement",
     "HypothesisFailed",
+    "IdentityFailed",
     "InsepObstructionCertificate",
     "IsotropicInput",
     "NotASquare",
+    "NotDivisible",
     "ParseError",
     "ParitySet",
     "PflabError",

@@ -18,8 +18,9 @@ complement slots; candidates are drawn from the reduced basis of the
 target pure space, then from pairwise sums of basis elements, and, when
 the bounded list is exhausted, from the exactly computed subspace
 {delta : delta * D(current) <= D(B')}, which is nonzero whenever any
-completion exists.  Every accepted completion is certified by an exact
-pure-value-space equality.
+completion exists.  Every accepted completion is certified once, by one
+exact pure-value-space equality in ``_complete``; ``check_log`` reports it,
+and nothing it certified is spanned again.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family``; its leave-one-out spaces come from
@@ -272,38 +273,17 @@ def _next_slot(U: SqSubspace, W: SqSubspace) -> FieldElement | None:
     return None
 
 
-def factor_out(
-    beta: FieldElement,
-    rho: BilinearPfister | None,
-    form: BilinearPfister,
-    known_complement: Sequence[FieldElement],
+def _complete(
+    slots: tuple[FieldElement, ...], form: BilinearPfister
 ) -> tuple[FieldElement, ...]:
-    """Given form = rho (x) <<known_complement>> and beta in D(rho (x) pi'),
-    return new complement slots delta with
-
-        <<slots(rho), beta, *delta>>  isometric to  form,
-
-    certified by an exact pure-value-space equality.
+    """Extend slots to a slot list of form: the one certification of a
+    factorization.  Partial lists only need to stay anisotropic; the final
+    one is proved by one exact equality, span(nontrivial products) ==
+    D(form') plus 0, with 1 outside it, so its full value space is form's
+    too.  Any failure raises CompletionNotFound.
     """
     ctx = form.ctx
-    rho_slots: tuple[FieldElement, ...] = () if rho is None else rho.slots
-    if rho is not None and rho.ctx != ctx:
-        raise ContextMismatch("rho over a different field context")
-    mixed = _mixed_pure_space(ctx, rho_slots, known_complement)
-    if beta.is_zero or beta not in mixed:
-        raise PreconditionFailed("beta is not a nonzero value of rho tensor pi'")
-    if not form.is_anisotropic():
-        raise IsotropicInput("cannot factor an isotropic form")
     W = form.pure_value_space()
-    target_dim = 2**form.fold
-    # the stated factorization must actually hold
-    recombined = SqSubspace.span(
-        ctx, _products(ctx, tuple(rho_slots) + tuple(known_complement))[1:]
-    )
-    if recombined != W:
-        raise PreconditionFailed("rho and known_complement do not recombine to the form")
-
-    slots = rho_slots + (beta,)
     while len(slots) < form.fold:
         U = SqSubspace.span(ctx, _products(ctx, slots))
         if U.dim != 2 ** len(slots):
@@ -315,9 +295,41 @@ def factor_out(
             )
         slots = slots + (cand,)
     final_pure = SqSubspace.span(ctx, _products(ctx, slots)[1:])
-    if final_pure != W or SqSubspace.span(ctx, _products(ctx, slots)).dim != target_dim:
+    if final_pure != W or ctx.one in final_pure:
         raise CompletionNotFound("completion failed the exact certification")
-    return slots[len(rho_slots) + 1 :]
+    return slots
+
+
+def factor_out(
+    beta: FieldElement,
+    rho: BilinearPfister | None,
+    form: BilinearPfister,
+    known_complement: Sequence[FieldElement],
+) -> tuple[FieldElement, ...]:
+    """Given form = rho (x) <<known_complement>> and beta in D(rho (x) pi'),
+    return new complement slots delta with
+
+        <<slots(rho), beta, *delta>>  isometric to  form,
+
+    certified by the one exact pure-value-space equality of _complete.
+    Both preconditions are checked here, each by one span.
+    """
+    ctx = form.ctx
+    rho_slots: tuple[FieldElement, ...] = () if rho is None else rho.slots
+    if rho is not None and rho.ctx != ctx:
+        raise ContextMismatch("rho over a different field context")
+    mixed = _mixed_pure_space(ctx, rho_slots, known_complement)
+    if beta.is_zero or beta not in mixed:
+        raise PreconditionFailed("beta is not a nonzero value of rho tensor pi'")
+    if not form.is_anisotropic():
+        raise IsotropicInput("cannot factor an isotropic form")
+    # the stated factorization must actually hold
+    recombined = SqSubspace.span(
+        ctx, _products(ctx, tuple(rho_slots) + tuple(known_complement))[1:]
+    )
+    if recombined != form.pure_value_space():
+        raise PreconditionFailed("rho and known_complement do not recombine to the form")
+    return _complete(rho_slots + (beta,), form)[len(rho_slots) + 1 :]
 
 
 @dataclass(frozen=True)
@@ -325,7 +337,10 @@ class FactorWitness:
     """A verified m-fold common factor of a family of n-fold forms.
 
     For every input form, rho's slots followed by the matching complement
-    rebuild a form with exactly the same pure value space.
+    rebuild a form with exactly the same pure value space.  Entry i of
+    check_log reports the last round's certification of form i in
+    _complete (``pure_value_space_equal``, true in every witness, since a
+    failed one raises) and the pure space's ``dim``, 2^n - 1.
     """
 
     rho: BilinearPfister
@@ -360,32 +375,26 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     rho_slots: tuple[FieldElement, ...] = ()
     comps = [tuple(f.slots) for f in forms]
     for _ in range(m):
-        spaces = [_mixed_pure_space(ctx, rho_slots, comp) for comp in comps]
+        spaces = [  # with rho empty, the mixed space is the pure value space
+            _mixed_pure_space(ctx, rho_slots, comp) if rho_slots else f.pure_value_space()
+            for f, comp in zip(forms, comps)
+        ]
         inter = reduce(lambda a, b: a.intersection(b), spaces)
         if inter.is_zero:
             return None
         beta = inter.elements()[0]
-        rho = BilinearPfister(ctx, rho_slots) if rho_slots else None
-        comps = [
-            factor_out(beta, rho, f, comp) for f, comp in zip(forms, comps)
-        ]
-        rho_slots = rho_slots + (beta,)
+        if not all(beta in space for space in spaces):
+            raise PreconditionFailed("beta left a mixed pure space")
+        # rho + comp presents the form: its own slots in round 1, certified
+        # by the previous round's _complete after that
+        head = rho_slots + (beta,)
+        comps = [_complete(head, f)[len(head) :] for f in forms]
+        rho_slots = head
 
-    rho_form = BilinearPfister(ctx, rho_slots)
-    log = []
-    for i, (f, comp) in enumerate(zip(forms, comps)):
-        rebuilt = BilinearPfister(ctx, rho_slots + tuple(comp))
-        equal = rebuilt.pure_value_space() == f.pure_value_space()
-        log.append(
-            {
-                "form": i,
-                "pure_value_space_equal": equal,
-                "dim": f.pure_value_space().dim,
-            }
-        )
-        if not equal:
-            raise CompletionNotFound(f"witness verification failed on form {i}")
-    return FactorWitness(rho_form, tuple(tuple(c) for c in comps), tuple(log))
+    # _complete raised unless every form's last certification held
+    log = [{"form": i, "pure_value_space_equal": True, "dim": f.pure_value_space().dim}
+           for i, f in enumerate(forms)]
+    return FactorWitness(BilinearPfister(ctx, rho_slots), tuple(comps), tuple(log))
 
 
 def build_no_common_slot_family(n: int) -> list[BilinearPfister]:

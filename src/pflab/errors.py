@@ -44,8 +44,16 @@ class PreconditionFailed(PflabError, ValueError):
     """An algorithmic precondition (checked at runtime) does not hold."""
 
 
+class NotDivisible(PflabError, ValueError):
+    """An exact polynomial division has a nonzero remainder."""
+
+
 class EliminationInvariant(PflabError, RuntimeError):
     """Fraction-free elimination broke one of its own invariants."""
+
+
+class IdentityFailed(PflabError, RuntimeError):
+    """An identity that exact arithmetic guarantees did not hold."""
 
 
 class CompletionNotFound(PflabError, RuntimeError):

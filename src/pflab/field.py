@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .errors import ContextMismatch, DivisionByZero, NotASquare
+from .errors import ContextMismatch, DivisionByZero, NotASquare, NotDivisible
 
 __all__ = ["FieldContext", "Poly", "FieldElement", "TwoBasisCoords"]
 
@@ -288,7 +288,7 @@ def _packed_mul(f: Poly, g: Poly) -> Poly | None:
 
 
 def _packed_divexact(f: Poly, g: Poly) -> Poly | None:
-    """f/g on bitboards; None if too large, ValueError if not divisible.
+    """f/g on bitboards; None if too large, NotDivisible if not divisible.
 
     In an exact division every intermediate remainder equals (unconsumed
     quotient) * g, so per variable nothing ever outgrows f's own degree
@@ -299,7 +299,7 @@ def _packed_divexact(f: Poly, g: Poly) -> Poly | None:
     gd = g.max_degrees()
     qd = tuple(a - b for a, b in zip(fd, gd))
     if any(d < 0 for d in qd):
-        raise ValueError("not divisible")
+        raise NotDivisible("not divisible")
     radices = tuple(d + 1 for d in fd)
     strides, size = _strides(radices)
     if size > _PACK_MAX_BITS:
@@ -313,7 +313,7 @@ def _packed_divexact(f: Poly, g: Poly) -> Poly | None:
         rlead = r.bit_length() - 1
         qe = tuple(a - b for a, b in zip(_decode(rlead, radices, strides), ge))
         if any(e < 0 for e in qe) or any(a > b for a, b in zip(qe, qd)):
-            raise ValueError("not divisible")
+            raise NotDivisible("not divisible")
         shift = rlead - glead
         r ^= gp << shift
         q |= 1 << shift
@@ -326,7 +326,7 @@ def _packed_divexact(f: Poly, g: Poly) -> Poly | None:
 
 
 def _divexact(f: Poly, g: Poly) -> Poly:
-    """Exact division f/g; raises ValueError if g does not divide f."""
+    """Exact division f/g; raises NotDivisible if g does not divide f."""
     if not g.terms:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f.terms) > _PACK_MIN_DIV:
@@ -340,7 +340,7 @@ def _divexact(f: Poly, g: Poly) -> Poly:
         lf = max(cur)
         q = tuple(a - b for a, b in zip(lf, lg))
         if any(e < 0 for e in q):
-            raise ValueError("not divisible")
+            raise NotDivisible("not divisible")
         out.add(q)
         for m in g.terms:
             t = tuple(map(int.__add__, q, m))

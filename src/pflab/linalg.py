@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import EliminationInvariant
+from .errors import EliminationInvariant, NotDivisible
 from .field import FieldContext, FieldElement, Poly, _divexact
 
 __all__ = ["SqSubspace", "representation_over"]
@@ -85,45 +85,49 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
     partner is zero (or whose row has c = 0) to p*a/prev, and a zero
     stays zero.  The p*a/prev case is a plain rescaling, so when p equals
     prev such entries, and whole rows with c = 0, are left as they are;
-    every pivot entry still ends equal to the final pivot.
+    every pivot entry still ends equal to the final pivot.  An inexact
+    division means a broken kernel and raises EliminationInvariant.
     """
     prev = ctx._one_poly
     pivots: list[int] = []
     r = 0
     nrows = len(rows)
-    for col in range(search_cols):
-        pr = next((i for i in range(r, nrows) if rows[i][col].terms), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        trivial = _poly_is_one(prev)
-        same = p.terms == prev.terms
-        for i in range(nrows):
-            if i == r:
+    try:
+        for col in range(search_cols):
+            pr = next((i for i in range(r, nrows) if rows[i][col].terms), None)
+            if pr is None:
                 continue
-            c = rows[i][col]
-            if not c.terms and same:
-                continue
-            new = []
-            for a, b in zip(rows[i], prow):
-                if not c.terms or not b.terms:
-                    if not a.terms or same:
-                        new.append(a)
-                        continue
-                    t = p * a
-                elif a.terms:
-                    t = p * a + c * b
-                else:
-                    t = c * b
-                new.append(t if trivial or not t.terms else _divexact(t, prev))
-            rows[i] = new
-        pivots.append(col)
-        prev = p
-        r += 1
-        if r == nrows:
-            break
+            rows[r], rows[pr] = rows[pr], rows[r]
+            prow = rows[r]
+            p = prow[col]
+            trivial = _poly_is_one(prev)
+            same = p.terms == prev.terms
+            for i in range(nrows):
+                if i == r:
+                    continue
+                c = rows[i][col]
+                if not c.terms and same:
+                    continue
+                new = []
+                for a, b in zip(rows[i], prow):
+                    if not c.terms or not b.terms:
+                        if not a.terms or same:
+                            new.append(a)
+                            continue
+                        t = p * a
+                    elif a.terms:
+                        t = p * a + c * b
+                    else:
+                        t = c * b
+                    new.append(t if trivial or not t.terms else _divexact(t, prev))
+                rows[i] = new
+            pivots.append(col)
+            prev = p
+            r += 1
+            if r == nrows:
+                break
+    except NotDivisible as exc:
+        raise EliminationInvariant("an update is not divisible by the previous pivot") from exc
     return r, pivots, prev
 
 

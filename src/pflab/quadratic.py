@@ -32,6 +32,7 @@ from .errors import (
     ContextMismatch,
     EmptyInput,
     HypothesisFailed,
+    IdentityFailed,
     ValuationOfZero,
     ZeroSlot,
     ZeroW,
@@ -293,7 +294,8 @@ def right_slot_from_value(
 
     u lists the coordinates of the blocks with e != 0 (2^k - 2 entries, in
     the usual order).  The identity d/w^2 = alpha + x/w + (x/w)^2 +
-    phi''(u/w) is recomputed independently and checked exactly.
+    phi''(u/w) is recomputed independently and checked exactly; a mismatch
+    raises IdentityFailed.
     """
     if w.is_zero:
         raise ZeroW("w must be nonzero")
@@ -316,7 +318,7 @@ def right_slot_from_value(
     t = x / w
     check = alpha + t + t.square() + phi_pp([c / w for c in u])
     if result != check:
-        raise AssertionError("scaling identity failed; arithmetic is inconsistent")
+        raise IdentityFailed("scaling identity failed; arithmetic is inconsistent")
     return result
 
 

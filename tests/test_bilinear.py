@@ -7,6 +7,7 @@ import pytest
 
 from pflab import (
     BilinearPfister,
+    CompletionNotFound,
     ContextMismatch,
     EmptyInput,
     IsotropicInput,
@@ -217,6 +218,15 @@ class TestFactorOut:
         assert rebuilt.is_isometric(form)
 
 
+def two_fold_family(ctx3):
+    a1, a2, a3 = ctx3.gens
+    return [
+        BilinearPfister(ctx3, (a1, a2, a3)),
+        BilinearPfister(ctx3, (a1, a2, ctx3.one + a3)),
+        BilinearPfister(ctx3, (a2, a1, a1 * a3)),
+    ]
+
+
 class TestCommonFactor:
     def test_three_member_subfamily(self, ctx2):
         a1, a2 = ctx2.gens
@@ -238,18 +248,44 @@ class TestCommonFactor:
         assert witness.rho.slots == (ctx2.gens[0],)
 
     def test_two_fold_factor(self, ctx3):
-        a1, a2, a3 = ctx3.gens
-        forms = [
-            BilinearPfister(ctx3, (a1, a2, a3)),
-            BilinearPfister(ctx3, (a1, a2, ctx3.one + a3)),
-            BilinearPfister(ctx3, (a2, a1, a1 * a3)),
-        ]
+        forms = two_fold_family(ctx3)
         witness = common_factor(2, forms)
         assert witness is not None
         assert witness.rho.fold == 2
         for form, complement in zip(forms, witness.complements):
             rebuilt = BilinearPfister(ctx3, witness.rho.slots + complement)
             assert rebuilt.is_isometric(form)
+        for i, entry in enumerate(witness.check_log):
+            assert list(entry) == ["form", "pure_value_space_equal", "dim"]
+            assert entry == {"form": i, "pure_value_space_equal": True, "dim": 2**3 - 1}
+
+    def test_wrong_last_slot_fails_certification(self, ctx3, monkeypatch):
+        real = bilinear._next_slot
+
+        def wrong_last(U, W):
+            # at m=2 the two rho slots are in place and one slot is missing;
+            # any element of U repeats a value, so the list is isotropic
+            return U.elements()[-1] if U.dim == 4 else real(U, W)
+
+        monkeypatch.setattr(bilinear, "_next_slot", wrong_last)
+        with pytest.raises(CompletionNotFound, match="exact certification"):
+            common_factor(2, two_fold_family(ctx3))
+
+    @pytest.mark.parametrize("m, most", [(1, 17), (2, 28)])
+    def test_each_factorization_spanned_once(self, ctx3, monkeypatch, m, most):
+        # fresh forms: the count includes their anisotropy and pure spaces
+        forms = two_fold_family(ctx3)
+        calls = []
+        for name in ("span", "from_rows"):
+            real = getattr(SqSubspace, name)
+
+            def counted(cls, *args, _real=real):
+                calls.append(1)
+                return _real(*args)
+
+            monkeypatch.setattr(SqSubspace, name, classmethod(counted))
+        assert common_factor(m, forms) is not None
+        assert len(calls) <= most
 
     def test_m_bounds(self, ctx2, b0):
         with pytest.raises(ValueError):

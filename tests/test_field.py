@@ -9,8 +9,11 @@ from pflab import (
     FieldContext,
     FieldElement,
     NotASquare,
+    NotDivisible,
+    PflabError,
     Poly,
 )
+from pflab import field
 from conftest import CTX2, elements, nonzero_elements
 
 
@@ -185,6 +188,25 @@ class TestSerialization:
 
 
 class TestPoly:
+    def test_inexact_division_is_typed_on_the_set_path(self):
+        f = Poly.of([(1, 0), (0, 1)], 2)  # a1 + a2
+        g = Poly.of([(1, 0)], 2)  # a1
+        with pytest.raises(NotDivisible) as info:
+            field._divexact(f, g)
+        assert isinstance(info.value, PflabError)
+        assert isinstance(info.value, ValueError)
+
+    def test_inexact_division_is_typed_on_the_bitboard_path(self):
+        # (1 + a1 + ... + a1^6)(1 + a2 + ... + a2^6) has 49 terms and the
+        # value 1 at a1 = 1, so 1 + a1 does not divide it
+        f = Poly.of([(i, j) for i in range(7) for j in range(7)], 2)
+        g = Poly.of([(0, 0), (1, 0)], 2)
+        assert len(f.terms) > field._PACK_MIN_DIV
+        with pytest.raises(NotDivisible):
+            field._packed_divexact(f, g)
+        with pytest.raises(NotDivisible):
+            field._divexact(f, g)
+
     def test_cancellation_in_of(self, ctx2):
         p = Poly.of([(1, 0), (1, 0), (0, 1)], 2)
         assert p.terms == frozenset({(0, 1)})

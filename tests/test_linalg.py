@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pflab import EliminationInvariant, PflabError, Poly, SqSubspace, representation_over
+from pflab import (
+    EliminationInvariant,
+    NotDivisible,
+    PflabError,
+    Poly,
+    SqSubspace,
+    representation_over,
+)
 from pflab import linalg
 from conftest import CTX2, CTX3, elements
 
@@ -137,6 +144,19 @@ class TestEliminationInvariant:
             span2(ctx2, a1, a2)
         assert isinstance(info.value, PflabError)
         assert isinstance(info.value, RuntimeError)
+
+    def test_inexact_division_is_typed(self, ctx2, monkeypatch):
+        def stub(f, g):
+            raise NotDivisible("not divisible")
+
+        monkeypatch.setattr(linalg, "_divexact", stub)
+        a1, a2 = ctx2.gens
+        one, zero = ctx2.one, ctx2.zero
+        # the first pivot is a1, so the second sweep divides by it
+        rows = [(a1, a2, zero, zero), (a2, a1, one, zero), (one, a1, a2, one)]
+        with pytest.raises(EliminationInvariant, match="not divisible") as info:
+            linalg._rref(ctx2, rows)
+        assert isinstance(info.value.__cause__, NotDivisible)
 
 
 def textbook_rref(rows):

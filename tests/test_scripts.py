@@ -13,3 +13,12 @@ def test_reproduce_counterexamples(capsys):
     assert "bilinear family, n=3 (8 forms)" in out
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+def test_sharing_trials(capsys):
+    script = runpy.run_path(str(SCRIPTS / "sharing_trials.py"))
+    args = ["--trials", "3", "--family-size", "3", "--m", "2", "--seed", "0"]
+    assert script["main"](args) == 0
+    out = capsys.readouterr().out
+    assert "witness found" in out
+    assert "BAD REBUILDS" not in out
