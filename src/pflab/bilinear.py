@@ -43,7 +43,7 @@ from .errors import (
     PreconditionFailed,
     ZeroSlot,
 )
-from .field import FieldContext, FieldElement
+from .field import FieldContext, FieldElement, _from_dense
 from .linalg import SqSubspace, left_kernel
 
 __all__ = [
@@ -216,59 +216,55 @@ def _mixed_pure_space(
     return SqSubspace.span(ctx, (r * p for r in rho_prods for p in comp_prods))
 
 
-def _stable_subspace(U: SqSubspace, W: SqSubspace) -> SqSubspace:
-    """The F^2-subspace {delta in F : delta * U <= W}.
+def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspace:
+    """The F^2-subspace {delta in F : delta * U <= W}, U spanned by u_basis.
 
     For fixed u the row of delta*u is F-linear in the row of delta, so the
     condition is a kernel computation: stack, for every basis monomial a^g,
     the residues of a^g * u_j modulo W, and take the left kernel.
     """
-    ctx = U.ctx
-    basis_elems = U.elements()
+    ctx = W.ctx
     rows = []
     for g in ctx.patterns:
         mono = ctx.monomial(g)
         row: list[FieldElement] = []
-        for u in basis_elems:
+        for u in u_basis:
             prod = (mono * u).frobenius_decompose().dense()
             row.extend(W.reduce_row(prod))
         rows.append(row)
     kernel = left_kernel(ctx, rows)
-    elems = []
-    for z in kernel:
-        f = ctx.zero
-        for c, g in zip(z, ctx.patterns):
-            if c:
-                f = f + c.square() * ctx.monomial(g)
-        elems.append(f)
-    return SqSubspace.span(ctx, elems)
+    return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
 
 
-def _admissible(delta: FieldElement, U: SqSubspace, W: SqSubspace) -> bool:
+def _admissible(
+    delta: FieldElement, U: SqSubspace, u_basis: Sequence[FieldElement], W: SqSubspace
+) -> bool:
     """Whether delta extends the current slot list: anisotropy is kept
     (delta outside the current value field U) and every new pure product
-    delta*u stays inside the target pure space W."""
+    delta*u, u in the basis u_basis of U, stays inside the target pure
+    space W."""
     if delta.is_zero:
         return False
     if delta in U:
         return False
-    return all((delta * u) in W for u in U.elements())
+    return all((delta * u) in W for u in u_basis)
 
 
 def _next_slot(U: SqSubspace, W: SqSubspace) -> FieldElement | None:
+    u_basis = U.elements()
     basis = W.elements()
     for cand in basis:
-        if _admissible(cand, U, W):
+        if _admissible(cand, U, u_basis, W):
             return cand
     for a, b in itertools.combinations(basis, 2):
         cand = a + b
-        if _admissible(cand, U, W):
+        if _admissible(cand, U, u_basis, W):
             return cand
     # bounded search exhausted: fall back to the exact candidate subspace,
     # which is nonzero iff any completion step exists at all
-    stable = _stable_subspace(U, W)
+    stable = _stable_subspace(u_basis, W)
     for cand in stable.elements():
-        if _admissible(cand, U, W):
+        if _admissible(cand, U, u_basis, W):
             return cand
     return None
 

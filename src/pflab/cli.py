@@ -43,6 +43,9 @@ __all__ = ["parse_element", "main", "console_main"]
 
 _CONTR_SEED = 4273
 _CONTR_TRIALS = 200
+# largest number of variables a command accepts; FieldContext(n) builds
+# all 2^n patterns up front, so n is bounded before anything is built
+_MAX_N = 6
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,10 @@ def _cmd_common_factor(args) -> int:
         data = json.load(fh)
     if not isinstance(data, dict) or "n" not in data or "forms" not in data:
         raise ValueError("forms file must be an object with 'n' and 'forms'")
-    ctx = FieldContext(int(data["n"]))
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_N:
+        raise ValueError(f"forms file 'n' must be an integer in 1..{_MAX_N}, got {n!r}")
+    ctx = FieldContext(n)
     forms = []
     for item in data["forms"]:
         if isinstance(item, dict):
@@ -320,8 +326,7 @@ def _cmd_quadratic_family(args) -> int:
 
     miss_ok = True
     per_form = []
-    for f in family:
-        image = f.pure_parity_image()
+    for f, image in zip(family, cert.per_form_images):
         expected = ParitySet.of(
             ctx.n, [c for c in ParitySet.full(ctx.n).classes if c != parity(f.quad_slot)]
         )
@@ -396,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bilinear-family", help="2^n bilinear forms with no common slot")
-    p.add_argument("--n", type=int, choices=(2, 3, 4, 5, 6), required=True)
+    p.add_argument("--n", type=int, choices=tuple(range(2, _MAX_N + 1)), required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--subset", help="comma-separated family indices to intersect")
     common(p)
@@ -435,18 +440,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PflabError as exc:
-        report = _report(
-            args.command,
-            getattr(args, "n", 0) or 0,
-            {},
-            "ERROR",
-            {"error_type": type(exc).__name__, "error": str(exc)},
-            None,
-        )
-        _emit(report, args.format)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (PflabError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         report = _report(
             args.command,
             getattr(args, "n", 0) or 0,

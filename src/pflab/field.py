@@ -174,6 +174,9 @@ class Poly:
         # Frobenius: (sum m)^2 = sum m^2, no cross terms in char 2
         return Poly(frozenset(tuple(2 * e for e in m) for m in self.terms), self.n)
 
+    def is_one(self) -> bool:
+        return len(self.terms) == 1 and not any(next(iter(self.terms)))
+
     def is_square(self) -> bool:
         return all(e % 2 == 0 for m in self.terms for e in m)
 
@@ -385,14 +388,8 @@ def _prem(f: Poly, g: Poly, v: int) -> Poly:
 
 
 def _primitive(f: Poly, v: int) -> Poly:
-    parts = _split(f, v)
-    coefs = list(parts.values())
-    cont = coefs[0]
-    for c in coefs[1:]:
-        cont = _gcd(cont, c)
-    if cont == Poly(frozenset(((0,) * f.n,)), f.n):
-        return f
-    return _divexact(f, cont)
+    cont = _content_of(_split(f, v))
+    return f if cont.is_one() else _divexact(f, cont)
 
 
 def _gcd(f: Poly, g: Poly) -> Poly:
@@ -415,8 +412,8 @@ def _gcd(f: Poly, g: Poly) -> Poly:
     cont_f = _content_of(fparts)
     cont_g = _content_of(gparts)
     c = _gcd(cont_f, cont_g)
-    fp = f0 if cont_f.terms == {(0,) * f.n} else _divexact(f0, cont_f)
-    gp = g0 if cont_g.terms == {(0,) * f.n} else _divexact(g0, cont_g)
+    fp = f0 if cont_f.is_one() else _divexact(f0, cont_f)
+    gp = g0 if cont_g.is_one() else _divexact(g0, cont_g)
     one = Poly(frozenset(((0,) * f.n,)), f.n)
 
     def vdeg(p: Poly) -> int:
@@ -424,7 +421,6 @@ def _gcd(f: Poly, g: Poly) -> Poly:
 
     if vdeg(fp) < vdeg(gp):
         fp, gp = gp, fp
-    pp = one
     while True:
         if vdeg(gp) == 0:
             # a v-free common divisor divides the v-content of fp, which is 1
@@ -491,7 +487,7 @@ class FieldElement:
         """Lowest-terms (num, den); computed once and cached."""
         if self._canon is None:
             g = _gcd(self.num, self.den)
-            if len(g.terms) == 1 and not any(next(iter(g.terms))):
+            if g.is_one():
                 self._canon = (self.num, self.den)
             else:
                 self._canon = (_divexact(self.num, g), _divexact(self.den, g))
@@ -627,7 +623,7 @@ class FieldElement:
 
     def __str__(self):
         n, d = self.canonical()
-        if len(d.terms) == 1 and not any(next(iter(d.terms))):
+        if d.is_one():
             return _poly_str(n)
         return f"{_poly_str(n)} / {_poly_str(d)}"
 
@@ -646,6 +642,16 @@ class FieldElement:
         if not isinstance(data, dict) or "num" not in data or "den" not in data:
             raise ValueError("field element JSON must have 'num' and 'den'")
         return ctx.element(data["num"], data["den"])
+
+
+def _from_dense(ctx: FieldContext, row) -> FieldElement:
+    """The element sum c_d^2 * a^d of a dense 2-basis row, summed in the
+    context's pattern order."""
+    out = ctx.zero
+    for c, d in zip(row, ctx.patterns):
+        if c:
+            out = out + c.square() * ctx.monomial(d)
+    return out
 
 
 class TwoBasisCoords:
@@ -672,10 +678,7 @@ class TwoBasisCoords:
         return tuple(self.coords.get(d, zero) for d in self.ctx.patterns)
 
     def reconstruct(self) -> FieldElement:
-        out = self.ctx.zero
-        for d, c in self.coords.items():
-            out = out + c.square() * self.ctx.monomial(d)
-        return out
+        return _from_dense(self.ctx, self.dense())
 
     def to_json(self):
         return [[list(d), c.to_json()] for d, c in sorted(self.coords.items())]

@@ -15,15 +15,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import EliminationInvariant, NotDivisible
-from .field import FieldContext, FieldElement, Poly, _divexact
+from .field import FieldContext, FieldElement, Poly, _divexact, _from_dense
 
 __all__ = ["SqSubspace", "representation_over"]
 
 Row = tuple[FieldElement, ...]
-
-
-def _poly_is_one(p: Poly) -> bool:
-    return len(p.terms) == 1 and not any(next(iter(p.terms)))
 
 
 def _cleared(ctx: FieldContext, row: Sequence[FieldElement]):
@@ -35,7 +31,7 @@ def _cleared(ctx: FieldContext, row: Sequence[FieldElement]):
     dens: list[Poly] = []
     seen: set[frozenset] = set()
     for e in row:
-        if not e or _poly_is_one(e.den) or e.den.terms in seen:
+        if not e or e.den.is_one() or e.den.terms in seen:
             continue
         seen.add(e.den.terms)
         dens.append(e.den)
@@ -100,7 +96,7 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
             rows[r], rows[pr] = rows[pr], rows[r]
             prow = rows[r]
             p = prow[col]
-            trivial = _poly_is_one(prev)
+            trivial = prev.is_one()
             same = p.terms == prev.terms
             for i in range(nrows):
                 if i == r:
@@ -207,14 +203,7 @@ class SqSubspace:
 
     def elements(self) -> tuple[FieldElement, ...]:
         """The reduced basis rows turned back into field elements."""
-        out = []
-        for row in self.rows:
-            f = self.ctx.zero
-            for c, d in zip(row, self.ctx.patterns):
-                if c:
-                    f = f + c.square() * self.ctx.monomial(d)
-            out.append(f)
-        return tuple(out)
+        return tuple(_from_dense(self.ctx, row) for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, SqSubspace):
@@ -229,28 +218,27 @@ class SqSubspace:
 
     # -- membership ------------------------------------------------------------
 
-    def reduce_row(self, row: Sequence[FieldElement]) -> list[FieldElement]:
-        """Remainder of a coordinate row after elimination against the basis."""
+    def _reduce(self, row: Sequence[FieldElement]):
+        """Eliminate a coordinate row against the basis; returns the
+        coefficient taken at each pivot and the remainder."""
         rem = list(row)
-        for brow, pc in zip(self.rows, self.pivots):
-            c = rem[pc]
-            if c:
-                rem = [a + c * b for a, b in zip(rem, brow)]
-        return rem
-
-    def coordinates_of(self, f: FieldElement) -> tuple[FieldElement, ...] | None:
-        """Witness coefficients c_i with f = sum c_i^2 * g_i over the reduced
-        basis g_i, or None when f is not in the subspace."""
-        rem = list(f.frobenius_decompose().dense())
         coeffs = []
         for brow, pc in zip(self.rows, self.pivots):
             c = rem[pc]
             coeffs.append(c)
             if c:
                 rem = [a + c * b for a, b in zip(rem, brow)]
-        if any(rem):
-            return None
-        return tuple(coeffs)
+        return coeffs, rem
+
+    def reduce_row(self, row: Sequence[FieldElement]) -> list[FieldElement]:
+        """Remainder of a coordinate row after elimination against the basis."""
+        return self._reduce(row)[1]
+
+    def coordinates_of(self, f: FieldElement) -> tuple[FieldElement, ...] | None:
+        """Witness coefficients c_i with f = sum c_i^2 * g_i over the reduced
+        basis g_i, or None when f is not in the subspace."""
+        coeffs, rem = self._reduce(f.frobenius_decompose().dense())
+        return None if any(rem) else tuple(coeffs)
 
     def __contains__(self, f: FieldElement) -> bool:
         return self.coordinates_of(f) is not None

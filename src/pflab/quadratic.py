@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bilinear import _products
 from .errors import (
     BadRank,
     ContextMismatch,
@@ -94,23 +95,16 @@ class QuadraticPfister:
 
     def block_coefficients(self) -> list[FieldElement]:
         """Products b^e in ascending lex e-order (one per binary block)."""
-        out = []
-        for e in self.block_patterns():
-            p = self.ctx.one
-            for take, s in zip(e, self.bilinear_slots):
-                if take:
-                    p = p * s
-            out.append(p)
-        return out
+        return self.diagonal_values()[::2]
 
     def diagonal_values(self) -> list[FieldElement]:
-        """Value of the form on each basis vector, in coordinate order."""
+        """Value of the form on each basis vector, in coordinate order.
+
+        These are the slot products of (b1, ..., b_{k-1}, alpha) in
+        ascending lex order: alpha comes last, so b^e * alpha follows b^e.
+        """
         if self._diag is None:
-            diag = []
-            for coef in self.block_coefficients():
-                diag.append(coef)
-                diag.append(coef * self.quad_slot)
-            self._diag = diag
+            self._diag = _products(self.ctx, self.slot_list())
         return self._diag
 
     def _check_vector(self, v: Sequence[FieldElement]) -> None:
@@ -120,16 +114,23 @@ class QuadraticPfister:
             if c.ctx != self.ctx:
                 raise ContextMismatch("vector entry from a different field context")
 
-    def evaluate(self, v: Sequence[FieldElement]) -> FieldElement:
-        """phi(v) = sum of b^e * (u_e^2 + u_e w_e + alpha w_e^2)."""
-        self._check_vector(v)
-        out = self.ctx.zero
-        for coef, i in zip(self.block_coefficients(), range(0, self.dim, 2)):
-            u, w = v[i], v[i + 1]
+    def _block_sum(
+        self, out: FieldElement, pairs: Sequence[FieldElement], first: int
+    ) -> FieldElement:
+        """out plus b^e * (u^2 + u*w + alpha*w^2) over the blocks from index
+        first on, each (u, w) read in turn from pairs."""
+        coefs = self.block_coefficients()[first:]
+        for coef, i in zip(coefs, range(0, len(pairs), 2)):
+            u, w = pairs[i], pairs[i + 1]
             block = u.square() + u * w + self.quad_slot * w.square()
             if block:
                 out = out + coef * block
         return out
+
+    def evaluate(self, v: Sequence[FieldElement]) -> FieldElement:
+        """phi(v) = sum of b^e * (u_e^2 + u_e w_e + alpha w_e^2)."""
+        self._check_vector(v)
+        return self._block_sum(self.ctx.zero, v, 0)
 
     def evaluate_pure(self, v: Sequence[FieldElement]) -> FieldElement:
         """The pure part <1> on u_0 plus the blocks with e != 0; the w_0
@@ -137,13 +138,11 @@ class QuadraticPfister:
         self._check_vector(v)
         if v[1]:
             raise ValueError("pure part has no w coordinate on the first block")
-        out = v[0].square()
-        for coef, i in zip(self.block_coefficients()[1:], range(2, self.dim, 2)):
-            u, w = v[i], v[i + 1]
-            block = u.square() + u * w + self.quad_slot * w.square()
-            if block:
-                out = out + coef * block
-        return out
+        return self._block_sum(v[0].square(), v[2:], 1)
+
+    def _require_hypothesis(self) -> None:
+        if not dominant_term_hypothesis(self.slot_list()):
+            raise HypothesisFailed("slots lack negative values with independent parities")
 
     def dominant_value(self, v: Sequence[FieldElement]) -> tuple[int, ...]:
         """min over nonzero coordinates of 2*val(c) + val(diagonal value).
@@ -151,8 +150,7 @@ class QuadraticPfister:
         Under the slot hypothesis the minimum is attained exactly once and
         equals val(phi(v)).
         """
-        if not dominant_term_hypothesis(self.slot_list()):
-            raise HypothesisFailed("slots lack negative values with independent parities")
+        self._require_hypothesis()
         self._check_vector(v)
         best = None
         for c, d in zip(v, self.diagonal_values()):
@@ -167,15 +165,13 @@ class QuadraticPfister:
 
     def parity_image(self) -> ParitySet:
         """GF(2)-span of the slot parities; the parity image of D(phi)."""
-        if not dominant_term_hypothesis(self.slot_list()):
-            raise HypothesisFailed("slots lack negative values with independent parities")
+        self._require_hypothesis()
         return parity_span(self.ctx.n, [parity(s) for s in self.slot_list()])
 
     def pure_parity_image(self) -> ParitySet:
         """Parities of the pure-part diagonal values (all basis vectors except
         the w coordinate of the first block); misses exactly parity(alpha)."""
-        if not dominant_term_hypothesis(self.slot_list()):
-            raise HypothesisFailed("slots lack negative values with independent parities")
+        self._require_hypothesis()
         classes = []
         for i, d in enumerate(self.diagonal_values()):
             if i == 1:  # (e = 0, w): diagonal value alpha itself
@@ -303,20 +299,11 @@ def right_slot_from_value(
     if len(u) != form.dim - 2:
         raise ValueError(f"expected {form.dim - 2} pure-block coordinates")
     alpha = form.quad_slot
-
-    def phi_pp(vec: Sequence[FieldElement]) -> FieldElement:
-        out = form.ctx.zero
-        for coef, i in zip(form.block_coefficients()[1:], range(0, len(vec), 2)):
-            a, b = vec[i], vec[i + 1]
-            block = a.square() + a * b + alpha * b.square()
-            if block:
-                out = out + coef * block
-        return out
-
-    d = alpha * w.square() + w * x + x.square() + phi_pp(u)
+    zero = form.ctx.zero
+    d = alpha * w.square() + w * x + x.square() + form._block_sum(zero, u, 1)
     result = d / w.square()
     t = x / w
-    check = alpha + t + t.square() + phi_pp([c / w for c in u])
+    check = alpha + t + t.square() + form._block_sum(zero, [c / w for c in u], 1)
     if result != check:
         raise IdentityFailed("scaling identity failed; arithmetic is inconsistent")
     return result

@@ -305,6 +305,33 @@ class TestCommonFactor:
         assert set(data) == {"rho", "complements", "check_log"}
 
 
+class TestNextSlot:
+    def test_partial_basis_converted_once(self, ctx3, monkeypatch):
+        # 29 candidates are tried here, and the last one comes from the
+        # exact fallback space
+        a1, a2, a3 = ctx3.gens
+        form = BilinearPfister(ctx3, (ctx3.one + a1 * a2, a1, a1 * a2 + a3))
+        U = SqSubspace.span(ctx3, [ctx3.one, ctx3.one + a3 + a1 * a3])
+        W = form.pure_value_space()
+        calls = {"elements": 0, "_admissible": 0, "_stable_subspace": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(SqSubspace, "elements", counted("elements", SqSubspace.elements))
+        for name in ("_admissible", "_stable_subspace"):
+            monkeypatch.setattr(bilinear, name, counted(name, getattr(bilinear, name)))
+        slot = bilinear._next_slot(U, W)
+        assert slot is not None and slot not in U
+        assert calls["_admissible"] > 3 and calls["_stable_subspace"] == 1
+        # one conversion each for U, W and the fallback space
+        assert calls["elements"] <= 3
+
+
 class TestFamily:
     def test_n2_exact(self, ctx2):
         a1, a2 = ctx2.gens

@@ -1,6 +1,7 @@
 """CLI: element grammar, subcommands, exit codes, deterministic reports."""
 
 import json
+import time
 
 import pytest
 
@@ -189,6 +190,21 @@ class TestCommonFactor:
         )
         assert code == 2
         assert "position" in report["evidence"]["error"]
+
+    @pytest.mark.parametrize("n", [40, 0, 3.7, True])
+    def test_n_outside_budget(self, capsys, tmp_path, n):
+        # n is checked before FieldContext(n) builds its 2^n patterns
+        forms = {"n": n, "forms": [["a1", "a2", "a3"]]}
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps(forms))
+        started = time.monotonic()
+        code, report = run_json(
+            capsys, "common-factor", "--m", "1", "--forms", str(path)
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2
+        assert report["evidence"]["error_type"] == "ValueError"
+        assert "1..6" in report["evidence"]["error"]
 
 
 class TestQuadraticFamily:

@@ -1,0 +1,79 @@
+"""Golden outputs: the printed certificates stay byte for byte.
+
+Each case runs one CLI invocation through ``cli.main`` and compares its
+stdout and exit code with the file recorded under ``tests/golden/``.  A
+refactor must leave every file unchanged.  A change that is meant to
+alter a report rewrites its goldens on purpose: ROADMAP item 2 (the
+exact 2-dimensional quadratic step) will legitimately rewrite the
+``quadratic-family`` goldens.  To rewrite them, run this file as a
+script: ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from pflab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FORMS = str(GOLDEN / "common_factor_forms.json")
+
+# file name -> (argv, exit code)
+CASES = {
+    "bilinear-family-n2-verify.json": (["bilinear-family", "--n", "2", "--verify"], 0),
+    "bilinear-family-n3-verify.json": (["bilinear-family", "--n", "3", "--verify"], 0),
+    "bilinear-family-n4-verify.json": (["bilinear-family", "--n", "4", "--verify"], 0),
+    "bilinear-family-n4-verify.txt": (
+        ["bilinear-family", "--n", "4", "--verify", "--format", "text"],
+        0,
+    ),
+    "bilinear-family-n3.json": (["bilinear-family", "--n", "3"], 0),
+    "bilinear-family-n3-subset-012.json": (
+        ["bilinear-family", "--n", "3", "--subset", "0,1,2"],
+        0,
+    ),
+    "bilinear-family-n3-subset-all.json": (
+        ["bilinear-family", "--n", "3", "--subset", "0,1,2,3,4,5,6,7"],
+        1,
+    ),
+    "quadratic-family-n2-verify.json": (["quadratic-family", "--n", "2", "--verify"], 0),
+    "quadratic-family-n3-verify.json": (["quadratic-family", "--n", "3", "--verify"], 0),
+    "quat-triple.json": (["quat-triple", "--alpha", "a1", "--beta", "a2"], 0),
+    "common-factor-m1.json": (["common-factor", "--m", "1", "--forms", FORMS], 0),
+    "common-factor-m2.json": (["common-factor", "--m", "2", "--forms", FORMS], 0),
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_golden_outputs():
+    mismatches = []
+    for name, (argv, expected_code) in CASES.items():
+        code, out = _run(argv)
+        if code != expected_code:
+            mismatches.append(f"{name}: exit {code}, expected {expected_code}")
+        elif out != (GOLDEN / name).read_text(encoding="utf-8"):
+            mismatches.append(f"{name}: stdout differs")
+    assert not mismatches, mismatches
+
+
+def _rewrite() -> int:
+    for name, (argv, expected_code) in CASES.items():
+        code, out = _run(argv)
+        if code != expected_code:
+            print(f"{name}: exit {code}, expected {expected_code}", file=sys.stderr)
+            return 1
+        (GOLDEN / name).write_text(out, encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_rewrite())

@@ -102,6 +102,21 @@ class TestMember:
         back = sum((c * c * g for c, g in zip(got, s.elements())), ctx2.zero)
         assert back == f
 
+    @given(
+        gens=st.lists(elements(CTX2, max_degree=2, max_terms=3), min_size=1, max_size=3),
+        coeffs=st.lists(elements(CTX2, max_degree=2, max_terms=3), min_size=3, max_size=3),
+        noise=st.one_of(st.none(), elements(CTX2, max_degree=2, max_terms=3)),
+    )
+    def test_coordinates_agree_with_reduce_row(self, ctx2, gens, coeffs, noise):
+        # members are built as combinations; noise usually moves f out
+        s = SqSubspace.span(ctx2, gens)
+        f = sum((c * c * g for c, g in zip(coeffs, gens)), noise or ctx2.zero)
+        got = s.coordinates_of(f)
+        assert (got is None) == any(s.reduce_row(f.frobenius_decompose().dense()))
+        if got is not None:
+            back = sum((c * c * g for c, g in zip(got, s.elements())), ctx2.zero)
+            assert back == f
+
 
 class TestIntersection:
     def test_forced_common_line(self, ctx2):
