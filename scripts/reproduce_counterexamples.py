@@ -91,8 +91,8 @@ def quaternion_section(cfg: RunConfig) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=3, choices=(2, 3, 4, 5, 6),
-                    help="largest bilinear rank to verify (5 takes 3 s, 6 takes 30 s)")
+    ap.add_argument("--max-n", type=int, default=3, choices=(2, 3, 4, 5, 6, 7),
+                    help="largest bilinear rank to verify (6 takes 2.5 s, 7 takes 25 s)")
     ap.add_argument("--skip-quat", action="store_true")
     args = ap.parse_args(argv)
 

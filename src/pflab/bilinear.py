@@ -23,8 +23,10 @@ exact pure-value-space equality in ``_complete``; ``check_log`` reports it,
 and nothing it certified is spanned again.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
-``build_no_common_slot_family``; its leave-one-out spaces come from
-prefix and suffix intersections (``leave_one_out_slot_spaces``).
+``build_no_common_slot_family`` by one exact pure-space equality per
+member, then GF(2) ranks of bitmasks; ``leave_one_out_slot_spaces``
+builds the same spaces for any family from prefix and suffix
+intersections.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ from .errors import (
     CompletionNotFound,
     ContextMismatch,
     EmptyInput,
+    IdentityFailed,
     IsotropicInput,
     PreconditionFailed,
     ZeroSlot,
 )
 from .field import FieldContext, FieldElement, _from_dense
 from .linalg import SqSubspace, left_kernel
+from .valuation import gf2_mask_rank
 
 __all__ = [
     "BilinearPfister",
@@ -145,8 +149,12 @@ class BilinearPfister:
 
     @classmethod
     def from_json(cls, ctx: FieldContext, data) -> BilinearPfister:
-        if not isinstance(data, dict) or data.get("type") != "bilinear_pfister":
-            raise ValueError("expected a bilinear_pfister object")
+        if (
+            not isinstance(data, dict)
+            or data.get("type") != "bilinear_pfister"
+            or not isinstance(data.get("slots"), list)
+        ):
+            raise ValueError("expected a bilinear_pfister object with a list of slots")
         slots = [FieldElement.from_json(ctx, s) for s in data["slots"]]
         return cls(ctx, slots)
 
@@ -426,49 +434,133 @@ def _meet_is(a: SqSubspace, b: SqSubspace, claimed: SqSubspace) -> bool:
     return a.dim + b.dim - a.sum_with(b).dim == claimed.dim
 
 
+def _claimed_pure_generators(ctx: FieldContext, k: int) -> list[FieldElement]:
+    """The claimed pure basis of member k (bit vector d = ctx.patterns[k])
+    of build_no_common_slot_family: the nontrivial monomials other than
+    a^d, then 1 + a^d; member 0 has all nontrivial monomials."""
+    d = ctx.patterns[k]
+    gens = [ctx.monomial(e) for e in ctx.patterns[1:] if e != d]
+    if k:
+        gens.append(ctx.one + ctx.monomial(d))
+    return gens
+
+
+def _gf2_mask(g: FieldElement) -> int:
+    """g's 2-basis row as a GF(2) bitmask, bit j for column j."""
+    ctx = g.ctx
+    mask = 0
+    for j, c in enumerate(g.frobenius_decompose().dense()):
+        if not c:
+            continue
+        if c != ctx.one:
+            raise PreconditionFailed(f"{g} has a 2-basis coordinate other than 0 or 1")
+        mask |= 1 << j
+    return mask
+
+
+def _odd(mask: int) -> bool:
+    return mask.bit_count() % 2 == 1
+
+
+def _family_report(
+    anisotropic: bool, pure_ok: bool, pair_ok: bool, common_dim: int, dims: list[int]
+) -> dict:
+    return {
+        "checks": {
+            "all_anisotropic": anisotropic,
+            "claimed_pure_bases": pure_ok,
+            "pairwise_intersections": pair_ok,
+            "no_common_slot": common_dim == 0,
+            "sharp_at_all_but_one": all(dim > 0 for dim in dims),
+        },
+        "family_size": len(dims),
+        "common_slot_space_dim": common_dim,
+        "leave_one_out_dims": dims,
+    }
+
+
+def _gf2_family_evidence(ctx: FieldContext, claims: list[list[FieldElement]]) -> dict:
+    """The family evidence from the claimed pure bases alone, once every
+    member's pure value space is known to be the F-span of its claim."""
+    size = len(claims)  # 2^n members, and 2^n columns
+    masks = [[_gf2_mask(g) for g in gens] for gens in claims]
+    # e_0 annihilates member 0's claim, e_0 + e_k member k's (1 | 1 << 0 is e_0)
+    anns = [1 | 1 << k for k in range(size)]
+    for ann, rows in zip(anns, masks):
+        if gf2_mask_rank(rows) != size - 1 or any(_odd(ann & m) for m in rows):
+            raise IdentityFailed("a claimed pure space is not its annihilator's hyperplane")
+    one = _gf2_mask(ctx.one)
+    anisotropic = all(_odd(ann & one) for ann in anns)
+    pair_ok = all(
+        gf2_mask_rank(rows[:-1]) + gf2_mask_rank([anns[0], ann]) == size
+        and not any(_odd(anns[0] & m) for m in rows[:-1])
+        for ann, rows in zip(anns[1:], masks[1:])
+    )
+    common_dim = size - gf2_mask_rank(anns)
+    dims = [size - gf2_mask_rank(anns[:k] + anns[k + 1 :]) for k in range(size)]
+    return _family_report(anisotropic, True, pair_ok, common_dim, dims)
+
+
+def _f_family_evidence(
+    family: Sequence[BilinearPfister], claims: list[list[FieldElement]]
+) -> dict:
+    """The family evidence by F-level intersections, for a family in which
+    some member's pure value space is not its claim."""
+    ctx = family[0].ctx
+    anisotropic = all(f.is_anisotropic() for f in family)
+    full, left_out = leave_one_out_slot_spaces(family)
+    base = family[0].pure_value_space()
+    pair_ok = all(
+        _meet_is(base, f.pure_value_space(), SqSubspace.span(ctx, gens[:-1]))
+        for f, gens in zip(family[1:], claims[1:])
+    )
+    return _family_report(anisotropic, False, pair_ok, full.dim, [s.dim for s in left_out])
+
+
 def verify_no_common_slot_family(n: int) -> dict:
     """Certify build_no_common_slot_family(n); returns the evidence dict.
 
-    Checks, in order: every member is anisotropic; member k (k >= 1, bit
-    vector d) has the pure value space spanned by 1 + a^d and the
-    nontrivial monomials other than a^d; it meets member 0 in the span of
-    those monomials; the whole family has no common slot; every subfamily
-    of 2^n - 1 members has one.
+    The checks: every member is anisotropic; member k (k >= 1, bit vector
+    d) has the pure value space spanned by 1 + a^d and the nontrivial
+    monomials other than a^d; it meets member 0 in the span of those
+    monomials; the whole family has no common slot; every subfamily of
+    2^n - 1 members has one.
 
-    An isotropic member raises IsotropicInput before any evidence is
-    built, so a returned report never has ``all_anisotropic: false``; the
-    key stays for the report's fixed layout.
+    The F-level work is one exact equality per member: the span of its
+    claimed generators equals its pure value space.  Every claimed
+    generator has a 2-basis row with 0/1 entries, and the rank of a
+    matrix over GF(2) does not change under the field extension
+    GF(2) < F.  So the F-span of such rows has the dimension of their
+    GF(2)-span, and by dim(A & B) = dim A + dim B - dim(A + B) so do
+    intersections of such spans; everything after the equalities is
+    linear algebra on 2^n-bit masks.  Member 0's claim is the hyperplane
+    annihilated by e_0, member k's the one annihilated by e_0 + e_k;
+    both are checked against the generator masks (even parity, rank
+    2^n - 1).  Then:
+
+      * 1 (mask e_0) lies outside every claim, and the full value space
+        is span(1) + pure, so every member is anisotropic;
+      * member 0 meets member k in the space annihilated by e_0 and
+        e_0 + e_k, which is the span of the other monomials;
+      * a set of members has a common slot space of dimension 2^n minus
+        the rank of their annihilators: 0 for the family, 1 without any
+        one member.
+
+    The F path runs only if some member's pure space differs from its
+    claim: the report then says ``claimed_pure_bases: false`` and its
+    other keys come from F-level intersections
+    (``leave_one_out_slot_spaces`` and ``_meet_is``).  An isotropic
+    member always differs from its claim, since a claim holding proves
+    anisotropy, and the F path raises IsotropicInput on it, so a
+    returned report never has ``all_anisotropic: false``; the key stays
+    for the report's fixed layout.
     """
     family = build_no_common_slot_family(n)
     ctx = family[0].ctx
-    all_anisotropic = all(f.is_anisotropic() for f in family)
-    full, left_out = leave_one_out_slot_spaces(family)
-
-    pure_ok = True
-    pair_ok = True
-    base = family[0].pure_value_space()
-    for k in range(1, 2**n):
-        d = tuple((k >> i) & 1 for i in range(n))
-        others = [
-            ctx.monomial(e)
-            for e in itertools.product((0, 1), repeat=n)
-            if any(e) and e != d
-        ]
-        pure = family[k].pure_value_space()
-        claimed = SqSubspace.span(ctx, others + [ctx.one + ctx.monomial(d)])
-        pure_ok = pure_ok and claimed == pure
-        pair_ok = pair_ok and _meet_is(base, pure, SqSubspace.span(ctx, others))
-
-    dims = [space.dim for space in left_out]
-    return {
-        "checks": {
-            "all_anisotropic": all_anisotropic,
-            "claimed_pure_bases": pure_ok,
-            "pairwise_intersections": pair_ok,
-            "no_common_slot": full.is_zero,
-            "sharp_at_all_but_one": all(dim > 0 for dim in dims),
-        },
-        "family_size": len(family),
-        "common_slot_space_dim": full.dim,
-        "leave_one_out_dims": dims,
-    }
+    claims = [_claimed_pure_generators(ctx, k) for k in range(len(family))]
+    if all(
+        SqSubspace.span(ctx, gens) == f.pure_value_space()
+        for f, gens in zip(family, claims)
+    ):
+        return _gf2_family_evidence(ctx, claims)
+    return _f_family_evidence(family, claims)

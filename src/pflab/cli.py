@@ -21,6 +21,7 @@ import itertools
 import json
 import random
 import re
+import reprlib
 import sys
 import time
 
@@ -44,8 +45,11 @@ __all__ = ["parse_element", "main", "console_main"]
 _CONTR_SEED = 4273
 _CONTR_TRIALS = 200
 # largest number of variables a command accepts; FieldContext(n) builds
-# all 2^n patterns up front, so n is bounded before anything is built
+# all 2^n patterns up front, so n is bounded before anything is built.
+# The family certificate at n=7 takes about 25 s; common-factor has no
+# measured cost beyond n=6, so a forms file keeps the smaller bound.
 _MAX_N = 6
+_MAX_FAMILY_N = 7
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +246,7 @@ def _cmd_common_factor(args) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_N:
         raise ValueError(f"forms file 'n' must be an integer in 1..{_MAX_N}, got {n!r}")
     ctx = FieldContext(n)
-    forms = []
-    for item in data["forms"]:
-        if isinstance(item, dict):
-            forms.append(BilinearPfister.from_json(ctx, item))
-        else:
-            slots = [parse_element(s, ctx) for s in item]
-            forms.append(BilinearPfister(ctx, slots))
+    forms = _read_forms(ctx, data["forms"])
     inputs = {"m": args.m, "forms": [f.to_json() for f in forms]}
     witness = common_factor(args.m, forms)
     if witness is None:
@@ -259,6 +257,29 @@ def _cmd_common_factor(args) -> int:
         "rho": repr(witness.rho),
     }
     return _finish(args, "common-factor", ctx.n, inputs, "VALID", evidence, started)
+
+
+def _read_forms(ctx: FieldContext, items) -> list[BilinearPfister]:
+    """The forms of a forms file: each entry is a list of slot strings or
+    a bilinear_pfister object; anything else is refused by its index."""
+    if not isinstance(items, list):
+        raise ValueError(f"forms file 'forms' must be a list, got {reprlib.repr(items)}")
+    forms = []
+    for i, item in enumerate(items):
+        if isinstance(item, list) and all(isinstance(s, str) for s in item):
+            forms.append(BilinearPfister(ctx, [parse_element(s, ctx) for s in item]))
+        elif (
+            isinstance(item, dict)
+            and item.get("type") == "bilinear_pfister"
+            and isinstance(item.get("slots"), list)
+        ):
+            forms.append(BilinearPfister.from_json(ctx, item))
+        else:
+            raise ValueError(
+                f"forms file entry {i} must be a list of slot strings or a "
+                f"bilinear_pfister object, got {reprlib.repr(item)}"
+            )
+    return forms
 
 
 def _f_independent(u1, u2) -> bool:
@@ -401,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bilinear-family", help="2^n bilinear forms with no common slot")
-    p.add_argument("--n", type=int, choices=tuple(range(2, _MAX_N + 1)), required=True)
+    p.add_argument("--n", type=int, choices=tuple(range(2, _MAX_FAMILY_N + 1)), required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--subset", help="comma-separated family indices to intersect")
     common(p)

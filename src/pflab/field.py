@@ -641,6 +641,14 @@ class FieldElement:
     def from_json(cls, ctx: FieldContext, data) -> FieldElement:
         if not isinstance(data, dict) or "num" not in data or "den" not in data:
             raise ValueError("field element JSON must have 'num' and 'den'")
+        for key in ("num", "den"):
+            terms = data[key]
+            if not isinstance(terms, list) or not all(
+                isinstance(t, list) and all(isinstance(e, int) for e in t) for t in terms
+            ):
+                raise ValueError(
+                    f"field element '{key}' must be a list of integer exponent lists"
+                )
         return ctx.element(data["num"], data["den"])
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "ParitySet",
     "parity_span",
     "gf2_rank",
+    "gf2_mask_rank",
 ]
 
 ValueVector = tuple[int, ...]
@@ -50,11 +51,19 @@ def parity(f: FieldElement) -> ParityClass:
 
 def gf2_rank(vectors: Iterable[Sequence[int]]) -> int:
     """Rank over GF(2) of 0/1 vectors, via bitmask elimination."""
-    basis: dict[int, int] = {}  # leading bit length -> reduced vector
+    masks = []
     for vec in vectors:
         x = 0
         for b in vec:
             x = (x << 1) | (b & 1)
+        masks.append(x)
+    return gf2_mask_rank(masks)
+
+
+def gf2_mask_rank(masks: Iterable[int]) -> int:
+    """Rank over GF(2) of vectors packed as int bitmasks."""
+    basis: dict[int, int] = {}  # leading bit length -> reduced vector
+    for x in masks:
         while x:
             h = x.bit_length()
             if h not in basis:

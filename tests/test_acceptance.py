@@ -47,7 +47,7 @@ def _run_cli(capsys, *argv):
 
 
 def test_criterion_1_bilinear_family_cli(capsys):
-    budgets = {2: 10.0, 3: 10.0, 4: 600.0, 5: 300.0, 6: 300.0}
+    budgets = {2: 10.0, 3: 10.0, 4: 600.0, 5: 300.0, 6: 300.0, 7: 300.0}
     timings = {}
     for n, budget in budgets.items():
         started = time.monotonic()

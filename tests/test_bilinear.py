@@ -1,6 +1,7 @@
 """Bilinear Pfister forms: value spaces, slots, isometry, factor extraction."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from pflab import (
     verify_no_common_slot_family,
 )
 from pflab import bilinear
+from pflab.cli import main
 from pflab.errors import BadRank
 
 
@@ -48,6 +50,13 @@ class TestConstruction:
         data = b0.to_json()
         assert data["type"] == "bilinear_pfister"
         assert BilinearPfister.from_json(ctx2, data) == b0
+
+    @pytest.mark.parametrize(
+        "data", [{"type": "bilinear_pfister"}, {"type": "bilinear_pfister", "slots": 5}]
+    )
+    def test_json_needs_slot_list(self, ctx2, data):
+        with pytest.raises(ValueError):
+            BilinearPfister.from_json(ctx2, data)
 
 
 class TestValueSpaces:
@@ -408,6 +417,60 @@ class TestFamily:
         monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_isotropic_member)
         with pytest.raises(IsotropicInput):
             verify_no_common_slot_family(3)
+
+
+class TestFamilyDescent:
+    """The GF(2) evidence of verify_no_common_slot_family against the same
+    facts computed by F-level intersections and left kernels."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_f_path(self, n):
+        evidence = verify_no_common_slot_family(n)
+        family = build_no_common_slot_family(n)
+        ctx = family[0].ctx
+        # the F path's report, which verify builds only when a claim fails:
+        # its dims come from leave_one_out_slot_spaces, its pairwise check
+        # from _meet_is
+        claims = [bilinear._claimed_pure_generators(ctx, k) for k in range(2**n)]
+        f_path = bilinear._f_family_evidence(family, claims)
+        f_path["checks"]["claimed_pure_bases"] = True
+        assert f_path == evidence
+        assert evidence["common_slot_space_dim"] == common_slot_space(family).dim
+        meets = [
+            bilinear._meet_is(base, pure, SqSubspace.span(ctx, others))
+            for _, base, pure, others, _ in _family_claims(n)
+        ]
+        assert meets == [True] * (2**n - 1)
+
+    def test_member_off_its_claim(self, monkeypatch, capsys):
+        real = bilinear.build_no_common_slot_family
+
+        def with_member_off_claim(n):
+            # member 7 replaced by an anisotropic copy of member 0
+            family = real(n)
+            family[-1] = BilinearPfister(family[0].ctx, family[0].ctx.gens)
+            return family
+
+        monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_member_off_claim)
+        evidence = verify_no_common_slot_family(3)
+        assert evidence["checks"] == {
+            "all_anisotropic": True,
+            "claimed_pure_bases": False,
+            "pairwise_intersections": False,
+            "no_common_slot": False,
+            "sharp_at_all_but_one": True,
+        }
+        assert evidence["common_slot_space_dim"] == 1
+        assert evidence["leave_one_out_dims"] == [1, 2, 2, 2, 2, 2, 2, 1]
+        assert main(["bilinear-family", "--n", "3", "--verify"]) == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "NOT_VALID"
+
+    def test_masks_need_binary_coordinates(self, ctx2):
+        a1, a2 = ctx2.gens
+        assert bilinear._gf2_mask(ctx2.one + a1 * a2) == 0b1001
+        # a1^3 = a1^2 * a1 has the coordinate a1 at column a1
+        with pytest.raises(PreconditionFailed):
+            bilinear._gf2_mask(a1**3)
 
 
 def _family_claims(n):

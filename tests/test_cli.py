@@ -101,7 +101,7 @@ class TestBilinearFamily:
         assert main(["bilinear-family", "--n", "1"]) == 2
 
     def test_n_above_cap(self, capsys):
-        assert main(["bilinear-family", "--n", "7"]) == 2
+        assert main(["bilinear-family", "--n", "8"]) == 2
 
     def test_bad_subset_index(self, capsys):
         code, report = run_json(
@@ -205,6 +205,26 @@ class TestCommonFactor:
         assert code == 2
         assert report["evidence"]["error_type"] == "ValueError"
         assert "1..6" in report["evidence"]["error"]
+
+    @pytest.mark.parametrize(
+        "forms, named",
+        [
+            (5, "'forms' must be a list"),
+            ([[1, 2]], "entry 0"),
+            ([["a1", "a2"], 5], "entry 1"),
+            ([{"type": "bilinear_pfister"}], "entry 0"),
+            ([{"type": "bilinear_pfister", "slots": [{"num": 5, "den": []}]}], "'num'"),
+        ],
+    )
+    def test_malformed_forms(self, capsys, tmp_path, forms, named):
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps({"n": 3, "forms": forms}))
+        code, report = run_json(
+            capsys, "common-factor", "--m", "1", "--forms", str(path)
+        )
+        assert code == 2
+        assert report["evidence"]["error_type"] == "ValueError"
+        assert named in report["evidence"]["error"]
 
 
 class TestQuadraticFamily:
