@@ -21,6 +21,7 @@ from pflab import (
     insep_obstruction,
     quat_triple_obstruction,
     verify_no_common_slot_family,
+    zero_parity_diagonal_count,
 )
 
 
@@ -69,6 +70,10 @@ def quadratic_section(cfg: RunConfig, n: int) -> None:
     cfg.check(
         "each image misses exactly one parity class",
         all(s == 2**n - 1 for s in sizes),
+    )
+    cfg.check(
+        "2-dim subspaces hit nonzero parity (exact)",
+        all(zero_parity_diagonal_count(f) == 0 for f in family),
     )
     print(f"  ({time.monotonic() - t0:.2f}s, image sizes {sizes})")
 

@@ -50,6 +50,7 @@ from .quadratic import (
     necessary_insep_split,
     right_slot_from_value,
     unit_vector,
+    zero_parity_diagonal_count,
 )
 from .quaternion import (
     QuaternionAlgebra,
@@ -108,4 +109,5 @@ __all__ = [
     "unit_vector",
     "val",
     "verify_no_common_slot_family",
+    "zero_parity_diagonal_count",
 ]

@@ -54,6 +54,7 @@ __all__ = [
     "necessary_insep_split",
     "right_slot_from_value",
     "build_quadratic_family",
+    "zero_parity_diagonal_count",
 ]
 
 
@@ -227,7 +228,8 @@ class InsepObstructionCertificate:
     split every form would force parity(gamma) into every pure parity image,
     which is then impossible for any gamma of nonzero parity, while the
     zero-parity case dies on two-dimensional subspaces (every 2-dimensional
-    subspace represents values of nonzero parity).
+    subspace represents values of nonzero parity).  That last step is
+    certified separately, per form, by ``zero_parity_diagonal_count``.
     """
 
     n: int
@@ -269,6 +271,21 @@ def insep_obstruction(forms: Sequence[QuadraticPfister]) -> InsepObstructionCert
     for ps in images[1:]:
         inter = inter & ps
     return InsepObstructionCertificate(n, images, inter, tuple(checks))
+
+
+def zero_parity_diagonal_count(form: QuadraticPfister) -> int:
+    """Number of non-unit diagonal values of zero parity; 0 certifies that
+    every 2-dimensional subspace takes a value of nonzero parity.
+
+    A 2-dimensional subspace meets the hyperplane u_0 = 0 in a nonzero
+    vector.  Under the dominant-term hypothesis that vector's value has the
+    parity of its dominant diagonal value, which is not the one at index 0.
+    So the step holds exactly when every diagonal value after the first has
+    nonzero parity.  The count itself needs no hypothesis, but reading 0 as
+    the certificate does: ``insep_obstruction`` checks it.
+    """
+    zero = (0,) * form.ctx.n
+    return sum(parity(d) == zero for d in form.diagonal_values()[1:])
 
 
 def necessary_insep_split(form: QuadraticPfister, gamma: FieldElement) -> bool:

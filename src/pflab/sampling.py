@@ -1,14 +1,12 @@
 """Seeded random generators for polynomials, field elements and vectors.
 
-Used by the CLI's randomized verification passes and by the test suite;
-everything takes an explicit random.Random so runs are reproducible.
-The CLI honors the PFLAB_MAX_DEGREE environment variable through
-``max_degree_from_env``.
+Used by the test suite's randomized checks and spot-check oracles; no
+certificate the CLI prints depends on them.  Everything takes an explicit
+random.Random so runs are reproducible.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Sequence
 
@@ -20,23 +18,7 @@ __all__ = [
     "random_element",
     "random_nonzero_element",
     "random_vector",
-    "max_degree_from_env",
 ]
-
-DEFAULT_MAX_DEGREE = 2
-
-
-def max_degree_from_env(default: int = DEFAULT_MAX_DEGREE) -> int:
-    raw = os.environ.get("PFLAB_MAX_DEGREE")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PFLAB_MAX_DEGREE must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError("PFLAB_MAX_DEGREE must be nonnegative")
-    return value
 
 
 def random_poly(

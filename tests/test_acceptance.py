@@ -25,6 +25,7 @@ from pflab import (
     common_factor,
     parity,
     val,
+    zero_parity_diagonal_count,
 )
 from pflab.cli import main
 from pflab.sampling import (
@@ -32,6 +33,7 @@ from pflab.sampling import (
     random_nonzero_element,
     random_vector,
 )
+from test_quadratic import sampled_two_dim_failures
 
 
 def _announce(k: int, detail: str) -> None:
@@ -183,24 +185,44 @@ def test_criterion_4_valuation_suite():
 
 
 def test_criterion_5_quadratic_family_cli(capsys):
-    for n in (2, 3):
+    budgets = {2: 30.0, 3: 30.0, 4: 30.0, 5: 30.0, 6: 30.0}
+    timings = {}
+    for n, budget in budgets.items():
+        started = time.monotonic()
         code, report = _run_cli(capsys, "quadratic-family", "--n", str(n), "--verify")
+        elapsed = time.monotonic() - started
+        timings[n] = elapsed
         assert code == 0, f"n={n} exited {code}"
         assert report["verdict"] == "VALID"
         evidence = report["evidence"]
         assert evidence["certificate"]["valid"] is True
         assert evidence["checks"]["pure_parity_images_miss_only_quad_slot"]
         assert evidence["checks"]["two_dim_subspaces_hit_nonzero_parity"]
-        assert evidence["contr_trials_per_form"] == 200
+        assert evidence["contr_trials_per_form"] == 2**n - 1
         assert evidence["contr_failures"] == 0
+        assert elapsed < budget, f"n={n} took {elapsed:.2f}s (budget {budget}s)"
 
         # the miss property, recomputed against the library directly
         every = list(itertools.product((0, 1), repeat=n))
-        for form in build_quadratic_family(n):
+        family = build_quadratic_family(n)
+        for form in family:
             skip = parity(form.quad_slot)
             expected = ParitySet.of(n, [c for c in every if c != skip])
             assert form.pure_parity_image() == expected
-    _announce(5, "n=2 and n=3 VALID, miss property exact, 200 subspaces/form clean")
+
+        # the exact 2-dimensional step, spot-checked by 200 sampled
+        # subspaces per form
+        if n <= 3:
+            rng = random.Random(4273)
+            sampled = sum(sampled_two_dim_failures(f, rng, 200) for f in family)
+            exact = sum(zero_parity_diagonal_count(f) for f in family)
+            assert sampled == 0, f"n={n}: {sampled} sampled subspaces miss"
+            assert exact == sampled
+    _announce(
+        5,
+        "VALID, miss property exact, 200 sampled subspaces/form clean at n=2,3; "
+        + ", ".join(f"n={n} in {t:.2f}s" for n, t in timings.items()),
+    )
 
 
 # -- criterion 6: quaternion triple ------------------------------------------

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from pflab import FieldContext, ParseError
+from pflab import FieldContext, ParseError, build_quadratic_family
+from pflab import cli
 from pflab.cli import main, parse_element
 
 
@@ -233,6 +234,8 @@ class TestQuadraticFamily:
         assert code == 0
         assert report["verdict"] == "VALID"
         assert report["evidence"]["contr_failures"] == 0
+        assert report["evidence"]["contr_trials_per_form"] == 3
+        assert report["evidence"]["max_degree"] is None
         assert report["evidence"]["certificate"]["valid"] is True
 
     def test_listing(self, capsys):
@@ -240,16 +243,35 @@ class TestQuadraticFamily:
         assert code == 0
         assert len(report["evidence"]["forms"]) == 3
 
-    def test_max_degree_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PFLAB_MAX_DEGREE", "1")
-        code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
-        assert code == 0
-        assert report["evidence"]["max_degree"] == 1
-
-    def test_bad_max_degree_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PFLAB_MAX_DEGREE", "lots")
-        code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
+    def test_n_above_cap(self, capsys):
+        code, _ = run(capsys, "quadratic-family", "--n", "7", "--verify")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["1", "lots"])
+    def test_max_degree_env_ignored(self, capsys, monkeypatch, value):
+        # the 2-dimensional step is exact, so no sampling knob is read
+        _, plain = run(capsys, "quadratic-family", "--n", "2", "--verify")
+        monkeypatch.setenv("PFLAB_MAX_DEGREE", value)
+        code, out = run(capsys, "quadratic-family", "--n", "2", "--verify")
+        assert code == 0
+        assert out == plain
+
+    def test_two_dim_failure_is_not_valid(self, capsys, monkeypatch):
+        last = build_quadratic_family(2)[-1]
+        monkeypatch.setattr(
+            cli, "zero_parity_diagonal_count", lambda form: int(form == last)
+        )
+        code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
+        assert code == 1
+        assert report["verdict"] == "NOT_VALID"
+        evidence = report["evidence"]
+        assert evidence["contr_failures"] == 1
+        assert evidence["checks"] == {
+            "hypothesis_all_pass": True,
+            "pure_parity_images_miss_only_quad_slot": True,
+            "intersection_zero_only": True,
+            "two_dim_subspaces_hit_nonzero_parity": False,
+        }
 
 
 class TestQuatTriple:

@@ -3,10 +3,9 @@
 Each case runs one CLI invocation through ``cli.main`` and compares its
 stdout and exit code with the file recorded under ``tests/golden/``.  A
 refactor must leave every file unchanged.  A change that is meant to
-alter a report rewrites its goldens on purpose: ROADMAP item 2 (the
-exact 2-dimensional quadratic step) will legitimately rewrite the
-``quadratic-family`` goldens.  To rewrite them, run this file as a
-script: ``PYTHONPATH=src python tests/test_golden.py``.
+alter a report rewrites its goldens on purpose, and only those: run this
+file as a script, ``PYTHONPATH=src python tests/test_golden.py``, and
+check that ``git diff --stat tests/golden`` lists no other file.
 """
 
 import contextlib

@@ -1,5 +1,6 @@
 """Quadratic Pfister forms: evaluation, parity certificates, slot identity."""
 
+import itertools
 import random
 
 import pytest
@@ -20,10 +21,69 @@ from pflab import (
     right_slot_from_value,
     unit_vector,
     val,
+    zero_parity_diagonal_count,
 )
 from pflab.errors import BadRank
 from pflab.sampling import random_vector
 from conftest import CTX2, elements, nonzero_elements
+
+
+# -- spot-check oracle for the 2-dimensional step ----------------------------
+#
+# The certificate reads the step off the diagonal values
+# (zero_parity_diagonal_count).  This oracle samples 2-dimensional subspaces
+# instead and evaluates the form on them, so the two can be compared.
+
+
+def _f_independent(u1, u2) -> bool:
+    """F-linear independence of two coordinate vectors via 2x2 minors."""
+    if not any(u1) or not any(u2):
+        return False
+    for (a, b), (c, d) in itertools.combinations(list(zip(u1, u2)), 2):
+        if a * d != b * c:
+            return True
+    return False
+
+
+def _echelon_pair(u1, u2):
+    """Reduce a rank-2 pair to an echelon basis of the subspace it spans.
+
+    The subspace, not the spanning pair, is the object under test; the raw
+    pair can have every tested combination dominated by the same diagonal
+    slot, while an echelon basis always separates leading coordinates.
+    Fraction-free: scaling a basis vector moves neither the subspace nor
+    any value's parity class (values scale by squares times units).
+    """
+    j = next(i for i in range(len(u1)) if u1[i] or u2[i])
+    if not u1[j]:
+        u1, u2 = u2, u1
+    w2 = tuple(u1[j] * b + u2[j] * a for a, b in zip(u1, u2))
+    return u1, w2
+
+
+def hits_nonzero_parity(form, u1, u2) -> bool:
+    """Whether one of w1, w2, w1 + w2 (the echelon basis of span(u1, u2))
+    takes a value of nonzero parity."""
+    w1, w2 = _echelon_pair(u1, u2)
+    zero = (0,) * form.ctx.n
+    for vec in (w1, w2, tuple(a + b for a, b in zip(w1, w2))):
+        value = form.evaluate(vec)
+        if value and parity(value) != zero:
+            return True
+    return False
+
+
+def sampled_two_dim_failures(form, rng, trials) -> int:
+    """Count sampled 2-dimensional subspaces that miss every nonzero parity."""
+    failures = 0
+    for _ in range(trials):
+        while True:
+            u1 = random_vector(rng, form.ctx, form.dim, polynomial=True)
+            u2 = random_vector(rng, form.ctx, form.dim, polynomial=True)
+            if _f_independent(u1, u2):
+                break
+        failures += not hits_nonzero_parity(form, u1, u2)
+    return failures
 
 
 @pytest.fixture
@@ -204,6 +264,17 @@ class TestInsepObstruction:
         data = cert.to_json()
         assert data["valid"] is True
         assert data["intersection"] == [[0, 0]]
+
+
+class TestTwoDimStep:
+    def test_repeated_slot_fails(self, ctx2):
+        # <<a1, a1]]: the diagonal value a1 * a1 at index 3 is a square
+        a1, _ = ctx2.gens
+        bad = QuadraticPfister(ctx2, (a1,), a1)
+        assert bad.diagonal_values()[3] == a1 * a1
+        assert zero_parity_diagonal_count(bad) == 1
+        # and the failure is real: span(e_0, e_3) takes only squares
+        assert not hits_nonzero_parity(bad, unit_vector(bad, 0), unit_vector(bad, 3))
 
 
 class TestNecessaryInsepSplit:
