@@ -20,20 +20,22 @@ the bounded list is exhausted, from the exactly computed subspace
 {delta : delta * D(current) <= D(B')}, which is nonzero whenever any
 completion exists.  Every accepted completion is certified once, by one
 exact pure-value-space equality in ``_complete``; ``check_log`` reports it,
-and nothing it certified is spanned again.
+and nothing it certified is spanned again.  The equality is
+``SqSubspace.is_span_of``: every product lies in the pure space (one dot
+product with its annihilator row each), and the products have full rank
+at a fixed point of GF(2^16)^n, an exact lower bound on their rank over
+F.  Intersections and membership tests go through annihilators too.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` by one exact pure-space equality per
 member, then GF(2) ranks of bitmasks; ``leave_one_out_slot_spaces``
-builds the same spaces for any family from prefix and suffix
-intersections.
+builds the same spaces for any family, one k-way intersection each.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -115,7 +117,10 @@ class BilinearPfister:
         return self._pure
 
     def is_anisotropic(self) -> bool:
-        return self.full_value_space().dim == 2**self.fold
+        # the full value space is span(1) + pure, so it has dimension 2^k
+        # exactly when the pure space has dimension 2^k - 1 and misses 1
+        pure = self.pure_value_space()
+        return pure.dim == 2**self.fold - 1 and self.ctx.one not in pure
 
     def is_slot(self, beta: FieldElement) -> bool:
         """Whether <<beta>> is a 1-fold factor, i.e. beta in D(B')."""
@@ -175,7 +180,8 @@ def _pure_spaces(forms: Sequence[BilinearPfister]) -> list[SqSubspace]:
 
 def common_slot_space(forms: Sequence[BilinearPfister]) -> SqSubspace:
     """Intersection of all pure value spaces; nonzero elements are common slots."""
-    return reduce(lambda a, b: a.intersection(b), _pure_spaces(forms))
+    first, *rest = _pure_spaces(forms)
+    return first.intersection(*rest)
 
 
 def leave_one_out_slot_spaces(
@@ -184,27 +190,21 @@ def leave_one_out_slot_spaces(
     """The common slot space of the family and, for every k, that of the
     family without form k.
 
-    With P_k the pure value space of form k, the prefix intersections
-    P_0 & ... & P_k and the suffix intersections P_k & ... & P_(N-1) are
-    built once; the space without form k is then the prefix ending at k-1
-    met with the suffix starting at k+1, so the whole list costs about 3N
-    intersections instead of N^2.  Reduced bases are canonical, so every
-    space equals common_slot_space of the same subfamily row for row.
+    Each space is one k-way intersection: the null space of the stacked
+    annihilator rows of its members' pure value spaces, so N forms cost
+    N + 1 eliminations of at most N rows each, and no intermediate space
+    is built.  Reduced bases are canonical, so every space equals
+    common_slot_space of the same subfamily row for row.
     """
     spaces = _pure_spaces(forms)
-    size = len(spaces)
-    if size < 2:
+    if len(spaces) < 2:
         raise EmptyInput("leaving one form out needs at least two forms")
-    prefix = [spaces[0]]
-    for space in spaces[1:]:
-        prefix.append(prefix[-1].intersection(space))
-    # suffix[i] is P_(i+1) & ... & P_(N-1)
-    suffix = [spaces[-1]]
-    for space in reversed(spaces[1:-1]):
-        suffix.append(suffix[-1].intersection(space))
-    suffix.reverse()
-    middle = [prefix[k - 1].intersection(suffix[k]) for k in range(1, size - 1)]
-    return prefix[-1], [suffix[0], *middle, prefix[-2]]
+    first, *rest = spaces
+    left_out = []
+    for k in range(len(spaces)):
+        head, *tail = spaces[:k] + spaces[k + 1 :]
+        left_out.append(head.intersection(*tail))
+    return first.intersection(*rest), left_out
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,21 @@ def _complete(
     one is proved by one exact equality, span(nontrivial products) ==
     D(form') plus 0, with 1 outside it, so its full value space is form's
     too.  Any failure raises CompletionNotFound.
+
+    The equality is W.is_span_of(products), W the form's pure space, in
+    three exact steps:
+
+      1. every nontrivial product lies in W: its 2-basis row, scaled by
+         its denominator, has dot product 0 with W's annihilator rows;
+      2. the product rows, scaled to polynomials, have rank dim W at the
+         fixed point of linalg._rank_at_point in GF(2^16)^n.  A minor
+         that is 0 over F is 0 at every point, so the rank over F is at
+         least that, and span(products) <= W then fills W;
+      3. 1 is not in W: 1's row is e_0, so this reads column 0 of W's
+         annihilator.
+
+    Only when the rank at the point falls short are the products spanned
+    exactly and compared with W.
     """
     ctx = form.ctx
     W = form.pure_value_space()
@@ -298,8 +313,8 @@ def _complete(
                 f"no admissible slot extends {len(slots)} of {form.fold} slots"
             )
         slots = slots + (cand,)
-    final_pure = SqSubspace.span(ctx, _products(ctx, slots)[1:])
-    if final_pure != W or ctx.one in final_pure:
+    # 1 outside W reads column 0 of W's annihilator: 1's row is e_0
+    if not W.is_span_of(_products(ctx, slots)[1:]) or ctx.one in W:
         raise CompletionNotFound("completion failed the exact certification")
     return slots
 
@@ -316,7 +331,9 @@ def factor_out(
         <<slots(rho), beta, *delta>>  isometric to  form,
 
     certified by the one exact pure-value-space equality of _complete.
-    Both preconditions are checked here, each by one span.
+    Both preconditions are checked here: beta by one span of the mixed
+    space, the recombination by SqSubspace.is_span_of, the helper that
+    _complete certifies with.
     """
     ctx = form.ctx
     rho_slots: tuple[FieldElement, ...] = () if rho is None else rho.slots
@@ -328,10 +345,8 @@ def factor_out(
     if not form.is_anisotropic():
         raise IsotropicInput("cannot factor an isotropic form")
     # the stated factorization must actually hold
-    recombined = SqSubspace.span(
-        ctx, _products(ctx, tuple(rho_slots) + tuple(known_complement))[1:]
-    )
-    if recombined != form.pure_value_space():
+    products = _products(ctx, tuple(rho_slots) + tuple(known_complement))[1:]
+    if not form.pure_value_space().is_span_of(products):
         raise PreconditionFailed("rho and known_complement do not recombine to the form")
     return _complete(rho_slots + (beta,), form)[len(rho_slots) + 1 :]
 
@@ -345,6 +360,15 @@ class FactorWitness:
     check_log reports the last round's certification of form i in
     _complete (``pure_value_space_equal``, true in every witness, since a
     failed one raises) and the pure space's ``dim``, 2^n - 1.
+
+    ``pure_value_space_equal`` rests on SqSubspace.is_span_of: each
+    nontrivial product of the rebuilt form has dot product 0 with the pure
+    space's annihilator rows, so the products span a subspace of it; and
+    their 2-basis rows, scaled to polynomials, have rank 2^n - 1 at a fixed
+    point of GF(2^16)^n.  Substitution cannot raise a rank, so that is a
+    lower bound on their rank over F, and the two spaces are equal.  A
+    rank that falls short at the point sends the check to an exact span;
+    neither path samples.
     """
 
     rho: BilinearPfister
@@ -383,7 +407,7 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
             _mixed_pure_space(ctx, rho_slots, comp) if rho_slots else f.pure_value_space()
             for f, comp in zip(forms, comps)
         ]
-        inter = reduce(lambda a, b: a.intersection(b), spaces)
+        inter = spaces[0].intersection(*spaces[1:])
         if inter.is_zero:
             return None
         beta = inter.elements()[0]

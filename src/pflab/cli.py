@@ -333,7 +333,8 @@ def _cmd_quadratic_family(args) -> int:
         "contr_failures": contr_failures,
         "max_degree": None,
     }
-    verdict = "VALID" if cert.valid and all(checks.values()) else "NOT_VALID"
+    # checks holds both halves of cert.valid, so the verdict reads only it
+    verdict = "VALID" if all(checks.values()) else "NOT_VALID"
     return _finish(args, "quadratic-family", n, inputs, verdict, evidence, started)
 
 

@@ -609,14 +609,7 @@ class FieldElement:
         Writes f = (num*den)/den^2, splits num*den by the exponent parity
         pattern d into a^d * s_d(a^2), and sets c_d = s_d(a)/den.
         """
-        g = self.num * self.den
-        buckets: dict[tuple[int, ...], set] = {}
-        for t in g.terms:
-            d = tuple(e % 2 for e in t)
-            buckets.setdefault(d, set()).add(tuple(e // 2 for e in t))
-        coords = {}
-        for d, halves in buckets.items():
-            coords[d] = FieldElement(self.ctx, Poly(frozenset(halves), self.ctx.n), self.den)
+        coords = {d: FieldElement(self.ctx, s, self.den) for d, s in _halves(self).items()}
         return TwoBasisCoords(self.ctx, coords)
 
     # -- presentation ----------------------------------------------------------
@@ -650,6 +643,24 @@ class FieldElement:
                     f"field element '{key}' must be a list of integer exponent lists"
                 )
         return ctx.element(data["num"], data["den"])
+
+
+def _halves(f: FieldElement) -> dict[tuple[int, ...], Poly]:
+    """The nonzero s_d with num * den = sum a^d * s_d(a)^2, by pattern d."""
+    buckets: dict[tuple[int, ...], set] = {}
+    g = f.num if f.den.is_one() else f.num * f.den
+    for t in g.terms:
+        d = tuple([e & 1 for e in t])
+        buckets.setdefault(d, set()).add(tuple([e >> 1 for e in t]))
+    return {d: Poly(frozenset(h), f.ctx.n) for d, h in buckets.items()}
+
+
+def _poly_row(f: FieldElement) -> list[Poly]:
+    """f's dense 2-basis row times its denominator: the polynomials s_d,
+    in the context's pattern order, with f = sum (s_d / den)^2 * a^d."""
+    halves = _halves(f)
+    zero = f.ctx._zero_poly
+    return [halves.get(d, zero) for d in f.ctx.patterns]
 
 
 def _from_dense(ctx: FieldContext, row) -> FieldElement:

@@ -8,14 +8,25 @@ subspace is therefore stored as a row-reduced echelon basis of such
 rows, with pivots in ascending lexicographic column order; that basis
 is unique, so equality, serialization and the deterministic choices
 made by callers all come for free.
+
+A subspace is also described by its annihilator: the rows a with
+x . a = 0 exactly for the rows x of the space, one per non-pivot column,
+read straight off the reduced basis.  Membership is then one polynomial
+dot product per annihilator row, and an intersection is the space
+annihilated by all the inputs' annihilator rows together.  A rank lower
+bound at a fixed point of GF(2^16)^n (``_rank_at_point``) lets
+``SqSubspace.is_span_of`` prove a spanning set without eliminating it.
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import EliminationInvariant, NotDivisible
-from .field import FieldContext, FieldElement, Poly, _divexact, _from_dense
+from .field import FieldContext, FieldElement, Poly, _divexact, _from_dense, _poly_row
 
 __all__ = ["SqSubspace", "representation_over"]
 
@@ -52,17 +63,23 @@ def _cleared(ctx: FieldContext, row: Sequence[FieldElement]):
     return out, scale
 
 
-def _primitive_row(ctx: FieldContext, row: Sequence[FieldElement]) -> Row:
-    """The row scaled to polynomial entries without a common monomial
-    factor; a nonzero scalar multiple of a row spans the same F-line."""
-    polys, _ = _cleared(ctx, row)
+def _primitive(polys: list[Poly]) -> list[Poly]:
+    """A polynomial row divided by the common monomial factor of its
+    entries; a nonzero scalar multiple of a row spans the same F-line."""
     contents = [p.monomial_content() for p in polys if p.terms]
     common = tuple(min(col) for col in zip(*contents))
     if any(common):
-        polys = [p.shift(common) if p.terms else p for p in polys]
-    return tuple(
-        FieldElement(ctx, p, ctx._one_poly) if p.terms else ctx.zero for p in polys
-    )
+        return [p.shift(common) if p.terms else p for p in polys]
+    return polys
+
+
+def _dot_is_zero(row: Sequence[Poly], ann: Sequence[Poly]) -> bool:
+    """Whether the polynomial dot product of two rows vanishes."""
+    acc: set = set()
+    for x, a in zip(row, ann):
+        if x.terms and a.terms:
+            acc ^= (x * a).terms
+    return not acc
 
 
 def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int):
@@ -143,21 +160,94 @@ def _rref(ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]):
     return out, pivots
 
 
+# ---------------------------------------------------------------------------
+# rank lower bounds at a point of GF(2^16)^n
+# ---------------------------------------------------------------------------
+
+_GF_ORDER = 2**16 - 1  # multiplicative group of GF(2^16)
+_GF_MODULUS = 0x1100B  # x^16 + x^12 + x^3 + x + 1, primitive: x generates the group
+# a_i is evaluated at x^(7919 * i); 7919 is prime to the group order, so
+# the coordinates are pairwise distinct
+_POINT_LOG_STEP = 7919
+
+
+@cache
+def _gf_tables() -> tuple[array, array]:
+    """exp and log tables of GF(2^16), built on first use (about 0.4 MB).
+
+    exp holds two periods, so exp[log a + log b] needs no reduction."""
+    exp = array("H", bytes(4 * _GF_ORDER))
+    log = array("H", bytes(2 * (_GF_ORDER + 1)))
+    x = 1
+    for i in range(_GF_ORDER):
+        exp[i] = exp[i + _GF_ORDER] = x
+        log[x] = i
+        x <<= 1
+        if x >> 16:
+            x ^= _GF_MODULUS
+    return exp, log
+
+
+def _rank_at_point(ctx: FieldContext, rows: Sequence[Sequence[Poly]]) -> int:
+    """Rank over GF(2^16) of the polynomial rows with each a_i replaced by
+    the fixed value x^(7919 * i), x the generator of GF(2^16)^*.
+
+    Every minor of the substituted matrix is the substituted minor of the
+    original, so this rank never exceeds the rank over F: it is an exact
+    lower bound.  Schwartz (1980) and Zippel (1979) bound how rarely a
+    point falls short, which only matters for speed.
+    """
+    exp, log = _gf_tables()
+    logs = [_POINT_LOG_STEP * (i + 1) for i in range(ctx.n)]
+
+    def value(p: Poly) -> int:
+        v = 0
+        for t in p.terms:
+            v ^= exp[sum(map(mul, t, logs)) % _GF_ORDER]
+        return v
+
+    matrix = [[value(p) for p in row] for row in rows]
+    rank = 0
+    for col in range(len(ctx.patterns)):
+        pr = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pr is None:
+            continue
+        matrix[rank], matrix[pr] = matrix[pr], matrix[rank]
+        prow = matrix[rank]
+        inv = _GF_ORDER - log[prow[col]]
+        for i in range(rank + 1, len(matrix)):
+            c = matrix[i][col]
+            if c:
+                f = (log[c] + inv) % _GF_ORDER  # log of c / pivot
+                matrix[i] = [a ^ exp[f + log[b]] if b else a for a, b in zip(matrix[i], prow)]
+        rank += 1
+    return rank
+
+
 class SqSubspace:
     """An F^2-subspace of F with a canonical reduced row basis.
 
     Besides the canonical rows the object keeps ``spanners``, rows that
     span the same space.  Canonical entries are ratios of elimination
-    minors and grow with the dimension, so lattice operations stack the
-    spanners instead; the results are identical.  A space built by
-    ``span`` or ``from_rows`` keeps its input rows.  An intersection keeps
-    one primitive row per kernel vector: polynomial entries without a
-    common monomial factor.  Without that scaling the rows would carry
-    the kernel's minors and the denominators of their inputs, and
-    exponents would double along a chain of intersections.
+    minors and grow with the dimension, so ``sum_with`` stacks the
+    spanners instead; the result is identical.  A space built by ``span``
+    or ``from_rows`` keeps its input rows.  An intersection keeps one
+    primitive row per vector it reads off: polynomial entries without a
+    common monomial factor, so exponents stay bounded along a chain of
+    intersections.
+
+    The ``annihilator`` is computed on first use and cached: one row of
+    polynomials per non-pivot column j, with a[j] = 1 and
+    a[p_i] = rows[i][j] for the pivot p_i of row i (signs vanish in
+    characteristic 2), cleared to polynomial entries.  A row x lies in
+    the space exactly when x . a = 0 for every annihilator row: x minus
+    its pivot combination of the basis has zero pivot entries, and its
+    entry at j is x . a.  Membership and ``contains_subspace`` test those
+    dot products; ``intersection`` reads its result off the elimination
+    of the inputs' annihilator rows stacked together.
     """
 
-    __slots__ = ("ctx", "rows", "pivots", "spanners")
+    __slots__ = ("ctx", "rows", "pivots", "spanners", "_annihilator")
 
     def __init__(
         self,
@@ -173,6 +263,7 @@ class SqSubspace:
             self.spanners = self.rows
         else:
             self.spanners = tuple(tuple(r) for r in spanners)
+        self._annihilator = None
 
     @classmethod
     def span(cls, ctx: FieldContext, generators: Iterable[FieldElement]) -> SqSubspace:
@@ -240,33 +331,87 @@ class SqSubspace:
         coeffs, rem = self._reduce(f.frobenius_decompose().dense())
         return None if any(rem) else tuple(coeffs)
 
+    @property
+    def annihilator(self) -> tuple[tuple[Poly, ...], ...]:
+        """Primitive polynomial rows whose common null space is this space."""
+        if self._annihilator is None:
+            ctx = self.ctx
+            ncols = len(ctx.patterns)
+            out = []
+            for j in sorted(set(range(ncols)) - set(self.pivots)):
+                raw = [ctx.zero] * ncols
+                raw[j] = ctx.one
+                for row, pc in zip(self.rows, self.pivots):
+                    raw[pc] = row[j]
+                out.append(tuple(_primitive(_cleared(ctx, raw)[0])))
+            self._annihilator = tuple(out)
+        return self._annihilator
+
+    def _annihilates(self, polys: Sequence[Poly]) -> bool:
+        """Whether a coordinate row, scaled to polynomials, lies in the space."""
+        return all(_dot_is_zero(polys, a) for a in self.annihilator)
+
     def __contains__(self, f: FieldElement) -> bool:
-        return self.coordinates_of(f) is not None
+        return self._annihilates(_poly_row(f))
 
     def contains_subspace(self, other: SqSubspace) -> bool:
-        return all(not any(self.reduce_row(row)) for row in other.rows)
+        return all(self._annihilates(_cleared(self.ctx, row)[0]) for row in other.rows)
+
+    def is_span_of(self, elements: Sequence[FieldElement]) -> bool:
+        """Whether the F^2-span of elements is exactly this space.
+
+        Three facts decide it.  Every element lies in the space, by the
+        annihilator dot products, so their span is inside it.  Their rows,
+        scaled to polynomials, have rank at least dim at the fixed point of
+        ``_rank_at_point``; substituting values for the variables can only
+        lower a rank, since a minor that vanishes over F vanishes at every
+        point, so the span has dimension at least dim and fills the space.
+        Only when the rank at the point falls short is the span eliminated
+        exactly and compared.
+        """
+        rows = [_poly_row(e) for e in elements]
+        if not all(self._annihilates(r) for r in rows):
+            return False
+        if _rank_at_point(self.ctx, rows) >= self.dim:
+            return True
+        return SqSubspace.span(self.ctx, elements) == self
 
     # -- lattice operations -----------------------------------------------------
 
     def sum_with(self, other: SqSubspace) -> SqSubspace:
         return SqSubspace.from_rows(self.ctx, self.spanners + other.spanners)
 
-    def intersection(self, other: SqSubspace) -> SqSubspace:
-        """Kernel-based intersection of the two row spaces."""
-        if self.is_zero or other.is_zero:
-            return SqSubspace.zero(self.ctx)
-        stacked = list(self.spanners) + list(other.spanners)
-        kernel = left_kernel(self.ctx, stacked)
-        k = len(self.spanners)
+    def intersection(self, *others: SqSubspace) -> SqSubspace:
+        """The intersection of this space with all the others.
+
+        It is the null space of the span of every input's annihilator
+        rows: one fraction-free elimination of those rows stacked
+        together, then one null vector per non-pivot column, read off
+        the eliminated rows, and ``from_rows`` for the canonical basis.
+        """
+        ctx = self.ctx
+        spaces = (self, *others)
+        if any(s.is_zero for s in spaces):
+            return SqSubspace.zero(ctx)
+        if not others:
+            return self
+        ncols = len(ctx.patterns)
+        stacked = [list(a) for s in spaces for a in s.annihilator]
+        rank, pivots, last = _bareiss_jordan(ctx, stacked, ncols)
+        zero, one = ctx._zero_poly, ctx._one_poly
         vecs = []
-        for combo in kernel:
-            # combo * stacked = 0, so the first block lands in both spaces
-            row = [self.ctx.zero] * len(self.ctx.patterns)
-            for c, brow in zip(combo[:k], self.spanners):
-                if c:
-                    row = [a + c * b for a, b in zip(row, brow)]
-            vecs.append(_primitive_row(self.ctx, row))
-        return SqSubspace.from_rows(self.ctx, vecs)
+        # the eliminated rows are last times the reduced ones, so the null
+        # vector of column j, scaled by last, has last at j and the row
+        # entries at the pivots
+        for j in sorted(set(range(ncols)) - set(pivots)):
+            vec = [zero] * ncols
+            vec[j] = last
+            for row, pc in zip(stacked[:rank], pivots):
+                vec[pc] = row[j]
+            vecs.append(
+                [FieldElement(ctx, p, one) if p.terms else ctx.zero for p in _primitive(vec)]
+            )
+        return SqSubspace.from_rows(ctx, vecs)
 
     def to_json(self):
         return [

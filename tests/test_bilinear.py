@@ -22,7 +22,7 @@ from pflab import (
     leave_one_out_slot_spaces,
     verify_no_common_slot_family,
 )
-from pflab import bilinear
+from pflab import bilinear, linalg
 from pflab.cli import main
 from pflab.errors import BadRank
 
@@ -103,6 +103,23 @@ class TestAnisotropy:
         # 1 + a1 + (1+a1) = 0 is an F^2-dependence among the slot products
         assert not BilinearPfister(ctx2, (a1, ctx2.one + a1)).is_anisotropic()
         assert BilinearPfister(ctx2, (ctx2.one + a1, a2)).is_anisotropic()
+
+    def test_square_slot(self, ctx2):
+        # D(<<a1^2>>') = span(a1^2) has full dimension 1 but holds 1
+        form = BilinearPfister(ctx2, (ctx2.gens[0] ** 2,))
+        assert form.pure_value_space().dim == 1
+        assert not form.is_anisotropic()
+
+    def test_agrees_with_full_value_space(self, ctx2):
+        # read off the pure space, against the dimension of the full one
+        a1, a2 = ctx2.gens
+        pool = [ctx2.one, a1, a2, a1 * a2, a1**2, ctx2.one + a1, (ctx2.one + a2) ** 2 * a1]
+        for slots in itertools.chain(
+            itertools.combinations(pool, 1), itertools.combinations(pool, 2)
+        ):
+            form = BilinearPfister(ctx2, slots)
+            want = form.full_value_space().dim == 2**form.fold
+            assert form.is_anisotropic() == want, slots
 
 
 class TestIsSlot:
@@ -279,6 +296,46 @@ class TestCommonFactor:
         monkeypatch.setattr(bilinear, "_next_slot", wrong_last)
         with pytest.raises(CompletionNotFound, match="exact certification"):
             common_factor(2, two_fold_family(ctx3))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_short_specialization_takes_exact_span(self, ctx3, monkeypatch, m):
+        # a point at which every rank falls short: each certification then
+        # eliminates its products exactly, one span more per form and round,
+        # and the witness is the same
+        spans = []
+        real_span = SqSubspace.span
+
+        def counted(cls, *args):
+            spans.append(1)
+            return real_span(*args)
+
+        def run():
+            forms = two_fold_family(ctx3)
+            for f in forms:
+                f.pure_value_space()
+            spans.clear()
+            return common_factor(m, forms).to_json(), len(spans)
+
+        monkeypatch.setattr(SqSubspace, "span", classmethod(counted))
+        want, plain = run()
+        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
+        got, short = run()
+        assert got == want
+        assert short - plain == m * 3
+
+    def test_product_outside_pure_space(self, ctx2, b0, monkeypatch):
+        a1, a2 = ctx2.gens
+        ranks = []
+        real = linalg._rank_at_point
+        monkeypatch.setattr(
+            linalg, "_rank_at_point", lambda ctx, rows: ranks.append(1) or real(ctx, rows)
+        )
+        # 1 + a2 is a product outside D(b0') = span(a1, a2, a1*a2)
+        with pytest.raises(CompletionNotFound, match="exact certification"):
+            bilinear._complete((a1, ctx2.one + a2), b0)
+        assert ranks == []
+        assert bilinear._complete((a1, a2), b0) == (a1, a2)
+        assert ranks == [1]
 
     @pytest.mark.parametrize("m, most", [(1, 17), (2, 28)])
     def test_each_factorization_spanned_once(self, ctx3, monkeypatch, m, most):

@@ -1,11 +1,12 @@
 """CLI: element grammar, subcommands, exit codes, deterministic reports."""
 
+import dataclasses
 import json
 import time
 
 import pytest
 
-from pflab import FieldContext, ParseError, build_quadratic_family
+from pflab import FieldContext, ParitySet, ParseError, build_quadratic_family
 from pflab import cli
 from pflab.cli import main, parse_element
 
@@ -97,6 +98,18 @@ class TestBilinearFamily:
         assert code == 1
         assert report["verdict"] == "NOT_VALID"
         assert report["evidence"]["common_slot_space_dim"] == 0
+
+    def test_subset_whole_family_n6(self, capsys):
+        # 64 pure spaces met in one k-way intersection; the pairwise fold
+        # this replaced spent 11 s here
+        subset = ",".join(str(i) for i in range(64))
+        started = time.monotonic()
+        code, report = run_json(capsys, "bilinear-family", "--n", "6", "--subset", subset)
+        elapsed = time.monotonic() - started
+        assert code == 1
+        assert report["verdict"] == "NOT_VALID"
+        assert report["evidence"]["common_slot_space_dim"] == 0
+        assert elapsed < 30.0, f"took {elapsed:.2f}s (budget 30s)"
 
     def test_bad_n(self, capsys):
         assert main(["bilinear-family", "--n", "1"]) == 2
@@ -272,6 +285,28 @@ class TestQuadraticFamily:
             "intersection_zero_only": True,
             "two_dim_subspaces_hit_nonzero_parity": False,
         }
+
+
+    @pytest.mark.parametrize("failing", ["hypothesis_all_pass", "intersection_zero_only"])
+    def test_failing_certificate_check_is_not_valid(self, capsys, monkeypatch, failing):
+        # the verdict is read off the checks alone, so a certificate check
+        # that fails must reach it through them
+        real = cli.insep_obstruction
+
+        def broken(family):
+            cert = real(family)
+            if failing == "hypothesis_all_pass":
+                checks = (False,) + cert.hypothesis_checks[1:]
+                return dataclasses.replace(cert, hypothesis_checks=checks)
+            return dataclasses.replace(cert, intersection=ParitySet.full(cert.n))
+
+        monkeypatch.setattr(cli, "insep_obstruction", broken)
+        code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
+        assert code == 1
+        assert report["verdict"] == "NOT_VALID"
+        checks = report["evidence"]["checks"]
+        assert [key for key, ok in checks.items() if not ok] == [failing]
+        assert report["evidence"]["certificate"]["valid"] is False
 
 
 class TestQuatTriple:

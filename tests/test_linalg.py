@@ -1,5 +1,10 @@
 """Squared-coefficient subspaces: spans, membership witnesses, intersections."""
 
+import functools
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +18,7 @@ from pflab import (
     representation_over,
 )
 from pflab import linalg
+from pflab.field import _poly_row
 from conftest import CTX2, CTX3, elements
 
 
@@ -256,6 +262,155 @@ class TestAgainstTextbookElimination:
         inter = s1.intersection(s2)
         assert s1.contains_subspace(inter) and s2.contains_subspace(inter)
         assert inter.dim + s1.sum_with(s2).dim == s1.dim + s2.dim
+
+
+def kernel_intersection(s1, s2):
+    """Reference: the pairwise intersection by a left kernel of the stacked
+    spanners, the method the annihilator intersection replaced.  A kernel
+    vector x has x * stacked = 0, so its first block combines the first
+    space's spanners into a row that lies in both spaces."""
+    ctx = s1.ctx
+    if s1.is_zero or s2.is_zero:
+        return SqSubspace.zero(ctx)
+    stacked = list(s1.spanners) + list(s2.spanners)
+    vecs = []
+    for combo in linalg.left_kernel(ctx, stacked):
+        row = [ctx.zero] * len(ctx.patterns)
+        for c, brow in zip(combo, s1.spanners):
+            if c:
+                row = [a + c * b for a, b in zip(row, brow)]
+        vecs.append(row)
+    return SqSubspace.from_rows(ctx, vecs)
+
+
+def assert_primitive_spanners(space):
+    for row in space.spanners:
+        entries = [c for c in row if c]
+        assert all(c.den.is_one() for c in entries)
+        assert not any(min(col) for col in zip(*(c.num.monomial_content() for c in entries)))
+
+
+class TestAnnihilatorIntersection:
+    """The k-way intersection through annihilators against the kernel
+    reference folded over pairs, compared row for row."""
+
+    @given(mats=st.lists(sparse_matrices(CTX2, max_rows=4), min_size=1, max_size=4))
+    def test_k_way_n2(self, ctx2, mats):
+        self.check(ctx2, mats)
+
+    @given(mats=st.lists(sparse_matrices(CTX3, max_rows=3), min_size=1, max_size=3))
+    def test_k_way_n3(self, ctx3, mats):
+        self.check(ctx3, mats)
+
+    def check(self, ctx, mats):
+        spaces = [SqSubspace.from_rows(ctx, rows) for rows in mats]
+        got = spaces[0].intersection(*spaces[1:])
+        want = functools.reduce(kernel_intersection, spaces)
+        assert got.pivots == want.pivots
+        rows_match = got.rows == want.rows
+        assert rows_match
+        if len(spaces) > 1 and not got.is_zero:
+            assert_primitive_spanners(got)
+
+    def test_full_space_is_neutral(self, ctx2):
+        a1, a2 = ctx2.gens
+        full = span2(ctx2, ctx2.one, a1, a2, a1 * a2)
+        assert full.annihilator == ()
+        s = span2(ctx2, a1, ctx2.one + a2)
+        assert full.intersection(s, full) == s
+        assert full.intersection(full) == full
+
+
+class TestAnnihilator:
+    @given(rows=sparse_matrices(CTX2))
+    def test_shape_n2(self, ctx2, rows):
+        s = SqSubspace.from_rows(ctx2, rows)
+        assert len(s.annihilator) == len(ctx2.patterns) - s.dim
+        for a in s.annihilator:
+            contents = zip(*(p.monomial_content() for p in a if p.terms))
+            assert not any(min(col) for col in contents)
+        for row in s.rows:
+            assert s._annihilates(linalg._cleared(ctx2, row)[0])
+        assert s.contains_subspace(s)
+
+    @given(
+        rows=sparse_matrices(CTX2),
+        f=elements(CTX2, max_degree=2, max_terms=3),
+        coeffs=st.lists(elements(CTX2, max_degree=1, max_terms=2), min_size=4, max_size=4),
+    )
+    def test_membership_agrees_with_reduce_n2(self, ctx2, rows, f, coeffs):
+        s = SqSubspace.from_rows(ctx2, rows)
+        # a member built from the basis, and an element that is usually outside
+        member = sum((c * c * g for c, g in zip(coeffs, s.elements())), ctx2.zero)
+        for x in (member, f, member + f):
+            remainder = s.reduce_row(x.frobenius_decompose().dense())
+            assert (x in s) == (not any(remainder))
+        assert member in s
+
+    @given(rows=sparse_matrices(CTX3, max_rows=4), f=elements(CTX3, max_degree=2, max_terms=3))
+    def test_membership_agrees_with_reduce_n3(self, ctx3, rows, f):
+        s = SqSubspace.from_rows(ctx3, rows)
+        remainder = s.reduce_row(f.frobenius_decompose().dense())
+        assert (f in s) == (not any(remainder))
+
+    @given(r1=sparse_matrices(CTX2, max_rows=4), r2=sparse_matrices(CTX2, max_rows=4))
+    def test_contains_subspace_agrees_with_reduce_n2(self, ctx2, r1, r2):
+        s1 = SqSubspace.from_rows(ctx2, r1)
+        s2 = SqSubspace.from_rows(ctx2, r2)
+        by_reduce = all(not any(s1.reduce_row(row)) for row in s2.rows)
+        assert s1.contains_subspace(s2) == by_reduce
+
+
+class TestRankAtPoint:
+    def test_tables_are_a_logarithm(self):
+        exp, log = linalg._gf_tables()
+        order = linalg._GF_ORDER
+        assert sorted(exp[:order]) == list(range(1, order + 1))
+        assert exp[order:] == exp[:order]
+        assert all(exp[log[x]] == x for x in range(1, order + 1))
+
+    def test_tables_not_built_at_import(self):
+        # a fresh interpreter imports the package without building them
+        code = "import pflab.linalg as l; print(l._gf_tables.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "0"
+
+    @given(gens=st.lists(elements(CTX2, max_degree=2, max_terms=3), max_size=5))
+    def test_lower_bound_n2(self, ctx2, gens):
+        self.check(ctx2, gens)
+
+    @given(gens=st.lists(elements(CTX3, max_degree=2, max_terms=3), max_size=6))
+    def test_lower_bound_n3(self, ctx3, gens):
+        self.check(ctx3, gens)
+
+    def check(self, ctx, gens):
+        rows = [_poly_row(g) for g in gens]
+        exact = SqSubspace.span(ctx, gens)
+        assert linalg._rank_at_point(ctx, rows) <= exact.dim
+        # is_span_of decides the same as the exact span, whatever the point
+        assert exact.is_span_of(gens)
+        if gens:
+            assert exact.is_span_of(gens[:-1]) == (SqSubspace.span(ctx, gens[:-1]) == exact)
+
+    def test_short_rank_takes_exact_span(self, ctx2, monkeypatch):
+        a1, a2 = ctx2.gens
+        gens = [a1, a2, a1 * a2]
+        W = SqSubspace.span(ctx2, gens)
+        calls = []
+        real_span = SqSubspace.span
+
+        def counted(cls, *args):
+            calls.append(1)
+            return real_span(*args)
+
+        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
+        monkeypatch.setattr(SqSubspace, "span", classmethod(counted))
+        assert W.is_span_of(gens)
+        assert not W.is_span_of(gens[:2])
+        assert len(calls) == 2
 
 
 def random_space(ctx, rng_elements):
