@@ -18,18 +18,21 @@ complement slots; candidates are drawn from the reduced basis of the
 target pure space, then from pairwise sums of basis elements, and, when
 the bounded list is exhausted, from the exactly computed subspace
 {delta : delta * D(current) <= D(B')}, which is nonzero whenever any
-completion exists.  Every accepted completion is certified once, by one
-exact pure-value-space equality in ``_complete``; ``check_log`` reports it,
-and nothing it certified is spanned again.  The equality is
+completion exists; it is the left kernel of the dot products of
+a^g * D(current) with the annihilator of D(B').  Every accepted
+completion is certified once, by one exact pure-value-space equality in
+``_complete``; ``check_log`` reports it, and nothing it certified is
+spanned again.  The equality is
 ``SqSubspace.is_span_of``: every product lies in the pure space (one dot
 product with its annihilator row each), and the products have full rank
 at a fixed point of GF(2^16)^n, an exact lower bound on their rank over
 F.  Intersections and membership tests go through annihilators too.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
-``build_no_common_slot_family`` by one exact pure-space equality per
-member, then GF(2) ranks of bitmasks; ``leave_one_out_slot_spaces``
-builds the same spaces for any family, one k-way intersection each.
+``build_no_common_slot_family`` by ``is_span_of`` per member (its
+products span its claimed pure space), then GF(2) ranks of bitmasks;
+``leave_one_out_slot_spaces`` builds the same spaces for any family, one
+k-way intersection each.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .errors import (
     PreconditionFailed,
     ZeroSlot,
 )
-from .field import FieldContext, FieldElement, _from_dense
-from .linalg import SqSubspace, left_kernel
+from .field import FieldContext, FieldElement, _from_dense, _poly_row
+from .linalg import SqSubspace, _dot, left_kernel
 from .valuation import gf2_mask_rank
 
 __all__ = [
@@ -227,9 +230,11 @@ def _mixed_pure_space(
 def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspace:
     """The F^2-subspace {delta in F : delta * U <= W}, U spanned by u_basis.
 
-    For fixed u the row of delta*u is F-linear in the row of delta, so the
-    condition is a kernel computation: stack, for every basis monomial a^g,
-    the residues of a^g * u_j modulo W, and take the left kernel.
+    For fixed u the row of delta*u is F-linear in the row of delta, and
+    delta*u lies in W exactly when that row has dot product 0 with each of
+    W's annihilator rows, so the condition is a kernel computation: put
+    the dot products of a^g * u with every annihilator row in row g, for
+    every basis monomial a^g, and take the left kernel.
     """
     ctx = W.ctx
     rows = []
@@ -237,8 +242,11 @@ def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspa
         mono = ctx.monomial(g)
         row: list[FieldElement] = []
         for u in u_basis:
-            prod = (mono * u).frobenius_decompose().dense()
-            row.extend(W.reduce_row(prod))
+            prod = mono * u
+            # _poly_row scales the 2-basis row by prod.den, which varies
+            # with g: the constructor strips common monomial factors
+            polys = _poly_row(prod)
+            row.extend(FieldElement(ctx, _dot(polys, a), prod.den) for a in W.annihilator)
         rows.append(row)
     kernel = left_kernel(ctx, rows)
     return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
@@ -386,27 +394,19 @@ class FactorWitness:
 def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | None:
     """Extract a verified m-fold common factor, or None when the slot
     intersection dies before m slots are collected."""
-    if not forms:
-        raise EmptyInput("no forms given")
+    pures = _pure_spaces(forms)
     ctx = forms[0].ctx
     n = forms[0].fold
-    for f in forms:
-        if f.ctx != ctx:
-            raise ContextMismatch("forms over different field contexts")
-        if f.fold != n:
-            raise ValueError("common_factor needs forms of equal fold")
-        if not f.is_anisotropic():
-            raise IsotropicInput(f"form {f!r} is isotropic")
+    if any(f.fold != n for f in forms):
+        raise ValueError("common_factor needs forms of equal fold")
     if not 1 <= m <= n - 1:
         raise ValueError(f"factor fold m={m} must satisfy 1 <= m <= {n - 1}")
 
     rho_slots: tuple[FieldElement, ...] = ()
     comps = [tuple(f.slots) for f in forms]
     for _ in range(m):
-        spaces = [  # with rho empty, the mixed space is the pure value space
-            _mixed_pure_space(ctx, rho_slots, comp) if rho_slots else f.pure_value_space()
-            for f, comp in zip(forms, comps)
-        ]
+        # with rho empty, the mixed space is the pure value space
+        spaces = [_mixed_pure_space(ctx, rho_slots, c) for c in comps] if rho_slots else pures
         inter = spaces[0].intersection(*spaces[1:])
         if inter.is_zero:
             return None
@@ -420,8 +420,8 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
         rho_slots = head
 
     # _complete raised unless every form's last certification held
-    log = [{"form": i, "pure_value_space_equal": True, "dim": f.pure_value_space().dim}
-           for i, f in enumerate(forms)]
+    log = [{"form": i, "pure_value_space_equal": True, "dim": pure.dim}
+           for i, pure in enumerate(pures)]
     return FactorWitness(BilinearPfister(ctx, rho_slots), tuple(comps), tuple(log))
 
 
@@ -550,14 +550,18 @@ def verify_no_common_slot_family(n: int) -> dict:
     monomials; the whole family has no common slot; every subfamily of
     2^n - 1 members has one.
 
-    The F-level work is one exact equality per member: the span of its
-    claimed generators equals its pure value space.  Every claimed
-    generator has a 2-basis row with 0/1 entries, and the rank of a
-    matrix over GF(2) does not change under the field extension
-    GF(2) < F.  So the F-span of such rows has the dimension of their
-    GF(2)-span, and by dim(A & B) = dim A + dim B - dim(A + B) so do
-    intersections of such spans; everything after the equalities is
-    linear algebra on 2^n-bit masks.  Member 0's claim is the hyperplane
+    The F-level work is ``is_span_of`` per member: its nontrivial
+    products span exactly the span of its claimed generators, so that
+    span is its pure value space.  The claim is spanned, from rows of 0s
+    and 1s; the member's products are not: ``is_span_of`` tests each one
+    against the claim's annihilator rows, then bounds their rank below at
+    a point, the one place this fact is decided (``common_factor``
+    certifies with it too).  Every claimed generator has a 2-basis row
+    with 0/1 entries, and the rank of a matrix over GF(2) does not change
+    under the field extension GF(2) < F.  So the F-span of such rows has
+    the dimension of their GF(2)-span, and by dim(A & B) = dim A + dim B
+    - dim(A + B) so do intersections of such spans; everything after the
+    equalities is linear algebra on 2^n-bit masks.  Member 0's claim is the hyperplane
     annihilated by e_0, member k's the one annihilated by e_0 + e_k;
     both are checked against the generator masks (even parity, rank
     2^n - 1).  Then:
@@ -583,7 +587,7 @@ def verify_no_common_slot_family(n: int) -> dict:
     ctx = family[0].ctx
     claims = [_claimed_pure_generators(ctx, k) for k in range(len(family))]
     if all(
-        SqSubspace.span(ctx, gens) == f.pure_value_space()
+        SqSubspace.span(ctx, gens).is_span_of(f.diagonal()[1:])
         for f, gens in zip(family, claims)
     ):
         return _gf2_family_evidence(ctx, claims)

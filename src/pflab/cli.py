@@ -45,11 +45,11 @@ __all__ = ["parse_element", "main", "console_main"]
 
 # largest number of variables a command accepts; FieldContext(n) builds
 # all 2^n patterns up front, so n is bounded before anything is built.
-# The family certificate at n=7 takes about 25 s; common-factor has no
-# measured cost beyond n=6, so a forms file keeps the smaller bound.  The
-# quadratic certificate at n=6 takes about 0.3 s.
+# The family certificate at n=7 takes about 4 s and at n=8 about 33 s;
+# common-factor has no measured cost beyond n=6, so a forms file keeps the
+# smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
 _MAX_N = 6
-_MAX_FAMILY_N = 7
+_MAX_FAMILY_N = 8
 _MAX_QUADRATIC_N = 6
 
 

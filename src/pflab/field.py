@@ -22,7 +22,6 @@ hashing and serialization so equal elements print and hash identically.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
 from .errors import ContextMismatch, DivisionByZero, NotASquare, NotDivisible
@@ -157,18 +156,6 @@ class Poly:
         for m1 in self.terms:
             toggle({tuple(map(int.__add__, m1, m2)) for m2 in other.terms})
         return Poly(frozenset(acc), self.n)
-
-    def __pow__(self, k: int) -> Poly:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly(frozenset(((0,) * self.n,)), self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base.square()
-            k >>= 1
-        return out
 
     def square(self) -> Poly:
         # Frobenius: (sum m)^2 = sum m^2, no cross terms in char 2
@@ -492,19 +479,6 @@ class FieldElement:
             else:
                 self._canon = (_divexact(self.num, g), _divexact(self.den, g))
         return self._canon
-
-    def reduced(self) -> FieldElement:
-        """Lowest-terms copy; keeps long elimination chains from snowballing."""
-        if not self.num.terms:
-            return self.ctx.zero
-        if len(self.num.terms) == 1 and len(self.den.terms) == 1:
-            return self
-        n, d = self.canonical()
-        if n is self.num and d is self.den:
-            return self
-        out = FieldElement(self.ctx, n, d)
-        out._canon = (out.num, out.den)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):

@@ -73,13 +73,13 @@ def _primitive(polys: list[Poly]) -> list[Poly]:
     return polys
 
 
-def _dot_is_zero(row: Sequence[Poly], ann: Sequence[Poly]) -> bool:
-    """Whether the polynomial dot product of two rows vanishes."""
+def _dot(row: Sequence[Poly], ann: Sequence[Poly]) -> Poly:
+    """The polynomial dot product of two rows."""
     acc: set = set()
     for x, a in zip(row, ann):
         if x.terms and a.terms:
             acc ^= (x * a).terms
-    return not acc
+    return Poly(frozenset(acc), ann[0].n)
 
 
 def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int):
@@ -349,7 +349,7 @@ class SqSubspace:
 
     def _annihilates(self, polys: Sequence[Poly]) -> bool:
         """Whether a coordinate row, scaled to polynomials, lies in the space."""
-        return all(_dot_is_zero(polys, a) for a in self.annihilator)
+        return all(not _dot(polys, a).terms for a in self.annihilator)
 
     def __contains__(self, f: FieldElement) -> bool:
         return self._annihilates(_poly_row(f))

@@ -3,14 +3,18 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pflab import (
     BilinearPfister,
     CompletionNotFound,
     ContextMismatch,
     EmptyInput,
+    FieldElement,
     IsotropicInput,
     PreconditionFailed,
     SqSubspace,
@@ -25,6 +29,11 @@ from pflab import (
 from pflab import bilinear, linalg
 from pflab.cli import main
 from pflab.errors import BadRank
+from pflab.field import _from_dense
+from conftest import CTX2, CTX3, nonzero_polys
+
+GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "bilinear-family-n4-verify.json"
+GOLDEN_N4_EVIDENCE = json.loads(GOLDEN_N4.read_text())["evidence"]
 
 
 @pytest.fixture
@@ -364,6 +373,19 @@ class TestCommonFactor:
         with pytest.raises(IsotropicInput):
             common_factor(1, [BilinearPfister(ctx2, (a1, a1))])
 
+    def test_family_validated_like_common_slot_space(self, ctx2, ctx3, b0):
+        a1, a2 = ctx2.gens
+        with pytest.raises(EmptyInput):
+            common_factor(1, [])
+        with pytest.raises(ContextMismatch):
+            common_factor(1, [b0, BilinearPfister(ctx3, ctx3.gens[:2])])
+        with pytest.raises(ValueError, match="equal fold"):
+            common_factor(1, [b0, BilinearPfister(ctx2, (a2,))])
+        # anisotropy is checked for the whole family before the folds
+        isotropic = BilinearPfister(ctx2, (a1, a1))
+        with pytest.raises(IsotropicInput):
+            common_factor(1, [b0, BilinearPfister(ctx2, (a1,)), isotropic])
+
     def test_witness_json(self, ctx2):
         family = build_no_common_slot_family(2)
         witness = common_factor(1, family[:3])
@@ -396,6 +418,66 @@ class TestNextSlot:
         assert calls["_admissible"] > 3 and calls["_stable_subspace"] == 1
         # one conversion each for U, W and the fallback space
         assert calls["elements"] <= 3
+
+
+def stable_subspace_by_residues(u_basis, W):
+    """Reference for bilinear._stable_subspace: the left kernel of the
+    2^n x (dim U * 2^n) matrix whose row g stacks the residues of
+    a^g * u modulo W, for every u in u_basis."""
+    ctx = W.ctx
+    rows = []
+    for g in ctx.patterns:
+        mono = ctx.monomial(g)
+        row = []
+        for u in u_basis:
+            row.extend(W.reduce_row((mono * u).frobenius_decompose().dense()))
+        rows.append(row)
+    kernel = linalg.left_kernel(ctx, rows)
+    return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
+
+
+def _subspaces(ctx, most):
+    """Spans of 1..most polynomial generators.  Their reduced bases still
+    carry fractions; with fraction generators some n=3 draws kept either
+    left kernel busy for over 40 s."""
+    gens = nonzero_polys(ctx, max_degree=2, max_terms=3).map(
+        lambda p: FieldElement(ctx, p, ctx._one_poly)
+    )
+    return st.lists(gens, min_size=1, max_size=most).map(lambda g: SqSubspace.span(ctx, g))
+
+
+class TestStableSubspace:
+    """{delta : delta * U <= W} through W's annihilator rows against the
+    residue-matrix reference, compared as canonical subspaces."""
+
+    @staticmethod
+    def check(U, W):
+        u_basis = U.elements()
+        got = bilinear._stable_subspace(u_basis, W)
+        assert got == stable_subspace_by_residues(u_basis, W)
+        for delta in got.elements():
+            assert all((delta * u) in W for u in u_basis)
+        return got
+
+    def test_next_slot_form(self, ctx3):
+        a1, a2, a3 = ctx3.gens
+        form = BilinearPfister(ctx3, (ctx3.one + a1 * a2, a1, a1 * a2 + a3))
+        U = SqSubspace.span(ctx3, [ctx3.one, ctx3.one + a3 + a1 * a3])
+        assert not self.check(U, form.pure_value_space()).is_zero
+
+    def test_whole_space_target(self, ctx2):
+        # W = F has no annihilator rows, so every delta is stable
+        whole = SqSubspace.span(ctx2, [ctx2.monomial(d) for d in ctx2.patterns])
+        assert whole.annihilator == ()
+        assert self.check(SqSubspace.span(ctx2, [ctx2.gens[0]]), whole) == whole
+
+    @given(_subspaces(CTX2, 2), _subspaces(CTX2, 3))
+    def test_n2(self, U, W):
+        self.check(U, W)
+
+    @given(_subspaces(CTX3, 2), _subspaces(CTX3, 6))
+    def test_n3(self, U, W):
+        self.check(U, W)
 
 
 class TestFamily:
@@ -459,6 +541,21 @@ class TestFamily:
         assert evidence["family_size"] == 8
         assert evidence["common_slot_space_dim"] == 0
         assert evidence["leave_one_out_dims"] == [1] * 8
+
+    def test_members_certified_without_pure_spaces(self, monkeypatch):
+        # each member's claim is proved by is_span_of on its products, so
+        # no member's pure value space is ever spanned
+        def refuse(self):
+            raise AssertionError("pure_value_space called")
+
+        monkeypatch.setattr(BilinearPfister, "pure_value_space", refuse)
+        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
+
+    def test_short_specialization_keeps_report(self, monkeypatch):
+        # with every rank at the point falling short, is_span_of spans the
+        # products exactly, and the report is the same
+        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
+        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
 
     def test_isotropic_member_raises(self, monkeypatch):
         # all_anisotropic never reads false: an isotropic member stops the

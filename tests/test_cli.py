@@ -115,7 +115,7 @@ class TestBilinearFamily:
         assert main(["bilinear-family", "--n", "1"]) == 2
 
     def test_n_above_cap(self, capsys):
-        assert main(["bilinear-family", "--n", "8"]) == 2
+        assert main(["bilinear-family", "--n", "9"]) == 2
 
     def test_bad_subset_index(self, capsys):
         code, report = run_json(
