@@ -29,8 +29,11 @@ at a fixed point of GF(2^16)^n, an exact lower bound on their rank over
 F.  Intersections and membership tests go through annihilators too.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
-``build_no_common_slot_family`` by ``is_span_of`` per member (its
-products span its claimed pure space), then GF(2) ranks of bitmasks;
+``build_no_common_slot_family`` from each member's claimed pure space,
+taken as GF(2) bitmasks whose annihilator is one known 0/1 row, and the
+member's own products: one ``linalg._spans`` per member (the routine
+behind ``is_span_of``) on the products' sparse rows, each with at most
+two nonzero coordinates, then GF(2) ranks of bitmasks;
 ``leave_one_out_slot_spaces`` builds the same spaces for any family, one
 k-way intersection each.
 """
@@ -52,7 +55,7 @@ from .errors import (
     ZeroSlot,
 )
 from .field import FieldContext, FieldElement, _from_dense, _poly_row
-from .linalg import SqSubspace, _dot, left_kernel
+from .linalg import SqSubspace, _dot, _spans, left_kernel
 from .valuation import gf2_mask_rank
 
 __all__ = [
@@ -68,14 +71,14 @@ __all__ = [
 
 
 def _products(ctx: FieldContext, slots: Sequence[FieldElement]) -> list[FieldElement]:
-    """All 2^k slot products b^e, e over {0,1}^k in ascending lex order."""
-    out = []
-    for e in itertools.product((0, 1), repeat=len(slots)):
-        p = ctx.one
-        for take, s in zip(e, slots):
-            if take:
-                p = p * s
-        out.append(p)
+    """All 2^k slot products b^e, e over {0,1}^k in ascending lex order.
+
+    The last slot is the lowest bit of e, so doubling the list over the
+    slots in reverse keeps that order: 2^k - 1 products in all.
+    """
+    out = [ctx.one]
+    for s in reversed(slots):
+        out = out + [s * p for p in out]
     return out
 
 
@@ -243,10 +246,10 @@ def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspa
         row: list[FieldElement] = []
         for u in u_basis:
             prod = mono * u
-            # _poly_row scales the 2-basis row by prod.den, which varies
-            # with g: the constructor strips common monomial factors
-            polys = _poly_row(prod)
-            row.extend(FieldElement(ctx, _dot(polys, a), prod.den) for a in W.annihilator)
+            # _poly_row scales the sparse 2-basis row by prod.den, which
+            # varies with g: the constructor strips common monomial factors
+            prod_row = _poly_row(prod)
+            row.extend(FieldElement(ctx, _dot(prod_row, a), prod.den) for a in W.annihilator)
         rows.append(row)
     kernel = left_kernel(ctx, rows)
     return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
@@ -266,8 +269,12 @@ def _admissible(
     return all((delta * u) in W for u in u_basis)
 
 
-def _next_slot(U: SqSubspace, W: SqSubspace) -> FieldElement | None:
-    u_basis = U.elements()
+def _next_slot(
+    U: SqSubspace, W: SqSubspace, u_basis: Sequence[FieldElement]
+) -> FieldElement | None:
+    """The first admissible slot: a basis element of W, a sum of two, or
+    an element of the exact candidate subspace.  u_basis is any basis of
+    U; both tests depend only on its span."""
     basis = W.elements()
     for cand in basis:
         if _admissible(cand, U, u_basis, W):
@@ -312,10 +319,12 @@ def _complete(
     ctx = form.ctx
     W = form.pure_value_space()
     while len(slots) < form.fold:
-        U = SqSubspace.span(ctx, _products(ctx, slots))
+        products = _products(ctx, slots)
+        U = SqSubspace.span(ctx, products)
         if U.dim != 2 ** len(slots):
             raise CompletionNotFound("partial slot list became isotropic")
-        cand = _next_slot(U, W)
+        # the products are 2^k elements spanning a space of dimension 2^k
+        cand = _next_slot(U, W, products)
         if cand is None:
             raise CompletionNotFound(
                 f"no admissible slot extends {len(slots)} of {form.fold} slots"
@@ -469,17 +478,14 @@ def _claimed_pure_generators(ctx: FieldContext, k: int) -> list[FieldElement]:
     return gens
 
 
-def _gf2_mask(g: FieldElement) -> int:
-    """g's 2-basis row as a GF(2) bitmask, bit j for column j."""
-    ctx = g.ctx
-    mask = 0
-    for j, c in enumerate(g.frobenius_decompose().dense()):
-        if not c:
-            continue
-        if c != ctx.one:
-            raise PreconditionFailed(f"{g} has a 2-basis coordinate other than 0 or 1")
-        mask |= 1 << j
-    return mask
+def _claimed_masks(ctx: FieldContext, k: int) -> list[int]:
+    """The 2-basis rows of _claimed_pure_generators(ctx, k) as GF(2)
+    bitmasks, in the same order, read off the patterns: bit j for a^e,
+    e = ctx.patterns[j], and 1 | 1 << k for 1 + a^d."""
+    masks = [1 << j for j in range(1, len(ctx.patterns)) if j != k]
+    if k:
+        masks.append(1 | 1 << k)
+    return masks
 
 
 def _odd(mask: int) -> bool:
@@ -503,18 +509,13 @@ def _family_report(
     }
 
 
-def _gf2_family_evidence(ctx: FieldContext, claims: list[list[FieldElement]]) -> dict:
+def _gf2_family_evidence(masks: list[list[int]], anns: list[int]) -> dict:
     """The family evidence from the claimed pure bases alone, once every
-    member's pure value space is known to be the F-span of its claim."""
-    size = len(claims)  # 2^n members, and 2^n columns
-    masks = [[_gf2_mask(g) for g in gens] for gens in claims]
-    # e_0 annihilates member 0's claim, e_0 + e_k member k's (1 | 1 << 0 is e_0)
-    anns = [1 | 1 << k for k in range(size)]
-    for ann, rows in zip(anns, masks):
-        if gf2_mask_rank(rows) != size - 1 or any(_odd(ann & m) for m in rows):
-            raise IdentityFailed("a claimed pure space is not its annihilator's hyperplane")
-    one = _gf2_mask(ctx.one)
-    anisotropic = all(_odd(ann & one) for ann in anns)
+    member's pure value space is known to be the F-span of its claim,
+    the hyperplane of 2^n-bit rows annihilated by anns[k]."""
+    size = len(masks)  # 2^n members, and 2^n columns
+    # 1 is e_0, the mask 1
+    anisotropic = all(_odd(ann & 1) for ann in anns)
     pair_ok = all(
         gf2_mask_rank(rows[:-1]) + gf2_mask_rank([anns[0], ann]) == size
         and not any(_odd(anns[0] & m) for m in rows[:-1])
@@ -523,6 +524,23 @@ def _gf2_family_evidence(ctx: FieldContext, claims: list[list[FieldElement]]) ->
     common_dim = size - gf2_mask_rank(anns)
     dims = [size - gf2_mask_rank(anns[:k] + anns[k + 1 :]) for k in range(size)]
     return _family_report(anisotropic, True, pair_ok, common_dim, dims)
+
+
+def _member_spans_claim(form: BilinearPfister, k: int) -> bool:
+    """Whether member k's nontrivial products span its claim, the space
+    annihilated by e_0 + e_k (e_0 for member 0): ``linalg._spans`` on the
+    products' sparse rows, with an exact span of both sides only when the
+    rank at the point falls short."""
+    ctx = form.ctx
+    zero, one = ctx._zero_poly, ctx._one_poly
+    size = len(ctx.patterns)
+    ann = tuple(one if j in (0, k) else zero for j in range(size))
+    products = form.diagonal()[1:]
+    decided = _spans(ctx, (ann,), size - 1, [_poly_row(p) for p in products])
+    if decided is None:
+        claim = _claimed_pure_generators(ctx, k)
+        return SqSubspace.span(ctx, products) == SqSubspace.span(ctx, claim)
+    return decided
 
 
 def _f_family_evidence(
@@ -550,21 +568,29 @@ def verify_no_common_slot_family(n: int) -> dict:
     monomials; the whole family has no common slot; every subfamily of
     2^n - 1 members has one.
 
-    The F-level work is ``is_span_of`` per member: its nontrivial
-    products span exactly the span of its claimed generators, so that
-    span is its pure value space.  The claim is spanned, from rows of 0s
-    and 1s; the member's products are not: ``is_span_of`` tests each one
-    against the claim's annihilator rows, then bounds their rank below at
-    a point, the one place this fact is decided (``common_factor``
-    certifies with it too).  Every claimed generator has a 2-basis row
-    with 0/1 entries, and the rank of a matrix over GF(2) does not change
-    under the field extension GF(2) < F.  So the F-span of such rows has
-    the dimension of their GF(2)-span, and by dim(A & B) = dim A + dim B
-    - dim(A + B) so do intersections of such spans; everything after the
-    equalities is linear algebra on 2^n-bit masks.  Member 0's claim is the hyperplane
-    annihilated by e_0, member k's the one annihilated by e_0 + e_k;
-    both are checked against the generator masks (even parity, rank
-    2^n - 1).  Then:
+    Each claim is taken as GF(2) bitmasks of its generators' 2-basis
+    rows, read off the patterns (``_claimed_masks``), and checked first:
+    member 0's claim must be the hyperplane annihilated by e_0, member
+    k's the one annihilated by e_0 + e_k (rank 2^n - 1 over GF(2), even
+    parity against the annihilator).  The rank of a 0/1 matrix does not
+    change under the field extension GF(2) < F, so the F-span of the
+    claim is then the hyperplane of F^(2^n) cut out by that one 0/1 row;
+    no claim is spanned over F.
+
+    The F-level work is one ``linalg._spans`` per member, the routine
+    behind ``SqSubspace.is_span_of`` (``common_factor`` certifies with
+    it too): every nontrivial product has dot product 0 with the claim's
+    annihilator row, and the products have rank 2^n - 1 at a fixed point
+    of GF(2^16)^n, an exact lower bound on their rank over F.  So the
+    products span the claim, which is the member's pure value space.  A
+    product has at most two nonzero 2-basis coordinates, and its row is
+    kept sparse (column -> polynomial) through the dot products and the
+    rank.  Only when the rank at the point falls short are the products
+    and the claim spanned exactly and compared.
+
+    By dim(A & B) = dim A + dim B - dim(A + B), intersections of such
+    spans have the dimensions of the GF(2) ones too, so everything after
+    the equalities is linear algebra on 2^n-bit masks:
 
       * 1 (mask e_0) lies outside every claim, and the full value space
         is span(1) + pure, so every member is anisotropic;
@@ -585,10 +611,14 @@ def verify_no_common_slot_family(n: int) -> dict:
     """
     family = build_no_common_slot_family(n)
     ctx = family[0].ctx
-    claims = [_claimed_pure_generators(ctx, k) for k in range(len(family))]
-    if all(
-        SqSubspace.span(ctx, gens).is_span_of(f.diagonal()[1:])
-        for f, gens in zip(family, claims)
-    ):
-        return _gf2_family_evidence(ctx, claims)
+    size = len(family)  # 2^n members, and 2^n columns
+    masks = [_claimed_masks(ctx, k) for k in range(size)]
+    # e_0 annihilates member 0's claim, e_0 + e_k member k's (1 | 1 << 0 is e_0)
+    anns = [1 | 1 << k for k in range(size)]
+    for ann, rows in zip(anns, masks):
+        if gf2_mask_rank(rows) != size - 1 or any(_odd(ann & m) for m in rows):
+            raise IdentityFailed("a claimed pure space is not its annihilator's hyperplane")
+    if all(_member_spans_claim(f, k) for k, f in enumerate(family)):
+        return _gf2_family_evidence(masks, anns)
+    claims = [_claimed_pure_generators(ctx, k) for k in range(size)]
     return _f_family_evidence(family, claims)

@@ -45,11 +45,15 @@ __all__ = ["parse_element", "main", "console_main"]
 
 # largest number of variables a command accepts; FieldContext(n) builds
 # all 2^n patterns up front, so n is bounded before anything is built.
-# The family certificate at n=7 takes about 4 s and at n=8 about 33 s;
+# The family certificate at n=8 takes about 1.6 s and at n=9 about 7 s
+# at 41 MB; n=10 took 28 s and 132 MB, so the bound stays at 9.  --subset spans
+# every chosen member's pure space exactly, 2^n - 1 dimensions each (the
+# whole n=7 family in about 19 s), so it keeps the bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
 _MAX_N = 6
-_MAX_FAMILY_N = 8
+_MAX_FAMILY_N = 9
+_MAX_SUBSET_N = 8
 _MAX_QUADRATIC_N = 6
 
 
@@ -201,6 +205,8 @@ def _finish(args, command, n, inputs, verdict, evidence, started) -> int:
 def _cmd_bilinear_family(args) -> int:
     started = time.monotonic()
     n = args.n
+    if args.subset is not None and n > _MAX_SUBSET_N:
+        raise ValueError(f"--subset takes n up to {_MAX_SUBSET_N}, got {n}")
     family = build_no_common_slot_family(n)
     inputs = {"n": n, "verify": bool(args.verify), "subset": args.subset}
 

@@ -36,7 +36,7 @@ class FieldContext:
     raises ContextMismatch.
     """
 
-    __slots__ = ("n", "_patterns", "_zero_poly", "_one_poly", "_zero", "_one", "_gens")
+    __slots__ = ("n", "_patterns", "_columns", "_zero_poly", "_one_poly", "_zero", "_one", "_gens")
 
     def __init__(self, n: int):
         if n < 1:
@@ -48,6 +48,8 @@ class FieldContext:
         self._patterns = tuple(
             tuple((k >> i) & 1 for i in range(n)) for k in range(2**n)
         )
+        # pattern -> its column, the index k it was built from
+        self._columns = {d: k for k, d in enumerate(self._patterns)}
         origin = (0,) * n
         self._zero_poly = Poly(frozenset(), n)
         self._one_poly = Poly(frozenset((origin,)), n)
@@ -451,7 +453,8 @@ class FieldElement:
             den = ctx._one_poly
         elif num.terms == den.terms:
             num = den = ctx._one_poly
-        else:
+        elif not den.is_one():
+            # over den = 1 the only common monomial factor is 1
             mn, md = num.monomial_content(), den.monomial_content()
             m = tuple(map(min, mn, md))
             if any(m):
@@ -629,12 +632,12 @@ def _halves(f: FieldElement) -> dict[tuple[int, ...], Poly]:
     return {d: Poly(frozenset(h), f.ctx.n) for d, h in buckets.items()}
 
 
-def _poly_row(f: FieldElement) -> list[Poly]:
-    """f's dense 2-basis row times its denominator: the polynomials s_d,
-    in the context's pattern order, with f = sum (s_d / den)^2 * a^d."""
-    halves = _halves(f)
-    zero = f.ctx._zero_poly
-    return [halves.get(d, zero) for d in f.ctx.patterns]
+def _poly_row(f: FieldElement) -> dict[int, Poly]:
+    """f's sparse 2-basis row times its denominator: column j -> s_d for
+    every nonzero s_d, j the index of d in the context's pattern order,
+    with f = sum (s_d / den)^2 * a^d."""
+    columns = f.ctx._columns
+    return {columns[d]: s for d, s in _halves(f).items()}
 
 
 def _from_dense(ctx: FieldContext, row) -> FieldElement:

@@ -16,6 +16,9 @@ dot product per annihilator row, and an intersection is the space
 annihilated by all the inputs' annihilator rows together.  A rank lower
 bound at a fixed point of GF(2^16)^n (``_rank_at_point``) lets
 ``SqSubspace.is_span_of`` prove a spanning set without eliminating it.
+Rows tested against an annihilator or ranked at the point are sparse
+(column -> polynomial, ``field._poly_row``): a slot product has at most
+two nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .field import FieldContext, FieldElement, Poly, _divexact, _from_dense, _po
 __all__ = ["SqSubspace", "representation_over"]
 
 Row = tuple[FieldElement, ...]
+# a polynomial coordinate row by column, zero entries left out
+SparseRow = dict[int, Poly]
 
 
 def _cleared(ctx: FieldContext, row: Sequence[FieldElement]):
@@ -73,13 +78,24 @@ def _primitive(polys: list[Poly]) -> list[Poly]:
     return polys
 
 
-def _dot(row: Sequence[Poly], ann: Sequence[Poly]) -> Poly:
-    """The polynomial dot product of two rows."""
+def _sparse(polys: Sequence[Poly]) -> SparseRow:
+    """A dense polynomial row as a sparse one: column -> nonzero entry."""
+    return {j: p for j, p in enumerate(polys) if p.terms}
+
+
+def _dot(row: SparseRow, ann: Sequence[Poly]) -> Poly:
+    """The polynomial dot product of a sparse row with a dense one."""
     acc: set = set()
-    for x, a in zip(row, ann):
-        if x.terms and a.terms:
+    for j, x in row.items():
+        a = ann[j]
+        if a.terms:
             acc ^= (x * a).terms
     return Poly(frozenset(acc), ann[0].n)
+
+
+def _annihilated(row: SparseRow, annihilator: Sequence[Sequence[Poly]]) -> bool:
+    """Whether a sparse row has dot product 0 with every annihilator row."""
+    return all(not _dot(row, a).terms for a in annihilator)
 
 
 def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int):
@@ -188,14 +204,22 @@ def _gf_tables() -> tuple[array, array]:
     return exp, log
 
 
-def _rank_at_point(ctx: FieldContext, rows: Sequence[Sequence[Poly]]) -> int:
-    """Rank over GF(2^16) of the polynomial rows with each a_i replaced by
-    the fixed value x^(7919 * i), x the generator of GF(2^16)^*.
+def _rank_at_point(ctx: FieldContext, rows: Sequence[SparseRow]) -> int:
+    """Rank over GF(2^16) of the sparse polynomial rows with each a_i
+    replaced by the fixed value x^(7919 * i), x the generator of
+    GF(2^16)^*.
 
     Every minor of the substituted matrix is the substituted minor of the
     original, so this rank never exceeds the rank over F: it is an exact
     lower bound.  Schwartz (1980) and Zippel (1979) bound how rarely a
     point falls short, which only matters for speed.
+
+    The rows stay sparse through the elimination, as in structured
+    Gaussian elimination (LaMacchia and Odlyzko, 1990): each substituted
+    row is reduced against the pivot rows found so far, keyed by their
+    first column and scaled to 1 there, until it vanishes or opens a new
+    pivot.  Rows with at most two entries, such as slot products, stay
+    that short.
     """
     exp, log = _gf_tables()
     logs = [_POINT_LOG_STEP * (i + 1) for i in range(ctx.n)]
@@ -206,22 +230,48 @@ def _rank_at_point(ctx: FieldContext, rows: Sequence[Sequence[Poly]]) -> int:
             v ^= exp[sum(map(mul, t, logs)) % _GF_ORDER]
         return v
 
-    matrix = [[value(p) for p in row] for row in rows]
-    rank = 0
-    for col in range(len(ctx.patterns)):
-        pr = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
-        if pr is None:
-            continue
-        matrix[rank], matrix[pr] = matrix[pr], matrix[rank]
-        prow = matrix[rank]
-        inv = _GF_ORDER - log[prow[col]]
-        for i in range(rank + 1, len(matrix)):
-            c = matrix[i][col]
-            if c:
-                f = (log[c] + inv) % _GF_ORDER  # log of c / pivot
-                matrix[i] = [a ^ exp[f + log[b]] if b else a for a, b in zip(matrix[i], prow)]
-        rank += 1
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = {}
+        for j, p in row.items():
+            v = value(p)
+            if v:
+                vec[j] = v
+        while vec:
+            col = min(vec)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = _GF_ORDER - log[vec[col]]
+                pivots[col] = {j: exp[log[v] + inv] for j, v in vec.items()}
+                break
+            # vec -= vec[col] * prow, which clears col since prow[col] = 1
+            lc = log[vec[col]]
+            for j, b in prow.items():
+                v = vec.get(j, 0) ^ exp[lc + log[b]]
+                if v:
+                    vec[j] = v
+                else:
+                    del vec[j]
+    return len(pivots)
+
+
+def _spans(
+    ctx: FieldContext, annihilator: Sequence[Sequence[Poly]], dim: int, rows: Sequence[SparseRow]
+) -> bool | None:
+    """Whether sparse polynomial rows span the space of dimension dim cut
+    out by the annihilator rows, as far as the rank at the point decides.
+
+    False when some row has a nonzero dot product with an annihilator row,
+    so lies outside the space; True when every row lies inside and the rows
+    have rank at least dim at the point of ``_rank_at_point``, an exact
+    lower bound on their rank over F, so their span fills the space; None
+    when that rank falls short, and only an exact span can decide.
+    """
+    if not all(_annihilated(r, annihilator) for r in rows):
+        return False
+    if _rank_at_point(ctx, rows) >= dim:
+        return True
+    return None
 
 
 class SqSubspace:
@@ -247,7 +297,7 @@ class SqSubspace:
     of the inputs' annihilator rows stacked together.
     """
 
-    __slots__ = ("ctx", "rows", "pivots", "spanners", "_annihilator")
+    __slots__ = ("ctx", "rows", "pivots", "spanners", "_annihilator", "_elements")
 
     def __init__(
         self,
@@ -264,6 +314,7 @@ class SqSubspace:
         else:
             self.spanners = tuple(tuple(r) for r in spanners)
         self._annihilator = None
+        self._elements = None
 
     @classmethod
     def span(cls, ctx: FieldContext, generators: Iterable[FieldElement]) -> SqSubspace:
@@ -293,8 +344,11 @@ class SqSubspace:
         return not self.rows
 
     def elements(self) -> tuple[FieldElement, ...]:
-        """The reduced basis rows turned back into field elements."""
-        return tuple(_from_dense(self.ctx, row) for row in self.rows)
+        """The reduced basis rows turned back into field elements, converted
+        on first use and cached."""
+        if self._elements is None:
+            self._elements = tuple(_from_dense(self.ctx, row) for row in self.rows)
+        return self._elements
 
     def __eq__(self, other):
         if not isinstance(other, SqSubspace):
@@ -347,15 +401,16 @@ class SqSubspace:
             self._annihilator = tuple(out)
         return self._annihilator
 
-    def _annihilates(self, polys: Sequence[Poly]) -> bool:
-        """Whether a coordinate row, scaled to polynomials, lies in the space."""
-        return all(not _dot(polys, a).terms for a in self.annihilator)
+    def _annihilates(self, row: SparseRow) -> bool:
+        """Whether a sparse coordinate row, scaled to polynomials, lies in
+        the space."""
+        return _annihilated(row, self.annihilator)
 
     def __contains__(self, f: FieldElement) -> bool:
         return self._annihilates(_poly_row(f))
 
     def contains_subspace(self, other: SqSubspace) -> bool:
-        return all(self._annihilates(_cleared(self.ctx, row)[0]) for row in other.rows)
+        return all(self._annihilates(_sparse(_cleared(self.ctx, row)[0])) for row in other.rows)
 
     def is_span_of(self, elements: Sequence[FieldElement]) -> bool:
         """Whether the F^2-span of elements is exactly this space.
@@ -367,14 +422,13 @@ class SqSubspace:
         lower a rank, since a minor that vanishes over F vanishes at every
         point, so the span has dimension at least dim and fills the space.
         Only when the rank at the point falls short is the span eliminated
-        exactly and compared.
+        exactly and compared.  The first two facts are ``_spans``, on the
+        elements' sparse rows.
         """
-        rows = [_poly_row(e) for e in elements]
-        if not all(self._annihilates(r) for r in rows):
-            return False
-        if _rank_at_point(self.ctx, rows) >= self.dim:
-            return True
-        return SqSubspace.span(self.ctx, elements) == self
+        decided = _spans(self.ctx, self.annihilator, self.dim, [_poly_row(e) for e in elements])
+        if decided is None:
+            return SqSubspace.span(self.ctx, elements) == self
+        return decided
 
     # -- lattice operations -----------------------------------------------------
 

@@ -14,7 +14,9 @@ from pflab import (
     CompletionNotFound,
     ContextMismatch,
     EmptyInput,
+    FieldContext,
     FieldElement,
+    IdentityFailed,
     IsotropicInput,
     PreconditionFailed,
     SqSubspace,
@@ -30,7 +32,7 @@ from pflab import bilinear, linalg
 from pflab.cli import main
 from pflab.errors import BadRank
 from pflab.field import _from_dense
-from conftest import CTX2, CTX3, nonzero_polys
+from conftest import CTX2, CTX3, nonzero_elements, nonzero_polys
 
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "bilinear-family-n4-verify.json"
 GOLDEN_N4_EVIDENCE = json.loads(GOLDEN_N4.read_text())["evidence"]
@@ -66,6 +68,47 @@ class TestConstruction:
     def test_json_needs_slot_list(self, ctx2, data):
         with pytest.raises(ValueError):
             BilinearPfister.from_json(ctx2, data)
+
+
+def products_by_loops(ctx, slots):
+    """Reference for bilinear._products: every product b^e built from 1
+    by one multiplication per set bit, e over {0,1}^k in ascending lex
+    order."""
+    out = []
+    for e in itertools.product((0, 1), repeat=len(slots)):
+        p = ctx.one
+        for take, s in zip(e, slots):
+            if take:
+                p = p * s
+        out.append(p)
+    return out
+
+
+class TestProducts:
+    """The doubling construction against the nested loops, term for term:
+    the same numerator and denominator polynomials, not only equal values."""
+
+    @staticmethod
+    def check(ctx, slots):
+        got = bilinear._products(ctx, slots)
+        want = products_by_loops(ctx, slots)
+        assert [(p.num.terms, p.den.terms) for p in got] == [
+            (p.num.terms, p.den.terms) for p in want
+        ]
+
+    @given(slots=st.lists(nonzero_elements(CTX2, max_degree=2, max_terms=3), max_size=4))
+    def test_fraction_slots_n2(self, ctx2, slots):
+        self.check(ctx2, slots)
+
+    @given(slots=st.lists(nonzero_elements(CTX3, max_degree=2, max_terms=3), max_size=4))
+    def test_fraction_slots_n3(self, ctx3, slots):
+        self.check(ctx3, slots)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_family_members(self, n):
+        for form in build_no_common_slot_family(n):
+            self.check(form.ctx, form.slots)
+            assert len(form.diagonal()) == 2**n
 
 
 class TestValueSpaces:
@@ -297,10 +340,10 @@ class TestCommonFactor:
     def test_wrong_last_slot_fails_certification(self, ctx3, monkeypatch):
         real = bilinear._next_slot
 
-        def wrong_last(U, W):
+        def wrong_last(U, W, u_basis):
             # at m=2 the two rho slots are in place and one slot is missing;
             # any element of U repeats a value, so the list is isotropic
-            return U.elements()[-1] if U.dim == 4 else real(U, W)
+            return U.elements()[-1] if U.dim == 4 else real(U, W, u_basis)
 
         monkeypatch.setattr(bilinear, "_next_slot", wrong_last)
         with pytest.raises(CompletionNotFound, match="exact certification"):
@@ -413,11 +456,29 @@ class TestNextSlot:
         monkeypatch.setattr(SqSubspace, "elements", counted("elements", SqSubspace.elements))
         for name in ("_admissible", "_stable_subspace"):
             monkeypatch.setattr(bilinear, name, counted(name, getattr(bilinear, name)))
-        slot = bilinear._next_slot(U, W)
+        slot = bilinear._next_slot(U, W, U.elements())
         assert slot is not None and slot not in U
         assert calls["_admissible"] > 3 and calls["_stable_subspace"] == 1
         # one conversion each for U, W and the fallback space
         assert calls["elements"] <= 3
+
+    def test_elements_cached(self, ctx3):
+        W = BilinearPfister(ctx3, ctx3.gens).pure_value_space()
+        assert W.elements() is W.elements()
+        assert W.elements() == tuple(_from_dense(ctx3, row) for row in W.rows)
+
+    def test_any_basis_of_partial_space(self, ctx3):
+        # the slot's products and the reduced basis span the same U, so the
+        # search picks the same slot; this U needs the exact fallback
+        a1, a2, a3 = ctx3.gens
+        form = BilinearPfister(ctx3, (ctx3.one + a1 * a2, a1, a1 * a2 + a3))
+        W = form.pure_value_space()
+        products = bilinear._products(ctx3, (ctx3.one + a3 + a1 * a3,))
+        U = SqSubspace.span(ctx3, products)
+        assert products != list(U.elements())
+        slot = bilinear._next_slot(U, W, products)
+        assert slot is not None
+        assert slot == bilinear._next_slot(U, W, U.elements())
 
 
 def stable_subspace_by_residues(u_basis, W):
@@ -557,6 +618,29 @@ class TestFamily:
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
 
+    def test_claims_spanned_only_when_rank_falls_short(self, monkeypatch):
+        # at the point no claim is spanned over F; with every rank falling
+        # short each member spans its products and its claim, two spans
+        spans = []
+        real_span = SqSubspace.span
+
+        def counted(cls, *args):
+            spans.append(1)
+            return real_span(*args)
+
+        monkeypatch.setattr(SqSubspace, "span", classmethod(counted))
+        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
+        assert spans == []
+        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
+        assert verify_no_common_slot_family(3)["checks"]["claimed_pure_bases"]
+        assert len(spans) == 2 * 8
+
+    def test_claim_off_its_hyperplane_raises(self, monkeypatch):
+        real = bilinear._claimed_masks
+        monkeypatch.setattr(bilinear, "_claimed_masks", lambda ctx, k: real(ctx, k)[:-1])
+        with pytest.raises(IdentityFailed):
+            verify_no_common_slot_family(3)
+
     def test_isotropic_member_raises(self, monkeypatch):
         # all_anisotropic never reads false: an isotropic member stops the
         # certificate before any evidence is returned
@@ -621,10 +705,33 @@ class TestFamilyDescent:
 
     def test_masks_need_binary_coordinates(self, ctx2):
         a1, a2 = ctx2.gens
-        assert bilinear._gf2_mask(ctx2.one + a1 * a2) == 0b1001
+        assert gf2_mask(ctx2.one + a1 * a2) == 0b1001
         # a1^3 = a1^2 * a1 has the coordinate a1 at column a1
         with pytest.raises(PreconditionFailed):
-            bilinear._gf2_mask(a1**3)
+            gf2_mask(a1**3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_claimed_masks_match_generators(self, n):
+        # the masks are read off the patterns, the generators built as
+        # field elements; both must describe the same claim
+        ctx = FieldContext(n)
+        for k in range(2**n):
+            gens = bilinear._claimed_pure_generators(ctx, k)
+            assert bilinear._claimed_masks(ctx, k) == [gf2_mask(g) for g in gens]
+
+
+def gf2_mask(g):
+    """Reference for bilinear._claimed_masks: g's 2-basis row as a GF(2)
+    bitmask, bit j for column j, from its Frobenius decomposition."""
+    ctx = g.ctx
+    mask = 0
+    for j, c in enumerate(g.frobenius_decompose().dense()):
+        if not c:
+            continue
+        if c != ctx.one:
+            raise PreconditionFailed(f"{g} has a 2-basis coordinate other than 0 or 1")
+        mask |= 1 << j
+    return mask
 
 
 def _family_claims(n):

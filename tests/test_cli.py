@@ -115,7 +115,23 @@ class TestBilinearFamily:
         assert main(["bilinear-family", "--n", "1"]) == 2
 
     def test_n_above_cap(self, capsys):
-        assert main(["bilinear-family", "--n", "9"]) == 2
+        assert main(["bilinear-family", "--n", "10"]) == 2
+
+    def test_subset_above_its_cap(self, capsys):
+        # --verify and the listing take n=9; an exact --subset would span
+        # 511-dimensional pure spaces, so it is refused before any is built
+        started = time.monotonic()
+        code, report = run_json(capsys, "bilinear-family", "--n", "9", "--subset", "0,1")
+        elapsed = time.monotonic() - started
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert "--subset takes n up to 8" in report["evidence"]["error"]
+        assert elapsed < 5.0, f"took {elapsed:.2f}s (budget 5s)"
+
+    def test_plain_listing_n9(self, capsys):
+        code, report = run_json(capsys, "bilinear-family", "--n", "9")
+        assert code == 0
+        assert len(report["evidence"]["forms"]) == 512
 
     def test_bad_subset_index(self, capsys):
         code, report = run_json(

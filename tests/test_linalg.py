@@ -15,11 +15,12 @@ from pflab import (
     PflabError,
     Poly,
     SqSubspace,
+    build_no_common_slot_family,
     representation_over,
 )
 from pflab import linalg
 from pflab.field import _poly_row
-from conftest import CTX2, CTX3, elements
+from conftest import CTX2, CTX3, elements, nonzero_polys
 
 
 def span2(ctx2, *gens):
@@ -330,7 +331,7 @@ class TestAnnihilator:
             contents = zip(*(p.monomial_content() for p in a if p.terms))
             assert not any(min(col) for col in contents)
         for row in s.rows:
-            assert s._annihilates(linalg._cleared(ctx2, row)[0])
+            assert s._annihilates(linalg._sparse(linalg._cleared(ctx2, row)[0]))
         assert s.contains_subspace(s)
 
     @given(
@@ -359,6 +360,46 @@ class TestAnnihilator:
         s2 = SqSubspace.from_rows(ctx2, r2)
         by_reduce = all(not any(s1.reduce_row(row)) for row in s2.rows)
         assert s1.contains_subspace(s2) == by_reduce
+
+
+def rank_at_point_dense(ctx, rows):
+    """Reference for linalg._rank_at_point: the same substitution on dense
+    rows, one list of GF(2^16) values per row, eliminated column by column."""
+    exp, log = linalg._gf_tables()
+    order = linalg._GF_ORDER
+    logs = [linalg._POINT_LOG_STEP * (i + 1) for i in range(ctx.n)]
+
+    def value(p):
+        v = 0
+        for t in p.terms:
+            v ^= exp[sum(e * l for e, l in zip(t, logs)) % order]
+        return v
+
+    ncols = len(ctx.patterns)
+    matrix = [[value(row[j]) if j in row else 0 for j in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pr = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pr is None:
+            continue
+        matrix[rank], matrix[pr] = matrix[pr], matrix[rank]
+        prow = matrix[rank]
+        inv = order - log[prow[col]]
+        for i in range(rank + 1, len(matrix)):
+            c = matrix[i][col]
+            if c:
+                f = (log[c] + inv) % order  # log of c / pivot
+                matrix[i] = [a ^ exp[f + log[b]] if b else a for a, b in zip(matrix[i], prow)]
+        rank += 1
+    return rank
+
+
+def sparse_poly_rows(ctx, max_rows=8):
+    """Sparse polynomial rows: column -> nonzero polynomial, any width up
+    to the whole row."""
+    columns = st.integers(0, len(ctx.patterns) - 1)
+    row = st.dictionaries(columns, nonzero_polys(ctx, max_degree=3, max_terms=3), max_size=4)
+    return st.lists(row, max_size=max_rows)
 
 
 class TestRankAtPoint:
@@ -394,6 +435,24 @@ class TestRankAtPoint:
         assert exact.is_span_of(gens)
         if gens:
             assert exact.is_span_of(gens[:-1]) == (SqSubspace.span(ctx, gens[:-1]) == exact)
+
+    @given(rows=sparse_poly_rows(CTX2))
+    def test_sparse_agrees_with_dense_n2(self, ctx2, rows):
+        assert linalg._rank_at_point(ctx2, rows) == rank_at_point_dense(ctx2, rows)
+
+    @given(rows=sparse_poly_rows(CTX3, max_rows=10))
+    def test_sparse_agrees_with_dense_n3(self, ctx3, rows):
+        assert linalg._rank_at_point(ctx3, rows) == rank_at_point_dense(ctx3, rows)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_family_products_agree_with_dense(self, n):
+        # the product rows the family certificate ranks: at most two
+        # entries each, and full rank 2^n - 1 at the point
+        for form in build_no_common_slot_family(n)[:4]:
+            rows = [_poly_row(p) for p in form.diagonal()[1:]]
+            assert all(len(row) <= 2 for row in rows)
+            assert linalg._rank_at_point(form.ctx, rows) == rank_at_point_dense(form.ctx, rows)
+            assert rank_at_point_dense(form.ctx, rows) == 2**n - 1
 
     def test_short_rank_takes_exact_span(self, ctx2, monkeypatch):
         a1, a2 = ctx2.gens

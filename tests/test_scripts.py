@@ -3,6 +3,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,3 +24,12 @@ def test_sharing_trials(capsys):
     out = capsys.readouterr().out
     assert "witness found" in out
     assert "BAD REBUILDS" not in out
+
+
+def test_reproduce_counterexamples_rank_bound(capsys):
+    # --max-n takes 2..9, the ranks bilinear-family --verify takes
+    script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
+    with pytest.raises(SystemExit) as exc:
+        script["main"](["--max-n", "10"])
+    assert exc.value.code == 2
+    assert "invalid choice: 10" in capsys.readouterr().err
