@@ -96,9 +96,9 @@ def quaternion_section(cfg: RunConfig) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=3, choices=(2, 3, 4, 5, 6, 7, 8, 9),
-                    help="largest bilinear rank to verify (7 takes 0.4 s, 8 takes 1.6 s, "
-                    "9 takes 7 s)")
+    ap.add_argument("--max-n", type=int, default=3, choices=tuple(range(2, 11)),
+                    help="largest bilinear rank to verify (8 takes 0.6 s, 9 takes 3 s, "
+                    "10 takes 10 s)")
     ap.add_argument("--skip-quat", action="store_true")
     args = ap.parse_args(argv)
 

@@ -33,7 +33,9 @@ F.  Intersections and membership tests go through annihilators too.
 taken as GF(2) bitmasks whose annihilator is one known 0/1 row, and the
 member's own products: one ``linalg._spans`` per member (the routine
 behind ``is_span_of``) on the products' sparse rows, each with at most
-two nonzero coordinates, then GF(2) ranks of bitmasks;
+two nonzero coordinates and built from the slots' rows
+(``field._product_rows``), then GF(2) ranks of bitmasks, taken one
+member at a time;
 ``leave_one_out_slot_spaces`` builds the same spaces for any family, one
 k-way intersection each.
 """
@@ -54,7 +56,7 @@ from .errors import (
     PreconditionFailed,
     ZeroSlot,
 )
-from .field import FieldContext, FieldElement, _from_dense, _poly_row
+from .field import FieldContext, FieldElement, _from_dense, _poly_row, _product_rows
 from .linalg import SqSubspace, _dot, _spans, left_kernel
 from .valuation import gf2_mask_rank
 
@@ -509,18 +511,14 @@ def _family_report(
     }
 
 
-def _gf2_family_evidence(masks: list[list[int]], anns: list[int]) -> dict:
+def _gf2_family_evidence(anns: list[int], pair_ok: bool) -> dict:
     """The family evidence from the claimed pure bases alone, once every
     member's pure value space is known to be the F-span of its claim,
-    the hyperplane of 2^n-bit rows annihilated by anns[k]."""
-    size = len(masks)  # 2^n members, and 2^n columns
+    the hyperplane of 2^n-bit rows annihilated by anns[k]; pair_ok is the
+    pairwise check, made on each claim's masks as they were taken."""
+    size = len(anns)  # 2^n members, and 2^n columns
     # 1 is e_0, the mask 1
     anisotropic = all(_odd(ann & 1) for ann in anns)
-    pair_ok = all(
-        gf2_mask_rank(rows[:-1]) + gf2_mask_rank([anns[0], ann]) == size
-        and not any(_odd(anns[0] & m) for m in rows[:-1])
-        for ann, rows in zip(anns[1:], masks[1:])
-    )
     common_dim = size - gf2_mask_rank(anns)
     dims = [size - gf2_mask_rank(anns[:k] + anns[k + 1 :]) for k in range(size)]
     return _family_report(anisotropic, True, pair_ok, common_dim, dims)
@@ -529,17 +527,18 @@ def _gf2_family_evidence(masks: list[list[int]], anns: list[int]) -> dict:
 def _member_spans_claim(form: BilinearPfister, k: int) -> bool:
     """Whether member k's nontrivial products span its claim, the space
     annihilated by e_0 + e_k (e_0 for member 0): ``linalg._spans`` on the
-    products' sparse rows, with an exact span of both sides only when the
-    rank at the point falls short."""
+    products' sparse rows, built from the slots' rows by
+    ``field._product_rows`` with no product built as a field element.
+    Only when the rank at the point falls short are the products built
+    and both sides spanned exactly."""
     ctx = form.ctx
     zero, one = ctx._zero_poly, ctx._one_poly
     size = len(ctx.patterns)
     ann = tuple(one if j in (0, k) else zero for j in range(size))
-    products = form.diagonal()[1:]
-    decided = _spans(ctx, (ann,), size - 1, [_poly_row(p) for p in products])
+    decided = _spans(ctx, (ann,), size - 1, _product_rows(ctx, form.slots)[1:])
     if decided is None:
         claim = _claimed_pure_generators(ctx, k)
-        return SqSubspace.span(ctx, products) == SqSubspace.span(ctx, claim)
+        return SqSubspace.span(ctx, form.diagonal()[1:]) == SqSubspace.span(ctx, claim)
     return decided
 
 
@@ -575,7 +574,10 @@ def verify_no_common_slot_family(n: int) -> dict:
     parity against the annihilator).  The rank of a 0/1 matrix does not
     change under the field extension GF(2) < F, so the F-span of the
     claim is then the hyperplane of F^(2^n) cut out by that one 0/1 row;
-    no claim is spanned over F.
+    no claim is spanned over F.  The masks are taken one member at a
+    time: the hyperplane check and the pairwise check against member 0
+    read them, and only the pairwise verdict and the annihilator rows
+    are kept.
 
     The F-level work is one ``linalg._spans`` per member, the routine
     behind ``SqSubspace.is_span_of`` (``common_factor`` certifies with
@@ -585,8 +587,10 @@ def verify_no_common_slot_family(n: int) -> dict:
     products span the claim, which is the member's pure value space.  A
     product has at most two nonzero 2-basis coordinates, and its row is
     kept sparse (column -> polynomial) through the dot products and the
-    rank.  Only when the rank at the point falls short are the products
-    and the claim spanned exactly and compared.
+    rank.  The rows are built from the member's slots' rows
+    (``field._product_rows``), so no product is built as a field element.
+    Only when the rank at the point falls short are the products built,
+    and they and the claim spanned exactly and compared.
 
     By dim(A & B) = dim A + dim B - dim(A + B), intersections of such
     spans have the dimensions of the GF(2) ones too, so everything after
@@ -612,13 +616,22 @@ def verify_no_common_slot_family(n: int) -> dict:
     family = build_no_common_slot_family(n)
     ctx = family[0].ctx
     size = len(family)  # 2^n members, and 2^n columns
-    masks = [_claimed_masks(ctx, k) for k in range(size)]
     # e_0 annihilates member 0's claim, e_0 + e_k member k's (1 | 1 << 0 is e_0)
     anns = [1 | 1 << k for k in range(size)]
-    for ann, rows in zip(anns, masks):
+    pair_ok = True
+    for k, ann in enumerate(anns):
+        # one member's masks at a time: all of them together are 2^n lists
+        # of 2^n - 1 masks of 2^n bits
+        rows = _claimed_masks(ctx, k)
         if gf2_mask_rank(rows) != size - 1 or any(_odd(ann & m) for m in rows):
             raise IdentityFailed("a claimed pure space is not its annihilator's hyperplane")
+        if k:
+            others = rows[:-1]
+            pair_ok = pair_ok and (
+                gf2_mask_rank(others) + gf2_mask_rank([anns[0], ann]) == size
+                and not any(_odd(anns[0] & m) for m in others)
+            )
     if all(_member_spans_claim(f, k) for k, f in enumerate(family)):
-        return _gf2_family_evidence(masks, anns)
+        return _gf2_family_evidence(anns, pair_ok)
     claims = [_claimed_pure_generators(ctx, k) for k in range(size)]
     return _f_family_evidence(family, claims)

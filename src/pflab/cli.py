@@ -45,14 +45,15 @@ __all__ = ["parse_element", "main", "console_main"]
 
 # largest number of variables a command accepts; FieldContext(n) builds
 # all 2^n patterns up front, so n is bounded before anything is built.
-# The family certificate at n=8 takes about 1.6 s and at n=9 about 7 s
-# at 41 MB; n=10 took 28 s and 132 MB, so the bound stays at 9.  --subset spans
+# The family certificate at n=9 takes about 3 s and at n=10 about 10 s,
+# both near 20 MB: it builds each member's product rows from its slots'
+# rows and takes one member's claim masks at a time.  --subset spans
 # every chosen member's pure space exactly, 2^n - 1 dimensions each (the
 # whole n=7 family in about 19 s), so it keeps the bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
 _MAX_N = 6
-_MAX_FAMILY_N = 9
+_MAX_FAMILY_N = 10
 _MAX_SUBSET_N = 8
 _MAX_QUADRATIC_N = 6
 
@@ -207,9 +208,15 @@ def _cmd_bilinear_family(args) -> int:
     n = args.n
     if args.subset is not None and n > _MAX_SUBSET_N:
         raise ValueError(f"--subset takes n up to {_MAX_SUBSET_N}, got {n}")
-    family = build_no_common_slot_family(n)
     inputs = {"n": n, "verify": bool(args.verify), "subset": args.subset}
 
+    if args.verify and args.subset is None:
+        # the certificate builds the family itself
+        evidence = verify_no_common_slot_family(n)
+        verdict = "VALID" if all(evidence["checks"].values()) else "NOT_VALID"
+        return _finish(args, "bilinear-family", n, inputs, verdict, evidence, started)
+
+    family = build_no_common_slot_family(n)
     if args.subset is not None:
         indices = _parse_subset(args.subset, len(family))
         space = common_slot_space([family[i] for i in indices])
@@ -221,13 +228,8 @@ def _cmd_bilinear_family(args) -> int:
         verdict = "VALID" if space.dim > 0 else "NOT_VALID"
         return _finish(args, "bilinear-family", n, inputs, verdict, evidence, started)
 
-    if not args.verify:
-        evidence = {"forms": [f.to_json() for f in family]}
-        return _finish(args, "bilinear-family", n, inputs, "VALID", evidence, started)
-
-    evidence = verify_no_common_slot_family(n)
-    verdict = "VALID" if all(evidence["checks"].values()) else "NOT_VALID"
-    return _finish(args, "bilinear-family", n, inputs, verdict, evidence, started)
+    evidence = {"forms": [f.to_json() for f in family]}
+    return _finish(args, "bilinear-family", n, inputs, "VALID", evidence, started)
 
 
 def _parse_subset(raw: str, size: int) -> list[int]:

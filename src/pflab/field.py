@@ -22,7 +22,7 @@ hashing and serialization so equal elements print and hash identically.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContextMismatch, DivisionByZero, NotASquare, NotDivisible
 
@@ -638,6 +638,54 @@ def _poly_row(f: FieldElement) -> dict[int, Poly]:
     with f = sum (s_d / den)^2 * a^d."""
     columns = f.ctx._columns
     return {columns[d]: s for d, s in _halves(f).items()}
+
+
+def _row_mul(ctx: FieldContext, r1: dict[int, Poly], r2: dict[int, Poly]) -> dict[int, Poly]:
+    """The sparse 2-basis row of x*y from the rows of x and y.
+
+    With x = sum x_c^2 * a^c and y = sum y_e^2 * a^e, and a^c * a^e =
+    a^(c & e)^2 * a^(c ^ e) for 0/1 patterns,
+
+        x * y = sum (x_c * y_e * a^(c & e))^2 * a^(c ^ e).
+
+    Columns index the patterns by their bits, so c & e and c ^ e are int
+    operations on the columns.  An entry equal to 1 is not multiplied.
+    The row is scaled by the product of the two rows' scales.
+    """
+    one = ctx._one_poly.terms
+    patterns = ctx._patterns
+    acc: dict[int, set] = {}
+    for c, x in r1.items():
+        for e, y in r2.items():
+            if x.terms == one:
+                t = y.terms
+            elif y.terms == one:
+                t = x.terms
+            else:
+                t = (x * y).terms
+            m = c & e
+            if m:
+                shift = patterns[m]
+                t = {tuple(map(int.__add__, u, shift)) for u in t}
+            acc.setdefault(c ^ e, set()).symmetric_difference_update(t)
+    return {j: Poly(frozenset(s), ctx.n) for j, s in acc.items() if s}
+
+
+def _product_rows(ctx: FieldContext, slots: Sequence[FieldElement]) -> list[dict[int, Poly]]:
+    """The sparse 2-basis rows of all 2^k slot products b^e, in the order
+    of ``bilinear._products``, built from the slots' own rows by doubling
+    over the reversed slots, with no product built as a field element.
+
+    Row e is b^e's coordinates times the product of the denominators of
+    the slots in b^e, where ``_poly_row(b^e)`` scales by b^e's own
+    denominator.  The scale is nonzero, so it changes neither whether a
+    dot product vanishes nor a rank.
+    """
+    out = [{0: ctx._one_poly}]
+    for s in reversed(slots):
+        row = _poly_row(s)
+        out = out + [_row_mul(ctx, row, r) for r in out]
+    return out
 
 
 def _from_dense(ctx: FieldContext, row) -> FieldElement:

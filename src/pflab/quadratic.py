@@ -230,6 +230,12 @@ class InsepObstructionCertificate:
     zero-parity case dies on two-dimensional subspaces (every 2-dimensional
     subspace represents values of nonzero parity).  That last step is
     certified separately, per form, by ``zero_parity_diagonal_count``.
+
+    Every ``hypothesis_checks`` entry of a returned certificate is true:
+    ``insep_obstruction`` raises HypothesisFailed on the first form that
+    fails, before any certificate is built.  The entries stay for the
+    report's fixed layout (``hypothesis_checks`` and the CLI's
+    ``hypothesis_all_pass``).
     """
 
     n: int

@@ -49,7 +49,7 @@ def _run_cli(capsys, *argv):
 
 
 def test_criterion_1_bilinear_family_cli(capsys):
-    budgets = {2: 10.0, 3: 10.0, 4: 10.0, 5: 10.0, 6: 10.0, 7: 10.0, 8: 30.0, 9: 60.0}
+    budgets = {2: 10.0, 3: 10.0, 4: 10.0, 5: 10.0, 6: 10.0, 7: 10.0, 8: 10.0, 9: 20.0, 10: 60.0}
     timings = {}
     for n, budget in budgets.items():
         started = time.monotonic()

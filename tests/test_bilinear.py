@@ -31,7 +31,7 @@ from pflab import (
 from pflab import bilinear, linalg
 from pflab.cli import main
 from pflab.errors import BadRank
-from pflab.field import _from_dense
+from pflab.field import _from_dense, _poly_row, _product_rows
 from conftest import CTX2, CTX3, nonzero_elements, nonzero_polys
 
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "bilinear-family-n4-verify.json"
@@ -109,6 +109,60 @@ class TestProducts:
         for form in build_no_common_slot_family(n):
             self.check(form.ctx, form.slots)
             assert len(form.diagonal()) == 2**n
+
+
+def polynomial_slots(ctx):
+    return nonzero_polys(ctx, max_degree=2, max_terms=3).map(
+        lambda p: FieldElement(ctx, p, ctx._one_poly)
+    )
+
+
+class TestProductRows:
+    """field._product_rows against the sparse rows of bilinear._products.
+    Row e is scaled by the product of its slots' denominators, _poly_row
+    by b^e's own, so each coordinate is compared as a fraction; over
+    polynomial slots both scales are 1 and the rows are equal outright."""
+
+    @staticmethod
+    def check(ctx, slots):
+        rows = _product_rows(ctx, slots)
+        products = bilinear._products(ctx, slots)
+        assert len(rows) == len(products) == 2 ** len(slots)
+        zero = ctx._zero_poly
+        for take, row, p in zip(itertools.product((0, 1), repeat=len(slots)), rows, products):
+            want = _poly_row(p)
+            assert all(x.terms for x in row.values())
+            if all(s.den.is_one() for s in slots):
+                assert row == want
+                continue
+            scale = ctx._one_poly
+            for t, s in zip(take, slots):
+                if t:
+                    scale = scale * s.den
+            for j in row.keys() | want.keys():
+                got = FieldElement(ctx, row.get(j, zero), scale)
+                assert got == FieldElement(ctx, want.get(j, zero), p.den)
+
+    @given(slots=st.lists(polynomial_slots(CTX2), max_size=4))
+    def test_polynomial_slots_n2(self, ctx2, slots):
+        self.check(ctx2, slots)
+
+    @given(slots=st.lists(polynomial_slots(CTX3), max_size=3))
+    def test_polynomial_slots_n3(self, ctx3, slots):
+        self.check(ctx3, slots)
+
+    @given(slots=st.lists(nonzero_elements(CTX2, max_degree=2, max_terms=3), max_size=4))
+    def test_fraction_slots_n2(self, ctx2, slots):
+        self.check(ctx2, slots)
+
+    @given(slots=st.lists(nonzero_elements(CTX3, max_degree=2, max_terms=3), max_size=3))
+    def test_fraction_slots_n3(self, ctx3, slots):
+        self.check(ctx3, slots)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_family_members(self, n):
+        for form in build_no_common_slot_family(n):
+            self.check(form.ctx, form.slots)
 
 
 class TestValueSpaces:
@@ -611,6 +665,26 @@ class TestFamily:
 
         monkeypatch.setattr(BilinearPfister, "pure_value_space", refuse)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
+
+    def test_member_check_builds_no_products(self, monkeypatch):
+        # each member's product rows come from its slots' rows: no product
+        # is built as a field element while the rank at the point decides
+        def refuse(self, other):
+            raise AssertionError("a slot product was built as a field element")
+
+        checked = []
+        real = bilinear._member_spans_claim
+
+        def guarded(form, k):
+            checked.append(k)
+            with monkeypatch.context() as m:
+                m.setattr(FieldElement, "__mul__", refuse)
+                m.setattr(FieldElement, "__rmul__", refuse)
+                return real(form, k)
+
+        monkeypatch.setattr(bilinear, "_member_spans_claim", guarded)
+        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
+        assert checked == list(range(16))
 
     def test_short_specialization_keeps_report(self, monkeypatch):
         # with every rank at the point falling short, is_span_of spans the

@@ -115,23 +115,25 @@ class TestBilinearFamily:
         assert main(["bilinear-family", "--n", "1"]) == 2
 
     def test_n_above_cap(self, capsys):
-        assert main(["bilinear-family", "--n", "10"]) == 2
+        assert main(["bilinear-family", "--n", "11"]) == 2
 
     def test_subset_above_its_cap(self, capsys):
-        # --verify and the listing take n=9; an exact --subset would span
-        # 511-dimensional pure spaces, so it is refused before any is built
-        started = time.monotonic()
-        code, report = run_json(capsys, "bilinear-family", "--n", "9", "--subset", "0,1")
-        elapsed = time.monotonic() - started
-        assert code == 2
-        assert report["verdict"] == "ERROR"
-        assert "--subset takes n up to 8" in report["evidence"]["error"]
-        assert elapsed < 5.0, f"took {elapsed:.2f}s (budget 5s)"
+        # --verify and the listing take n=9 and 10; an exact --subset would
+        # span 511- or 1023-dimensional pure spaces, so it is refused before
+        # any is built
+        for n in ("9", "10"):
+            started = time.monotonic()
+            code, report = run_json(capsys, "bilinear-family", "--n", n, "--subset", "0,1")
+            elapsed = time.monotonic() - started
+            assert code == 2
+            assert report["verdict"] == "ERROR"
+            assert "--subset takes n up to 8" in report["evidence"]["error"]
+            assert elapsed < 5.0, f"n={n} took {elapsed:.2f}s (budget 5s)"
 
-    def test_plain_listing_n9(self, capsys):
-        code, report = run_json(capsys, "bilinear-family", "--n", "9")
+    def test_plain_listing_n10(self, capsys):
+        code, report = run_json(capsys, "bilinear-family", "--n", "10")
         assert code == 0
-        assert len(report["evidence"]["forms"]) == 512
+        assert len(report["evidence"]["forms"]) == 1024
 
     def test_bad_subset_index(self, capsys):
         code, report = run_json(

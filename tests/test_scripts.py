@@ -27,9 +27,9 @@ def test_sharing_trials(capsys):
 
 
 def test_reproduce_counterexamples_rank_bound(capsys):
-    # --max-n takes 2..9, the ranks bilinear-family --verify takes
+    # --max-n takes 2..10, the ranks bilinear-family --verify takes
     script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
     with pytest.raises(SystemExit) as exc:
-        script["main"](["--max-n", "10"])
+        script["main"](["--max-n", "11"])
     assert exc.value.code == 2
-    assert "invalid choice: 10" in capsys.readouterr().err
+    assert "invalid choice: 11" in capsys.readouterr().err
