@@ -28,6 +28,14 @@ product with its annihilator row each), and the products have full rank
 at a fixed point of GF(2^16)^n, an exact lower bound on their rank over
 F.  Intersections and membership tests go through annihilators too.
 
+The operands stay small.  Every chosen slot (the intersection element
+beta and each slot ``_next_slot`` accepts) is kept in lowest terms, one
+gcd per slot, since it is a factor of every product built after it.
+Value spaces, mixed spaces, the partial spaces U and the certification
+read the products' sparse polynomial rows, built from the slots' rows
+(``field._product_rows``), so no coordinate row of fractions is cleared
+of its denominators.
+
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` from each member's claimed pure space,
 taken as GF(2) bitmasks whose annihilator is one known 0/1 row, and the
@@ -113,15 +121,18 @@ class BilinearPfister:
         return _products(self.ctx, self.slots)
 
     def full_value_space(self) -> SqSubspace:
-        """F^2-span of all 2^k slot products; equals D(B) plus 0."""
+        """F^2-span of all 2^k slot products; equals D(B) plus 0.  Spanned
+        from the products' rows, built from the slots' rows."""
         if self._full is None:
-            self._full = SqSubspace.span(self.ctx, self.diagonal())
+            self._full = SqSubspace.from_poly_rows(self.ctx, _product_rows(self.ctx, self.slots))
         return self._full
 
     def pure_value_space(self) -> SqSubspace:
-        """F^2-span of the 2^k - 1 nontrivial slot products; D(B') plus 0."""
+        """F^2-span of the 2^k - 1 nontrivial slot products; D(B') plus 0.
+        Spanned from the products' rows, built from the slots' rows."""
         if self._pure is None:
-            self._pure = SqSubspace.span(self.ctx, self.diagonal()[1:])
+            rows = _product_rows(self.ctx, self.slots)[1:]
+            self._pure = SqSubspace.from_poly_rows(self.ctx, rows)
         return self._pure
 
     def is_anisotropic(self) -> bool:
@@ -226,10 +237,17 @@ def _mixed_pure_space(
     complement: Sequence[FieldElement],
 ) -> SqSubspace:
     """Span of r * p with r any rho product and p a nontrivial complement
-    product; this is D(rho tensor pi') plus 0."""
-    rho_prods = _products(ctx, rho_slots)
-    comp_prods = _products(ctx, complement)[1:]
-    return SqSubspace.span(ctx, (r * p for r in rho_prods for p in comp_prods))
+    product; this is D(rho tensor pi') plus 0.
+
+    Those are the products of rho's slots followed by the complement's
+    whose complement bits, the low ones, are not all 0, so the space is
+    spanned from their sparse rows (``field._product_rows``), built from
+    the slots' rows, with no product built as a field element.  In
+    ``common_factor`` every one of those slots is in lowest terms.
+    """
+    low = 2 ** len(complement) - 1
+    rows = _product_rows(ctx, tuple(rho_slots) + tuple(complement))
+    return SqSubspace.from_poly_rows(ctx, [row for e, row in enumerate(rows) if e & low])
 
 
 def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspace:
@@ -276,21 +294,26 @@ def _next_slot(
 ) -> FieldElement | None:
     """The first admissible slot: a basis element of W, a sum of two, or
     an element of the exact candidate subspace.  u_basis is any basis of
-    U; both tests depend only on its span."""
+    U; both tests depend only on its span.
+
+    The slot is returned in lowest terms, one gcd per chosen slot: the
+    candidates are sums of ratios of elimination minors, and a slot is a
+    factor of every product built after it.
+    """
     basis = W.elements()
     for cand in basis:
         if _admissible(cand, U, u_basis, W):
-            return cand
+            return cand.lowest_terms()
     for a, b in itertools.combinations(basis, 2):
         cand = a + b
         if _admissible(cand, U, u_basis, W):
-            return cand
+            return cand.lowest_terms()
     # bounded search exhausted: fall back to the exact candidate subspace,
     # which is nonzero iff any completion step exists at all
     stable = _stable_subspace(u_basis, W)
     for cand in stable.elements():
         if _admissible(cand, U, u_basis, W):
-            return cand
+            return cand.lowest_terms()
     return None
 
 
@@ -317,23 +340,27 @@ def _complete(
 
     Only when the rank at the point falls short are the products spanned
     exactly and compared with W.
+
+    U and the certification read the products' sparse rows, built from
+    the slots' rows by ``field._product_rows``; the slots that
+    ``_next_slot`` adds are in lowest terms, so the rows stay small.
     """
     ctx = form.ctx
     W = form.pure_value_space()
     while len(slots) < form.fold:
-        products = _products(ctx, slots)
-        U = SqSubspace.span(ctx, products)
+        U = SqSubspace.from_poly_rows(ctx, _product_rows(ctx, slots))
         if U.dim != 2 ** len(slots):
             raise CompletionNotFound("partial slot list became isotropic")
         # the products are 2^k elements spanning a space of dimension 2^k
-        cand = _next_slot(U, W, products)
+        cand = _next_slot(U, W, _products(ctx, slots))
         if cand is None:
             raise CompletionNotFound(
                 f"no admissible slot extends {len(slots)} of {form.fold} slots"
             )
         slots = slots + (cand,)
     # 1 outside W reads column 0 of W's annihilator: 1's row is e_0
-    if not W.is_span_of(_products(ctx, slots)[1:]) or ctx.one in W:
+    certified = W.is_span_of(_products(ctx, slots)[1:], _product_rows(ctx, slots)[1:])
+    if not certified or ctx.one in W:
         raise CompletionNotFound("completion failed the exact certification")
     return slots
 
@@ -421,7 +448,8 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
         inter = spaces[0].intersection(*spaces[1:])
         if inter.is_zero:
             return None
-        beta = inter.elements()[0]
+        # in lowest terms: beta is a factor of every product after this
+        beta = inter.elements()[0].lowest_terms()
         if not all(beta in space for space in spaces):
             raise PreconditionFailed("beta left a mixed pure space")
         # rho + comp presents the form: its own slots in round 1, certified

@@ -18,6 +18,8 @@ Fractions are not kept in lowest terms during arithmetic.  Equality is
 cross-multiplicative, so correctness never depends on reduction; a
 ``canonical`` pass (full multivariate gcd) runs before printing,
 hashing and serialization so equal elements print and hash identically.
+``lowest_terms`` stores an element as that pair, for an operand that
+many products will carry.
 """
 
 from __future__ import annotations
@@ -482,6 +484,16 @@ class FieldElement:
             else:
                 self._canon = (_divexact(self.num, g), _divexact(self.den, g))
         return self._canon
+
+    def lowest_terms(self) -> FieldElement:
+        """The same element stored as its lowest-terms pair, which is also
+        its cached ``canonical()``; self when it is already stored so."""
+        num, den = self.canonical()
+        if num is self.num and den is self.den:
+            return self
+        out = FieldElement(self.ctx, num, den)
+        out._canon = (out.num, out.den)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):

@@ -16,9 +16,10 @@ dot product per annihilator row, and an intersection is the space
 annihilated by all the inputs' annihilator rows together.  A rank lower
 bound at a fixed point of GF(2^16)^n (``_rank_at_point``) lets
 ``SqSubspace.is_span_of`` prove a spanning set without eliminating it.
-Rows tested against an annihilator or ranked at the point are sparse
-(column -> polynomial, ``field._poly_row``): a slot product has at most
-two nonzero coordinates.
+Rows that are spanned, tested against an annihilator or ranked at the
+point are sparse (column -> polynomial, ``field._poly_row``): an
+element's coordinates times its denominator, so no fraction is cleared
+on the way in, and a slot product has at most two nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -160,22 +161,6 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
     return r, pivots, prev
 
 
-def _rref(ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]):
-    """Unique reduced echelon form; returns (rows, pivot column indices)."""
-    rows = [_cleared(ctx, r)[0] for r in raw_rows if any(r)]
-    rank, pivots, last = _bareiss_jordan(ctx, rows, len(ctx.patterns))
-    out = []
-    for row, pc in zip(rows[:rank], pivots):
-        if row[pc].terms != last.terms:
-            raise EliminationInvariant("pivot normalization lost during elimination")
-        out.append(
-            tuple(
-                FieldElement(ctx, e, last) if e.terms else ctx.zero for e in row
-            )
-        )
-    return out, pivots
-
-
 # ---------------------------------------------------------------------------
 # rank lower bounds at a point of GF(2^16)^n
 # ---------------------------------------------------------------------------
@@ -277,14 +262,23 @@ def _spans(
 class SqSubspace:
     """An F^2-subspace of F with a canonical reduced row basis.
 
-    Besides the canonical rows the object keeps ``spanners``, rows that
-    span the same space.  Canonical entries are ratios of elimination
-    minors and grow with the dimension, so ``sum_with`` stacks the
-    spanners instead; the result is identical.  A space built by ``span``
-    or ``from_rows`` keeps its input rows.  An intersection keeps one
-    primitive row per vector it reads off: polynomial entries without a
-    common monomial factor, so exponents stay bounded along a chain of
-    intersections.
+    Every space but ``zero`` is built by one constructor,
+    ``from_poly_rows``, from sparse polynomial rows (column -> ``Poly``):
+    an element's 2-basis row times its denominator (``field._poly_row``),
+    or the rows of all slot products at once (``field._product_rows``).
+    Such a row has no fraction to clear, so the elimination sees the
+    elements' own sizes, and a caller keeps it small by keeping its
+    operands in lowest terms, as ``common_factor`` does with every slot
+    it chooses.  ``span`` takes field elements and ``from_rows`` dense
+    rows of field elements, and both reach ``from_poly_rows``.
+
+    Besides the canonical rows the object keeps ``spanners``, its input
+    rows as sparse polynomial rows, which span the same space.  Canonical
+    entries are ratios of elimination minors and grow with the dimension,
+    so ``sum_with`` stacks the spanners instead; the result is identical.
+    An intersection keeps one primitive row per vector it reads off:
+    polynomial entries without a common monomial factor, so exponents stay
+    bounded along a chain of intersections.
 
     The ``annihilator`` is computed on first use and cached: one row of
     polynomials per non-pivot column j, with a[j] = 1 and
@@ -304,34 +298,53 @@ class SqSubspace:
         ctx: FieldContext,
         rows: Sequence[Row],
         pivots: Sequence[int],
-        spanners: Sequence[Sequence[FieldElement]] | None = None,
+        spanners: Sequence[SparseRow],
     ):
         self.ctx = ctx
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
-        if spanners is None:
-            self.spanners = self.rows
-        else:
-            self.spanners = tuple(tuple(r) for r in spanners)
+        self.spanners = tuple(spanners)
         self._annihilator = None
         self._elements = None
 
     @classmethod
-    def span(cls, ctx: FieldContext, generators: Iterable[FieldElement]) -> SqSubspace:
-        """F^2-span of the given field elements (zeros are dropped)."""
-        raw = [g.frobenius_decompose().dense() for g in generators if g]
-        rows, pivots = _rref(ctx, raw)
+    def from_poly_rows(cls, ctx: FieldContext, raw_rows: Iterable[SparseRow]) -> SqSubspace:
+        """F-span of sparse polynomial coordinate rows (empty rows are
+        dropped): one fraction-free elimination, after which every pivot
+        entry equals the final pivot, and one division per entry reads off
+        the unique reduced echelon form."""
+        raw = [row for row in raw_rows if row]
+        ncols = len(ctx.patterns)
+        zero = ctx._zero_poly
+        dense = []
+        for row in raw:
+            polys = [zero] * ncols
+            for j, p in row.items():
+                polys[j] = p
+            dense.append(polys)
+        rank, pivots, last = _bareiss_jordan(ctx, dense, ncols)
+        rows = []
+        for polys, pc in zip(dense[:rank], pivots):
+            if polys[pc].terms != last.terms:
+                raise EliminationInvariant("pivot normalization lost during elimination")
+            rows.append(tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in polys))
         return cls(ctx, rows, pivots, raw)
+
+    @classmethod
+    def span(cls, ctx: FieldContext, generators: Iterable[FieldElement]) -> SqSubspace:
+        """F^2-span of the given field elements (zeros are dropped), from
+        their sparse rows."""
+        return cls.from_poly_rows(ctx, [_poly_row(g) for g in generators if g])
 
     @classmethod
     def zero(cls, ctx: FieldContext) -> SqSubspace:
-        return cls(ctx, (), ())
+        return cls(ctx, (), (), ())
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]) -> SqSubspace:
-        raw = [row for row in raw_rows if any(row)]
-        rows, pivots = _rref(ctx, raw)
-        return cls(ctx, rows, pivots, raw)
+        """F-span of dense coordinate rows of field elements, each scaled
+        to polynomial entries."""
+        return cls.from_poly_rows(ctx, [_sparse(_cleared(ctx, row)[0]) for row in raw_rows])
 
     # -- structure -----------------------------------------------------------
 
@@ -412,7 +425,9 @@ class SqSubspace:
     def contains_subspace(self, other: SqSubspace) -> bool:
         return all(self._annihilates(_sparse(_cleared(self.ctx, row)[0])) for row in other.rows)
 
-    def is_span_of(self, elements: Sequence[FieldElement]) -> bool:
+    def is_span_of(
+        self, elements: Sequence[FieldElement], rows: Sequence[SparseRow] | None = None
+    ) -> bool:
         """Whether the F^2-span of elements is exactly this space.
 
         Three facts decide it.  Every element lies in the space, by the
@@ -421,11 +436,15 @@ class SqSubspace:
         ``_rank_at_point``; substituting values for the variables can only
         lower a rank, since a minor that vanishes over F vanishes at every
         point, so the span has dimension at least dim and fills the space.
-        Only when the rank at the point falls short is the span eliminated
-        exactly and compared.  The first two facts are ``_spans``, on the
-        elements' sparse rows.
+        Only when the rank at the point falls short are the elements
+        spanned exactly and compared.  The first two facts are ``_spans``,
+        on the elements' sparse rows: rows, when given, each up to a
+        nonzero scale (``field._product_rows`` builds them for slot
+        products), else ``field._poly_row`` of each element.
         """
-        decided = _spans(self.ctx, self.annihilator, self.dim, [_poly_row(e) for e in elements])
+        if rows is None:
+            rows = [_poly_row(e) for e in elements]
+        decided = _spans(self.ctx, self.annihilator, self.dim, rows)
         if decided is None:
             return SqSubspace.span(self.ctx, elements) == self
         return decided
@@ -433,7 +452,7 @@ class SqSubspace:
     # -- lattice operations -----------------------------------------------------
 
     def sum_with(self, other: SqSubspace) -> SqSubspace:
-        return SqSubspace.from_rows(self.ctx, self.spanners + other.spanners)
+        return SqSubspace.from_poly_rows(self.ctx, self.spanners + other.spanners)
 
     def intersection(self, *others: SqSubspace) -> SqSubspace:
         """The intersection of this space with all the others.
@@ -441,7 +460,8 @@ class SqSubspace:
         It is the null space of the span of every input's annihilator
         rows: one fraction-free elimination of those rows stacked
         together, then one null vector per non-pivot column, read off
-        the eliminated rows, and ``from_rows`` for the canonical basis.
+        the eliminated rows, and ``from_poly_rows`` for the canonical
+        basis.
         """
         ctx = self.ctx
         spaces = (self, *others)
@@ -452,7 +472,7 @@ class SqSubspace:
         ncols = len(ctx.patterns)
         stacked = [list(a) for s in spaces for a in s.annihilator]
         rank, pivots, last = _bareiss_jordan(ctx, stacked, ncols)
-        zero, one = ctx._zero_poly, ctx._one_poly
+        zero = ctx._zero_poly
         vecs = []
         # the eliminated rows are last times the reduced ones, so the null
         # vector of column j, scaled by last, has last at j and the row
@@ -462,10 +482,8 @@ class SqSubspace:
             vec[j] = last
             for row, pc in zip(stacked[:rank], pivots):
                 vec[pc] = row[j]
-            vecs.append(
-                [FieldElement(ctx, p, one) if p.terms else ctx.zero for p in _primitive(vec)]
-            )
-        return SqSubspace.from_rows(ctx, vecs)
+            vecs.append(_sparse(_primitive(vec)))
+        return SqSubspace.from_poly_rows(ctx, vecs)
 
     def to_json(self):
         return [

@@ -28,11 +28,12 @@ from pflab import (
     leave_one_out_slot_spaces,
     verify_no_common_slot_family,
 )
-from pflab import bilinear, linalg
+from pflab import bilinear, field, linalg
 from pflab.cli import main
 from pflab.errors import BadRank
 from pflab.field import _from_dense, _poly_row, _product_rows
 from conftest import CTX2, CTX3, nonzero_elements, nonzero_polys
+from test_linalg import assert_same_space, span_by_frobenius_rows
 
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "bilinear-family-n4-verify.json"
 GOLDEN_N4_EVIDENCE = json.loads(GOLDEN_N4.read_text())["evidence"]
@@ -201,6 +202,50 @@ class TestValueSpaces:
         assert form.pure_value_space() == SqSubspace.span(ctx2, [ctx2.one])
 
 
+def mixed_by_products(ctx, rho_slots, complement):
+    """Reference for bilinear._mixed_pure_space: the Frobenius-row span of
+    every r * p, r a rho product and p a nontrivial complement product."""
+    rho_prods = bilinear._products(ctx, rho_slots)
+    comp_prods = bilinear._products(ctx, complement)[1:]
+    return span_by_frobenius_rows(ctx, [r * p for r in rho_prods for p in comp_prods])
+
+
+def fraction_slots(ctx, most):
+    return st.lists(nonzero_elements(ctx, max_degree=2, max_terms=2), min_size=1, max_size=most)
+
+
+class TestValueSpaceRows:
+    """The value spaces and the mixed pure space, spanned from the
+    products' rows, against the Frobenius-row span of the products
+    themselves, on fraction slots, compared as canonical spaces."""
+
+    @staticmethod
+    def check(ctx, slots, split):
+        form = BilinearPfister(ctx, slots)
+        products = form.diagonal()
+        assert_same_space(form.full_value_space(), span_by_frobenius_rows(ctx, products))
+        assert_same_space(form.pure_value_space(), span_by_frobenius_rows(ctx, products[1:]))
+        rho, complement = slots[: split % len(slots)], slots[split % len(slots) :]
+        mixed = bilinear._mixed_pure_space(ctx, rho, complement)
+        assert_same_space(mixed, mixed_by_products(ctx, rho, complement))
+
+    @given(slots=fraction_slots(CTX2, 3), split=st.integers(0, 2))
+    def test_fraction_slots_n2(self, ctx2, slots, split):
+        self.check(ctx2, slots, split)
+
+    @given(slots=fraction_slots(CTX3, 3), split=st.integers(0, 2))
+    def test_fraction_slots_n3(self, ctx3, slots, split):
+        self.check(ctx3, slots, split)
+
+    def test_rho_stage_of_two_fold_family(self, ctx3):
+        # the rho and complement of common_factor's second round
+        forms = two_fold_family(ctx3)
+        witness = common_factor(1, forms)
+        for comp in witness.complements:
+            got = bilinear._mixed_pure_space(ctx3, witness.rho.slots, comp)
+            assert_same_space(got, mixed_by_products(ctx3, witness.rho.slots, comp))
+
+
 class TestAnisotropy:
     def test_examples(self, ctx2, b0):
         a1, a2 = ctx2.gens
@@ -359,7 +404,53 @@ def two_fold_family(ctx3):
     ]
 
 
+def sharing_instance(ctx3, corpus_seed, index):
+    """Instance index of the seeded sharing corpus of criterion 2 and the
+    sharing-n3 benchmark: trial t draws a 7-form family for m=1 (instance
+    2t) and then a 3-form family for m=2 (instance 2t + 1), each form
+    three distinct pool slots, redrawn until it is anisotropic.  Returns
+    (m, fresh forms)."""
+    a1, a2, a3 = ctx3.gens
+    one = ctx3.one
+    pool = [a1, a2, a3, a1 * a2, a1 * a3, a2 * a3, one + a1, one + a2 * a3]
+    rng = random.Random(corpus_seed)
+
+    def form():
+        while True:
+            slots = rng.sample(pool, 3)
+            if BilinearPfister(ctx3, slots).is_anisotropic():
+                return slots
+
+    for _ in range(index // 2 + 1):
+        families = [[form() for _ in range(7)], [form() for _ in range(3)]]
+    m = index % 2 + 1
+    return m, [BilinearPfister(ctx3, slots) for slots in families[m - 1]]
+
+
 class TestCommonFactor:
+    @pytest.mark.parametrize("index", [19, 45])
+    def test_heavy_instances_keep_operands_small(self, ctx3, monkeypatch, index):
+        # the heaviest instances of corpus 20260814: a round-1 slot that is
+        # not in lowest terms made round 2 multiply bulky polynomials
+        m, forms = sharing_instance(ctx3, 20260814, index)
+        packed = []
+        real = field._packed_mul
+
+        def counted(f, g):
+            out = real(f, g)
+            if out is not None:
+                packed.append(len(out.terms))
+            return out
+
+        monkeypatch.setattr(field, "_packed_mul", counted)
+        witness = common_factor(m, forms)
+        assert m == 2 and witness is not None
+        assert packed == []
+        for x in witness.rho.slots + sum(witness.complements, ()):
+            # a fresh element, so that its gcd is taken, not read back
+            num, den = FieldElement(ctx3, x.num, x.den).canonical()
+            assert (num.terms, den.terms) == (x.num.terms, x.den.terms)
+
     def test_three_member_subfamily(self, ctx2):
         a1, a2 = ctx2.gens
         family = build_no_common_slot_family(2)
@@ -448,16 +539,23 @@ class TestCommonFactor:
         # fresh forms: the count includes their anisotropy and pure spaces
         forms = two_fold_family(ctx3)
         calls = []
-        for name in ("span", "from_rows"):
+        depth = [0]
+        for name in ("span", "from_rows", "from_poly_rows"):
             real = getattr(SqSubspace, name)
 
             def counted(cls, *args, _real=real):
-                calls.append(1)
-                return _real(*args)
+                # span and from_rows end in from_poly_rows: one elimination
+                # is one call, however many of these names it passes
+                calls.append(depth[0] == 0)
+                depth[0] += 1
+                try:
+                    return _real(*args)
+                finally:
+                    depth[0] -= 1
 
             monkeypatch.setattr(SqSubspace, name, classmethod(counted))
         assert common_factor(m, forms) is not None
-        assert len(calls) <= most
+        assert sum(calls) <= most
 
     def test_m_bounds(self, ctx2, b0):
         with pytest.raises(ValueError):
@@ -849,12 +947,11 @@ class TestIntersectionRows:
     def largest_exponent(space):
         largest = 0
         for row in space.spanners:
-            entries = [c for c in row if c]
-            assert entries
-            assert all(c.den.terms == {(0,) * space.ctx.n} for c in entries)
-            content = zip(*(c.num.monomial_content() for c in entries))
+            entries = list(row.values())
+            assert entries and all(p.terms for p in entries)
+            content = zip(*(p.monomial_content() for p in entries))
             assert not any(min(col) for col in content)
-            largest = max(largest, *(max(t) for c in entries for t in c.num.terms))
+            largest = max(largest, *(max(t) for p in entries for t in p.terms))
         return largest
 
     def test_no_common_slot_family_n4(self):

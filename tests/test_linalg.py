@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pflab import (
     EliminationInvariant,
+    FieldElement,
     NotDivisible,
     PflabError,
     Poly,
@@ -56,6 +57,65 @@ class TestSpan:
         a1, a2 = ctx2.gens
         c = (ctx2.one + a1 * a2) / a2
         assert span2(ctx2, a1 * c * c) == span2(ctx2, a1)
+
+
+def span_by_frobenius_rows(ctx, generators):
+    """Reference for SqSubspace.span: each generator's dense row of
+    Frobenius coordinates, cleared to polynomials by multiplying with
+    every distinct denominator in it, then the same elimination and
+    read-off.  Returns (rows, pivots) of the reduced basis."""
+    rows = [linalg._cleared(ctx, g.frobenius_decompose().dense())[0] for g in generators if g]
+    rank, pivots, last = linalg._bareiss_jordan(ctx, rows, len(ctx.patterns))
+    basis = [
+        tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in row)
+        for row in rows[:rank]
+    ]
+    return basis, pivots
+
+
+def assert_same_space(space, reference):
+    want, want_pivots = reference
+    assert list(space.pivots) == want_pivots
+    # compared outside the assert, so a failure does not print the rows
+    rows_match = list(space.rows) == want
+    assert rows_match
+
+
+class TestRowPath:
+    """SqSubspace.span and from_poly_rows, on the elements' sparse rows,
+    against the dense Frobenius rows they replaced, compared as canonical
+    spaces."""
+
+    @staticmethod
+    def check(ctx, gens, scales):
+        reference = span_by_frobenius_rows(ctx, gens)
+        assert_same_space(SqSubspace.span(ctx, gens), reference)
+        # any nonzero polynomial scale per row leaves the span alone
+        rows = [
+            {j: p * s for j, p in _poly_row(g).items()} for g, s in zip(gens, scales) if g
+        ]
+        assert_same_space(SqSubspace.from_poly_rows(ctx, rows), reference)
+
+    @given(
+        gens=st.lists(elements(CTX2, max_degree=2, max_terms=3), max_size=5),
+        scales=st.lists(nonzero_polys(CTX2, max_degree=2, max_terms=2), min_size=5, max_size=5),
+    )
+    def test_fractions_n2(self, ctx2, gens, scales):
+        self.check(ctx2, gens, scales)
+
+    @given(
+        gens=st.lists(elements(CTX3, max_degree=2, max_terms=3), max_size=5),
+        scales=st.lists(nonzero_polys(CTX3, max_degree=1, max_terms=2), min_size=5, max_size=5),
+    )
+    def test_fractions_n3(self, ctx3, gens, scales):
+        self.check(ctx3, gens, scales)
+
+    def test_spanners_are_the_input_rows(self, ctx2):
+        a1, a2 = ctx2.gens
+        gens = [a1 / (ctx2.one + a2), ctx2.zero, a1 * a2]
+        space = SqSubspace.span(ctx2, gens)
+        assert list(space.spanners) == [_poly_row(gens[0]), _poly_row(gens[2])]
+        assert SqSubspace.from_poly_rows(ctx2, [{}]).is_zero
 
 
 class TestMember:
@@ -177,7 +237,7 @@ class TestEliminationInvariant:
         # the first pivot is a1, so the second sweep divides by it
         rows = [(a1, a2, zero, zero), (a2, a1, one, zero), (one, a1, a2, one)]
         with pytest.raises(EliminationInvariant, match="not divisible") as info:
-            linalg._rref(ctx2, rows)
+            SqSubspace.from_rows(ctx2, rows)
         assert isinstance(info.value.__cause__, NotDivisible)
 
 
@@ -235,10 +295,11 @@ class TestAgainstTextbookElimination:
         self.check_rref(ctx3, rows)
 
     def check_rref(self, ctx, rows):
-        got, pivots = linalg._rref(ctx, rows)
+        space = SqSubspace.from_rows(ctx, rows)
+        got = space.rows
         want, want_pivots = textbook_rref(rows)
         assert len(got) == len(want)
-        assert pivots == want_pivots
+        assert list(space.pivots) == want_pivots
         # compared outside the assert: a failure report would print the
         # unreduced textbook fractions, and printing reduces them by gcd
         rows_match = all(g == w for g, w in zip(got, want))
@@ -273,22 +334,32 @@ def kernel_intersection(s1, s2):
     ctx = s1.ctx
     if s1.is_zero or s2.is_zero:
         return SqSubspace.zero(ctx)
-    stacked = list(s1.spanners) + list(s2.spanners)
+    first = dense_rows(ctx, s1.spanners)
+    stacked = first + dense_rows(ctx, s2.spanners)
     vecs = []
     for combo in linalg.left_kernel(ctx, stacked):
         row = [ctx.zero] * len(ctx.patterns)
-        for c, brow in zip(combo, s1.spanners):
+        for c, brow in zip(combo, first):
             if c:
                 row = [a + c * b for a, b in zip(row, brow)]
         vecs.append(row)
     return SqSubspace.from_rows(ctx, vecs)
 
 
+def dense_rows(ctx, sparse_rows):
+    """Sparse polynomial rows as dense rows of field elements."""
+    one, ncols = ctx._one_poly, len(ctx.patterns)
+    return [
+        tuple(FieldElement(ctx, row[j], one) if j in row else ctx.zero for j in range(ncols))
+        for row in sparse_rows
+    ]
+
+
 def assert_primitive_spanners(space):
     for row in space.spanners:
-        entries = [c for c in row if c]
-        assert all(c.den.is_one() for c in entries)
-        assert not any(min(col) for col in zip(*(c.num.monomial_content() for c in entries)))
+        entries = list(row.values())
+        assert entries and all(p.terms for p in entries)
+        assert not any(min(col) for col in zip(*(p.monomial_content() for p in entries)))
 
 
 class TestAnnihilatorIntersection:
