@@ -18,8 +18,9 @@ complement slots; candidates are drawn from the reduced basis of the
 target pure space, then from pairwise sums of basis elements, and, when
 the bounded list is exhausted, from the exactly computed subspace
 {delta : delta * D(current) <= D(B')}, which is nonzero whenever any
-completion exists; it is the left kernel of the dot products of
-a^g * D(current) with the annihilator of D(B').  Every accepted
+completion exists; it is the left kernel of the polynomial matrix of
+dot products of a^g * D(current) with the annihilator of D(B'), whose
+kernel vectors are the deltas' rows.  Every accepted
 completion is certified once, by one exact pure-value-space equality in
 ``_complete``; ``check_log`` reports it, and nothing it certified is
 spanned again.  The equality is
@@ -64,7 +65,7 @@ from .errors import (
     PreconditionFailed,
     ZeroSlot,
 )
-from .field import FieldContext, FieldElement, _from_dense, _poly_row, _product_rows
+from .field import FieldContext, FieldElement, _poly_row, _product_rows, _row_mul
 from .linalg import SqSubspace, _dot, _spans, left_kernel
 from .valuation import gf2_mask_rank
 
@@ -257,22 +258,20 @@ def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspa
     delta*u lies in W exactly when that row has dot product 0 with each of
     W's annihilator rows, so the condition is a kernel computation: put
     the dot products of a^g * u with every annihilator row in row g, for
-    every basis monomial a^g, and take the left kernel.
+    every basis monomial a^g, and take the left kernel.  The matrix is
+    polynomial: the row of a^g * u is built from u's sparse row
+    (``field._row_mul``) and scaled by u's denominator whatever g is, so
+    each column carries one nonzero scale, which leaves the kernel as it
+    is.  The kernel vectors are the rows of the deltas themselves.
     """
     ctx = W.ctx
+    u_rows = [_poly_row(u) for u in u_basis]
     rows = []
-    for g in ctx.patterns:
-        mono = ctx.monomial(g)
-        row: list[FieldElement] = []
-        for u in u_basis:
-            prod = mono * u
-            # _poly_row scales the sparse 2-basis row by prod.den, which
-            # varies with g: the constructor strips common monomial factors
-            prod_row = _poly_row(prod)
-            row.extend(FieldElement(ctx, _dot(prod_row, a), prod.den) for a in W.annihilator)
-        rows.append(row)
-    kernel = left_kernel(ctx, rows)
-    return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
+    for g in range(len(ctx.patterns)):
+        prods = [_row_mul(ctx, {g: ctx._one_poly}, r) for r in u_rows]
+        dots = (_dot(prod, a) for prod in prods for a in W.annihilator)
+        rows.append({k: p for k, p in enumerate(dots) if p.terms})
+    return SqSubspace.from_poly_rows(ctx, left_kernel(ctx, rows))
 
 
 def _admissible(

@@ -10,16 +10,21 @@ is unique, so equality, serialization and the deterministic choices
 made by callers all come for free.
 
 A subspace is also described by its annihilator: the rows a with
-x . a = 0 exactly for the rows x of the space, one per non-pivot column,
-read straight off the reduced basis.  Membership is then one polynomial
-dot product per annihilator row, and an intersection is the space
-annihilated by all the inputs' annihilator rows together.  A rank lower
-bound at a fixed point of GF(2^16)^n (``_rank_at_point``) lets
-``SqSubspace.is_span_of`` prove a spanning set without eliminating it.
-Rows that are spanned, tested against an annihilator or ranked at the
-point are sparse (column -> polynomial, ``field._poly_row``): an
-element's coordinates times its denominator, so no fraction is cleared
-on the way in, and a slot product has at most two nonzero coordinates.
+x . a = 0 exactly for the rows x of the space, one per non-pivot column.
+Membership is then one polynomial dot product per annihilator row, and
+an intersection is the space annihilated by all the inputs' annihilator
+rows together.  A rank lower bound at a fixed point of GF(2^16)^n
+(``_rank_at_point``) lets ``SqSubspace.is_span_of`` prove a spanning
+set without eliminating it.  Rows that are spanned, tested against an
+annihilator or ranked at the point are sparse (column -> polynomial,
+``field._poly_row``): an element's coordinates times its denominator,
+so no fraction is cleared on the way in, and a slot product has at most
+two nonzero coordinates.
+
+Every elimination is ``_bareiss_jordan`` on polynomial rows, and every
+null space is read off one by ``_null_vectors``: a space's annihilator
+off its own eliminated rows, an intersection off the stacked
+annihilators, and ``left_kernel`` off a matrix's columns.
 """
 
 from __future__ import annotations
@@ -34,39 +39,8 @@ from .field import FieldContext, FieldElement, Poly, _divexact, _from_dense, _po
 
 __all__ = ["SqSubspace", "representation_over"]
 
-Row = tuple[FieldElement, ...]
 # a polynomial coordinate row by column, zero entries left out
 SparseRow = dict[int, Poly]
-
-
-def _cleared(ctx: FieldContext, row: Sequence[FieldElement]):
-    """Scale a fraction row to polynomial entries; returns (polys, scale).
-
-    Multiplying a row by the product of its distinct denominators does not
-    move its span, and it lets the elimination below stay fraction-free.
-    """
-    dens: list[Poly] = []
-    seen: set[frozenset] = set()
-    for e in row:
-        if not e or e.den.is_one() or e.den.terms in seen:
-            continue
-        seen.add(e.den.terms)
-        dens.append(e.den)
-    scale = ctx._one_poly
-    for d in dens:
-        scale = scale * d
-    zero = Poly(frozenset(), ctx.n)
-    out = []
-    for e in row:
-        if not e:
-            out.append(zero)
-            continue
-        p = e.num
-        for d in dens:
-            if d.terms != e.den.terms:
-                p = p * d
-        out.append(p)
-    return out, scale
 
 
 def _primitive(polys: list[Poly]) -> list[Poly]:
@@ -159,6 +133,29 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
     except NotDivisible as exc:
         raise EliminationInvariant("an update is not divisible by the previous pivot") from exc
     return r, pivots, prev
+
+
+def _null_vectors(
+    ctx: FieldContext, rows: Sequence[Sequence[Poly]], pivots: Sequence[int], last: Poly, ncols: int
+) -> list[list[Poly]]:
+    """The null space of a polynomial matrix eliminated by
+    ``_bareiss_jordan``, given its rows, pivots and final pivot last.
+
+    The first len(pivots) eliminated rows are last times the reduced
+    echelon rows, so the null vector of non-pivot column j, scaled by
+    last, has last at j and column j's entries at the pivots (signs
+    vanish in characteristic 2); a zero column gives the unit vector at j.
+    One primitive vector per non-pivot column, dense.
+    """
+    zero = ctx._zero_poly
+    out = []
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        vec = [zero] * ncols
+        for row, pc in zip(rows, pivots):
+            vec[pc] = row[j]
+        vec[j] = last if any(p.terms for p in vec) else ctx._one_poly
+        out.append(_primitive(vec))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,41 +266,54 @@ class SqSubspace:
     Such a row has no fraction to clear, so the elimination sees the
     elements' own sizes, and a caller keeps it small by keeping its
     operands in lowest terms, as ``common_factor`` does with every slot
-    it chooses.  ``span`` takes field elements and ``from_rows`` dense
-    rows of field elements, and both reach ``from_poly_rows``.
+    it chooses.  ``span`` takes field elements, and ``from_rows`` dense
+    rows of field elements, each turned into the element it stands for.
 
-    Besides the canonical rows the object keeps ``spanners``, its input
-    rows as sparse polynomial rows, which span the same space.  Canonical
-    entries are ratios of elimination minors and grow with the dimension,
-    so ``sum_with`` stacks the spanners instead; the result is identical.
+    The space keeps its eliminated rows, polynomial rows equal to the
+    final pivot ``last`` times the reduced ones: the canonical rows, the
+    ``elements()`` and the annihilator are read off them, and
+    ``contains_subspace`` tests them.  Besides, it keeps ``spanners``,
+    its input rows, which span the same space.  Canonical entries are
+    ratios of elimination minors and grow with the dimension, so
+    ``sum_with`` stacks the spanners instead; the result is identical.
     An intersection keeps one primitive row per vector it reads off:
     polynomial entries without a common monomial factor, so exponents stay
     bounded along a chain of intersections.
 
-    The ``annihilator`` is computed on first use and cached: one row of
-    polynomials per non-pivot column j, with a[j] = 1 and
-    a[p_i] = rows[i][j] for the pivot p_i of row i (signs vanish in
-    characteristic 2), cleared to polynomial entries.  A row x lies in
-    the space exactly when x . a = 0 for every annihilator row: x minus
-    its pivot combination of the basis has zero pivot entries, and its
-    entry at j is x . a.  Membership and ``contains_subspace`` test those
-    dot products; ``intersection`` reads its result off the elimination
-    of the inputs' annihilator rows stacked together.
+    The ``annihilator`` is computed on first use and cached: the null
+    space of the eliminated rows (``_null_vectors``), one primitive row
+    of polynomials per non-pivot column j, with a[j] = last and
+    a[p_i] = the eliminated row i's entry at j for the pivot p_i of row i,
+    read straight off the elimination, with no fraction to clear.  A row
+    x lies in the space exactly when x . a = 0 for every annihilator row:
+    x minus its pivot combination of the basis has zero pivot entries,
+    and its entry at j is x . a up to a nonzero scale.  Membership and
+    ``contains_subspace`` test those dot products; ``intersection`` reads
+    its result off the elimination of the inputs' annihilator rows
+    stacked together, with the same ``_null_vectors``.
     """
 
-    __slots__ = ("ctx", "rows", "pivots", "spanners", "_annihilator", "_elements")
+    __slots__ = (
+        "ctx", "rows", "pivots", "spanners", "_eliminated", "_last", "_annihilator", "_elements"
+    )
 
     def __init__(
         self,
         ctx: FieldContext,
-        rows: Sequence[Row],
         pivots: Sequence[int],
         spanners: Sequence[SparseRow],
+        eliminated: Sequence[Sequence[Poly]],
+        last: Poly,
     ):
         self.ctx = ctx
-        self.rows = tuple(rows)
         self.pivots = tuple(pivots)
         self.spanners = tuple(spanners)
+        self._eliminated = tuple(eliminated)
+        self._last = last
+        self.rows = tuple(
+            tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in polys)
+            for polys in self._eliminated
+        )
         self._annihilator = None
         self._elements = None
 
@@ -323,12 +333,10 @@ class SqSubspace:
                 polys[j] = p
             dense.append(polys)
         rank, pivots, last = _bareiss_jordan(ctx, dense, ncols)
-        rows = []
-        for polys, pc in zip(dense[:rank], pivots):
+        for polys, pc in zip(dense, pivots):
             if polys[pc].terms != last.terms:
                 raise EliminationInvariant("pivot normalization lost during elimination")
-            rows.append(tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in polys))
-        return cls(ctx, rows, pivots, raw)
+        return cls(ctx, pivots, raw, dense[:rank], last)
 
     @classmethod
     def span(cls, ctx: FieldContext, generators: Iterable[FieldElement]) -> SqSubspace:
@@ -338,13 +346,13 @@ class SqSubspace:
 
     @classmethod
     def zero(cls, ctx: FieldContext) -> SqSubspace:
-        return cls(ctx, (), (), ())
+        return cls(ctx, (), (), (), ctx._one_poly)
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]) -> SqSubspace:
-        """F-span of dense coordinate rows of field elements, each scaled
-        to polynomial entries."""
-        return cls.from_poly_rows(ctx, [_sparse(_cleared(ctx, row)[0]) for row in raw_rows])
+        """F-span of dense coordinate rows of field elements: the span of
+        the elements sum c_d^2 * a^d they stand for."""
+        return cls.span(ctx, [_from_dense(ctx, row) for row in raw_rows])
 
     # -- structure -----------------------------------------------------------
 
@@ -358,9 +366,20 @@ class SqSubspace:
 
     def elements(self) -> tuple[FieldElement, ...]:
         """The reduced basis rows turned back into field elements, converted
-        on first use and cached."""
+        on first use and cached.  Eliminated row e stands for the element
+        (sum e_j^2 * a^(d_j)) / last^2, d_j the pattern of column j; the
+        terms of distinct columns differ in their exponents' parities, so
+        nothing cancels."""
         if self._elements is None:
-            self._elements = tuple(_from_dense(self.ctx, row) for row in self.rows)
+            ctx = self.ctx
+            den = self._last.square()
+            out = []
+            for polys in self._eliminated:
+                terms = set()
+                for e, d in zip(polys, ctx.patterns):
+                    terms.update(tuple([2 * x + b for x, b in zip(t, d)]) for t in e.terms)
+                out.append(FieldElement(ctx, Poly(frozenset(terms), ctx.n), den))
+            self._elements = tuple(out)
         return self._elements
 
     def __eq__(self, other):
@@ -376,42 +395,24 @@ class SqSubspace:
 
     # -- membership ------------------------------------------------------------
 
-    def _reduce(self, row: Sequence[FieldElement]):
-        """Eliminate a coordinate row against the basis; returns the
-        coefficient taken at each pivot and the remainder."""
-        rem = list(row)
-        coeffs = []
-        for brow, pc in zip(self.rows, self.pivots):
-            c = rem[pc]
-            coeffs.append(c)
-            if c:
-                rem = [a + c * b for a, b in zip(rem, brow)]
-        return coeffs, rem
-
-    def reduce_row(self, row: Sequence[FieldElement]) -> list[FieldElement]:
-        """Remainder of a coordinate row after elimination against the basis."""
-        return self._reduce(row)[1]
-
     def coordinates_of(self, f: FieldElement) -> tuple[FieldElement, ...] | None:
         """Witness coefficients c_i with f = sum c_i^2 * g_i over the reduced
-        basis g_i, or None when f is not in the subspace."""
-        coeffs, rem = self._reduce(f.frobenius_decompose().dense())
-        return None if any(rem) else tuple(coeffs)
+        basis g_i, or None when f is not in the subspace.  The reduced basis
+        has the identity at its pivots, so the c_i are f's own 2-basis
+        coordinates there."""
+        if f not in self:
+            return None
+        coords = f.frobenius_decompose()
+        return tuple(coords[self.ctx.patterns[pc]] for pc in self.pivots)
 
     @property
     def annihilator(self) -> tuple[tuple[Poly, ...], ...]:
         """Primitive polynomial rows whose common null space is this space."""
         if self._annihilator is None:
-            ctx = self.ctx
-            ncols = len(ctx.patterns)
-            out = []
-            for j in sorted(set(range(ncols)) - set(self.pivots)):
-                raw = [ctx.zero] * ncols
-                raw[j] = ctx.one
-                for row, pc in zip(self.rows, self.pivots):
-                    raw[pc] = row[j]
-                out.append(tuple(_primitive(_cleared(ctx, raw)[0])))
-            self._annihilator = tuple(out)
+            vecs = _null_vectors(
+                self.ctx, self._eliminated, self.pivots, self._last, len(self.ctx.patterns)
+            )
+            self._annihilator = tuple(tuple(v) for v in vecs)
         return self._annihilator
 
     def _annihilates(self, row: SparseRow) -> bool:
@@ -423,7 +424,7 @@ class SqSubspace:
         return self._annihilates(_poly_row(f))
 
     def contains_subspace(self, other: SqSubspace) -> bool:
-        return all(self._annihilates(_sparse(_cleared(self.ctx, row)[0])) for row in other.rows)
+        return all(self._annihilates(_sparse(polys)) for polys in other._eliminated)
 
     def is_span_of(
         self, elements: Sequence[FieldElement], rows: Sequence[SparseRow] | None = None
@@ -459,9 +460,8 @@ class SqSubspace:
 
         It is the null space of the span of every input's annihilator
         rows: one fraction-free elimination of those rows stacked
-        together, then one null vector per non-pivot column, read off
-        the eliminated rows, and ``from_poly_rows`` for the canonical
-        basis.
+        together, the null vectors read off it (``_null_vectors``), and
+        ``from_poly_rows`` for the canonical basis.
         """
         ctx = self.ctx
         spaces = (self, *others)
@@ -471,19 +471,9 @@ class SqSubspace:
             return self
         ncols = len(ctx.patterns)
         stacked = [list(a) for s in spaces for a in s.annihilator]
-        rank, pivots, last = _bareiss_jordan(ctx, stacked, ncols)
-        zero = ctx._zero_poly
-        vecs = []
-        # the eliminated rows are last times the reduced ones, so the null
-        # vector of column j, scaled by last, has last at j and the row
-        # entries at the pivots
-        for j in sorted(set(range(ncols)) - set(pivots)):
-            vec = [zero] * ncols
-            vec[j] = last
-            for row, pc in zip(stacked[:rank], pivots):
-                vec[pc] = row[j]
-            vecs.append(_sparse(_primitive(vec)))
-        return SqSubspace.from_poly_rows(ctx, vecs)
+        _, pivots, last = _bareiss_jordan(ctx, stacked, ncols)
+        vecs = _null_vectors(ctx, stacked, pivots, last, ncols)
+        return SqSubspace.from_poly_rows(ctx, [_sparse(v) for v in vecs])
 
     def to_json(self):
         return [
@@ -492,31 +482,21 @@ class SqSubspace:
         ]
 
 
-def left_kernel(
-    ctx: FieldContext, rows: Sequence[Sequence[FieldElement]]
-) -> list[list[FieldElement]]:
-    """Basis of {x : x * M = 0} for the matrix M with the given rows."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    zero = Poly(frozenset(), ctx.n)
-    aug: list[list[Poly]] = []
-    scales: list[Poly] = []
-    for i, row in enumerate(rows):
-        polys, scale = _cleared(ctx, row)
-        scales.append(scale)
-        aug.append(polys + [ctx._one_poly if j == i else zero for j in range(m)])
-    rank, _, _ = _bareiss_jordan(ctx, aug, ncols)
-    out = []
-    for row in aug[rank:]:
-        # the kernel was computed against scaled rows; fold the per-row
-        # scale back in so the combination annihilates the originals
-        out.append(
-            [
-                FieldElement(ctx, x * s, ctx._one_poly) if x.terms else ctx.zero
-                for x, s in zip(row[ncols:], scales)
-            ]
-        )
-    return out
+def left_kernel(ctx: FieldContext, rows: Sequence[SparseRow]) -> list[SparseRow]:
+    """Basis of {x : x * M = 0} for the polynomial matrix M with the given
+    sparse rows, as sparse rows indexed by the rows of M.
+
+    It is the null space of M's columns: the columns are eliminated as
+    rows, and ``_null_vectors`` reads one primitive vector off per
+    non-pivot row of M.  Scaling a column of M by a nonzero polynomial
+    leaves the kernel as it is, so a caller may clear each column of its
+    own denominators, and no row scale has to be folded back.
+    """
+    zero = ctx._zero_poly
+    columns = sorted({j for row in rows for j in row})
+    transposed = [[row.get(j, zero) for row in rows] for j in columns]
+    _, pivots, last = _bareiss_jordan(ctx, transposed, len(rows))
+    return [_sparse(v) for v in _null_vectors(ctx, transposed, pivots, last, len(rows))]
 
 
 def representation_over(
@@ -527,11 +507,16 @@ def representation_over(
     Unlike SqSubspace.coordinates_of, the combination is over the given
     generators themselves, not over a reduced basis.
     """
-    rows = [g.frobenius_decompose().dense() for g in generators]
-    rows.append(f.frobenius_decompose().dense())
-    # x * rows = 0 with x_f != 0 gives f = sum (x_i / x_f) * g_i on the
-    # coordinate rows (signs vanish in characteristic 2)
-    for x in left_kernel(ctx, rows):
-        if x[-1]:
-            return tuple(c / x[-1] for c in x[:-1])
+    k = len(generators)
+    dens = [g.den for g in generators] + [f.den]
+    # row i of the matrix is element i's coordinate row times dens[i], so
+    # y * rows = 0 gives x_i = y_i * dens[i] with x * coordinate rows = 0;
+    # when x_f != 0, f = sum (x_i / x_f)^2 * generators[i]
+    # (signs vanish in characteristic 2)
+    for y in left_kernel(ctx, [_poly_row(g) for g in (*generators, f)]):
+        if k in y:
+            x_f = y[k] * dens[k]
+            return tuple(
+                FieldElement(ctx, y[i] * dens[i], x_f) if i in y else ctx.zero for i in range(k)
+            )
     return None

@@ -33,7 +33,12 @@ from pflab.cli import main
 from pflab.errors import BadRank
 from pflab.field import _from_dense, _poly_row, _product_rows
 from conftest import CTX2, CTX3, nonzero_elements, nonzero_polys
-from test_linalg import assert_same_space, span_by_frobenius_rows
+from test_linalg import (
+    assert_same_space,
+    left_kernel_reference,
+    reduce_row,
+    span_by_frobenius_rows,
+)
 
 GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "bilinear-family-n4-verify.json"
 GOLDEN_N4_EVIDENCE = json.loads(GOLDEN_N4.read_text())["evidence"]
@@ -643,16 +648,16 @@ def stable_subspace_by_residues(u_basis, W):
         mono = ctx.monomial(g)
         row = []
         for u in u_basis:
-            row.extend(W.reduce_row((mono * u).frobenius_decompose().dense()))
+            row.extend(reduce_row(W, (mono * u).frobenius_decompose().dense()))
         rows.append(row)
-    kernel = linalg.left_kernel(ctx, rows)
+    kernel = left_kernel_reference(ctx, rows)
     return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
 
 
 def _subspaces(ctx, most):
     """Spans of 1..most polynomial generators.  Their reduced bases still
-    carry fractions; with fraction generators some n=3 draws kept either
-    left kernel busy for over 40 s."""
+    carry fractions; with fraction generators some n=3 draws keep the
+    reference's left kernel busy for minutes (see test_fraction_draw)."""
     gens = nonzero_polys(ctx, max_degree=2, max_terms=3).map(
         lambda p: FieldElement(ctx, p, ctx._one_poly)
     )
@@ -691,6 +696,31 @@ class TestStableSubspace:
     @given(_subspaces(CTX3, 2), _subspaces(CTX3, 6))
     def test_n3(self, U, W):
         self.check(U, W)
+
+    def test_fraction_draw(self):
+        # a draw with fraction generators that kept the fraction-row left
+        # kernel busy for minutes; the check multiplies rows, since the
+        # products delta * u as field elements take far longer
+        ctx = FieldContext(3)
+        a1, a2, a3 = ctx.gens
+        one = ctx.one
+        u_gens = [a1, (a1 * a2 * a3 + a1 * a2) / (a2 * a3 + one)]
+        w_gens = [
+            (a1 + a2) / (a1 * a2 + a1),
+            (a1 + a2 * a3) / (a1 * a2),
+            (a1 * a3 + a1) / (a1 * a2 + a2 * a3),
+            (a1 + a2) / (a1 * a3 + a2),
+            (a1 * a2 * a3 + a3) / (a1 * a2 * a3 + a2),
+            (a1 + a2 * a3) / (a1 * a3 + a2),
+        ]
+        W = SqSubspace.span(ctx, w_gens)
+        U = SqSubspace.span(ctx, u_gens)
+        got = bilinear._stable_subspace(U.elements(), W)
+        assert got.dim == 4
+        # each eliminated basis row is delta's row up to a nonzero scale
+        for row in got._eliminated:
+            for u in u_gens:
+                assert W._annihilates(field._row_mul(ctx, linalg._sparse(row), _poly_row(u)))
 
 
 class TestFamily:

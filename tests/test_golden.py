@@ -19,6 +19,9 @@ from pflab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMS = str(GOLDEN / "common_factor_forms.json")
+# corpus 20260814's instance 19 of the sharing benchmark, the one golden
+# input whose run reaches the exact fallback of bilinear._next_slot
+FALLBACK_FORMS = str(GOLDEN / "common_factor_fallback_forms.json")
 
 # file name -> (argv, exit code)
 CASES = {
@@ -43,6 +46,10 @@ CASES = {
     "quat-triple.json": (["quat-triple", "--alpha", "a1", "--beta", "a2"], 0),
     "common-factor-m1.json": (["common-factor", "--m", "1", "--forms", FORMS], 0),
     "common-factor-m2.json": (["common-factor", "--m", "2", "--forms", FORMS], 0),
+    "common-factor-fallback-m2.json": (
+        ["common-factor", "--m", "2", "--forms", FALLBACK_FORMS],
+        0,
+    ),
 }
 
 

@@ -59,12 +59,83 @@ class TestSpan:
         assert span2(ctx2, a1 * c * c) == span2(ctx2, a1)
 
 
+def cleared(ctx, row):
+    """A fraction row scaled to polynomial entries; returns (polys, scale).
+
+    Multiplying a row by the product of its distinct denominators does not
+    move its span.  The clearing the polynomial row path replaced, kept as
+    the references' way into the elimination."""
+    dens = []
+    seen = set()
+    for e in row:
+        if not e or e.den.is_one() or e.den.terms in seen:
+            continue
+        seen.add(e.den.terms)
+        dens.append(e.den)
+    scale = ctx._one_poly
+    for d in dens:
+        scale = scale * d
+    out = []
+    for e in row:
+        if not e:
+            out.append(ctx._zero_poly)
+            continue
+        p = e.num
+        for d in dens:
+            if d.terms != e.den.terms:
+                p = p * d
+        out.append(p)
+    return out, scale
+
+
+def left_kernel_reference(ctx, rows):
+    """Reference for linalg.left_kernel on dense rows of field elements:
+    each row cleared, an identity block appended, the augmented matrix
+    eliminated, and each kernel row's scale folded back in."""
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    aug = []
+    scales = []
+    for i, row in enumerate(rows):
+        polys, scale = cleared(ctx, row)
+        scales.append(scale)
+        aug.append(polys + [ctx._one_poly if j == i else ctx._zero_poly for j in range(m)])
+    rank, _, _ = linalg._bareiss_jordan(ctx, aug, ncols)
+    return [
+        [
+            FieldElement(ctx, x * s, ctx._one_poly) if x.terms else ctx.zero
+            for x, s in zip(row[ncols:], scales)
+        ]
+        for row in aug[rank:]
+    ]
+
+
+def reduce(space, row):
+    """Reference for membership: a dense coordinate row eliminated against
+    the reduced basis; returns the coefficient taken at each pivot and the
+    remainder."""
+    rem = list(row)
+    coeffs = []
+    for brow, pc in zip(space.rows, space.pivots):
+        c = rem[pc]
+        coeffs.append(c)
+        if c:
+            rem = [a + c * b for a, b in zip(rem, brow)]
+    return coeffs, rem
+
+
+def reduce_row(space, row):
+    """Remainder of a dense coordinate row after elimination against the
+    reduced basis."""
+    return reduce(space, row)[1]
+
+
 def span_by_frobenius_rows(ctx, generators):
     """Reference for SqSubspace.span: each generator's dense row of
     Frobenius coordinates, cleared to polynomials by multiplying with
     every distinct denominator in it, then the same elimination and
     read-off.  Returns (rows, pivots) of the reduced basis."""
-    rows = [linalg._cleared(ctx, g.frobenius_decompose().dense())[0] for g in generators if g]
+    rows = [cleared(ctx, g.frobenius_decompose().dense())[0] for g in generators if g]
     rank, pivots, last = linalg._bareiss_jordan(ctx, rows, len(ctx.patterns))
     basis = [
         tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in row)
@@ -151,6 +222,20 @@ class TestMember:
         combo = sum((c * c * g for c, g in zip(coeffs, gens)), ctx2.zero)
         assert combo == a2
 
+    @given(
+        gens=st.lists(elements(CTX2, max_degree=2, max_terms=3), max_size=4),
+        coeffs=st.lists(elements(CTX2, max_degree=1, max_terms=2), min_size=4, max_size=4),
+        noise=st.one_of(st.none(), elements(CTX2, max_degree=2, max_terms=3)),
+    )
+    def test_representation_over_fractions_n2(self, ctx2, gens, coeffs, noise):
+        # fraction generators, often dependent; noise usually moves f out
+        f = sum((c * c * g for c, g in zip(coeffs, gens)), noise or ctx2.zero)
+        got = representation_over(ctx2, gens, f)
+        assert (got is None) == (f not in SqSubspace.span(ctx2, gens))
+        if got is not None:
+            assert len(got) == len(gens)
+            assert sum((c * c * g for c, g in zip(got, gens)), ctx2.zero) == f
+
     def test_zero_is_member(self, ctx2):
         a1, _ = ctx2.gens
         s = span2(ctx2, a1)
@@ -179,8 +264,10 @@ class TestMember:
         s = SqSubspace.span(ctx2, gens)
         f = sum((c * c * g for c, g in zip(coeffs, gens)), noise or ctx2.zero)
         got = s.coordinates_of(f)
-        assert (got is None) == any(s.reduce_row(f.frobenius_decompose().dense()))
+        want, remainder = reduce(s, f.frobenius_decompose().dense())
+        assert (got is None) == any(remainder)
         if got is not None:
+            assert got == tuple(want)
             back = sum((c * c * g for c, g in zip(got, s.elements())), ctx2.zero)
             assert back == f
 
@@ -307,15 +394,29 @@ class TestAgainstTextbookElimination:
 
     @given(rows=sparse_matrices(CTX2))
     def test_left_kernel_n2(self, ctx2, rows):
-        kernel = linalg.left_kernel(ctx2, rows)
+        # each column cleared of its own denominators: polynomial rows with
+        # the same left kernel
+        ncols = len(ctx2.patterns)
+        columns = [cleared(ctx2, [row[j] for row in rows])[0] for j in range(ncols)]
+        poly_rows = [
+            {j: col[i] for j, col in enumerate(columns) if col[i].terms} for i in range(len(rows))
+        ]
+        one = ctx2._one_poly
+        kernel = [
+            [FieldElement(ctx2, x[i], one) if i in x else ctx2.zero for i in range(len(rows))]
+            for x in linalg.left_kernel(ctx2, poly_rows)
+        ]
         rank = len(textbook_rref(rows)[1])
         assert len(kernel) == len(rows) - rank
         for x in kernel:
-            assert len(x) == len(rows)
-            for col in range(len(ctx2.patterns)):
+            for col in range(ncols):
                 assert sum((c * row[col] for c, row in zip(x, rows)), ctx2.zero).is_zero
-        # a basis: the kernel vectors are independent
-        assert len(textbook_rref(kernel)[1]) == len(kernel)
+        # the same kernel as the reference: equal reduced echelon forms,
+        # compared outside the assert as in check_rref
+        got, want = textbook_rref(kernel), textbook_rref(left_kernel_reference(ctx2, rows))
+        assert got[1] == want[1]
+        rows_match = all(g == w for g, w in zip(got[0], want[0]))
+        assert rows_match
 
     @given(r1=sparse_matrices(CTX2, max_rows=4), r2=sparse_matrices(CTX2, max_rows=4))
     def test_intersection_n2(self, ctx2, r1, r2):
@@ -337,7 +438,7 @@ def kernel_intersection(s1, s2):
     first = dense_rows(ctx, s1.spanners)
     stacked = first + dense_rows(ctx, s2.spanners)
     vecs = []
-    for combo in linalg.left_kernel(ctx, stacked):
+    for combo in left_kernel_reference(ctx, stacked):
         row = [ctx.zero] * len(ctx.patterns)
         for c, brow in zip(combo, first):
             if c:
@@ -402,7 +503,7 @@ class TestAnnihilator:
             contents = zip(*(p.monomial_content() for p in a if p.terms))
             assert not any(min(col) for col in contents)
         for row in s.rows:
-            assert s._annihilates(linalg._sparse(linalg._cleared(ctx2, row)[0]))
+            assert s._annihilates(linalg._sparse(cleared(ctx2, row)[0]))
         assert s.contains_subspace(s)
 
     @given(
@@ -415,21 +516,21 @@ class TestAnnihilator:
         # a member built from the basis, and an element that is usually outside
         member = sum((c * c * g for c, g in zip(coeffs, s.elements())), ctx2.zero)
         for x in (member, f, member + f):
-            remainder = s.reduce_row(x.frobenius_decompose().dense())
+            remainder = reduce_row(s, x.frobenius_decompose().dense())
             assert (x in s) == (not any(remainder))
         assert member in s
 
     @given(rows=sparse_matrices(CTX3, max_rows=4), f=elements(CTX3, max_degree=2, max_terms=3))
     def test_membership_agrees_with_reduce_n3(self, ctx3, rows, f):
         s = SqSubspace.from_rows(ctx3, rows)
-        remainder = s.reduce_row(f.frobenius_decompose().dense())
+        remainder = reduce_row(s, f.frobenius_decompose().dense())
         assert (f in s) == (not any(remainder))
 
     @given(r1=sparse_matrices(CTX2, max_rows=4), r2=sparse_matrices(CTX2, max_rows=4))
     def test_contains_subspace_agrees_with_reduce_n2(self, ctx2, r1, r2):
         s1 = SqSubspace.from_rows(ctx2, r1)
         s2 = SqSubspace.from_rows(ctx2, r2)
-        by_reduce = all(not any(s1.reduce_row(row)) for row in s2.rows)
+        by_reduce = all(not any(reduce_row(s1, row)) for row in s2.rows)
         assert s1.contains_subspace(s2) == by_reduce
 
 
