@@ -37,6 +37,17 @@ read the products' sparse polynomial rows, built from the slots' rows
 (``field._product_rows``), so no coordinate row of fractions is cleared
 of its denominators.
 
+The candidate search runs on sparse rows too.  Each candidate is a row
+of an elimination (the target pure space's, a sum of two of them, or
+the fallback space's), its element's row times the elimination's final
+pivot.  It is outside U when some annihilator row of U misses it, and
+its products with U lie in the target when ``field._row_mul`` of it and
+each of U's product rows is annihilated; a nonzero scale per row
+changes neither test.  Only the accepted candidate becomes a field
+element, read off its row by ``field._row_element``, the conversion
+``SqSubspace.elements()`` uses.  So a pass of ``common_factor`` builds
+no product of field elements.
+
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` from each member's claimed pure space,
 taken as GF(2) bitmasks whose annihilator is one known 0/1 row, and the
@@ -65,8 +76,15 @@ from .errors import (
     PreconditionFailed,
     ZeroSlot,
 )
-from .field import FieldContext, FieldElement, _poly_row, _product_rows, _row_mul
-from .linalg import SqSubspace, _dot, _spans, left_kernel
+from .field import (
+    FieldContext,
+    FieldElement,
+    _poly_row,
+    _product_rows,
+    _row_element,
+    _row_mul,
+)
+from .linalg import SparseRow, SqSubspace, _dot, _sparse, _spans, left_kernel
 from .valuation import gf2_mask_rank
 
 __all__ = [
@@ -251,21 +269,21 @@ def _mixed_pure_space(
     return SqSubspace.from_poly_rows(ctx, [row for e, row in enumerate(rows) if e & low])
 
 
-def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspace:
-    """The F^2-subspace {delta in F : delta * U <= W}, U spanned by u_basis.
+def _stable_subspace(u_rows: Sequence[SparseRow], W: SqSubspace) -> SqSubspace:
+    """The F^2-subspace {delta in F : delta * U <= W}, U spanned by the
+    elements of the sparse rows u_rows, each up to a nonzero scale.
 
     For fixed u the row of delta*u is F-linear in the row of delta, and
     delta*u lies in W exactly when that row has dot product 0 with each of
     W's annihilator rows, so the condition is a kernel computation: put
     the dot products of a^g * u with every annihilator row in row g, for
     every basis monomial a^g, and take the left kernel.  The matrix is
-    polynomial: the row of a^g * u is built from u's sparse row
-    (``field._row_mul``) and scaled by u's denominator whatever g is, so
-    each column carries one nonzero scale, which leaves the kernel as it
-    is.  The kernel vectors are the rows of the deltas themselves.
+    polynomial: the row of a^g * u is built from u's row
+    (``field._row_mul``) and carries u's scale whatever g is, so each
+    column carries one nonzero scale, which leaves the kernel as it is.
+    The kernel vectors are the rows of the deltas themselves.
     """
     ctx = W.ctx
-    u_rows = [_poly_row(u) for u in u_basis]
     rows = []
     for g in range(len(ctx.patterns)):
         prods = [_row_mul(ctx, {g: ctx._one_poly}, r) for r in u_rows]
@@ -275,45 +293,62 @@ def _stable_subspace(u_basis: Sequence[FieldElement], W: SqSubspace) -> SqSubspa
 
 
 def _admissible(
-    delta: FieldElement, U: SqSubspace, u_basis: Sequence[FieldElement], W: SqSubspace
+    row: SparseRow, U: SqSubspace, u_rows: Sequence[SparseRow], W: SqSubspace
 ) -> bool:
-    """Whether delta extends the current slot list: anisotropy is kept
-    (delta outside the current value field U) and every new pure product
-    delta*u, u in the basis u_basis of U, stays inside the target pure
-    space W."""
-    if delta.is_zero:
+    """Whether the candidate delta of the sparse row extends the current
+    slot list: anisotropy is kept (delta outside the current value field
+    U) and every new pure product delta*u, u of a row in u_rows spanning
+    U, stays inside the target pure space W.
+
+    Each row is its element's 2-basis row times a nonzero scale, and
+    ``field._row_mul`` of two rows is the product's row times both
+    scales, so both tests are annihilator dot products on rows, with no
+    product built as a field element, and decide as they would on the
+    elements themselves.  An empty row is delta = 0, never a slot."""
+    if not row or U._annihilates(row):
         return False
-    if delta in U:
-        return False
-    return all((delta * u) in W for u in u_basis)
+    return all(W._annihilates(_row_mul(W.ctx, row, r)) for r in u_rows)
 
 
 def _next_slot(
-    U: SqSubspace, W: SqSubspace, u_basis: Sequence[FieldElement]
+    U: SqSubspace, W: SqSubspace, u_rows: Sequence[SparseRow]
 ) -> FieldElement | None:
     """The first admissible slot: a basis element of W, a sum of two, or
-    an element of the exact candidate subspace.  u_basis is any basis of
-    U; both tests depend only on its span.
+    a basis element of the exact candidate subspace.  u_rows are the
+    sparse rows of any spanning set of U, each up to a nonzero scale
+    (``_complete`` passes U's product rows); both tests depend only on
+    the span.
 
-    The slot is returned in lowest terms, one gcd per chosen slot: the
-    candidates are sums of ratios of elimination minors, and a slot is a
-    factor of every product built after it.
+    The candidates are tried as rows: W's eliminated rows, each last
+    times a reduced row, then sums of two of them, which share that
+    scale, then the eliminated rows of the fallback space.  Only the one
+    candidate accepted is turned into a field element, read off its row
+    by ``field._row_element`` as (sum e_j^2 * a^(d_j)) / last^2, the
+    conversion of ``SqSubspace.elements()``.  It is returned in lowest
+    terms, one gcd per chosen slot: the entries are elimination minors,
+    and a slot is a factor of every product built after it.  Lowest
+    terms over GF(2) are unique, so the slot is the one the elements
+    would give.
     """
-    basis = W.elements()
-    for cand in basis:
-        if _admissible(cand, U, u_basis, W):
-            return cand.lowest_terms()
-    for a, b in itertools.combinations(basis, 2):
-        cand = a + b
-        if _admissible(cand, U, u_basis, W):
-            return cand.lowest_terms()
+    for row, last in _candidate_rows(u_rows, W):
+        if _admissible(row, U, u_rows, W):
+            return _row_element(W.ctx, row, last).lowest_terms()
+    return None
+
+
+def _candidate_rows(u_rows: Sequence[SparseRow], W: SqSubspace):
+    """The candidates of ``_next_slot`` in order, as (sparse row, scale):
+    W's eliminated rows, the sums of two of them, then the eliminated rows
+    of the fallback space, which is computed only when it is reached."""
+    for polys in W._eliminated:
+        yield _sparse(polys), W._last
+    for a, b in itertools.combinations(W._eliminated, 2):
+        yield _sparse([x + y for x, y in zip(a, b)]), W._last
     # bounded search exhausted: fall back to the exact candidate subspace,
     # which is nonzero iff any completion step exists at all
-    stable = _stable_subspace(u_basis, W)
-    for cand in stable.elements():
-        if _admissible(cand, U, u_basis, W):
-            return cand.lowest_terms()
-    return None
+    stable = _stable_subspace(u_rows, W)
+    for polys in stable._eliminated:
+        yield _sparse(polys), stable._last
 
 
 def _complete(
@@ -325,41 +360,47 @@ def _complete(
     D(form') plus 0, with 1 outside it, so its full value space is form's
     too.  Any failure raises CompletionNotFound.
 
-    The equality is W.is_span_of(products), W the form's pure space, in
-    three exact steps:
+    The equality is W.is_span_of on the products' rows, W the form's
+    pure space, in three exact steps:
 
       1. every nontrivial product lies in W: its 2-basis row, scaled by
-         its denominator, has dot product 0 with W's annihilator rows;
-      2. the product rows, scaled to polynomials, have rank dim W at the
-         fixed point of linalg._rank_at_point in GF(2^16)^n.  A minor
-         that is 0 over F is 0 at every point, so the rank over F is at
-         least that, and span(products) <= W then fills W;
+         a nonzero polynomial, has dot product 0 with W's annihilator rows;
+      2. the product rows have rank dim W at the fixed point of
+         linalg._rank_at_point in GF(2^16)^n.  A minor that is 0 over F
+         is 0 at every point, so the rank over F is at least that, and
+         span(products) <= W then fills W;
       3. 1 is not in W: 1's row is e_0, so this reads column 0 of W's
          annihilator.
 
-    Only when the rank at the point falls short are the products spanned
+    Only when the rank at the point falls short are the rows spanned
     exactly and compared with W.
 
-    U and the certification read the products' sparse rows, built from
-    the slots' rows by ``field._product_rows``; the slots that
-    ``_next_slot`` adds are in lowest terms, so the rows stay small.
+    No product is built as a field element.  The products' sparse rows
+    start as ``field._product_rows`` of the given slots and grow by one
+    slot at a time: the new slot is the last, the lowest bit of e, so
+    each old row r is followed by ``_row_mul`` of the slot's row and r,
+    which is exact, so the rows are those ``_product_rows`` builds.  U is
+    spanned from them, ``_next_slot`` tests its candidates against them,
+    and the certification reads them; the slots that ``_next_slot`` adds
+    are in lowest terms, so the rows stay small.
     """
     ctx = form.ctx
     W = form.pure_value_space()
+    rows = _product_rows(ctx, slots)
     while len(slots) < form.fold:
-        U = SqSubspace.from_poly_rows(ctx, _product_rows(ctx, slots))
+        U = SqSubspace.from_poly_rows(ctx, rows)
         if U.dim != 2 ** len(slots):
             raise CompletionNotFound("partial slot list became isotropic")
-        # the products are 2^k elements spanning a space of dimension 2^k
-        cand = _next_slot(U, W, _products(ctx, slots))
+        cand = _next_slot(U, W, rows)
         if cand is None:
             raise CompletionNotFound(
                 f"no admissible slot extends {len(slots)} of {form.fold} slots"
             )
         slots = slots + (cand,)
+        new = _poly_row(cand)
+        rows = [x for r in rows for x in (r, _row_mul(ctx, new, r))]
     # 1 outside W reads column 0 of W's annihilator: 1's row is e_0
-    certified = W.is_span_of(_products(ctx, slots)[1:], _product_rows(ctx, slots)[1:])
-    if not certified or ctx.one in W:
+    if not W.is_span_of(rows=rows[1:]) or ctx.one in W:
         raise CompletionNotFound("completion failed the exact certification")
     return slots
 
@@ -390,8 +431,8 @@ def factor_out(
     if not form.is_anisotropic():
         raise IsotropicInput("cannot factor an isotropic form")
     # the stated factorization must actually hold
-    products = _products(ctx, tuple(rho_slots) + tuple(known_complement))[1:]
-    if not form.pure_value_space().is_span_of(products):
+    rows = _product_rows(ctx, tuple(rho_slots) + tuple(known_complement))[1:]
+    if not form.pure_value_space().is_span_of(rows=rows):
         raise PreconditionFailed("rho and known_complement do not recombine to the form")
     return _complete(rho_slots + (beta,), form)[len(rho_slots) + 1 :]
 

@@ -652,6 +652,19 @@ def _poly_row(f: FieldElement) -> dict[int, Poly]:
     return {columns[d]: s for d, s in _halves(f).items()}
 
 
+def _row_element(ctx: FieldContext, row: dict[int, Poly], scale: Poly) -> FieldElement:
+    """The element whose sparse 2-basis row, times the nonzero scale, is
+    row: (sum e_j^2 * a^(d_j)) / scale^2, d_j the pattern of column j.
+    The terms of distinct columns differ in their exponents' parities, so
+    nothing cancels.  The inverse of ``_poly_row`` up to the scale."""
+    patterns = ctx._patterns
+    terms = set()
+    for j, e in row.items():
+        d = patterns[j]
+        terms.update(tuple([2 * x + b for x, b in zip(t, d)]) for t in e.terms)
+    return FieldElement(ctx, Poly(frozenset(terms), ctx.n), scale.square())
+
+
 def _row_mul(ctx: FieldContext, r1: dict[int, Poly], r2: dict[int, Poly]) -> dict[int, Poly]:
     """The sparse 2-basis row of x*y from the rows of x and y.
 

@@ -35,7 +35,15 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import EliminationInvariant, NotDivisible
-from .field import FieldContext, FieldElement, Poly, _divexact, _from_dense, _poly_row
+from .field import (
+    FieldContext,
+    FieldElement,
+    Poly,
+    _divexact,
+    _from_dense,
+    _poly_row,
+    _row_element,
+)
 
 __all__ = ["SqSubspace", "representation_over"]
 
@@ -367,19 +375,13 @@ class SqSubspace:
     def elements(self) -> tuple[FieldElement, ...]:
         """The reduced basis rows turned back into field elements, converted
         on first use and cached.  Eliminated row e stands for the element
-        (sum e_j^2 * a^(d_j)) / last^2, d_j the pattern of column j; the
-        terms of distinct columns differ in their exponents' parities, so
-        nothing cancels."""
+        (sum e_j^2 * a^(d_j)) / last^2, d_j the pattern of column j
+        (``field._row_element``, which ``bilinear._next_slot`` reads its
+        accepted slot off with, too)."""
         if self._elements is None:
-            ctx = self.ctx
-            den = self._last.square()
-            out = []
-            for polys in self._eliminated:
-                terms = set()
-                for e, d in zip(polys, ctx.patterns):
-                    terms.update(tuple([2 * x + b for x, b in zip(t, d)]) for t in e.terms)
-                out.append(FieldElement(ctx, Poly(frozenset(terms), ctx.n), den))
-            self._elements = tuple(out)
+            self._elements = tuple(
+                _row_element(self.ctx, _sparse(polys), self._last) for polys in self._eliminated
+            )
         return self._elements
 
     def __eq__(self, other):
@@ -427,27 +429,30 @@ class SqSubspace:
         return all(self._annihilates(_sparse(polys)) for polys in other._eliminated)
 
     def is_span_of(
-        self, elements: Sequence[FieldElement], rows: Sequence[SparseRow] | None = None
+        self, elements: Sequence[FieldElement] = (), rows: Sequence[SparseRow] | None = None
     ) -> bool:
-        """Whether the F^2-span of elements is exactly this space.
+        """Whether the F^2-span of some elements is exactly this space.
 
-        Three facts decide it.  Every element lies in the space, by the
-        annihilator dot products, so their span is inside it.  Their rows,
-        scaled to polynomials, have rank at least dim at the fixed point of
+        The elements are given by their sparse rows: rows, when given,
+        each an element's 2-basis row up to a nonzero scale
+        (``field._product_rows`` builds them for slot products, with no
+        product built as a field element), else ``field._poly_row`` of
+        each of elements.  Three facts decide it.  Every row has dot
+        product 0 with the annihilator rows, so the span is inside the
+        space.  The rows have rank at least dim at the fixed point of
         ``_rank_at_point``; substituting values for the variables can only
         lower a rank, since a minor that vanishes over F vanishes at every
         point, so the span has dimension at least dim and fills the space.
-        Only when the rank at the point falls short are the elements
-        spanned exactly and compared.  The first two facts are ``_spans``,
-        on the elements' sparse rows: rows, when given, each up to a
-        nonzero scale (``field._product_rows`` builds them for slot
-        products), else ``field._poly_row`` of each element.
+        Those two are ``_spans``.  Only when the rank at the point falls
+        short are the rows spanned exactly (``from_poly_rows``) and the
+        result compared; a nonzero scale per row leaves their span as it
+        is, so the verdict is that of the elements' own span.
         """
         if rows is None:
             rows = [_poly_row(e) for e in elements]
         decided = _spans(self.ctx, self.annihilator, self.dim, rows)
         if decided is None:
-            return SqSubspace.span(self.ctx, elements) == self
+            return SqSubspace.from_poly_rows(self.ctx, rows) == self
         return decided
 
     # -- lattice operations -----------------------------------------------------

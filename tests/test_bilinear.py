@@ -29,9 +29,9 @@ from pflab import (
     verify_no_common_slot_family,
 )
 from pflab import bilinear, field, linalg
-from pflab.cli import main
+from pflab.cli import _read_forms, main
 from pflab.errors import BadRank
-from pflab.field import _from_dense, _poly_row, _product_rows
+from pflab.field import _from_dense, _poly_row, _product_rows, _row_element
 from conftest import CTX2, CTX3, nonzero_elements, nonzero_polys
 from test_linalg import (
     assert_same_space,
@@ -40,7 +40,8 @@ from test_linalg import (
     span_by_frobenius_rows,
 )
 
-GOLDEN_N4 = Path(__file__).resolve().parent / "golden" / "bilinear-family-n4-verify.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_N4 = GOLDEN / "bilinear-family-n4-verify.json"
 GOLDEN_N4_EVIDENCE = json.loads(GOLDEN_N4.read_text())["evidence"]
 
 
@@ -432,6 +433,14 @@ def sharing_instance(ctx3, corpus_seed, index):
     return m, [BilinearPfister(ctx3, slots) for slots in families[m - 1]]
 
 
+def fallback_forms():
+    """Fresh forms of corpus 20260814's instance 19 from its golden forms
+    file: the one golden input whose run reaches the exact fallback of
+    bilinear._next_slot."""
+    data = json.loads((GOLDEN / "common_factor_fallback_forms.json").read_text())
+    return _read_forms(FieldContext(data["n"]), data["forms"])
+
+
 class TestCommonFactor:
     @pytest.mark.parametrize("index", [19, 45])
     def test_heavy_instances_keep_operands_small(self, ctx3, monkeypatch, index):
@@ -490,10 +499,10 @@ class TestCommonFactor:
     def test_wrong_last_slot_fails_certification(self, ctx3, monkeypatch):
         real = bilinear._next_slot
 
-        def wrong_last(U, W, u_basis):
+        def wrong_last(U, W, u_rows):
             # at m=2 the two rho slots are in place and one slot is missing;
             # any element of U repeats a value, so the list is isotropic
-            return U.elements()[-1] if U.dim == 4 else real(U, W, u_basis)
+            return U.elements()[-1] if U.dim == 4 else real(U, W, u_rows)
 
         monkeypatch.setattr(bilinear, "_next_slot", wrong_last)
         with pytest.raises(CompletionNotFound, match="exact certification"):
@@ -502,10 +511,10 @@ class TestCommonFactor:
     @pytest.mark.parametrize("m", [1, 2])
     def test_short_specialization_takes_exact_span(self, ctx3, monkeypatch, m):
         # a point at which every rank falls short: each certification then
-        # eliminates its products exactly, one span more per form and round,
-        # and the witness is the same
+        # eliminates its product rows exactly, one span more per form and
+        # round, and the witness is the same
         spans = []
-        real_span = SqSubspace.span
+        real_span = SqSubspace.from_poly_rows
 
         def counted(cls, *args):
             spans.append(1)
@@ -518,7 +527,7 @@ class TestCommonFactor:
             spans.clear()
             return common_factor(m, forms).to_json(), len(spans)
 
-        monkeypatch.setattr(SqSubspace, "span", classmethod(counted))
+        monkeypatch.setattr(SqSubspace, "from_poly_rows", classmethod(counted))
         want, plain = run()
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
         got, short = run()
@@ -561,6 +570,31 @@ class TestCommonFactor:
             monkeypatch.setattr(SqSubspace, name, classmethod(counted))
         assert common_factor(m, forms) is not None
         assert sum(calls) <= most
+
+    def test_builds_no_products(self, monkeypatch):
+        # corpus 20260814's instance 19, whose run reaches the exact
+        # fallback: candidates are tested on rows, products are built as
+        # rows, and only accepted slots become field elements
+        forms = fallback_forms()
+        want = common_factor(2, forms).to_json()
+        forms = fallback_forms()
+        fallbacks = []
+        real = bilinear._stable_subspace
+
+        def refuse(self, other):
+            raise AssertionError("a field-element product was built")
+
+        def counted(u_rows, W):
+            fallbacks.append(1)
+            return real(u_rows, W)
+
+        monkeypatch.setattr(FieldElement, "__mul__", refuse)
+        monkeypatch.setattr(FieldElement, "__rmul__", refuse)
+        monkeypatch.setattr(bilinear, "_stable_subspace", counted)
+        witness = common_factor(2, forms)
+        monkeypatch.undo()
+        assert fallbacks == [1]
+        assert witness.to_json() == want
 
     def test_m_bounds(self, ctx2, b0):
         with pytest.raises(ValueError):
@@ -613,10 +647,11 @@ class TestNextSlot:
         monkeypatch.setattr(SqSubspace, "elements", counted("elements", SqSubspace.elements))
         for name in ("_admissible", "_stable_subspace"):
             monkeypatch.setattr(bilinear, name, counted(name, getattr(bilinear, name)))
-        slot = bilinear._next_slot(U, W, U.elements())
+        slot = bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])
         assert slot is not None and slot not in U
         assert calls["_admissible"] > 3 and calls["_stable_subspace"] == 1
-        # one conversion each for U, W and the fallback space
+        # at most one conversion each for U, W and the fallback space; the
+        # row search itself converts none of them
         assert calls["elements"] <= 3
 
     def test_elements_cached(self, ctx3):
@@ -630,12 +665,13 @@ class TestNextSlot:
         a1, a2, a3 = ctx3.gens
         form = BilinearPfister(ctx3, (ctx3.one + a1 * a2, a1, a1 * a2 + a3))
         W = form.pure_value_space()
-        products = bilinear._products(ctx3, (ctx3.one + a3 + a1 * a3,))
+        slots = (ctx3.one + a3 + a1 * a3,)
+        products = bilinear._products(ctx3, slots)
         U = SqSubspace.span(ctx3, products)
         assert products != list(U.elements())
-        slot = bilinear._next_slot(U, W, products)
+        slot = bilinear._next_slot(U, W, _product_rows(ctx3, slots))
         assert slot is not None
-        assert slot == bilinear._next_slot(U, W, U.elements())
+        assert slot == bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])
 
 
 def stable_subspace_by_residues(u_basis, W):
@@ -664,6 +700,101 @@ def _subspaces(ctx, most):
     return st.lists(gens, min_size=1, max_size=most).map(lambda g: SqSubspace.span(ctx, g))
 
 
+def admissible_by_elements(delta, U, u_basis, W):
+    """Reference for bilinear._admissible: the element test, delta outside
+    U and every product delta * u built as a field element and tested
+    for membership in W."""
+    if delta.is_zero:
+        return False
+    if delta in U:
+        return False
+    return all((delta * u) in W for u in u_basis)
+
+
+def next_slot_by_elements(U, W, u_basis):
+    """Reference for bilinear._next_slot: the same candidates in the same
+    order, built as field elements.  The fallback space is
+    bilinear._stable_subspace of the elements' rows, which TestStableSubspace
+    checks against the residue-matrix reference; the reference itself
+    takes minutes on some of these spaces."""
+    basis = W.elements()
+    for cand in basis:
+        if admissible_by_elements(cand, U, u_basis, W):
+            return cand.lowest_terms()
+    for a, b in itertools.combinations(basis, 2):
+        cand = a + b
+        if admissible_by_elements(cand, U, u_basis, W):
+            return cand.lowest_terms()
+    for cand in bilinear._stable_subspace([_poly_row(u) for u in u_basis], W).elements():
+        if admissible_by_elements(cand, U, u_basis, W):
+            return cand.lowest_terms()
+    return None
+
+
+class TestRowSearch:
+    """The row search of bilinear._next_slot against the element search,
+    and the one-row conversion it reads its slot off with."""
+
+    @staticmethod
+    def check(slots, W):
+        ctx = W.ctx
+        u_basis = bilinear._products(ctx, slots)
+        U = SqSubspace.span(ctx, u_basis)
+        got = bilinear._next_slot(U, W, _product_rows(ctx, slots))
+        want = next_slot_by_elements(U, W, u_basis)
+        if want is None:
+            assert got is None
+        else:
+            # both in lowest terms, which are unique over GF(2)
+            assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+    @given(st.lists(polynomial_slots(CTX2), min_size=1, max_size=2), _subspaces(CTX2, 3))
+    def test_n2(self, slots, W):
+        self.check(slots, W)
+
+    @given(st.lists(polynomial_slots(CTX3), min_size=1, max_size=2), _subspaces(CTX3, 6))
+    def test_n3(self, slots, W):
+        self.check(slots, W)
+
+    def test_fallback_instance(self, monkeypatch):
+        # every search of corpus 20260814's instance 19, one of which takes
+        # its slot from the fallback space; random targets rarely get there
+        # cheaply, since the fallback space's canonical basis is costly
+        forms = fallback_forms()
+        searches = []
+        fallbacks = []
+        real_next, real_stable = bilinear._next_slot, bilinear._stable_subspace
+
+        def recorded(U, W, u_rows):
+            slot = real_next(U, W, u_rows)
+            searches.append((U, W, slot))
+            return slot
+
+        def counted(u_rows, W):
+            fallbacks.append(len(searches))
+            return real_stable(u_rows, W)
+
+        monkeypatch.setattr(bilinear, "_next_slot", recorded)
+        monkeypatch.setattr(bilinear, "_stable_subspace", counted)
+        assert common_factor(2, forms) is not None
+        monkeypatch.undo()
+        assert len(fallbacks) == 1 and searches[fallbacks[0]][2] is not None
+        for U, W, slot in searches:
+            want = next_slot_by_elements(U, W, U.elements())
+            assert (slot.num.terms, slot.den.terms) == (want.num.terms, want.den.terms)
+
+    @given(_subspaces(CTX3, 6))
+    def test_row_conversion(self, W):
+        ctx = W.ctx
+        rows = [linalg._sparse(polys) for polys in W._eliminated]
+        for i, row in enumerate(rows):
+            got = _row_element(ctx, row, W._last)
+            assert got == W.elements()[i] == _from_dense(ctx, W.rows[i])
+        for (i, a), (j, b) in itertools.combinations(enumerate(W._eliminated), 2):
+            pair = linalg._sparse([x + y for x, y in zip(a, b)])
+            assert _row_element(ctx, pair, W._last) == W.elements()[i] + W.elements()[j]
+
+
 class TestStableSubspace:
     """{delta : delta * U <= W} through W's annihilator rows against the
     residue-matrix reference, compared as canonical subspaces."""
@@ -671,7 +802,7 @@ class TestStableSubspace:
     @staticmethod
     def check(U, W):
         u_basis = U.elements()
-        got = bilinear._stable_subspace(u_basis, W)
+        got = bilinear._stable_subspace([_poly_row(u) for u in u_basis], W)
         assert got == stable_subspace_by_residues(u_basis, W)
         for delta in got.elements():
             assert all((delta * u) in W for u in u_basis)
@@ -715,7 +846,7 @@ class TestStableSubspace:
         ]
         W = SqSubspace.span(ctx, w_gens)
         U = SqSubspace.span(ctx, u_gens)
-        got = bilinear._stable_subspace(U.elements(), W)
+        got = bilinear._stable_subspace([_poly_row(u) for u in U.elements()], W)
         assert got.dim == 4
         # each eliminated basis row is delta's row up to a nonzero scale
         for row in got._eliminated:

@@ -19,8 +19,8 @@ from pflab import (
     build_no_common_slot_family,
     representation_over,
 )
-from pflab import linalg
-from pflab.field import _poly_row
+from pflab import bilinear, linalg
+from pflab.field import _poly_row, _product_rows
 from conftest import CTX2, CTX3, elements, nonzero_polys
 
 
@@ -631,17 +631,32 @@ class TestRankAtPoint:
         gens = [a1, a2, a1 * a2]
         W = SqSubspace.span(ctx2, gens)
         calls = []
-        real_span = SqSubspace.span
+        real_span = SqSubspace.from_poly_rows
 
         def counted(cls, *args):
             calls.append(1)
             return real_span(*args)
 
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
-        monkeypatch.setattr(SqSubspace, "span", classmethod(counted))
+        monkeypatch.setattr(SqSubspace, "from_poly_rows", classmethod(counted))
         assert W.is_span_of(gens)
         assert not W.is_span_of(gens[:2])
         assert len(calls) == 2
+
+    def test_short_rank_spans_the_rows(self, ctx3, monkeypatch):
+        # slot product rows carry the product of the slots' denominators,
+        # not the product's own: a2 cancels from b1 * b2 but not its row
+        a1, a2, a3 = ctx3.gens
+        slots = (a1 / a2, a2 / (a1 + a3))
+        products = bilinear._products(ctx3, slots)[1:]
+        rows = _product_rows(ctx3, slots)[1:]
+        assert rows != [_poly_row(p) for p in products]
+        W = SqSubspace.span(ctx3, products)
+        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
+        # the exact fallback decides both ways, as the elements' span does
+        for k, verdict in ((3, True), (2, False)):
+            assert (SqSubspace.span(ctx3, products[:k]) == W) is verdict
+            assert W.is_span_of(rows=rows[:k]) is verdict
 
 
 def random_space(ctx, rng_elements):
