@@ -23,8 +23,13 @@ two nonzero coordinates.
 
 Every elimination is ``_bareiss_jordan`` on polynomial rows, and every
 null space is read off one by ``_null_vectors``: a space's annihilator
-off its own eliminated rows, an intersection off the stacked
-annihilators, and ``left_kernel`` off a matrix's columns.
+off its own eliminated rows, ``left_kernel`` off a matrix's columns,
+and ``SqSubspace.null_space`` (an intersection, the fallback space of
+``bilinear._stable_subspace``) off a matrix eliminated with its columns
+reversed.  By matroid duality, the pivots taken from the right are the
+complement of the null space's reduced-echelon pivots, so that read-off
+is already the reduced basis, every row times the one final pivot, and
+no second elimination is needed.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .field import (
     FieldElement,
     Poly,
     _divexact,
-    _from_dense,
     _poly_row,
     _row_element,
 )
@@ -144,7 +148,12 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
 
 
 def _null_vectors(
-    ctx: FieldContext, rows: Sequence[Sequence[Poly]], pivots: Sequence[int], last: Poly, ncols: int
+    ctx: FieldContext,
+    rows: Sequence[Sequence[Poly]],
+    pivots: Sequence[int],
+    last: Poly,
+    ncols: int,
+    reverse: bool = False,
 ) -> list[list[Poly]]:
     """The null space of a polynomial matrix eliminated by
     ``_bareiss_jordan``, given its rows, pivots and final pivot last.
@@ -152,17 +161,41 @@ def _null_vectors(
     The first len(pivots) eliminated rows are last times the reduced
     echelon rows, so the null vector of non-pivot column j, scaled by
     last, has last at j and column j's entries at the pivots (signs
-    vanish in characteristic 2); a zero column gives the unit vector at j.
-    One primitive vector per non-pivot column, dense.
+    vanish in characteristic 2).  Read forward, as for an annihilator or
+    ``left_kernel``, each vector is made primitive, a zero column gives
+    the unit vector at j, and the vectors are dense.
+
+    With reverse, the rows were eliminated with their columns reversed,
+    and the vectors come out in the matrix's own column order, last times
+    the reduced echelon rows of the null space V, ascending by pivot.  By
+    matroid duality the pivots taken from the right are the complement of
+    V's reduced-echelon pivots, so the non-pivot columns are exactly those,
+    and no second elimination is needed.  A vector without last at its own
+    column, or with a nonzero entry to the left of it, means the pivots
+    were wrong and raises EliminationInvariant, as do pivots that are not
+    ascending and inside the matrix.
     """
+    if len(pivots) > len(rows) or not all(
+        0 <= p < q for p, q in zip(pivots, [*pivots[1:], ncols])
+    ):
+        raise EliminationInvariant("pivots out of order or outside the matrix")
     zero = ctx._zero_poly
+    free = sorted(set(range(ncols)) - set(pivots))
     out = []
-    for j in sorted(set(range(ncols)) - set(pivots)):
+    for j in reversed(free) if reverse else free:
         vec = [zero] * ncols
         for row, pc in zip(rows, pivots):
             vec[pc] = row[j]
-        vec[j] = last if any(p.terms for p in vec) else ctx._one_poly
-        out.append(_primitive(vec))
+        if reverse:
+            vec[j] = last
+            vec.reverse()
+            k = ncols - 1 - j
+            if vec[k].terms != last.terms or any(p.terms for p in vec[:k]):
+                raise EliminationInvariant("null vector not in reduced echelon form")
+            out.append(vec)
+        else:
+            vec[j] = last if any(p.terms for p in vec) else ctx._one_poly
+            out.append(_primitive(vec))
     return out
 
 
@@ -267,26 +300,31 @@ def _spans(
 class SqSubspace:
     """An F^2-subspace of F with a canonical reduced row basis.
 
-    Every space but ``zero`` is built by one constructor,
-    ``from_poly_rows``, from sparse polynomial rows (column -> ``Poly``):
+    Every space but ``zero`` is built by one of two constructors.
+    ``from_poly_rows`` spans sparse polynomial rows (column -> ``Poly``):
     an element's 2-basis row times its denominator (``field._poly_row``),
     or the rows of all slot products at once (``field._product_rows``).
     Such a row has no fraction to clear, so the elimination sees the
     elements' own sizes, and a caller keeps it small by keeping its
     operands in lowest terms, as ``common_factor`` does with every slot
     it chooses.  ``span`` takes field elements, and ``from_rows`` dense
-    rows of field elements, each turned into the element it stands for.
+    rows of field elements, each scaled by its denominators' product.
+    ``null_space`` takes the rows the space is the null space of, as
+    ``intersection`` and ``bilinear._stable_subspace`` do; it eliminates
+    them once, with their columns reversed, and the null vectors it reads
+    off are the space's eliminated rows, with no second elimination.
 
-    The space keeps its eliminated rows, polynomial rows equal to the
-    final pivot ``last`` times the reduced ones: the canonical rows, the
+    The space keeps its eliminated rows, polynomial rows equal to one
+    common scale ``last`` times the reduced ones: the final pivot of the
+    elimination that built it, either way.  The canonical rows, the
     ``elements()`` and the annihilator are read off them, and
     ``contains_subspace`` tests them.  Besides, it keeps ``spanners``,
     its input rows, which span the same space.  Canonical entries are
     ratios of elimination minors and grow with the dimension, so
     ``sum_with`` stacks the spanners instead; the result is identical.
-    An intersection keeps one primitive row per vector it reads off:
-    polynomial entries without a common monomial factor, so exponents stay
-    bounded along a chain of intersections.
+    A null space keeps one primitive row per vector it reads off as its
+    spanners: polynomial entries without a common monomial factor, so
+    exponents stay bounded along a chain of intersections.
 
     The ``annihilator`` is computed on first use and cached: the null
     space of the eliminated rows (``_null_vectors``), one primitive row
@@ -296,9 +334,9 @@ class SqSubspace:
     x lies in the space exactly when x . a = 0 for every annihilator row:
     x minus its pivot combination of the basis has zero pivot entries,
     and its entry at j is x . a up to a nonzero scale.  Membership and
-    ``contains_subspace`` test those dot products; ``intersection`` reads
-    its result off the elimination of the inputs' annihilator rows
-    stacked together, with the same ``_null_vectors``.
+    ``contains_subspace`` test those dot products; ``intersection`` is
+    the ``null_space`` of the inputs' annihilator rows stacked together,
+    read off with the same ``_null_vectors``.
     """
 
     __slots__ = (
@@ -358,9 +396,34 @@ class SqSubspace:
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]) -> SqSubspace:
-        """F-span of dense coordinate rows of field elements: the span of
-        the elements sum c_d^2 * a^d they stand for."""
-        return cls.span(ctx, [_from_dense(ctx, row) for row in raw_rows])
+        """F-span of dense coordinate rows of field elements, each scaled
+        by P, the product of its distinct denominators, to the sparse
+        polynomial row c_j.num * (P / c_j.den), which spans the same line."""
+        poly_rows = []
+        for row in raw_rows:
+            dens = {c.den.terms: c.den for c in row if c and not c.den.is_one()}
+            scale = ctx._one_poly
+            for d in dens.values():
+                scale = scale * d
+            poly_rows.append({
+                j: c.num * (scale if c.den.is_one() else _divexact(scale, c.den))
+                for j, c in enumerate(row)
+                if c
+            })
+        return cls.from_poly_rows(ctx, poly_rows)
+
+    @classmethod
+    def null_space(cls, ctx: FieldContext, rows: Iterable[Sequence[Poly]]) -> SqSubspace:
+        """The space of the rows x with x . r = 0 for every dense
+        polynomial row r, from one elimination of the rows with their
+        columns reversed: ``_null_vectors`` reads the eliminated rows off
+        it, last times the reduced ones, with no second elimination."""
+        ncols = len(ctx.patterns)
+        flipped = [list(reversed(r)) for r in rows if any(p.terms for p in r)]
+        _, pivots, last = _bareiss_jordan(ctx, flipped, ncols)
+        vecs = _null_vectors(ctx, flipped, pivots, last, ncols, reverse=True)
+        free = sorted(set(range(ncols)) - {ncols - 1 - p for p in pivots})
+        return cls(ctx, free, [_sparse(_primitive(v)) for v in vecs], vecs, last)
 
     # -- structure -----------------------------------------------------------
 
@@ -464,21 +527,16 @@ class SqSubspace:
         """The intersection of this space with all the others.
 
         It is the null space of the span of every input's annihilator
-        rows: one fraction-free elimination of those rows stacked
-        together, the null vectors read off it (``_null_vectors``), and
-        ``from_poly_rows`` for the canonical basis.
+        rows: ``null_space`` of those rows stacked together, one
+        fraction-free elimination whose read-off is already the reduced
+        basis, every row with the scale last.
         """
-        ctx = self.ctx
         spaces = (self, *others)
         if any(s.is_zero for s in spaces):
-            return SqSubspace.zero(ctx)
+            return SqSubspace.zero(self.ctx)
         if not others:
             return self
-        ncols = len(ctx.patterns)
-        stacked = [list(a) for s in spaces for a in s.annihilator]
-        _, pivots, last = _bareiss_jordan(ctx, stacked, ncols)
-        vecs = _null_vectors(ctx, stacked, pivots, last, ncols)
-        return SqSubspace.from_poly_rows(ctx, [_sparse(v) for v in vecs])
+        return SqSubspace.null_space(self.ctx, [a for s in spaces for a in s.annihilator])
 
     def to_json(self):
         return [
@@ -493,9 +551,12 @@ def left_kernel(ctx: FieldContext, rows: Sequence[SparseRow]) -> list[SparseRow]
 
     It is the null space of M's columns: the columns are eliminated as
     rows, and ``_null_vectors`` reads one primitive vector off per
-    non-pivot row of M.  Scaling a column of M by a nonzero polynomial
-    leaves the kernel as it is, so a caller may clear each column of its
-    own denominators, and no row scale has to be folded back.
+    non-pivot row of M, forward, so the basis is not reduced.  Scaling a
+    column of M by a nonzero polynomial leaves the kernel as it is, so a
+    caller may clear each column of its own denominators, and no row
+    scale has to be folded back.  Only ``representation_over`` calls it,
+    and it needs one vector with a nonzero last entry, not a canonical
+    basis; a space that must be canonical is a ``SqSubspace.null_space``.
     """
     zero = ctx._zero_poly
     columns = sorted({j for row in rows for j in row})

@@ -34,6 +34,7 @@ from pflab.errors import BadRank
 from pflab.field import _from_dense, _poly_row, _product_rows, _row_element
 from conftest import CTX2, CTX3, nonzero_elements, nonzero_polys
 from test_linalg import (
+    assert_same_null_space,
     assert_same_space,
     left_kernel_reference,
     reduce_row,
@@ -690,6 +691,20 @@ def stable_subspace_by_residues(u_basis, W):
     return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
 
 
+def stable_subspace_two_step(u_rows, W):
+    """Reference for bilinear._stable_subspace: the two-step path it
+    replaced, the left kernel of the matrix whose row g holds the dot
+    products of a^g * u with W's annihilator rows, spanned again by
+    ``from_poly_rows`` for the reduced basis."""
+    ctx = W.ctx
+    rows = []
+    for g in range(len(ctx.patterns)):
+        prods = [field._row_mul(ctx, {g: ctx._one_poly}, r) for r in u_rows]
+        dots = (linalg._dot(prod, a) for prod in prods for a in W.annihilator)
+        rows.append({k: p for k, p in enumerate(dots) if p.terms})
+    return SqSubspace.from_poly_rows(ctx, linalg.left_kernel(ctx, rows))
+
+
 def _subspaces(ctx, most):
     """Spans of 1..most polynomial generators.  Their reduced bases still
     carry fractions; with fraction generators some n=3 draws keep the
@@ -802,8 +817,10 @@ class TestStableSubspace:
     @staticmethod
     def check(U, W):
         u_basis = U.elements()
-        got = bilinear._stable_subspace([_poly_row(u) for u in u_basis], W)
+        u_rows = [_poly_row(u) for u in u_basis]
+        got = bilinear._stable_subspace(u_rows, W)
         assert got == stable_subspace_by_residues(u_basis, W)
+        assert_same_null_space(got, stable_subspace_two_step(u_rows, W))
         for delta in got.elements():
             assert all((delta * u) in W for u in u_basis)
         return got

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pflab import (
@@ -21,7 +21,7 @@ from pflab import (
 )
 from pflab import bilinear, linalg
 from pflab.field import _poly_row, _product_rows
-from conftest import CTX2, CTX3, elements, nonzero_polys
+from conftest import CTX2, CTX3, elements, nonzero_polys, polys
 
 
 def span2(ctx2, *gens):
@@ -327,6 +327,113 @@ class TestEliminationInvariant:
             SqSubspace.from_rows(ctx2, rows)
         assert isinstance(info.value.__cause__, NotDivisible)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda pivots, ncols: [p + 1 for p in pivots], id="shifted"),
+            pytest.param(lambda pivots, ncols: [*pivots[:-1], ncols], id="outside"),
+            pytest.param(lambda pivots, ncols: pivots[::-1], id="descending"),
+        ],
+    )
+    def test_corrupt_pivots_are_typed(self, ctx2, monkeypatch, corrupt):
+        real = linalg._bareiss_jordan
+
+        def stub(ctx, rows, search_cols):
+            rank, pivots, last = real(ctx, rows, search_cols)
+            return rank, corrupt(pivots, search_cols), last
+
+        monkeypatch.setattr(linalg, "_bareiss_jordan", stub)
+        one, zero = ctx2._one_poly, ctx2._zero_poly
+        a1 = ctx2.gens[0].num
+        # two rows with pivots 0 and 1 once the columns are reversed, and a
+        # nonzero entry right of each, so a shifted pivot reads it as a
+        # nonzero entry left of its own column
+        rows = [[one, zero, a1, one], [zero, one, one, zero]]
+        with pytest.raises(PflabError):
+            SqSubspace.null_space(ctx2, rows)
+
+
+def null_space_reference(ctx, rows):
+    """Reference for SqSubspace.null_space: the two-step path it replaced,
+    the forward read-off of ``_null_vectors`` spanned again by
+    ``from_poly_rows`` for the reduced basis."""
+    ncols = len(ctx.patterns)
+    stacked = [list(r) for r in rows]
+    _, pivots, last = linalg._bareiss_jordan(ctx, stacked, ncols)
+    vecs = linalg._null_vectors(ctx, stacked, pivots, last, ncols)
+    return SqSubspace.from_poly_rows(ctx, [linalg._sparse(v) for v in vecs])
+
+
+def assert_same_null_space(got, want):
+    assert got.pivots == want.pivots
+    # compared outside the assert, so a failure does not print the rows
+    rows_match = got.rows == want.rows
+    assert rows_match
+
+
+@st.composite
+def poly_matrices(draw, ctx, max_rows):
+    """Dense polynomial matrices over the 2^n columns with whole zero rows
+    and columns, many ones, and up to max_rows rows, or triangular ones of
+    full rank up to a column permutation, so that the null space runs from
+    the whole space down to zero."""
+    ncols = len(ctx.patterns)
+    zero, one = ctx._zero_poly, ctx._one_poly
+    entry = st.one_of(st.sampled_from([zero, zero, one]), polys(ctx, max_degree=2, max_terms=2))
+    if draw(st.integers(0, 4)) == 0:
+        perm = draw(st.permutations(range(ncols)))
+        rows = [[draw(entry) for _ in range(ncols)] for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for k in range(i):
+                row[perm[k]] = zero
+            row[perm[i]] = draw(nonzero_polys(ctx, max_degree=2, max_terms=2))
+        return rows
+    dead = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([zero] * ncols)
+        else:
+            rows.append([zero if j in dead else draw(entry) for j in range(ncols)])
+    return rows
+
+
+def _identity(ctx):
+    ncols = len(ctx.patterns)
+    return [[ctx._one_poly if i == j else ctx._zero_poly for j in range(ncols)] for i in range(ncols)]
+
+
+class TestNullSpace:
+    """SqSubspace.null_space, read off one elimination of the reversed
+    columns, against the forward read-off spanned again."""
+
+    @given(rows=poly_matrices(CTX2, max_rows=5))
+    @example(rows=[])
+    @example(rows=[[CTX2._zero_poly] * 4] * 2)
+    @example(rows=_identity(CTX2))
+    def test_n2(self, ctx2, rows):
+        self.check(ctx2, rows)
+
+    @given(rows=poly_matrices(CTX3, max_rows=9))
+    @example(rows=[])
+    @example(rows=_identity(CTX3))
+    def test_n3(self, ctx3, rows):
+        self.check(ctx3, rows)
+
+    @staticmethod
+    def check(ctx, rows):
+        got = SqSubspace.null_space(ctx, rows)
+        assert_same_null_space(got, null_space_reference(ctx, rows))
+        # every eliminated row is last times a reduced row, in the space
+        for polys_ in got._eliminated:
+            assert all(not linalg._dot(linalg._sparse(polys_), r).terms for r in rows)
+        assert all(polys_[pc] == got._last for polys_, pc in zip(got._eliminated, got.pivots))
+
+    def test_extremes(self, ctx2):
+        assert SqSubspace.null_space(ctx2, _identity(ctx2)).is_zero
+        whole = SqSubspace.null_space(ctx2, [])
+        assert whole.dim == 4 and whole.annihilator == ()
+
 
 def textbook_rref(rows):
     """Plain Gauss-Jordan over field fractions: pivot rows scaled to 1,
@@ -482,6 +589,8 @@ class TestAnnihilatorIntersection:
         assert got.pivots == want.pivots
         rows_match = got.rows == want.rows
         assert rows_match
+        stacked = [a for s in spaces for a in s.annihilator]
+        assert_same_null_space(got, null_space_reference(ctx, stacked))
         if len(spaces) > 1 and not got.is_zero:
             assert_primitive_spanners(got)
 
