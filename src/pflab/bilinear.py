@@ -48,6 +48,12 @@ element, read off its row by ``field._row_element``, the conversion
 ``SqSubspace.elements()`` uses.  So a pass of ``common_factor`` builds
 no product of field elements.
 
+Within a round of ``common_factor`` every form is completed from the same
+head slots (rho's slots and beta), so the round spans the head's product
+rows once, as U, and passes U to every ``_complete``; the next round's
+mixed spaces are spanned from the product rows ``_complete`` built, not
+rebuilt from the slots.
+
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` from each member's claimed pure space,
 taken as GF(2) bitmasks whose annihilator is one known 0/1 row, and the
@@ -257,18 +263,21 @@ def _mixed_pure_space(
     ctx: FieldContext,
     rho_slots: Sequence[FieldElement],
     complement: Sequence[FieldElement],
+    rows: Sequence[SparseRow] | None = None,
 ) -> SqSubspace:
     """Span of r * p with r any rho product and p a nontrivial complement
     product; this is D(rho tensor pi') plus 0.
 
     Those are the products of rho's slots followed by the complement's
     whose complement bits, the low ones, are not all 0, so the space is
-    spanned from their sparse rows (``field._product_rows``), built from
-    the slots' rows, with no product built as a field element.  In
-    ``common_factor`` every one of those slots is in lowest terms.
+    spanned from their sparse rows, built from the slots' rows
+    (``field._product_rows``) unless rows, the product rows of those
+    slots, are given, with no product built as a field element.
+    In ``common_factor`` every one of those slots is in lowest terms.
     """
     low = 2 ** len(complement) - 1
-    rows = _product_rows(ctx, tuple(rho_slots) + tuple(complement))
+    if rows is None:
+        rows = _product_rows(ctx, tuple(rho_slots) + tuple(complement))
     return SqSubspace.from_poly_rows(ctx, [row for e, row in enumerate(rows) if e & low])
 
 
@@ -358,13 +367,16 @@ def _candidate_rows(u_rows: Sequence[SparseRow], W: SqSubspace):
 
 
 def _complete(
-    slots: tuple[FieldElement, ...], form: BilinearPfister
-) -> tuple[FieldElement, ...]:
+    slots: tuple[FieldElement, ...],
+    form: BilinearPfister,
+    U: SqSubspace | None = None,
+) -> tuple[tuple[FieldElement, ...], list[SparseRow]]:
     """Extend slots to a slot list of form: the one certification of a
     factorization.  Partial lists only need to stay anisotropic; the final
     one is proved by one exact equality, span(nontrivial products) ==
     D(form') plus 0, with 1 outside it, so its full value space is form's
-    too.  Any failure raises CompletionNotFound.
+    too.  Any failure raises CompletionNotFound.  Returns the full slot
+    list and its product rows.
 
     The equality is W.is_span_of on the products' rows, W the form's
     pure space, in three exact steps:
@@ -389,12 +401,20 @@ def _complete(
     spanned from them, ``_next_slot`` tests its candidates against them,
     and the certification reads them; the slots that ``_next_slot`` adds
     are in lowest terms, so the rows stay small.
+
+    The given slots are the same for every form of a ``common_factor``
+    round, so the round passes their span U, built once for all forms;
+    its spanners are the slots' product rows, since ``from_poly_rows``
+    keeps its nonempty input rows in order and no product of nonzero
+    slots is 0.  The dimension check on U is still made for each form.
+    Without U (as from ``factor_out``) the rows and U are built here.
     """
     ctx = form.ctx
     W = form.pure_value_space()
-    rows = _product_rows(ctx, slots)
+    rows = list(U.spanners) if U is not None else _product_rows(ctx, slots)
     while len(slots) < form.fold:
-        U = SqSubspace.from_poly_rows(ctx, rows)
+        if U is None:
+            U = SqSubspace.from_poly_rows(ctx, rows)
         if U.dim != 2 ** len(slots):
             raise CompletionNotFound("partial slot list became isotropic")
         cand = _next_slot(U, W, rows)
@@ -405,10 +425,11 @@ def _complete(
         slots = slots + (cand,)
         new = _poly_row(cand)
         rows = [x for r in rows for x in (r, _row_mul(ctx, new, r))]
+        U = None
     # 1 outside W reads column 0 of W's annihilator: 1's row is e_0
     if not W.is_span_of(rows=rows[1:]) or ctx.one in W:
         raise CompletionNotFound("completion failed the exact certification")
-    return slots
+    return slots, rows
 
 
 def factor_out(
@@ -431,16 +452,16 @@ def factor_out(
     rho_slots: tuple[FieldElement, ...] = () if rho is None else rho.slots
     if rho is not None and rho.ctx != ctx:
         raise ContextMismatch("rho over a different field context")
-    mixed = _mixed_pure_space(ctx, rho_slots, known_complement)
+    rows = _product_rows(ctx, tuple(rho_slots) + tuple(known_complement))
+    mixed = _mixed_pure_space(ctx, rho_slots, known_complement, rows)
     if beta.is_zero or beta not in mixed:
         raise PreconditionFailed("beta is not a nonzero value of rho tensor pi'")
     if not form.is_anisotropic():
         raise IsotropicInput("cannot factor an isotropic form")
     # the stated factorization must actually hold
-    rows = _product_rows(ctx, tuple(rho_slots) + tuple(known_complement))[1:]
-    if not form.pure_value_space().is_span_of(rows=rows):
+    if not form.pure_value_space().is_span_of(rows=rows[1:]):
         raise PreconditionFailed("rho and known_complement do not recombine to the form")
-    return _complete(rho_slots + (beta,), form)[len(rho_slots) + 1 :]
+    return _complete(rho_slots + (beta,), form)[0][len(rho_slots) + 1 :]
 
 
 @dataclass(frozen=True)
@@ -477,7 +498,14 @@ class FactorWitness:
 
 def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | None:
     """Extract a verified m-fold common factor, or None when the slot
-    intersection dies before m slots are collected."""
+    intersection dies before m slots are collected.
+
+    Each round intersects the mixed pure spaces, takes beta, and completes
+    every form from the head rho + beta.  The head is the same for every
+    form, so the span U of its product rows is built once per round and
+    shared by every ``_complete``.  Each completion returns its full
+    product rows, the rows of rho + beta + complement, and the next
+    round's mixed spaces are spanned from them."""
     pures = _pure_spaces(forms)
     ctx = forms[0].ctx
     n = forms[0].fold
@@ -488,9 +516,16 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
 
     rho_slots: tuple[FieldElement, ...] = ()
     comps = [tuple(f.slots) for f in forms]
+    # the product rows of rho_slots + comps[i], as the last round's
+    # _complete built them
+    comp_rows: list = [None] * len(forms)
     for _ in range(m):
         # with rho empty, the mixed space is the pure value space
-        spaces = [_mixed_pure_space(ctx, rho_slots, c) for c in comps] if rho_slots else pures
+        spaces = (
+            [_mixed_pure_space(ctx, rho_slots, c, r) for c, r in zip(comps, comp_rows)]
+            if rho_slots
+            else pures
+        )
         inter = spaces[0].intersection(*spaces[1:])
         if inter.is_zero:
             return None
@@ -501,7 +536,11 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
         # rho + comp presents the form: its own slots in round 1, certified
         # by the previous round's _complete after that
         head = rho_slots + (beta,)
-        comps = [_complete(head, f)[len(head) :] for f in forms]
+        # the head's span U is the same for every form
+        U = SqSubspace.from_poly_rows(ctx, _product_rows(ctx, head))
+        done = [_complete(head, f, U) for f in forms]
+        comps = [slots[len(head) :] for slots, _ in done]
+        comp_rows = [rows for _, rows in done]
         rho_slots = head
 
     # _complete raised unless every form's last certification held

@@ -48,8 +48,9 @@ __all__ = ["parse_element", "main", "console_main"]
 # The family certificate at n=9 takes about 3 s and at n=10 about 10 s,
 # both near 20 MB: it builds each member's product rows from its slots'
 # rows and takes one member's claim masks at a time.  --subset spans
-# every chosen member's pure space exactly, 2^n - 1 dimensions each (the
-# whole n=7 family in about 19 s), so it keeps the bound of 8.
+# every chosen member's pure space exactly, 2^n - 1 dimensions each: the
+# whole n=7 family in about 1.1 s and the whole n=8 family in about 8 s
+# at 240 MB.  n=9 is unmeasured, so it keeps the bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
 _MAX_N = 6

@@ -30,6 +30,15 @@ reversed.  By matroid duality, the pivots taken from the right are the
 complement of the null space's reduced-echelon pivots, so that read-off
 is already the reduced basis, every row times the one final pivot, and
 no second elimination is needed.
+
+``_bareiss_jordan`` rescales lazily.  A sweep would multiply every row
+whose pivot-column entry is 0 by p_k / p_(k-1) at each pivot p_k; those
+factors telescope to p_k / p_j, so each row records the pivot p_j it
+was last brought to and is brought up to date once, when it is next
+updated, chosen as the pivot row, or at the end.  Each catch-up
+division is exact, because its quotient is the entry the eager sweep
+would hold, an elimination minor, and the output is the eager sweep's
+row for row.
 """
 
 from __future__ import annotations
@@ -85,6 +94,18 @@ def _annihilated(row: SparseRow, annihilator: Sequence[Sequence[Poly]]) -> bool:
     return all(not _dot(row, a).terms for a in annihilator)
 
 
+def _caught_up(row: list[Poly], target: Poly, level: Poly) -> list[Poly]:
+    """A row of ``_bareiss_jordan`` last brought to the pivot level, brought
+    to the pivot target: each entry times target / level, one product and
+    one exact division per nonzero entry, with no division when level is 1
+    and nothing to do when the two pivots are equal."""
+    if target.terms == level.terms:
+        return row
+    if level.is_one():
+        return [target * a if a.terms else a for a in row]
+    return [_divexact(target * a, level) if a.terms else a for a in row]
+
+
 def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int):
     """One-step fraction-free Gauss-Jordan elimination, in place.
 
@@ -96,15 +117,29 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
     the final pivot, so one division per entry recovers the reduced
     echelon form.  Returns (rank, pivots, final pivot).
 
-    The matrices are sparse, so zeros are never multiplied: an entry
-    whose own value is zero updates to c*b/prev, one whose pivot-row
-    partner is zero (or whose row has c = 0) to p*a/prev, and a zero
-    stays zero.  The p*a/prev case is a plain rescaling, so when p equals
-    prev such entries, and whole rows with c = 0, are left as they are;
-    every pivot entry still ends equal to the final pivot.  An inexact
-    division means a broken kernel and raises EliminationInvariant.
+    The matrices are sparse, so zeros are never multiplied, and a row
+    whose pivot-column entry is 0 is not touched: the sweep would only
+    rescale it by p_k / p_(k-1), p_k the pivot of step k.  Those factors
+    telescope, so a row last brought to the pivot p_j of step j stands
+    for itself times p_k / p_j after step k, and each row records its p_j.
+    A skipped row is brought up to date only when it is needed: chosen
+    as the pivot row (``_caught_up`` to p_(k-1), one product and one
+    division per entry), or at the end (to the final pivot).  Every such
+    division is exact, since its quotient is the entry the eager sweep
+    would hold, an elimination minor.  A row updated at step k needs no
+    catch-up at all: its update (p*a + c*b) / p_(k-1), written in its
+    stored entries a and c, is (p*a + c*b) / p_j, exact for the same
+    reason, and costs what the eager update does.  An entry whose
+    pivot-row partner is zero updates to p*a / p_j, which is a when p
+    equals p_j.  The pivot search tests entries only for zero, which a
+    nonzero scale does not move, so the pivots, the rank, the final pivot
+    and every row at the end, the rows past the rank too, are those of
+    the eager sweep.  An inexact division means a broken kernel and
+    raises EliminationInvariant.
     """
     prev = ctx._one_poly
+    # level[i]: the pivot row i was last brought to
+    level = [prev] * len(rows)
     pivots: list[int] = []
     r = 0
     nrows = len(rows)
@@ -114,19 +149,19 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
+            level[r], level[pr] = level[pr], level[r]
+            prow = rows[r] = _caught_up(rows[r], prev, level[r])
             p = prow[col]
-            trivial = prev.is_one()
-            same = p.terms == prev.terms
             for i in range(nrows):
-                if i == r:
-                    continue
                 c = rows[i][col]
-                if not c.terms and same:
+                if i == r or not c.terms:
                     continue
+                q = level[i]
+                trivial = q.is_one()
+                same = p.terms == q.terms
                 new = []
                 for a, b in zip(rows[i], prow):
-                    if not c.terms or not b.terms:
+                    if not b.terms:
                         if not a.terms or same:
                             new.append(a)
                             continue
@@ -135,13 +170,17 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
                         t = p * a + c * b
                     else:
                         t = c * b
-                    new.append(t if trivial or not t.terms else _divexact(t, prev))
+                    new.append(t if trivial or not t.terms else _divexact(t, q))
                 rows[i] = new
+                level[i] = p
+            level[r] = p
             pivots.append(col)
             prev = p
             r += 1
             if r == nrows:
                 break
+        for i in range(nrows):
+            rows[i] = _caught_up(rows[i], prev, level[i])
     except NotDivisible as exc:
         raise EliminationInvariant("an update is not divisible by the previous pivot") from exc
     return r, pivots, prev
@@ -316,8 +355,10 @@ class SqSubspace:
 
     The space keeps its eliminated rows, polynomial rows equal to one
     common scale ``last`` times the reduced ones: the final pivot of the
-    elimination that built it, either way.  The canonical rows, the
-    ``elements()`` and the annihilator are read off them, and
+    elimination that built it, either way.  The canonical ``rows`` of
+    field elements, the ``elements()`` and the annihilator are read off
+    them, each on first use, so building, intersecting or testing a space
+    builds no field element; ``dim`` counts them, and
     ``contains_subspace`` tests them.  Besides, it keeps ``spanners``,
     its input rows, which span the same space.  Canonical entries are
     ratios of elimination minors and grow with the dimension, so
@@ -340,7 +381,7 @@ class SqSubspace:
     """
 
     __slots__ = (
-        "ctx", "rows", "pivots", "spanners", "_eliminated", "_last", "_annihilator", "_elements"
+        "ctx", "pivots", "spanners", "_eliminated", "_last", "_rows", "_annihilator", "_elements"
     )
 
     def __init__(
@@ -356,10 +397,7 @@ class SqSubspace:
         self.spanners = tuple(spanners)
         self._eliminated = tuple(eliminated)
         self._last = last
-        self.rows = tuple(
-            tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in polys)
-            for polys in self._eliminated
-        )
+        self._rows = None
         self._annihilator = None
         self._elements = None
 
@@ -428,12 +466,26 @@ class SqSubspace:
     # -- structure -----------------------------------------------------------
 
     @property
+    def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
+        """The canonical reduced basis: dense rows of field elements, each
+        eliminated row divided by last.  Built on first read and cached;
+        equality, hashing and ``to_json`` read it, while building,
+        intersecting and testing a space do not."""
+        if self._rows is None:
+            ctx, last = self.ctx, self._last
+            self._rows = tuple(
+                tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in polys)
+                for polys in self._eliminated
+            )
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._eliminated)
 
     @property
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._eliminated
 
     def elements(self) -> tuple[FieldElement, ...]:
         """The reduced basis rows turned back into field elements, converted

@@ -442,6 +442,12 @@ def fallback_forms():
     return _read_forms(FieldContext(data["n"]), data["forms"])
 
 
+def golden_forms():
+    """Fresh forms of the golden m=1 and m=2 common-factor runs."""
+    data = json.loads((GOLDEN / "common_factor_forms.json").read_text())
+    return _read_forms(FieldContext(data["n"]), data["forms"])
+
+
 class TestCommonFactor:
     @pytest.mark.parametrize("index", [19, 45])
     def test_heavy_instances_keep_operands_small(self, ctx3, monkeypatch, index):
@@ -546,7 +552,7 @@ class TestCommonFactor:
         with pytest.raises(CompletionNotFound, match="exact certification"):
             bilinear._complete((a1, ctx2.one + a2), b0)
         assert ranks == []
-        assert bilinear._complete((a1, a2), b0) == (a1, a2)
+        assert bilinear._complete((a1, a2), b0)[0] == (a1, a2)
         assert ranks == [1]
 
     @pytest.mark.parametrize("m, most", [(1, 17), (2, 28)])
@@ -571,6 +577,48 @@ class TestCommonFactor:
             monkeypatch.setattr(SqSubspace, name, classmethod(counted))
         assert common_factor(m, forms) is not None
         assert sum(calls) <= most
+
+    def test_round_head_spanned_once(self, monkeypatch):
+        # every form of a round completes the same head slots (rho, beta):
+        # their product rows and span U are built once per round, and the
+        # next round's mixed spaces read the rows _complete built.  A span
+        # is counted in the round of the head rows built before it, since a
+        # round-1 completion may span the slots that head round 2
+        forms = golden_forms()
+        ctx = forms[0].ctx
+        for f in forms:
+            f.pure_value_space()
+        built, spanned = [], []
+        real_rows = bilinear._product_rows
+        real_span = SqSubspace.from_poly_rows
+
+        def counted_rows(ctx, slots):
+            built.append(tuple(slots))
+            return real_rows(ctx, slots)
+
+        def counted_span(cls, ctx, rows):
+            rows = list(rows)
+            spanned.append((len(built), rows))
+            return real_span(ctx, rows)
+
+        monkeypatch.setattr(bilinear, "_product_rows", counted_rows)
+        monkeypatch.setattr(SqSubspace, "from_poly_rows", classmethod(counted_span))
+        witness = common_factor(2, forms)
+        monkeypatch.undo()
+        golden = json.loads((GOLDEN / "common-factor-m2.json").read_text())
+        assert witness.to_json() == golden["evidence"]["witness"]
+        heads = [witness.rho.slots[:1], witness.rho.slots[:2]]
+        assert built == heads
+        for k, head in enumerate(heads, 1):
+            rows = _product_rows(ctx, head)
+            assert sum(r == rows for j, r in spanned if j == k) == 1
+        # factor_out, called on its own, builds its own head rows and U and
+        # completes each form as the witness does, round by round
+        first = common_factor(1, golden_forms())
+        rho = BilinearPfister(ctx, witness.rho.slots[:1])
+        for form, comp, done in zip(golden_forms(), first.complements, witness.complements):
+            assert factor_out(rho.slots[0], None, form, form.slots) == comp
+            assert factor_out(witness.rho.slots[1], rho, form, comp) == done
 
     def test_builds_no_products(self, monkeypatch):
         # corpus 20260814's instance 19, whose run reaches the exact

@@ -435,6 +435,120 @@ class TestNullSpace:
         assert whole.dim == 4 and whole.annihilator == ()
 
 
+def bareiss_jordan_reference(ctx, rows, search_cols):
+    """Reference for linalg._bareiss_jordan: the eager sweep it replaced,
+    which rescales every other row by p / prev at every pivot p that
+    differs from the previous one, prev.  Divides through
+    ``linalg._divexact``, so a patch there counts both kernels."""
+    prev = ctx._one_poly
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for col in range(search_cols):
+        pr = next((i for i in range(r, nrows) if rows[i][col].terms), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        trivial = prev.is_one()
+        same = p.terms == prev.terms
+        for i in range(nrows):
+            if i == r:
+                continue
+            c = rows[i][col]
+            if not c.terms and same:
+                continue
+            new = []
+            for a, b in zip(rows[i], prow):
+                if not c.terms or not b.terms:
+                    if not a.terms or same:
+                        new.append(a)
+                        continue
+                    t = p * a
+                elif a.terms:
+                    t = p * a + c * b
+                else:
+                    t = c * b
+                new.append(t if trivial or not t.terms else linalg._divexact(t, prev))
+            rows[i] = new
+        pivots.append(col)
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots, prev
+
+
+@st.composite
+def kernel_inputs(draw, ctx, max_rows):
+    """(rows, search_cols) for _bareiss_jordan: the matrices of
+    ``poly_matrices``, either searched over a drawn prefix of the columns
+    or followed by an identity block that is not searched, the shape
+    ``left_kernel_reference`` eliminates."""
+    rows = draw(poly_matrices(ctx, max_rows))
+    ncols = len(ctx.patterns)
+    if draw(st.booleans()):
+        zero, one = ctx._zero_poly, ctx._one_poly
+        m = len(rows)
+        rows = [row + [one if j == i else zero for j in range(m)] for i, row in enumerate(rows)]
+        return rows, ncols
+    return rows, draw(st.integers(0, ncols))
+
+
+class TestLazyRescale:
+    """_bareiss_jordan, which brings a skipped row up to the current pivot
+    only when it is next used, against the eager sweep, row for row."""
+
+    @given(inputs=kernel_inputs(CTX2, max_rows=5))
+    @example(inputs=([], 4))
+    @example(inputs=([[CTX2._zero_poly] * 4] * 3, 4))
+    @example(inputs=(_identity(CTX2), 2))
+    def test_n2(self, ctx2, inputs):
+        self.check(ctx2, *inputs)
+
+    @given(inputs=kernel_inputs(CTX3, max_rows=6))
+    @example(inputs=([], 8))
+    @example(inputs=(_identity(CTX3), 8))
+    def test_n3(self, ctx3, inputs):
+        self.check(ctx3, *inputs)
+
+    @staticmethod
+    def check(ctx, rows, search_cols):
+        got_rows = [list(r) for r in rows]
+        want_rows = [list(r) for r in rows]
+        got = linalg._bareiss_jordan(ctx, got_rows, search_cols)
+        want = bareiss_jordan_reference(ctx, want_rows, search_cols)
+        assert got == want
+        # every row, the rows past the rank too, left dense in place
+        assert got_rows == want_rows
+
+    def test_fewer_divisions_when_pivots_differ(self, ctx2, monkeypatch):
+        a1, a2 = (g.num for g in ctx2.gens)
+        one, zero = ctx2._one_poly, ctx2._zero_poly
+        # pivots a1, a2, a1 + 1, a2 + 1: every step rescales the rows the
+        # eager sweep passes over
+        rows = [
+            [a1, zero, zero, zero],
+            [zero, a2, zero, zero],
+            [zero, zero, a1 + one, zero],
+            [zero, zero, zero, a2 + one],
+            [one, one, one, one],
+        ]
+        calls = []
+        real = linalg._divexact
+        monkeypatch.setattr(linalg, "_divexact", lambda f, g: calls.append(1) or real(f, g))
+        got_rows = [list(r) for r in rows]
+        got = linalg._bareiss_jordan(ctx2, got_rows, 4)
+        lazy = len(calls)
+        calls.clear()
+        want_rows = [list(r) for r in rows]
+        want = bareiss_jordan_reference(ctx2, want_rows, 4)
+        assert got == want and got_rows == want_rows
+        assert got[1] == [0, 1, 2, 3]
+        assert lazy < len(calls)
+
+
 def textbook_rref(rows):
     """Plain Gauss-Jordan over field fractions: pivot rows scaled to 1,
     every other row cleared in the pivot column."""
@@ -803,3 +917,50 @@ class TestSerialization:
         data = s.to_json()
         assert len(data) == 2  # one serialized row per basis element
         assert SqSubspace.from_rows(ctx2, s.rows) == s
+
+
+class TestLazyRows:
+    """SqSubspace.rows, the field elements of the reduced basis, is built
+    on first read; the work on the way to a certificate builds none."""
+
+    def test_no_field_elements_until_rows_are_read(self, ctx3, monkeypatch):
+        a1, a2, a3 = ctx3.gens
+        one = ctx3.one
+        gens = [a1 + a2 * a3, a1 * a2 / (one + a3), a3, a1 * a3 + a2]
+        other = [a1 + a2 * a3, a2, a1 * a2 * a3]
+        outside = a1 * a2 * a3
+        made = []
+        real = FieldElement.__init__
+
+        def counted(self, *args):
+            made.append(1)
+            real(self, *args)
+
+        monkeypatch.setattr(FieldElement, "__init__", counted)
+        s = SqSubspace.from_poly_rows(ctx3, [_poly_row(g) for g in gens])
+        t = SqSubspace.span(ctx3, other)
+        inter = s.intersection(t)
+        back = SqSubspace.null_space(ctx3, s.annihilator)
+        assert (s.dim, t.dim, inter.dim, back.dim) == (4, 3, 1, 4)
+        assert not s.is_zero and t.annihilator
+        assert all(g in s for g in gens) and outside not in s
+        assert s.contains_subspace(inter) and t.contains_subspace(inter)
+        assert made == []
+        monkeypatch.undo()
+        # the rows read later are those of an eager construction
+        want, pivots = span_by_frobenius_rows(ctx3, gens)
+        assert list(s.pivots) == pivots
+        rows_match = list(s.rows) == want
+        assert rows_match
+        # rows scaled by 1 + a1 end with another final pivot last, and the
+        # same reduced rows all the same
+        k = one.num + a1.num
+        scaled = SqSubspace.from_poly_rows(
+            ctx3, [{j: p * k for j, p in _poly_row(g).items()} for g in gens]
+        )
+        assert scaled._last != s._last
+        assert scaled == s and hash(scaled) == hash(s)
+        assert back == s and hash(back) == hash(s)
+        assert s.to_json() == [
+            [[list(d), c.to_json()] for d, c in zip(ctx3.patterns, row) if c] for row in want
+        ]
