@@ -32,7 +32,7 @@ F.  Intersections and membership tests go through annihilators too.
 The operands stay small.  Every chosen slot (the intersection element
 beta and each slot ``_next_slot`` accepts) is kept in lowest terms, one
 gcd per slot, since it is a factor of every product built after it.
-Value spaces, mixed spaces, the partial spaces U and the certification
+Value spaces, mixed spaces, the head spaces U and the certification
 read the products' sparse polynomial rows, built from the slots' rows
 (``field._product_rows``), so no coordinate row of fractions is cleared
 of its denominators.
@@ -40,13 +40,21 @@ of its denominators.
 The candidate search runs on sparse rows too.  Each candidate is a row
 of an elimination (the target pure space's, a sum of two of them, or
 the fallback space's), its element's row times the elimination's final
-pivot.  It is outside U when some annihilator row of U misses it, and
-its products with U lie in the target when ``field._row_mul`` of it and
-each of U's product rows is annihilated; a nonzero scale per row
-changes neither test.  Only the accepted candidate becomes a field
-element, read off its row by ``field._row_element``, the conversion
-``SqSubspace.elements()`` uses.  So a pass of ``common_factor`` builds
-no product of field elements.
+pivot.  Its products with the partial value space U lie in the target
+when ``field._row_mul`` of it and each of U's product rows is
+annihilated; a nonzero scale per row changes no such test.  U is the
+field F^2(slots), so when 1 lies outside the target, as it does for
+the pure space of an anisotropic form, those products already put the
+candidate outside U: a nonzero delta in U would put 1 = delta * delta^-1
+among them.  So no partial U is spanned after a round's head, and U
+doubles its dimension with each slot added.  Before any exact product,
+the dot products are taken at the fixed point of GF(2^16)^n of
+``linalg._Point``; substitution is a ring homomorphism, so a nonzero
+value rejects the candidate exactly, and only a candidate that reads 0
+on all of them goes on to the exact test, which alone accepts.  Only
+the accepted candidate becomes a field element, read off its row by
+``field._row_element``, the conversion ``SqSubspace.elements()`` uses.
+So a pass of ``common_factor`` builds no product of field elements.
 
 Within a round of ``common_factor`` every form is completed from the same
 head slots (rho's slots and beta), so the round spans the head's product
@@ -90,7 +98,7 @@ from .field import (
     _row_element,
     _row_mul,
 )
-from .linalg import SparseRow, SqSubspace, _dot, _sparse, _spans
+from .linalg import _GF_ORDER, SparseRow, SqSubspace, _dot, _Point, _sparse, _spans
 # no caller here any more; the binding stays, since perfbench's tracer test
 # checks that bilinear.left_kernel is restored after tracing
 from .linalg import left_kernel  # noqa: F401
@@ -307,63 +315,147 @@ def _stable_subspace(u_rows: Sequence[SparseRow], W: SqSubspace) -> SqSubspace:
     )
 
 
+class _Screen:
+    """The product test of ``_admissible`` at the fixed point of
+    ``linalg._Point``, set up once per ``_next_slot`` call.
+
+    The dot product of W's annihilator row a with the row of delta*u,
+    x and y the rows of delta and u, is sum x_c * y_e * a^(c & e) *
+    a_(c ^ e) over the columns c of x and e of y (``field._row_mul``).
+    Substitution is a ring homomorphism, so its value is
+    sum phi(x_c) * phi(y_e) * phi(a^(c & e)) * phi(a_(c ^ e)), and a
+    nonzero value proves the exact dot product nonzero: delta * u lies
+    outside W, and delta is no slot.  The values of U's product rows, of
+    W's annihilator rows and of the column monomials are taken here,
+    once, as logs in GF(2^16); a candidate brings its own values, which
+    for a sum of two rows are the XOR of theirs."""
+
+    __slots__ = ("point", "_monomials", "_pairs")
+
+    def __init__(self, u_rows: Sequence[SparseRow], W: SqSubspace):
+        point = self.point = _Point(W.ctx)
+        log, value = point.log, point.value
+        self._monomials = [point.monomial_log(t) for t in W.ctx.patterns]
+        anns = [[log[v] if (v := value(p)) else None for p in a] for a in W.annihilator]
+        # newest row first: the product with 1, the first row, is delta
+        # itself, which lies in W
+        us = [[(e, log[v]) for e, p in r.items() if (v := value(p))] for r in reversed(u_rows)]
+        self._pairs = [(u, a) for u in us for a in anns]
+
+    def rejects(self, values: Sequence[int]) -> bool:
+        """Whether some dot product is nonzero at the point, for the
+        candidate whose entries have the given values, column by column."""
+        exp, log, monomials = self.point.exp, self.point.log, self._monomials
+        xs = [(c, log[v]) for c, v in enumerate(values) if v]
+        for ys, ann in self._pairs:
+            v = 0
+            for c, lx in xs:
+                for e, ly in ys:
+                    la = ann[c ^ e]
+                    if la is not None:
+                        v ^= exp[(lx + ly + monomials[c & e] + la) % _GF_ORDER]
+            if v:
+                return True
+        return False
+
+
 def _admissible(
-    row: SparseRow, U: SqSubspace, u_rows: Sequence[SparseRow], W: SqSubspace
+    row: SparseRow,
+    values: Sequence[int],
+    screen: _Screen,
+    U: SqSubspace | None,
+    u_rows: Sequence[SparseRow],
+    W: SqSubspace,
 ) -> bool:
     """Whether the candidate delta of the sparse row extends the current
     slot list: anisotropy is kept (delta outside the current value field
     U) and every new pure product delta*u, u of a row in u_rows spanning
     U, stays inside the target pure space W.
 
+    values are the row's entries at the fixed point, and ``screen``
+    rejects delta first when some product's dot product with an
+    annihilator row of W is nonzero there, which proves it nonzero over
+    F.  Only a candidate that reads 0 on every one goes on to the exact
+    test, and only the exact test accepts.
+
+    U is None when 1 is outside W, and the test "delta outside U" is
+    skipped: U is the field F^2(slots), so a nonzero delta in U has
+    delta^-1 in U and puts 1 = delta * delta^-1 in delta*U, outside W.
     Each row is its element's 2-basis row times a nonzero scale, and
     ``field._row_mul`` of two rows is the product's row times both
-    scales, so both tests are annihilator dot products on rows, with no
-    product built as a field element, and decide as they would on the
-    elements themselves.  An empty row is delta = 0, never a slot."""
-    if not row or U._annihilates(row):
+    scales, so both exact tests are annihilator dot products on rows,
+    with no product built as a field element, and decide as they would
+    on the elements themselves.  An empty row is delta = 0, never a
+    slot."""
+    if not row or screen.rejects(values):
         return False
-    return all(W._annihilates(_row_mul(W.ctx, row, r)) for r in u_rows)
+    if U is not None and U._annihilates(row):
+        return False
+    return all(W._annihilates(_row_mul(W.ctx, row, r)) for r in reversed(u_rows))
 
 
 def _next_slot(
-    U: SqSubspace, W: SqSubspace, u_rows: Sequence[SparseRow]
+    U: SqSubspace | None, W: SqSubspace, u_rows: Sequence[SparseRow]
 ) -> FieldElement | None:
     """The first admissible slot: a basis element of W, a sum of two, or
     a basis element of the exact candidate subspace.  u_rows are the
-    sparse rows of any spanning set of U, each up to a nonzero scale
-    (``_complete`` passes U's product rows); both tests depend only on
-    the span.
+    sparse rows of the slot products of the current slot list, or of any
+    other spanning set of their span U, the field F^2(slots), each up to
+    a nonzero scale; every test depends only on the span.  U is that
+    span, or None when it has not been built.
+
+    U is read only when 1 lies in W, which holds when column 0 of every
+    annihilator row of W is 0, since 1's row is e_0; then U is spanned
+    here when it is None.  When 1 is outside W, delta * U inside W
+    already puts delta outside U (``_admissible``), and U is not needed.
+    That is every call from ``_complete``, whose W is the pure space of
+    an anisotropic form.
 
     The candidates are tried as rows: W's eliminated rows, each last
     times a reduced row, then sums of two of them, which share that
-    scale, then the eliminated rows of the fallback space.  Only the one
-    candidate accepted is turned into a field element, read off its row
-    by ``field._row_element`` as (sum e_j^2 * a^(d_j)) / last^2, the
+    scale, then the eliminated rows of the fallback space.  The values
+    of W's rows at the fixed point are taken once, and a sum's values are
+    the XOR of its two rows' values.  Only the one candidate accepted is
+    turned into a field element, read off its row by
+    ``field._row_element`` as (sum e_j^2 * a^(d_j)) / last^2, the
     conversion of ``SqSubspace.elements()``.  It is returned in lowest
     terms, one gcd per chosen slot: the entries are elimination minors,
     and a slot is a factor of every product built after it.  Lowest
     terms over GF(2) are unique, so the slot is the one the elements
     would give.
     """
-    for row, last in _candidate_rows(u_rows, W):
-        if _admissible(row, U, u_rows, W):
-            return _row_element(W.ctx, row, last).lowest_terms()
+    ctx = W.ctx
+    if any(a[0].terms for a in W.annihilator):
+        U = None
+    elif U is None:
+        U = SqSubspace.from_poly_rows(ctx, u_rows)
+    screen = _Screen(u_rows, W)
+    for row, values, last in _candidate_rows(u_rows, W, screen.point):
+        if _admissible(row, values, screen, U, u_rows, W):
+            return _row_element(ctx, row, last).lowest_terms()
     return None
 
 
-def _candidate_rows(u_rows: Sequence[SparseRow], W: SqSubspace):
-    """The candidates of ``_next_slot`` in order, as (sparse row, scale):
-    W's eliminated rows, the sums of two of them, then the eliminated rows
-    of the fallback space, which is computed only when it is reached."""
-    for polys in W._eliminated:
-        yield _sparse(polys), W._last
-    for a, b in itertools.combinations(W._eliminated, 2):
-        yield _sparse([x + y for x, y in zip(a, b)]), W._last
+def _candidate_rows(u_rows: Sequence[SparseRow], W: SqSubspace, point: _Point):
+    """The candidates of ``_next_slot`` in order, as (sparse row, values
+    at the point, scale): W's eliminated rows, the sums of two of them,
+    then the eliminated rows of the fallback space, which is computed only
+    when it is reached."""
+    value = point.value
+
+    def at_point(polys):
+        return [value(p) if p.terms else 0 for p in polys]
+
+    values = [at_point(polys) for polys in W._eliminated]
+    for polys, vals in zip(W._eliminated, values):
+        yield _sparse(polys), vals, W._last
+    for (a, va), (b, vb) in itertools.combinations(zip(W._eliminated, values), 2):
+        yield _sparse([x + y for x, y in zip(a, b)]), [x ^ y for x, y in zip(va, vb)], W._last
     # bounded search exhausted: fall back to the exact candidate subspace,
     # which is nonzero iff any completion step exists at all
     stable = _stable_subspace(u_rows, W)
     for polys in stable._eliminated:
-        yield _sparse(polys), stable._last
+        yield _sparse(polys), at_point(polys), stable._last
 
 
 def _complete(
@@ -377,6 +469,14 @@ def _complete(
     D(form') plus 0, with 1 outside it, so its full value space is form's
     too.  Any failure raises CompletionNotFound.  Returns the full slot
     list and its product rows.
+
+    Anisotropy of the partial lists is checked once, for the given slots:
+    their span U must have dimension 2^k.  U is the field F^2(slots), and
+    every slot ``_next_slot`` adds lies outside it, with its square in
+    F^2, so U + delta*U has twice U's dimension and the longer list stays
+    anisotropic.  No partial U is spanned after the given one:
+    ``_next_slot`` needs U only when 1 lies in W, and W is form's pure
+    space, which misses 1 when form is anisotropic.
 
     The equality is W.is_span_of on the products' rows, W the form's
     pure space, in three exact steps:
@@ -397,10 +497,10 @@ def _complete(
     start as ``field._product_rows`` of the given slots and grow by one
     slot at a time: the new slot is the last, the lowest bit of e, so
     each old row r is followed by ``_row_mul`` of the slot's row and r,
-    which is exact, so the rows are those ``_product_rows`` builds.  U is
-    spanned from them, ``_next_slot`` tests its candidates against them,
-    and the certification reads them; the slots that ``_next_slot`` adds
-    are in lowest terms, so the rows stay small.
+    which is exact, so the rows are those ``_product_rows`` builds.
+    ``_next_slot`` tests its candidates against them, and the
+    certification reads them; the slots that ``_next_slot`` adds are in
+    lowest terms, so the rows stay small.
 
     The given slots are the same for every form of a ``common_factor``
     round, so the round passes their span U, built once for all forms;
@@ -412,11 +512,12 @@ def _complete(
     ctx = form.ctx
     W = form.pure_value_space()
     rows = list(U.spanners) if U is not None else _product_rows(ctx, slots)
-    while len(slots) < form.fold:
+    if len(slots) < form.fold:
         if U is None:
             U = SqSubspace.from_poly_rows(ctx, rows)
         if U.dim != 2 ** len(slots):
             raise CompletionNotFound("partial slot list became isotropic")
+    while len(slots) < form.fold:
         cand = _next_slot(U, W, rows)
         if cand is None:
             raise CompletionNotFound(

@@ -15,11 +15,12 @@ Membership is then one polynomial dot product per annihilator row, and
 an intersection is the space annihilated by all the inputs' annihilator
 rows together.  A rank lower bound at a fixed point of GF(2^16)^n
 (``_rank_at_point``) lets ``SqSubspace.is_span_of`` prove a spanning
-set without eliminating it.  Rows that are spanned, tested against an
-annihilator or ranked at the point are sparse (column -> polynomial,
-``field._poly_row``): an element's coordinates times its denominator,
-so no fraction is cleared on the way in, and a slot product has at most
-two nonzero coordinates.
+set without eliminating it; the point is defined once, by ``_Point``,
+which ``bilinear._next_slot`` also screens its candidates at.  Rows
+that are spanned, tested against an annihilator or ranked at the point
+are sparse (column -> polynomial, ``field._poly_row``): an element's
+coordinates times its denominator, so no fraction is cleared on the way
+in, and a slot product has at most two nonzero coordinates.
 
 Every elimination is ``_bareiss_jordan`` on polynomial rows, and every
 null space is read off one by ``_null_vectors``: a space's annihilator
@@ -266,10 +267,43 @@ def _gf_tables() -> tuple[array, array]:
     return exp, log
 
 
+class _Point:
+    """The fixed point of GF(2^16)^n at which ranks are bounded and slot
+    candidates screened: each a_i is x^(7919 * i), x the generator of
+    GF(2^16)^*.  One is made per call of ``_rank_at_point`` or
+    ``bilinear._next_slot``, and it remembers the value of each monomial
+    it has met, since the product rows of a family repeat their monomials.
+
+    Substitution is a ring homomorphism F[a] -> GF(2^16), so a polynomial
+    with a nonzero value is nonzero, and a minor that is 0 over F is 0
+    here."""
+
+    __slots__ = ("exp", "log", "_logs", "_values")
+
+    def __init__(self, ctx: FieldContext):
+        self.exp, self.log = _gf_tables()
+        self._logs = [_POINT_LOG_STEP * (i + 1) for i in range(ctx.n)]
+        self._values: dict[tuple[int, ...], int] = {}
+
+    def monomial_log(self, t: tuple[int, ...]) -> int:
+        """The log of the monomial a^t at the point."""
+        return sum(map(mul, t, self._logs)) % _GF_ORDER
+
+    def value(self, p: Poly) -> int:
+        """The value of p at the point."""
+        values = self._values
+        v = 0
+        for t in p.terms:
+            m = values.get(t)
+            if m is None:
+                m = values[t] = self.exp[self.monomial_log(t)]
+            v ^= m
+        return v
+
+
 def _rank_at_point(ctx: FieldContext, rows: Sequence[SparseRow]) -> int:
-    """Rank over GF(2^16) of the sparse polynomial rows with each a_i
-    replaced by the fixed value x^(7919 * i), x the generator of
-    GF(2^16)^*.
+    """Rank over GF(2^16) of the sparse polynomial rows at the fixed point
+    of ``_Point``.
 
     Every minor of the substituted matrix is the substituted minor of the
     original, so this rank never exceeds the rank over F: it is an exact
@@ -283,14 +317,8 @@ def _rank_at_point(ctx: FieldContext, rows: Sequence[SparseRow]) -> int:
     pivot.  Rows with at most two entries, such as slot products, stay
     that short.
     """
-    exp, log = _gf_tables()
-    logs = [_POINT_LOG_STEP * (i + 1) for i in range(ctx.n)]
-
-    def value(p: Poly) -> int:
-        v = 0
-        for t in p.terms:
-            v ^= exp[sum(map(mul, t, logs)) % _GF_ORDER]
-        return v
+    point = _Point(ctx)
+    exp, log, value = point.exp, point.log, point.value
 
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:

@@ -508,8 +508,10 @@ class TestCommonFactor:
 
         def wrong_last(U, W, u_rows):
             # at m=2 the two rho slots are in place and one slot is missing;
-            # any element of U repeats a value, so the list is isotropic
-            return U.elements()[-1] if U.dim == 4 else real(U, W, u_rows)
+            # any element of U repeats a value, so the list is isotropic.
+            # U is None after a round's head, so it is spanned here
+            spanned = SqSubspace.from_poly_rows(W.ctx, u_rows)
+            return spanned.elements()[-1] if spanned.dim == 4 else real(U, W, u_rows)
 
         monkeypatch.setattr(bilinear, "_next_slot", wrong_last)
         with pytest.raises(CompletionNotFound, match="exact certification"):
@@ -612,13 +614,51 @@ class TestCommonFactor:
         for k, head in enumerate(heads, 1):
             rows = _product_rows(ctx, head)
             assert sum(r == rows for j, r in spanned if j == k) == 1
+        # no partial U is spanned: with the pure spaces built before the
+        # count, the only spans are one head per round and round 2's mixed
+        # spaces, from the rows of round 1's completions
+        first = common_factor(1, golden_forms())
+        low = 2 ** len(first.complements[0]) - 1
+        mixed = [
+            [row for e, row in enumerate(_product_rows(ctx, heads[0] + comp)) if e & low]
+            for comp in first.complements
+        ]
+        want = [_product_rows(ctx, heads[0]), *mixed, _product_rows(ctx, heads[1])]
+        assert [rows for _, rows in spanned] == want
         # factor_out, called on its own, builds its own head rows and U and
         # completes each form as the witness does, round by round
-        first = common_factor(1, golden_forms())
         rho = BilinearPfister(ctx, witness.rho.slots[:1])
         for form, comp, done in zip(golden_forms(), first.complements, witness.complements):
             assert factor_out(rho.slots[0], None, form, form.slots) == comp
             assert factor_out(witness.rho.slots[1], rho, form, comp) == done
+
+    def test_degenerate_point_only_skips_work(self, monkeypatch):
+        # a point at which every value is 0 rejects no candidate, so every
+        # one goes to the exact test: the witnesses stay the golden ones,
+        # and only the exact row products grow in number
+        runs = [
+            (1, golden_forms, "common-factor-m1.json"),
+            (2, golden_forms, "common-factor-m2.json"),
+            (2, fallback_forms, "common-factor-fallback-m2.json"),
+        ]
+        products = []
+        real = bilinear._row_mul
+
+        def counted(ctx, r1, r2):
+            products.append(1)
+            return real(ctx, r1, r2)
+
+        def run():
+            products.clear()
+            for m, forms, name in runs:
+                golden = json.loads((GOLDEN / name).read_text())
+                assert common_factor(m, forms()).to_json() == golden["evidence"]["witness"]
+            return len(products)
+
+        monkeypatch.setattr(bilinear, "_row_mul", counted)
+        plain = run()
+        monkeypatch.setattr(linalg._Point, "value", lambda self, p: 0)
+        assert run() > plain
 
     def test_builds_no_products(self, monkeypatch):
         # corpus 20260814's instance 19, whose run reaches the exact
@@ -830,7 +870,8 @@ class TestRowSearch:
 
         def recorded(U, W, u_rows):
             slot = real_next(U, W, u_rows)
-            searches.append((U, W, slot))
+            # U is None after a round's head, so it is spanned here
+            searches.append((SqSubspace.from_poly_rows(W.ctx, u_rows), W, slot))
             return slot
 
         def counted(u_rows, W):
@@ -856,6 +897,101 @@ class TestRowSearch:
         for (i, a), (j, b) in itertools.combinations(enumerate(W._eliminated), 2):
             pair = linalg._sparse([x + y for x, y in zip(a, b)])
             assert _row_element(ctx, pair, W._last) == W.elements()[i] + W.elements()[j]
+
+
+class TestAdmissible:
+    """Every verdict of bilinear._admissible in a _next_slot search against
+    admissible_by_elements, which always tests delta outside U.  With 1
+    in W, U is spanned and the test is made; with 1 outside W, U is never
+    spanned, and delta * U inside W alone puts delta outside U.  Each
+    candidate is read off its row with scale 1, its element times a
+    square, which changes neither verdict."""
+
+    @staticmethod
+    def check(slots, W):
+        ctx = W.ctx
+        u_basis = bilinear._products(ctx, slots)
+        U = SqSubspace.span(ctx, u_basis)
+        verdicts, spans = [], []
+        real_admissible, real_span = bilinear._admissible, SqSubspace.from_poly_rows
+
+        def recorded(row, *args):
+            verdict = real_admissible(row, *args)
+            verdicts.append((row, verdict))
+            return verdict
+
+        def counted(cls, *args):
+            spans.append(1)
+            return real_span(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bilinear, "_admissible", recorded)
+            mp.setattr(SqSubspace, "from_poly_rows", classmethod(counted))
+            bilinear._next_slot(None, W, _product_rows(ctx, slots))
+        assert verdicts
+        assert len(spans) == (ctx.one in W)
+        for row, verdict in verdicts:
+            delta = _row_element(ctx, row, ctx._one_poly) if row else ctx.zero
+            assert verdict == admissible_by_elements(delta, U, u_basis, W)
+
+    @given(
+        st.lists(polynomial_slots(CTX2), min_size=1, max_size=2),
+        st.lists(polynomial_slots(CTX2), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    def test_any_target_n2(self, slots, gens, covers):
+        # with the products among W's generators, 1 lies in W, and some
+        # candidates lie in U with delta * U inside W
+        products = bilinear._products(CTX2, slots) if covers else []
+        self.check(slots, SqSubspace.span(CTX2, gens + products))
+
+    @given(
+        st.lists(polynomial_slots(CTX3), min_size=1, max_size=2),
+        st.lists(polynomial_slots(CTX3), min_size=1, max_size=5),
+        st.booleans(),
+    )
+    def test_any_target_n3(self, slots, gens, covers):
+        products = bilinear._products(CTX3, slots) if covers else []
+        self.check(slots, SqSubspace.span(CTX3, gens + products))
+
+    @staticmethod
+    def anisotropic(ctx):
+        # multilinear slots: with degree-2 slots some draws take minutes,
+        # in the gcd of an accepted slot's lowest terms
+        n = ctx.n
+        slots = nonzero_polys(ctx, max_degree=1, max_terms=2).map(
+            lambda p: FieldElement(ctx, p, ctx._one_poly)
+        )
+        forms = st.lists(slots, min_size=n, max_size=n).map(
+            lambda slots: BilinearPfister(ctx, slots)
+        )
+        return forms.filter(BilinearPfister.is_anisotropic)
+
+    @given(anisotropic(CTX2))
+    def test_pure_target_n2(self, form):
+        self.check(form.slots[:1], form.pure_value_space())
+
+    @given(anisotropic(CTX3), st.integers(1, 2))
+    def test_pure_target_n3(self, form, k):
+        self.check(form.slots[:k], form.pure_value_space())
+
+    def test_head_slot_rejected_by_its_products(self, ctx3):
+        # a1 lies in U = F^2(a1) and in W, and 1 does not lie in W: the
+        # test "delta outside U" is skipped, and a1 * a1, a square, leaves W
+        a1, a2, a3 = ctx3.gens
+        W = BilinearPfister(ctx3, (a1, a2, a3)).pure_value_space()
+        u_rows = _product_rows(ctx3, (a1,))
+        assert a1 in W and a1 in SqSubspace.from_poly_rows(ctx3, u_rows)
+        assert ctx3.one not in W
+        row = _poly_row(a1)
+        size = len(ctx3.patterns)
+        screen = bilinear._Screen(u_rows, W)
+        values = [screen.point.value(row[c]) if c in row else 0 for c in range(size)]
+        assert screen.rejects(values)
+        assert not bilinear._admissible(row, values, screen, None, u_rows, W)
+        # at a point where every value is 0 the exact test rejects it alone
+        assert not bilinear._admissible(row, [0] * size, screen, None, u_rows, W)
+        assert not W._annihilates(field._row_mul(ctx3, row, row))
 
 
 class TestStableSubspace:
