@@ -151,10 +151,6 @@ class Poly:
             return Poly(frozenset(), self.n)
         if len(other.terms) < len(self.terms):
             self, other = other, self
-        if len(self.terms) * len(other.terms) > _PACK_MIN_WORK:
-            packed = _packed_mul(self, other)
-            if packed is not None:
-                return packed
         acc: set = set()
         toggle = acc.symmetric_difference_update
         for m1 in self.terms:
@@ -215,107 +211,9 @@ def _poly_str(p: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# packed arithmetic: GF(2) polynomials as integer bitboards
-# ---------------------------------------------------------------------------
-# Bulky operands are far cheaper on a bitboard than on sets of exponent
-# tuples: map each exponent vector to a bit position by mixed-radix packing,
-# with every variable's field wide enough that a product cannot carry into
-# the next field.  Positions are then additive, so multiplication is one
-# shifted XOR per term of the smaller factor and exact division is lead-bit
-# peeling, all at C speed on Python ints.  Small operands keep the set
-# representation; packing overhead would dominate there.
-
-_PACK_MIN_WORK = 1024
-_PACK_MIN_DIV = 48
-_PACK_MAX_BITS = 1 << 26
-
-_BYTE_BITS = tuple(
-    tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)
-)
-
-
-def _strides(radices: tuple[int, ...]) -> tuple[list[int], int]:
-    out = []
-    size = 1
-    for r in radices:
-        out.append(size)
-        size *= r
-    return out, size
-
-
-def _pack(terms, strides, size: int) -> int:
-    buf = bytearray(size + 7 >> 3)
-    for e in terms:
-        pos = sum(ei * si for ei, si in zip(e, strides))
-        buf[pos >> 3] |= 1 << (pos & 7)
-    return int.from_bytes(buf, "little")
-
-
-def _decode(pos: int, radices, strides) -> tuple[int, ...]:
-    return tuple(pos // s % r for r, s in zip(radices, strides))
-
-
-def _unpack(v: int, radices, strides, n: int) -> frozenset:
-    raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
-    terms = []
-    for idx, byte in enumerate(raw):
-        if byte:
-            base = idx * 8
-            for b in _BYTE_BITS[byte]:
-                terms.append(_decode(base + b, radices, strides))
-    return frozenset(terms)
-
-
-def _packed_mul(f: Poly, g: Poly) -> Poly | None:
-    """f * g on bitboards, or None when the bounding box is too large."""
-    radices = tuple(
-        df + dg + 1 for df, dg in zip(f.max_degrees(), g.max_degrees())
-    )
-    strides, size = _strides(radices)
-    if size > _PACK_MAX_BITS:
-        return None
-    gp = _pack(g.terms, strides, size)
-    acc = 0
-    for e in f.terms:
-        acc ^= gp << sum(ei * si for ei, si in zip(e, strides))
-    return Poly(_unpack(acc, radices, strides, f.n), f.n)
-
-
-def _packed_divexact(f: Poly, g: Poly) -> Poly | None:
-    """f/g on bitboards; None if too large, NotDivisible if not divisible.
-
-    In an exact division every intermediate remainder equals (unconsumed
-    quotient) * g, so per variable nothing ever outgrows f's own degree
-    box and the packing cannot alias.  The two guards below can only trip
-    on a non-divisible input.
-    """
-    fd = f.max_degrees()
-    gd = g.max_degrees()
-    qd = tuple(a - b for a, b in zip(fd, gd))
-    if any(d < 0 for d in qd):
-        raise NotDivisible("not divisible")
-    radices = tuple(d + 1 for d in fd)
-    strides, size = _strides(radices)
-    if size > _PACK_MAX_BITS:
-        return None
-    r = _pack(f.terms, strides, size)
-    gp = _pack(g.terms, strides, size)
-    glead = gp.bit_length() - 1
-    ge = _decode(glead, radices, strides)
-    q = 0
-    while r:
-        rlead = r.bit_length() - 1
-        qe = tuple(a - b for a, b in zip(_decode(rlead, radices, strides), ge))
-        if any(e < 0 for e in qe) or any(a > b for a, b in zip(qe, qd)):
-            raise NotDivisible("not divisible")
-        shift = rlead - glead
-        r ^= gp << shift
-        q |= 1 << shift
-    return Poly(_unpack(q, radices, strides, f.n), f.n)
-
-
-# ---------------------------------------------------------------------------
-# multivariate gcd over GF(2) (used only by FieldElement.canonical)
+# exact division (the gcd below, FieldElement.canonical, and linalg's
+# _caught_up, _bareiss_jordan and SqSubspace.from_rows) and the
+# multivariate gcd over GF(2) (FieldElement.canonical)
 # ---------------------------------------------------------------------------
 
 
@@ -323,10 +221,6 @@ def _divexact(f: Poly, g: Poly) -> Poly:
     """Exact division f/g; raises NotDivisible if g does not divide f."""
     if not g.terms:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(f.terms) > _PACK_MIN_DIV:
-        packed = _packed_divexact(f, g)
-        if packed is not None:
-            return packed
     out: set = set()
     cur = set(f.terms)
     lg = max(g.terms)

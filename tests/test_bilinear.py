@@ -18,6 +18,7 @@ from pflab import (
     FieldElement,
     IdentityFailed,
     IsotropicInput,
+    Poly,
     PreconditionFailed,
     SqSubspace,
     ZeroSlot,
@@ -454,19 +455,19 @@ class TestCommonFactor:
         # the heaviest instances of corpus 20260814: a round-1 slot that is
         # not in lowest terms made round 2 multiply bulky polynomials
         m, forms = sharing_instance(ctx3, 20260814, index)
-        packed = []
-        real = field._packed_mul
+        work = []
+        real = Poly.__mul__
 
         def counted(f, g):
-            out = real(f, g)
-            if out is not None:
-                packed.append(len(out.terms))
-            return out
+            work.append(len(f.terms) * len(g.terms))
+            return real(f, g)
 
-        monkeypatch.setattr(field, "_packed_mul", counted)
+        monkeypatch.setattr(Poly, "__mul__", counted)
         witness = common_factor(m, forms)
         assert m == 2 and witness is not None
-        assert packed == []
+        # 1024 operand-term pairs was the threshold above which products
+        # were once packed into integers; no product here comes near it
+        assert max(work) <= 1024
         for x in witness.rho.slots + sum(witness.complements, ()):
             # a fresh element, so that its gcd is taken, not read back
             num, den = FieldElement(ctx3, x.num, x.den).canonical()

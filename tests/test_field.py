@@ -1,7 +1,8 @@
 """Field arithmetic, squares, and the Frobenius coordinate decomposition."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pflab import (
     ContextMismatch,
@@ -188,24 +189,44 @@ class TestSerialization:
 
 
 class TestPoly:
-    def test_inexact_division_is_typed_on_the_set_path(self):
-        f = Poly.of([(1, 0), (0, 1)], 2)  # a1 + a2
-        g = Poly.of([(1, 0)], 2)  # a1
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            # a1 + a2 by a1
+            (Poly.of([(1, 0), (0, 1)], 2), Poly.of([(1, 0)], 2)),
+            # (1 + a1 + ... + a1^6)(1 + a2 + ... + a2^6) has 49 terms and
+            # the value 1 at a1 = 1, so 1 + a1 does not divide it
+            (
+                Poly.of([(i, j) for i in range(7) for j in range(7)], 2),
+                Poly.of([(0, 0), (1, 0)], 2),
+            ),
+        ],
+        ids=["small", "bulky"],
+    )
+    def test_inexact_division_is_typed_on_the_set_path(self, f, g):
         with pytest.raises(NotDivisible) as info:
             field._divexact(f, g)
         assert isinstance(info.value, PflabError)
         assert isinstance(info.value, ValueError)
 
-    def test_inexact_division_is_typed_on_the_bitboard_path(self):
-        # (1 + a1 + ... + a1^6)(1 + a2 + ... + a2^6) has 49 terms and the
-        # value 1 at a1 = 1, so 1 + a1 does not divide it
-        f = Poly.of([(i, j) for i in range(7) for j in range(7)], 2)
-        g = Poly.of([(0, 0), (1, 0)], 2)
-        assert len(f.terms) > field._PACK_MIN_DIV
+    @settings(max_examples=25)
+    @given(data=st.data(), n=st.integers(2, 3))
+    def test_bulky_operands_on_the_set_path(self, data, n):
+        # 40 to 60 terms a factor: products of more than 1024 operand-term
+        # pairs and dividends of more than 48 terms, sizes no corpus or
+        # CLI run reaches
+        bulky = st.frozensets(
+            st.tuples(*[st.integers(0, 9)] * n), min_size=40, max_size=60
+        ).map(lambda t: Poly(t, n))
+        f = data.draw(bulky)
+        g = data.draw(bulky)
+        h = f * g
+        assert h == Poly.of(
+            (tuple(map(int.__add__, s, t)) for s in f.terms for t in g.terms), n
+        )
+        assert field._divexact(h, g) == f
         with pytest.raises(NotDivisible):
-            field._packed_divexact(f, g)
-        with pytest.raises(NotDivisible):
-            field._divexact(f, g)
+            field._divexact(h + Poly.of([(0,) * n], n), g)
 
     def test_cancellation_in_of(self, ctx2):
         p = Poly.of([(1, 0), (1, 0), (0, 1)], 2)
