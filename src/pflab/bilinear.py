@@ -41,26 +41,34 @@ The candidate search runs on sparse rows too.  Each candidate is a row
 of an elimination (the target pure space's, a sum of two of them, or
 the fallback space's), its element's row times the elimination's final
 pivot.  Its products with the partial value space U lie in the target
-when ``field._row_mul`` of it and each of U's product rows is
+when ``field._row_mul`` of its row and each of U's product rows is
 annihilated; a nonzero scale per row changes no such test.  U is the
 field F^2(slots), so when 1 lies outside the target, as it does for
 the pure space of an anisotropic form, those products already put the
 candidate outside U: a nonzero delta in U would put 1 = delta * delta^-1
-among them.  So no partial U is spanned after a round's head, and U
-doubles its dimension with each slot added.  Before any exact product,
-the dot products are taken at the fixed point of GF(2^16)^n of
-``linalg._Point``; substitution is a ring homomorphism, so a nonzero
-value rejects the candidate exactly, and only a candidate that reads 0
-on all of them goes on to the exact test, which alone accepts.  Only
-the accepted candidate becomes a field element, read off its row by
-``field._row_element``, the conversion ``SqSubspace.elements()`` uses.
-So a pass of ``common_factor`` builds no product of field elements.
+among them.  Whether 1 lies in a space is one reading of column 0 of
+its annihilator (``SqSubspace.contains_one``).  So no partial U is
+spanned after a round's head, and U doubles its dimension with each
+slot added.  Before any exact product, the dot products are taken at
+the fixed point of GF(2^16)^n of ``linalg._Point``; substitution is a
+ring homomorphism, so a nonzero value rejects the candidate exactly.
+The target's values there, of its eliminated rows and its annihilator
+rows, are taken once per space and cached with it.  Only a candidate
+that reads 0 on all of them (and lies outside U, where that is tested)
+becomes a field element, read off its row by ``field._row_element``,
+the conversion ``SqSubspace.elements()`` uses, in lowest terms.  The
+exact test, which alone accepts, multiplies that slot's own row by each
+of U's rows, and those products are the accepted slot's product rows:
+``_complete`` appends them and multiplies nothing again, so each is
+built once.  So a pass of ``common_factor`` builds no product of field
+elements, and no product row twice.
 
 Within a round of ``common_factor`` every form is completed from the same
 head slots (rho's slots and beta), so the round spans the head's product
 rows once, as U, and passes U to every ``_complete``; the next round's
 mixed spaces are spanned from the product rows ``_complete`` built, not
-rebuilt from the slots.
+rebuilt from the slots.  beta is read off the intersection's first
+eliminated row, and its one row is tested against every mixed space.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` from each member's claimed pure space,
@@ -93,6 +101,7 @@ from .errors import (
 from .field import (
     FieldContext,
     FieldElement,
+    Poly,
     _poly_row,
     _product_rows,
     _row_element,
@@ -175,7 +184,7 @@ class BilinearPfister:
         # the full value space is span(1) + pure, so it has dimension 2^k
         # exactly when the pure space has dimension 2^k - 1 and misses 1
         pure = self.pure_value_space()
-        return pure.dim == 2**self.fold - 1 and self.ctx.one not in pure
+        return pure.dim == 2**self.fold - 1 and not pure.contains_one()
 
     def is_slot(self, beta: FieldElement) -> bool:
         """Whether <<beta>> is a 1-fold factor, i.e. beta in D(B')."""
@@ -325,10 +334,11 @@ class _Screen:
     Substitution is a ring homomorphism, so its value is
     sum phi(x_c) * phi(y_e) * phi(a^(c & e)) * phi(a_(c ^ e)), and a
     nonzero value proves the exact dot product nonzero: delta * u lies
-    outside W, and delta is no slot.  The values of U's product rows, of
-    W's annihilator rows and of the column monomials are taken here,
-    once, as logs in GF(2^16); a candidate brings its own values, which
-    for a sum of two rows are the XOR of theirs."""
+    outside W, and delta is no slot.  The values of U's product rows and
+    of the column monomials are taken here, once, as logs in GF(2^16);
+    W's annihilator values are taken once per space and cached with its
+    annihilator (``SqSubspace.annihilator_values``).  A candidate brings
+    its own values, which for a sum of two rows are the XOR of theirs."""
 
     __slots__ = ("point", "_monomials", "_pairs")
 
@@ -336,7 +346,7 @@ class _Screen:
         point = self.point = _Point(W.ctx)
         log, value = point.log, point.value
         self._monomials = [point.monomial_log(t) for t in W.ctx.patterns]
-        anns = [[log[v] if (v := value(p)) else None for p in a] for a in W.annihilator]
+        anns = [[log[v] if v else None for v in a] for a in W.annihilator_values]
         # newest row first: the product with 1, the first row, is delta
         # itself, which lies in W
         us = [[(e, log[v]) for e, p in r.items() if (v := value(p))] for r in reversed(u_rows)]
@@ -362,100 +372,117 @@ class _Screen:
 def _admissible(
     row: SparseRow,
     values: Sequence[int],
+    last: Poly,
     screen: _Screen,
     U: SqSubspace | None,
     u_rows: Sequence[SparseRow],
     W: SqSubspace,
-) -> bool:
-    """Whether the candidate delta of the sparse row extends the current
-    slot list: anisotropy is kept (delta outside the current value field
-    U) and every new pure product delta*u, u of a row in u_rows spanning
-    U, stays inside the target pure space W.
+) -> tuple[FieldElement, list[SparseRow]] | None:
+    """The candidate delta of the sparse row, in lowest terms, and the
+    rows of its products with u_rows, when it extends the current slot
+    list: anisotropy is kept (delta outside the current value field U)
+    and every new pure product delta*u, u of a row in u_rows spanning U,
+    stays inside the target pure space W.  None when it does not.
 
     values are the row's entries at the fixed point, and ``screen``
     rejects delta first when some product's dot product with an
     annihilator row of W is nonzero there, which proves it nonzero over
     F.  Only a candidate that reads 0 on every one goes on to the exact
-    test, and only the exact test accepts.
+    tests, and only the exact product test accepts.
 
     U is None when 1 is outside W, and the test "delta outside U" is
     skipped: U is the field F^2(slots), so a nonzero delta in U has
     delta^-1 in U and puts 1 = delta * delta^-1 in delta*U, outside W.
-    Each row is its element's 2-basis row times a nonzero scale, and
-    ``field._row_mul`` of two rows is the product's row times both
-    scales, so both exact tests are annihilator dot products on rows,
-    with no product built as a field element, and decide as they would
-    on the elements themselves.  An empty row is delta = 0, never a
-    slot."""
+    That test reads the row itself, its element's 2-basis row times the
+    scale last.  A candidate that passes it becomes its slot before the
+    product test: read off the row by ``field._row_element`` as
+    (sum e_j^2 * a^(d_j)) / last^2, the conversion of
+    ``SqSubspace.elements()``, in lowest terms, one gcd per chosen slot,
+    since the entries are elimination minors and a slot is a factor of
+    every product built after it.  Lowest terms over GF(2) are unique,
+    so the slot is the one the elements would give.  The product test
+    multiplies the slot's own row (``field._poly_row``) by each row of
+    u_rows, newest first, with ``field._row_mul``, whose result is the
+    product's row times both rows' nonzero scales: an annihilator dot
+    product on rows, with no product built as a field element, that
+    decides as it would on the elements themselves.  Those product rows
+    are the ones ``_complete`` appends, so each is built once, here, and
+    they are returned in the order of u_rows.  An empty row is
+    delta = 0, never a slot."""
     if not row or screen.rejects(values):
-        return False
+        return None
     if U is not None and U._annihilates(row):
-        return False
-    return all(W._annihilates(_row_mul(W.ctx, row, r)) for r in reversed(u_rows))
+        return None
+    ctx = W.ctx
+    slot = _row_element(ctx, row, last).lowest_terms()
+    new = _poly_row(slot)
+    products = []
+    for r in reversed(u_rows):
+        product = _row_mul(ctx, new, r)
+        if not W._annihilates(product):
+            return None
+        products.append(product)
+    products.reverse()
+    return slot, products
 
 
 def _next_slot(
     U: SqSubspace | None, W: SqSubspace, u_rows: Sequence[SparseRow]
-) -> FieldElement | None:
-    """The first admissible slot: a basis element of W, a sum of two, or
-    a basis element of the exact candidate subspace.  u_rows are the
-    sparse rows of the slot products of the current slot list, or of any
-    other spanning set of their span U, the field F^2(slots), each up to
-    a nonzero scale; every test depends only on the span.  U is that
-    span, or None when it has not been built.
+) -> tuple[FieldElement, list[SparseRow]] | None:
+    """The first admissible slot, a basis element of W, a sum of two, or
+    a basis element of the exact candidate subspace, with the rows of its
+    products with u_rows, in their order, as ``_admissible`` built them.
+    u_rows are the sparse rows of the slot products of the current slot
+    list, or of any other spanning set of their span U, the field
+    F^2(slots), each up to a nonzero scale; every test depends only on
+    the span.  U is that span, or None when it has not been built.
 
-    U is read only when 1 lies in W, which holds when column 0 of every
-    annihilator row of W is 0, since 1's row is e_0; then U is spanned
-    here when it is None.  When 1 is outside W, delta * U inside W
-    already puts delta outside U (``_admissible``), and U is not needed.
-    That is every call from ``_complete``, whose W is the pure space of
-    an anisotropic form.
+    U is read only when 1 lies in W (``SqSubspace.contains_one``, column
+    0 of W's annihilator, since 1's row is e_0); then U is spanned here
+    when it is None.  When 1 is outside W, delta * U inside W already
+    puts delta outside U (``_admissible``), and U is not needed.  That
+    is every call from ``_complete``, whose W is the pure space of an
+    anisotropic form.
 
     The candidates are tried as rows: W's eliminated rows, each last
     times a reduced row, then sums of two of them, which share that
     scale, then the eliminated rows of the fallback space.  The values
-    of W's rows at the fixed point are taken once, and a sum's values are
-    the XOR of its two rows' values.  Only the one candidate accepted is
-    turned into a field element, read off its row by
-    ``field._row_element`` as (sum e_j^2 * a^(d_j)) / last^2, the
-    conversion of ``SqSubspace.elements()``.  It is returned in lowest
-    terms, one gcd per chosen slot: the entries are elimination minors,
-    and a slot is a factor of every product built after it.  Lowest
-    terms over GF(2) are unique, so the slot is the one the elements
-    would give.
+    of W's rows at the fixed point are taken once per space and cached
+    (``SqSubspace.row_values``), and a sum's values are the XOR of its
+    two rows' values.  Only a candidate that passes the screen and the U
+    test becomes a field element, the lowest-terms slot whose own row
+    ``_admissible`` multiplies in its exact test; the accepted slot's
+    products are built once, there.
     """
-    ctx = W.ctx
-    if any(a[0].terms for a in W.annihilator):
+    if not W.contains_one():
         U = None
     elif U is None:
-        U = SqSubspace.from_poly_rows(ctx, u_rows)
+        U = SqSubspace.from_poly_rows(W.ctx, u_rows)
     screen = _Screen(u_rows, W)
-    for row, values, last in _candidate_rows(u_rows, W, screen.point):
-        if _admissible(row, values, screen, U, u_rows, W):
-            return _row_element(ctx, row, last).lowest_terms()
+    for row, values, last in _candidate_rows(u_rows, W):
+        found = _admissible(row, values, last, screen, U, u_rows, W)
+        if found is not None:
+            return found
     return None
 
 
-def _candidate_rows(u_rows: Sequence[SparseRow], W: SqSubspace, point: _Point):
+def _candidate_rows(u_rows: Sequence[SparseRow], W: SqSubspace):
     """The candidates of ``_next_slot`` in order, as (sparse row, values
     at the point, scale): W's eliminated rows, the sums of two of them,
     then the eliminated rows of the fallback space, which is computed only
-    when it is reached."""
-    value = point.value
-
-    def at_point(polys):
-        return [value(p) if p.terms else 0 for p in polys]
-
-    values = [at_point(polys) for polys in W._eliminated]
-    for polys, vals in zip(W._eliminated, values):
+    when it is reached.  Each space's values are its cached
+    ``row_values``."""
+    rows = W._eliminated
+    values = W.row_values
+    for polys, vals in zip(rows, values):
         yield _sparse(polys), vals, W._last
-    for (a, va), (b, vb) in itertools.combinations(zip(W._eliminated, values), 2):
+    for (a, va), (b, vb) in itertools.combinations(zip(rows, values), 2):
         yield _sparse([x + y for x, y in zip(a, b)]), [x ^ y for x, y in zip(va, vb)], W._last
     # bounded search exhausted: fall back to the exact candidate subspace,
     # which is nonzero iff any completion step exists at all
     stable = _stable_subspace(u_rows, W)
-    for polys in stable._eliminated:
-        yield _sparse(polys), at_point(polys), stable._last
+    for polys, vals in zip(stable._eliminated, stable.row_values):
+        yield _sparse(polys), vals, stable._last
 
 
 def _complete(
@@ -488,7 +515,7 @@ def _complete(
          is 0 at every point, so the rank over F is at least that, and
          span(products) <= W then fills W;
       3. 1 is not in W: 1's row is e_0, so this reads column 0 of W's
-         annihilator.
+         annihilator (``SqSubspace.contains_one``).
 
     Only when the rank at the point falls short are the rows spanned
     exactly and compared with W.
@@ -498,9 +525,12 @@ def _complete(
     slot at a time: the new slot is the last, the lowest bit of e, so
     each old row r is followed by ``_row_mul`` of the slot's row and r,
     which is exact, so the rows are those ``_product_rows`` builds.
-    ``_next_slot`` tests its candidates against them, and the
-    certification reads them; the slots that ``_next_slot`` adds are in
-    lowest terms, so the rows stay small.
+    Those products are built once, by the accepted slot's exact test in
+    ``_admissible``, and ``_next_slot`` returns them with the slot, so
+    no product row is multiplied twice.  ``_next_slot`` tests its
+    candidates against the rows, and the certification reads them; the
+    slots that ``_next_slot`` adds are in lowest terms, so the rows stay
+    small.
 
     The given slots are the same for every form of a ``common_factor``
     round, so the round passes their span U, built once for all forms;
@@ -518,17 +548,16 @@ def _complete(
         if U.dim != 2 ** len(slots):
             raise CompletionNotFound("partial slot list became isotropic")
     while len(slots) < form.fold:
-        cand = _next_slot(U, W, rows)
-        if cand is None:
+        found = _next_slot(U, W, rows)
+        if found is None:
             raise CompletionNotFound(
                 f"no admissible slot extends {len(slots)} of {form.fold} slots"
             )
+        cand, products = found
         slots = slots + (cand,)
-        new = _poly_row(cand)
-        rows = [x for r in rows for x in (r, _row_mul(ctx, new, r))]
+        rows = [x for r, p in zip(rows, products) for x in (r, p)]
         U = None
-    # 1 outside W reads column 0 of W's annihilator: 1's row is e_0
-    if not W.is_span_of(rows=rows[1:]) or ctx.one in W:
+    if not W.is_span_of(rows=rows[1:]) or W.contains_one():
         raise CompletionNotFound("completion failed the exact certification")
     return slots, rows
 
@@ -601,12 +630,14 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     """Extract a verified m-fold common factor, or None when the slot
     intersection dies before m slots are collected.
 
-    Each round intersects the mixed pure spaces, takes beta, and completes
-    every form from the head rho + beta.  The head is the same for every
-    form, so the span U of its product rows is built once per round and
-    shared by every ``_complete``.  Each completion returns its full
-    product rows, the rows of rho + beta + complement, and the next
-    round's mixed spaces are spanned from them."""
+    Each round intersects the mixed pure spaces, takes beta, the first
+    element of the intersection's reduced basis, checks it against every
+    mixed space through its one row, and completes every form from the
+    head rho + beta.  The head is the same for every form, so the span U
+    of its product rows is built once per round and shared by every
+    ``_complete``.  Each completion returns its full product rows, the
+    rows of rho + beta + complement, and the next round's mixed spaces
+    are spanned from them."""
     pures = _pure_spaces(forms)
     ctx = forms[0].ctx
     n = forms[0].fold
@@ -630,9 +661,12 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
         inter = spaces[0].intersection(*spaces[1:])
         if inter.is_zero:
             return None
-        # in lowest terms: beta is a factor of every product after this
-        beta = inter.elements()[0].lowest_terms()
-        if not all(beta in space for space in spaces):
+        # the first reduced basis element, read off its eliminated row as
+        # elements() would, in lowest terms: beta is a factor of every
+        # product after this
+        beta = _row_element(ctx, _sparse(inter._eliminated[0]), inter._last).lowest_terms()
+        beta_row = _poly_row(beta)
+        if not all(space._annihilates(beta_row) for space in spaces):
             raise PreconditionFailed("beta left a mixed pure space")
         # rho + comp presents the form: its own slots in round 1, certified
         # by the previous round's _complete after that

@@ -370,9 +370,10 @@ class FieldElement:
         return bool(self.num.terms)
 
     def canonical(self) -> tuple[Poly, Poly]:
-        """Lowest-terms (num, den); computed once and cached."""
+        """Lowest-terms (num, den); computed once and cached.  Over the
+        denominator 1 the stored pair already is, and no gcd is taken."""
         if self._canon is None:
-            g = _gcd(self.num, self.den)
+            g = self.den if self.den.is_one() else _gcd(self.num, self.den)
             if g.is_one():
                 self._canon = (self.num, self.den)
             else:

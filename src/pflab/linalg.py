@@ -271,8 +271,10 @@ class _Point:
     """The fixed point of GF(2^16)^n at which ranks are bounded and slot
     candidates screened: each a_i is x^(7919 * i), x the generator of
     GF(2^16)^*.  One is made per call of ``_rank_at_point`` or
-    ``bilinear._next_slot``, and it remembers the value of each monomial
-    it has met, since the product rows of a family repeat their monomials.
+    ``bilinear._next_slot`` and per space whose row or annihilator values
+    are taken (``_values_at_point``), and it remembers the value of each
+    monomial it has met, since the product rows of a family repeat their
+    monomials.
 
     Substitution is a ring homomorphism F[a] -> GF(2^16), so a polynomial
     with a nonzero value is nonzero, and a minor that is 0 over F is 0
@@ -299,6 +301,15 @@ class _Point:
                 m = values[t] = self.exp[self.monomial_log(t)]
             v ^= m
         return v
+
+
+def _values_at_point(
+    ctx: FieldContext, rows: Iterable[Sequence[Poly]]
+) -> tuple[tuple[int, ...], ...]:
+    """The entries of dense polynomial rows at the fixed point of
+    ``_Point``, row by row."""
+    value = _Point(ctx).value
+    return tuple(tuple(map(value, polys)) for polys in rows)
 
 
 def _rank_at_point(ctx: FieldContext, rows: Sequence[SparseRow]) -> int:
@@ -405,11 +416,16 @@ class SqSubspace:
     and its entry at j is x . a up to a nonzero scale.  Membership and
     ``contains_subspace`` test those dot products; ``intersection`` is
     the ``null_space`` of the inputs' annihilator rows stacked together,
-    read off with the same ``_null_vectors``.
+    read off with the same ``_null_vectors``.  1's row is e_0, so
+    ``contains_one`` reads column 0 of the annihilator rows.  Next to the
+    annihilator, the entries of the annihilator rows and of the eliminated
+    rows at the fixed point of ``_Point`` are taken on first use and
+    cached, for ``bilinear._next_slot``'s screen and candidates.
     """
 
     __slots__ = (
-        "ctx", "pivots", "spanners", "_eliminated", "_last", "_rows", "_annihilator", "_elements"
+        "ctx", "pivots", "spanners", "_eliminated", "_last", "_rows", "_annihilator", "_elements",
+        "_row_values", "_annihilator_values",
     )
 
     def __init__(
@@ -428,6 +444,8 @@ class SqSubspace:
         self._rows = None
         self._annihilator = None
         self._elements = None
+        self._row_values = None
+        self._annihilator_values = None
 
     @classmethod
     def from_poly_rows(cls, ctx: FieldContext, raw_rows: Iterable[SparseRow]) -> SqSubspace:
@@ -559,6 +577,28 @@ class SqSubspace:
             )
             self._annihilator = tuple(tuple(v) for v in vecs)
         return self._annihilator
+
+    @property
+    def row_values(self) -> tuple[tuple[int, ...], ...]:
+        """The eliminated rows' entries at the fixed point of ``_Point``,
+        row by row; taken on first use and cached."""
+        if self._row_values is None:
+            self._row_values = _values_at_point(self.ctx, self._eliminated)
+        return self._row_values
+
+    @property
+    def annihilator_values(self) -> tuple[tuple[int, ...], ...]:
+        """The annihilator rows' entries at the fixed point of ``_Point``,
+        row by row; taken on first use and cached."""
+        if self._annihilator_values is None:
+            self._annihilator_values = _values_at_point(self.ctx, self.annihilator)
+        return self._annihilator_values
+
+    def contains_one(self) -> bool:
+        """Whether 1 lies in the space.  1's row is e_0, so it does when
+        column 0 of every annihilator row is 0; the whole space has no
+        annihilator rows, and the zero space has e_0 among them."""
+        return not any(a[0].terms for a in self.annihilator)
 
     def _annihilates(self, row: SparseRow) -> bool:
         """Whether a sparse coordinate row, scaled to polynomials, lies in

@@ -512,7 +512,10 @@ class TestCommonFactor:
             # any element of U repeats a value, so the list is isotropic.
             # U is None after a round's head, so it is spanned here
             spanned = SqSubspace.from_poly_rows(W.ctx, u_rows)
-            return spanned.elements()[-1] if spanned.dim == 4 else real(U, W, u_rows)
+            if spanned.dim != 4:
+                return real(U, W, u_rows)
+            slot = spanned.elements()[-1]
+            return slot, [field._row_mul(W.ctx, _poly_row(slot), r) for r in u_rows]
 
         monkeypatch.setattr(bilinear, "_next_slot", wrong_last)
         with pytest.raises(CompletionNotFound, match="exact certification"):
@@ -661,6 +664,54 @@ class TestCommonFactor:
         monkeypatch.setattr(linalg._Point, "value", lambda self, p: 0)
         assert run() > plain
 
+    def test_complete_builds_each_product_row_once(self, monkeypatch):
+        # the accepted slot's exact test multiplies its row by each of U's
+        # rows, and _complete appends those products: one _row_mul per new
+        # product row, and the rows are _product_rows of the slots.  The
+        # fallback space's own _row_mul calls (_stable_subspace) build no
+        # product row and are not counted
+        runs = [
+            (1, golden_forms, "common-factor-m1.json"),
+            (2, golden_forms, "common-factor-m2.json"),
+            (2, fallback_forms, "common-factor-fallback-m2.json"),
+        ]
+        made, completions, fallbacks = [0], [], []
+        real_mul, real_complete = bilinear._row_mul, bilinear._complete
+        real_stable = bilinear._stable_subspace
+
+        def counted_mul(ctx, r1, r2):
+            made[0] += 1
+            return real_mul(ctx, r1, r2)
+
+        def uncounted_stable(u_rows, W):
+            before = made[0]
+            try:
+                return real_stable(u_rows, W)
+            finally:
+                fallbacks.append(made[0] - before)
+                made[0] = before
+
+        def recorded(slots, form, U=None):
+            before = made[0]
+            done = real_complete(slots, form, U)
+            completions.append((len(slots), done, made[0] - before))
+            return done
+
+        monkeypatch.setattr(bilinear, "_row_mul", counted_mul)
+        monkeypatch.setattr(bilinear, "_stable_subspace", uncounted_stable)
+        monkeypatch.setattr(bilinear, "_complete", recorded)
+        for m, forms, name in runs:
+            golden = json.loads((GOLDEN / name).read_text())
+            assert common_factor(m, forms()).to_json() == golden["evidence"]["witness"]
+        monkeypatch.undo()
+        assert len(fallbacks) == 1 and fallbacks[0] > 0
+        # one completion per form and round
+        assert len(completions) == sum(m * len(forms()) for m, forms, _ in runs)
+        for head, (slots, rows), count in completions:
+            want = _product_rows(slots[0].ctx, slots)
+            assert len(rows) == len(want) and all(r == w for r, w in zip(rows, want))
+            assert count == len(rows) - 2**head > 0
+
     def test_builds_no_products(self, monkeypatch):
         # corpus 20260814's instance 19, whose run reaches the exact
         # fallback: candidates are tested on rows, products are built as
@@ -737,8 +788,8 @@ class TestNextSlot:
         monkeypatch.setattr(SqSubspace, "elements", counted("elements", SqSubspace.elements))
         for name in ("_admissible", "_stable_subspace"):
             monkeypatch.setattr(bilinear, name, counted(name, getattr(bilinear, name)))
-        slot = bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])
-        assert slot is not None and slot not in U
+        found = bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])
+        assert found is not None and found[0] not in U
         assert calls["_admissible"] > 3 and calls["_stable_subspace"] == 1
         # at most one conversion each for U, W and the fallback space; the
         # row search itself converts none of them
@@ -759,9 +810,9 @@ class TestNextSlot:
         products = bilinear._products(ctx3, slots)
         U = SqSubspace.span(ctx3, products)
         assert products != list(U.elements())
-        slot = bilinear._next_slot(U, W, _product_rows(ctx3, slots))
-        assert slot is not None
-        assert slot == bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])
+        found = bilinear._next_slot(U, W, _product_rows(ctx3, slots))
+        assert found is not None
+        assert found[0] == bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])[0]
 
 
 def stable_subspace_by_residues(u_basis, W):
@@ -844,12 +895,13 @@ class TestRowSearch:
         ctx = W.ctx
         u_basis = bilinear._products(ctx, slots)
         U = SqSubspace.span(ctx, u_basis)
-        got = bilinear._next_slot(U, W, _product_rows(ctx, slots))
+        found = bilinear._next_slot(U, W, _product_rows(ctx, slots))
         want = next_slot_by_elements(U, W, u_basis)
         if want is None:
-            assert got is None
+            assert found is None
         else:
             # both in lowest terms, which are unique over GF(2)
+            got = found[0]
             assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
 
     @given(st.lists(polynomial_slots(CTX2), min_size=1, max_size=2), _subspaces(CTX2, 3))
@@ -870,10 +922,11 @@ class TestRowSearch:
         real_next, real_stable = bilinear._next_slot, bilinear._stable_subspace
 
         def recorded(U, W, u_rows):
-            slot = real_next(U, W, u_rows)
+            found = real_next(U, W, u_rows)
             # U is None after a round's head, so it is spanned here
+            slot = None if found is None else found[0]
             searches.append((SqSubspace.from_poly_rows(W.ctx, u_rows), W, slot))
-            return slot
+            return found
 
         def counted(u_rows, W):
             fallbacks.append(len(searches))
@@ -933,7 +986,8 @@ class TestAdmissible:
         assert len(spans) == (ctx.one in W)
         for row, verdict in verdicts:
             delta = _row_element(ctx, row, ctx._one_poly) if row else ctx.zero
-            assert verdict == admissible_by_elements(delta, U, u_basis, W)
+            # an accepted candidate comes back as its slot and product rows
+            assert (verdict is not None) == admissible_by_elements(delta, U, u_basis, W)
 
     @given(
         st.lists(polynomial_slots(CTX2), min_size=1, max_size=2),
@@ -988,10 +1042,11 @@ class TestAdmissible:
         size = len(ctx3.patterns)
         screen = bilinear._Screen(u_rows, W)
         values = [screen.point.value(row[c]) if c in row else 0 for c in range(size)]
+        one = ctx3._one_poly
         assert screen.rejects(values)
-        assert not bilinear._admissible(row, values, screen, None, u_rows, W)
+        assert not bilinear._admissible(row, values, one, screen, None, u_rows, W)
         # at a point where every value is 0 the exact test rejects it alone
-        assert not bilinear._admissible(row, [0] * size, screen, None, u_rows, W)
+        assert not bilinear._admissible(row, [0] * size, one, screen, None, u_rows, W)
         assert not W._annihilates(field._row_mul(ctx3, row, row))
 
 

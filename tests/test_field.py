@@ -15,7 +15,7 @@ from pflab import (
     Poly,
 )
 from pflab import field
-from conftest import CTX2, elements, nonzero_elements
+from conftest import CTX2, CTX3, elements, nonzero_elements, polys
 
 
 @pytest.fixture
@@ -186,6 +186,35 @@ class TestSerialization:
         assert str(a1 * a2) == "a1*a2"
         assert str(ctx2.zero) == "0"
         assert str(ctx2.one + a1) == "a1+1"
+
+
+class TestCanonical:
+    @given(num=polys(CTX3))
+    def test_denominator_one_takes_no_gcd(self, num):
+        # over the denominator 1 the stored pair is already in lowest terms
+        calls = []
+        real = field._gcd
+        f = FieldElement(CTX3, num, CTX3._one_poly)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field, "_gcd", lambda a, b: calls.append(1) or real(a, b))
+            got = f.canonical()
+            assert f.lowest_terms() is f
+        assert calls == []
+        assert got[0] is f.num and got[1] is f.den
+
+    def test_fraction_is_still_reduced(self, ctx2, gens2, monkeypatch):
+        a1, a2 = gens2
+        one = ctx2.one
+        calls = []
+        real = field._gcd
+        monkeypatch.setattr(field, "_gcd", lambda a, b: calls.append(1) or real(a, b))
+        # (a1 + a2)(1 + a1) / ((1 + a1)(1 + a2)), stored as that product
+        f = FieldElement(ctx2, ((a1 + a2) * (one + a1)).num, ((one + a1) * (one + a2)).num)
+        reduced = f.lowest_terms()
+        assert calls
+        assert reduced is not f
+        assert (reduced.num, reduced.den) == ((a1 + a2).num, (one + a2).num)
+        assert reduced.canonical() == (reduced.num, reduced.den)
 
 
 class TestPoly:

@@ -6,18 +6,27 @@ refactor must leave every file unchanged.  A change that is meant to
 alter a report rewrites its goldens on purpose, and only those: run this
 file as a script, ``PYTHONPATH=src python tests/test_golden.py``, and
 check that ``git diff --stat tests/golden`` lists no other file.
+
+The ``common_factor`` witnesses of the ``sharing-n3`` benchmark corpora
+are pinned too, by the digests recorded in ``perfbench/reference.json``;
+the workload is loaded from ``perfbench/workloads.py``, and neither file
+is written.
 """
 
 import contextlib
+import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import pflab
 from pflab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FORMS = str(GOLDEN / "common_factor_forms.json")
 # corpus 20260814's instance 19 of the sharing benchmark, the one golden
 # input whose run reaches the exact fallback of bilinear._next_slot
@@ -69,6 +78,31 @@ def test_golden_outputs():
         elif out != (GOLDEN / name).read_text(encoding="utf-8"):
             mismatches.append(f"{name}: stdout differs")
     assert not mismatches, mismatches
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("corpus_seed", [20260814, 20261017])
+def test_sharing_witness_digests(corpus_seed):
+    # every instance of the recorded corpus, visited in corpus order; the
+    # workload seed only shuffles the visiting order
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    recorded = reference["sharing-n3"]["witness_sha256"][str(corpus_seed)]
+    workload = _workloads().setup("sharing-n3", pflab, 1, corpus_seed, reference)
+    assert len(workload.items) == len(recorded) == 60
+    mismatches = [
+        item[0]
+        for item in sorted(workload.items)
+        if workload.digest(item, workload.run(item)) != recorded[item[0]]
+    ]
+    assert not mismatches, f"witness digests differ on instances {mismatches}"
 
 
 def _rewrite() -> int:

@@ -272,6 +272,47 @@ class TestMember:
             assert back == f
 
 
+def _spans_maybe_with_one(ctx, most):
+    """Spans of up to most fraction generators, to which a nonzero square
+    is sometimes added: it puts 1 in the span, since squares are F^2."""
+    gens = st.lists(elements(ctx, max_degree=2, max_terms=3), max_size=most)
+    square = st.one_of(st.none(), elements(ctx, max_degree=1, max_terms=2).filter(bool))
+    return st.builds(
+        lambda g, c: SqSubspace.span(ctx, g + ([c * c] if c else [])), gens, square
+    )
+
+
+class TestContainsOne:
+    """SqSubspace.contains_one, column 0 of the annihilator rows, against
+    the membership test of the element 1."""
+
+    @given(space=_spans_maybe_with_one(CTX2, 3))
+    def test_n2(self, space):
+        assert space.contains_one() == (CTX2.one in space)
+
+    @given(space=_spans_maybe_with_one(CTX3, 4))
+    def test_n3(self, space):
+        assert space.contains_one() == (CTX3.one in space)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["n2", "n3"])
+    def test_extremes(self, ctx):
+        zero = SqSubspace.zero(ctx)
+        assert not zero.contains_one() and ctx.one not in zero
+        whole = SqSubspace.span(ctx, [ctx.monomial(d) for d in ctx.patterns])
+        assert whole.annihilator == ()
+        assert whole.contains_one() and ctx.one in whole
+
+    @given(space=_spans_maybe_with_one(CTX3, 4))
+    def test_point_values_cached(self, space):
+        # the values the slot search reads, taken once per space
+        value = linalg._Point(CTX3).value
+        rows = space.row_values
+        assert rows == tuple(tuple(map(value, polys)) for polys in space._eliminated)
+        anns = space.annihilator_values
+        assert anns == tuple(tuple(map(value, a)) for a in space.annihilator)
+        assert space.row_values is rows and space.annihilator_values is anns
+
+
 class TestIntersection:
     def test_forced_common_line(self, ctx2):
         a1, a2 = ctx2.gens
