@@ -4,7 +4,9 @@
 Runs the same library checks the CLI reports, for several ranks in one go,
 and prints a compact pass/fail table.  Handy when touching the elimination
 or valuation internals: a regression shows up here as a named failing check
-rather than a wrong certificate downstream.
+rather than a wrong certificate downstream.  A library call that raises
+(a certificate that stops on a failed identity, say) fails its section
+with the error named, and the later sections still run.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 
 from pflab import (
     FieldContext,
+    PflabError,
     build_quadratic_family,
     build_quat_triple,
     insep_obstruction,
@@ -38,6 +41,12 @@ class RunConfig:
         if not ok:
             self.failures.append(label)
 
+    def error(self, title: str, exc: PflabError) -> None:
+        """A section whose library call raised: one labelled FAIL."""
+        print(title)
+        self.check(f"{title}: raised {type(exc).__name__}", False)
+        print(f"    {exc}")
+
 
 # table label of each check in the bilinear-family evidence
 BILINEAR_CHECKS = (
@@ -51,8 +60,13 @@ BILINEAR_CHECKS = (
 
 def bilinear_section(cfg: RunConfig, n: int) -> None:
     t0 = time.monotonic()
-    evidence = verify_no_common_slot_family(n)
-    print(f"bilinear family, n={n} ({evidence['family_size']} forms)")
+    title = f"bilinear family, n={n}"
+    try:
+        evidence = verify_no_common_slot_family(n)
+    except PflabError as exc:
+        cfg.error(title, exc)
+        return
+    print(f"{title} ({evidence['family_size']} forms)")
     for label, key in BILINEAR_CHECKS:
         cfg.check(label, evidence["checks"][key])
     loo = evidence["leave_one_out_dims"]
@@ -61,9 +75,15 @@ def bilinear_section(cfg: RunConfig, n: int) -> None:
 
 def quadratic_section(cfg: RunConfig, n: int) -> None:
     t0 = time.monotonic()
-    family = build_quadratic_family(n)
-    cert = insep_obstruction(family)
-    print(f"quadratic family, n={n} ({len(family)} forms)")
+    title = f"quadratic family, n={n}"
+    try:
+        family = build_quadratic_family(n)
+        cert = insep_obstruction(family)
+        zero_counts = [zero_parity_diagonal_count(f) for f in family]
+    except PflabError as exc:
+        cfg.error(title, exc)
+        return
+    print(f"{title} ({len(family)} forms)")
     cfg.check("dominant-term hypotheses hold", all(cert.hypothesis_checks))
     cfg.check("pure parity images intersect in 0 only", cert.intersection.is_zero_only)
     sizes = [len(img.classes) for img in cert.per_form_images]
@@ -73,7 +93,7 @@ def quadratic_section(cfg: RunConfig, n: int) -> None:
     )
     cfg.check(
         "2-dim subspaces hit nonzero parity (exact)",
-        all(zero_parity_diagonal_count(f) == 0 for f in family),
+        all(count == 0 for count in zero_counts),
     )
     print(f"  ({time.monotonic() - t0:.2f}s, image sizes {sizes})")
 
@@ -82,11 +102,15 @@ def quaternion_section(cfg: RunConfig) -> None:
     t0 = time.monotonic()
     ctx = FieldContext(2)
     a1, a2 = ctx.gens
-    cert = quat_triple_obstruction(a1, a2)
-    print("quaternion triple over GF(2)(a1,a2)")
+    title = "quaternion triple over GF(2)(a1,a2)"
+    try:
+        cert = quat_triple_obstruction(a1, a2)
+        norms = {q.norm_form() for q in build_quat_triple(a1, a2)}
+    except PflabError as exc:
+        cfg.error(title, exc)
+        return
+    print(title)
     cfg.check("triple certificate valid", cert.valid)
-
-    norms = {q.norm_form() for q in build_quat_triple(a1, a2)}
     cfg.check(
         "norm forms recover the rank-2 quadratic family",
         norms == set(build_quadratic_family(2)),

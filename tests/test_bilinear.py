@@ -43,7 +43,9 @@ from test_linalg import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_N3 = GOLDEN / "bilinear-family-n3-verify.json"
 GOLDEN_N4 = GOLDEN / "bilinear-family-n4-verify.json"
+GOLDEN_N3_EVIDENCE = json.loads(GOLDEN_N3.read_text())["evidence"]
 GOLDEN_N4_EVIDENCE = json.loads(GOLDEN_N4.read_text())["evidence"]
 
 
@@ -507,13 +509,13 @@ class TestCommonFactor:
     def test_wrong_last_slot_fails_certification(self, ctx3, monkeypatch):
         real = bilinear._next_slot
 
-        def wrong_last(U, W, u_rows):
+        def wrong_last(W, u_rows):
             # at m=2 the two rho slots are in place and one slot is missing;
             # any element of U repeats a value, so the list is isotropic.
-            # U is None after a round's head, so it is spanned here
+            # the search spans no U, so it is spanned here
             spanned = SqSubspace.from_poly_rows(W.ctx, u_rows)
             if spanned.dim != 4:
-                return real(U, W, u_rows)
+                return real(W, u_rows)
             slot = spanned.elements()[-1]
             return slot, [field._row_mul(W.ctx, _poly_row(slot), r) for r in u_rows]
 
@@ -555,11 +557,30 @@ class TestCommonFactor:
             linalg, "_rank_at_point", lambda ctx, rows: ranks.append(1) or real(ctx, rows)
         )
         # 1 + a2 is a product outside D(b0') = span(a1, a2, a1*a2)
+        slots = (a1, ctx2.one + a2)
         with pytest.raises(CompletionNotFound, match="exact certification"):
-            bilinear._complete((a1, ctx2.one + a2), b0)
+            bilinear._complete(slots, b0, _product_rows(ctx2, slots))
         assert ranks == []
-        assert bilinear._complete((a1, a2), b0)[0] == (a1, a2)
+        assert bilinear._complete((a1, a2), b0, _product_rows(ctx2, (a1, a2)))[0] == (a1, a2)
         assert ranks == [1]
+
+    def test_isotropic_head_fails_certification(self, ctx3, monkeypatch):
+        # the head's dimension is not checked on its own: the search still
+        # finds slots for the isotropic head (a1, a1), and the dependent
+        # product rows fail the exact certification
+        a1, a2, a3 = ctx3.gens
+        head = (a1, a1)
+        form = BilinearPfister(ctx3, (a1, a2, a3))
+        with pytest.raises(CompletionNotFound, match="exact certification"):
+            bilinear._complete(head, form, _product_rows(ctx3, head))
+        # a pure space holding 1 stops the completion before any search
+        searches = []
+        monkeypatch.setattr(bilinear, "_next_slot", lambda *args: searches.append(1))
+        isotropic = BilinearPfister(ctx3, (a1, a1))
+        assert ctx3.one in isotropic.pure_value_space()
+        with pytest.raises(CompletionNotFound, match="contains 1"):
+            bilinear._complete((a1,), isotropic, _product_rows(ctx3, (a1,)))
+        assert searches == []
 
     @pytest.mark.parametrize("m, most", [(1, 17), (2, 28)])
     def test_each_factorization_spanned_once(self, ctx3, monkeypatch, m, most):
@@ -584,12 +605,10 @@ class TestCommonFactor:
         assert common_factor(m, forms) is not None
         assert sum(calls) <= most
 
-    def test_round_head_spanned_once(self, monkeypatch):
+    def test_round_head_rows_built_once(self, monkeypatch):
         # every form of a round completes the same head slots (rho, beta):
-        # their product rows and span U are built once per round, and the
-        # next round's mixed spaces read the rows _complete built.  A span
-        # is counted in the round of the head rows built before it, since a
-        # round-1 completion may span the slots that head round 2
+        # their product rows are built once per round and never spanned,
+        # and the next round's mixed spaces read the rows _complete built
         forms = golden_forms()
         ctx = forms[0].ctx
         for f in forms:
@@ -604,7 +623,7 @@ class TestCommonFactor:
 
         def counted_span(cls, ctx, rows):
             rows = list(rows)
-            spanned.append((len(built), rows))
+            spanned.append(rows)
             return real_span(ctx, rows)
 
         monkeypatch.setattr(bilinear, "_product_rows", counted_rows)
@@ -615,21 +634,17 @@ class TestCommonFactor:
         assert witness.to_json() == golden["evidence"]["witness"]
         heads = [witness.rho.slots[:1], witness.rho.slots[:2]]
         assert built == heads
-        for k, head in enumerate(heads, 1):
-            rows = _product_rows(ctx, head)
-            assert sum(r == rows for j, r in spanned if j == k) == 1
-        # no partial U is spanned: with the pure spaces built before the
-        # count, the only spans are one head per round and round 2's mixed
-        # spaces, from the rows of round 1's completions
+        # no head and no partial U is spanned: with the pure spaces built
+        # before the count, the only spans are round 2's mixed spaces, from
+        # the rows of round 1's completions
         first = common_factor(1, golden_forms())
         low = 2 ** len(first.complements[0]) - 1
         mixed = [
             [row for e, row in enumerate(_product_rows(ctx, heads[0] + comp)) if e & low]
             for comp in first.complements
         ]
-        want = [_product_rows(ctx, heads[0]), *mixed, _product_rows(ctx, heads[1])]
-        assert [rows for _, rows in spanned] == want
-        # factor_out, called on its own, builds its own head rows and U and
+        assert spanned == mixed
+        # factor_out, called on its own, builds its own head rows and
         # completes each form as the witness does, round by round
         rho = BilinearPfister(ctx, witness.rho.slots[:1])
         for form, comp, done in zip(golden_forms(), first.complements, witness.complements):
@@ -691,9 +706,9 @@ class TestCommonFactor:
                 fallbacks.append(made[0] - before)
                 made[0] = before
 
-        def recorded(slots, form, U=None):
+        def recorded(slots, form, rows):
             before = made[0]
-            done = real_complete(slots, form, U)
+            done = real_complete(slots, form, rows)
             completions.append((len(slots), done, made[0] - before))
             return done
 
@@ -788,7 +803,7 @@ class TestNextSlot:
         monkeypatch.setattr(SqSubspace, "elements", counted("elements", SqSubspace.elements))
         for name in ("_admissible", "_stable_subspace"):
             monkeypatch.setattr(bilinear, name, counted(name, getattr(bilinear, name)))
-        found = bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])
+        found = bilinear._next_slot(W, [_poly_row(u) for u in U.elements()])
         assert found is not None and found[0] not in U
         assert calls["_admissible"] > 3 and calls["_stable_subspace"] == 1
         # at most one conversion each for U, W and the fallback space; the
@@ -810,9 +825,9 @@ class TestNextSlot:
         products = bilinear._products(ctx3, slots)
         U = SqSubspace.span(ctx3, products)
         assert products != list(U.elements())
-        found = bilinear._next_slot(U, W, _product_rows(ctx3, slots))
+        found = bilinear._next_slot(W, _product_rows(ctx3, slots))
         assert found is not None
-        assert found[0] == bilinear._next_slot(U, W, [_poly_row(u) for u in U.elements()])[0]
+        assert found[0] == bilinear._next_slot(W, [_poly_row(u) for u in U.elements()])[0]
 
 
 def stable_subspace_by_residues(u_basis, W):
@@ -855,6 +870,13 @@ def _subspaces(ctx, most):
     return st.lists(gens, min_size=1, max_size=most).map(lambda g: SqSubspace.span(ctx, g))
 
 
+def _targets(ctx, most):
+    """Spans of _subspaces that miss 1, the precondition of
+    bilinear._next_slot, which the pure space of an anisotropic form
+    meets."""
+    return _subspaces(ctx, most).filter(lambda W: not W.contains_one())
+
+
 def admissible_by_elements(delta, U, u_basis, W):
     """Reference for bilinear._admissible: the element test, delta outside
     U and every product delta * u built as a field element and tested
@@ -895,7 +917,7 @@ class TestRowSearch:
         ctx = W.ctx
         u_basis = bilinear._products(ctx, slots)
         U = SqSubspace.span(ctx, u_basis)
-        found = bilinear._next_slot(U, W, _product_rows(ctx, slots))
+        found = bilinear._next_slot(W, _product_rows(ctx, slots))
         want = next_slot_by_elements(U, W, u_basis)
         if want is None:
             assert found is None
@@ -904,11 +926,11 @@ class TestRowSearch:
             got = found[0]
             assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
 
-    @given(st.lists(polynomial_slots(CTX2), min_size=1, max_size=2), _subspaces(CTX2, 3))
+    @given(st.lists(polynomial_slots(CTX2), min_size=1, max_size=2), _targets(CTX2, 3))
     def test_n2(self, slots, W):
         self.check(slots, W)
 
-    @given(st.lists(polynomial_slots(CTX3), min_size=1, max_size=2), _subspaces(CTX3, 6))
+    @given(st.lists(polynomial_slots(CTX3), min_size=1, max_size=2), _targets(CTX3, 6))
     def test_n3(self, slots, W):
         self.check(slots, W)
 
@@ -921,9 +943,9 @@ class TestRowSearch:
         fallbacks = []
         real_next, real_stable = bilinear._next_slot, bilinear._stable_subspace
 
-        def recorded(U, W, u_rows):
-            found = real_next(U, W, u_rows)
-            # U is None after a round's head, so it is spanned here
+        def recorded(W, u_rows):
+            found = real_next(W, u_rows)
+            # the search spans no U, so it is spanned here
             slot = None if found is None else found[0]
             searches.append((SqSubspace.from_poly_rows(W.ctx, u_rows), W, slot))
             return found
@@ -955,11 +977,11 @@ class TestRowSearch:
 
 class TestAdmissible:
     """Every verdict of bilinear._admissible in a _next_slot search against
-    admissible_by_elements, which always tests delta outside U.  With 1
-    in W, U is spanned and the test is made; with 1 outside W, U is never
-    spanned, and delta * U inside W alone puts delta outside U.  Each
-    candidate is read off its row with scale 1, its element times a
-    square, which changes neither verdict."""
+    admissible_by_elements, which always tests delta outside U.  Every
+    target W misses 1, the search's precondition, so U is never spanned,
+    and delta * U inside W alone puts delta outside U.  Each candidate is
+    read off its row with scale 1, its element times a square, which
+    changes neither verdict."""
 
     @staticmethod
     def check(slots, W):
@@ -981,33 +1003,21 @@ class TestAdmissible:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bilinear, "_admissible", recorded)
             mp.setattr(SqSubspace, "from_poly_rows", classmethod(counted))
-            bilinear._next_slot(None, W, _product_rows(ctx, slots))
+            bilinear._next_slot(W, _product_rows(ctx, slots))
         assert verdicts
-        assert len(spans) == (ctx.one in W)
+        assert spans == []
         for row, verdict in verdicts:
             delta = _row_element(ctx, row, ctx._one_poly) if row else ctx.zero
             # an accepted candidate comes back as its slot and product rows
             assert (verdict is not None) == admissible_by_elements(delta, U, u_basis, W)
 
-    @given(
-        st.lists(polynomial_slots(CTX2), min_size=1, max_size=2),
-        st.lists(polynomial_slots(CTX2), min_size=1, max_size=3),
-        st.booleans(),
-    )
-    def test_any_target_n2(self, slots, gens, covers):
-        # with the products among W's generators, 1 lies in W, and some
-        # candidates lie in U with delta * U inside W
-        products = bilinear._products(CTX2, slots) if covers else []
-        self.check(slots, SqSubspace.span(CTX2, gens + products))
+    @given(st.lists(polynomial_slots(CTX2), min_size=1, max_size=2), _targets(CTX2, 3))
+    def test_any_target_n2(self, slots, W):
+        self.check(slots, W)
 
-    @given(
-        st.lists(polynomial_slots(CTX3), min_size=1, max_size=2),
-        st.lists(polynomial_slots(CTX3), min_size=1, max_size=5),
-        st.booleans(),
-    )
-    def test_any_target_n3(self, slots, gens, covers):
-        products = bilinear._products(CTX3, slots) if covers else []
-        self.check(slots, SqSubspace.span(CTX3, gens + products))
+    @given(st.lists(polynomial_slots(CTX3), min_size=1, max_size=2), _targets(CTX3, 5))
+    def test_any_target_n3(self, slots, W):
+        self.check(slots, W)
 
     @staticmethod
     def anisotropic(ctx):
@@ -1031,8 +1041,8 @@ class TestAdmissible:
         self.check(form.slots[:k], form.pure_value_space())
 
     def test_head_slot_rejected_by_its_products(self, ctx3):
-        # a1 lies in U = F^2(a1) and in W, and 1 does not lie in W: the
-        # test "delta outside U" is skipped, and a1 * a1, a square, leaves W
+        # a1 lies in U = F^2(a1) and in W, and 1 does not lie in W: no
+        # test "delta outside U" is made, and a1 * a1, a square, leaves W
         a1, a2, a3 = ctx3.gens
         W = BilinearPfister(ctx3, (a1, a2, a3)).pure_value_space()
         u_rows = _product_rows(ctx3, (a1,))
@@ -1044,9 +1054,9 @@ class TestAdmissible:
         values = [screen.point.value(row[c]) if c in row else 0 for c in range(size)]
         one = ctx3._one_poly
         assert screen.rejects(values)
-        assert not bilinear._admissible(row, values, one, screen, None, u_rows, W)
+        assert not bilinear._admissible(row, values, one, screen, u_rows, W)
         # at a point where every value is 0 the exact test rejects it alone
-        assert not bilinear._admissible(row, [0] * size, one, screen, None, u_rows, W)
+        assert not bilinear._admissible(row, [0] * size, one, screen, u_rows, W)
         assert not W._annihilates(field._row_mul(ctx3, row, row))
 
 
@@ -1184,7 +1194,8 @@ class TestFamily:
 
     def test_member_check_builds_no_products(self, monkeypatch):
         # each member's product rows come from its slots' rows: no product
-        # is built as a field element while the rank at the point decides
+        # is built as a field element, whether the rank at the point
+        # decides or the rows are spanned exactly
         def refuse(self, other):
             raise AssertionError("a slot product was built as a field element")
 
@@ -1201,6 +1212,10 @@ class TestFamily:
         monkeypatch.setattr(bilinear, "_member_spans_claim", guarded)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
         assert checked == list(range(16))
+        checked.clear()
+        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
+        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
+        assert checked == list(range(16))
 
     def test_short_specialization_keeps_report(self, monkeypatch):
         # with every rank at the point falling short, is_span_of spans the
@@ -1209,21 +1224,25 @@ class TestFamily:
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
 
     def test_claims_spanned_only_when_rank_falls_short(self, monkeypatch):
-        # at the point no claim is spanned over F; with every rank falling
-        # short each member spans its products and its claim, two spans
-        spans = []
-        real_span = SqSubspace.span
+        # at the point nothing is spanned over F; with every rank falling
+        # short each member spans the product rows it has, once, and no
+        # claim is spanned
+        spans = {"span": 0, "from_poly_rows": 0}
+        for name in spans:
+            real = getattr(SqSubspace, name)
 
-        def counted(cls, *args):
-            spans.append(1)
-            return real_span(*args)
+            def counted(cls, *args, _name=name, _real=real):
+                spans[_name] += 1
+                return _real(*args)
 
-        monkeypatch.setattr(SqSubspace, "span", classmethod(counted))
+            monkeypatch.setattr(SqSubspace, name, classmethod(counted))
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
-        assert spans == []
+        assert spans == {"span": 0, "from_poly_rows": 0}
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
-        assert verify_no_common_slot_family(3)["checks"]["claimed_pure_bases"]
-        assert len(spans) == 2 * 8
+        for n, golden in ((3, GOLDEN_N3_EVIDENCE), (4, GOLDEN_N4_EVIDENCE)):
+            spans.update(span=0, from_poly_rows=0)
+            assert verify_no_common_slot_family(n) == golden
+            assert spans == {"span": 0, "from_poly_rows": 2**n}
 
     def test_claim_off_its_hyperplane_raises(self, monkeypatch):
         real = bilinear._claimed_masks
@@ -1232,8 +1251,9 @@ class TestFamily:
             verify_no_common_slot_family(3)
 
     def test_isotropic_member_raises(self, monkeypatch):
-        # all_anisotropic never reads false: an isotropic member stops the
-        # certificate before any evidence is returned
+        # all_anisotropic never reads false: an isotropic member's products
+        # miss its claim, which stops the certificate before any evidence
+        # is returned
         real = bilinear.build_no_common_slot_family
 
         def with_isotropic_member(n):
@@ -1243,7 +1263,7 @@ class TestFamily:
             return family
 
         monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_isotropic_member)
-        with pytest.raises(IsotropicInput):
+        with pytest.raises(IdentityFailed):
             verify_no_common_slot_family(3)
 
 
@@ -1256,21 +1276,35 @@ class TestFamilyDescent:
         evidence = verify_no_common_slot_family(n)
         family = build_no_common_slot_family(n)
         ctx = family[0].ctx
-        # the F path's report, which verify builds only when a claim fails:
-        # its dims come from leave_one_out_slot_spaces, its pairwise check
-        # from _meet_is
-        claims = [bilinear._claimed_pure_generators(ctx, k) for k in range(2**n)]
-        f_path = bilinear._f_family_evidence(family, claims)
-        f_path["checks"]["claimed_pure_bases"] = True
+        # the same report from F-level spaces: the pure spaces against the
+        # claims, the dims from leave_one_out_slot_spaces, and each pairwise
+        # meet from an intersection
+        full, left_out = leave_one_out_slot_spaces(family)
+        claims = [SqSubspace.span(ctx, claimed_pure_generators(ctx, k)) for k in range(2**n)]
+        base = family[0].pure_value_space()
+        f_path = {
+            "checks": {
+                "all_anisotropic": all(f.is_anisotropic() for f in family),
+                "claimed_pure_bases": all(
+                    f.pure_value_space() == claim for f, claim in zip(family, claims)
+                ),
+                "pairwise_intersections": all(
+                    base.intersection(pure) == SqSubspace.span(ctx, others)
+                    for _, _, pure, others, _ in _family_claims(n)
+                ),
+                "no_common_slot": full.is_zero,
+                "sharp_at_all_but_one": not any(s.is_zero for s in left_out),
+            },
+            "family_size": len(family),
+            "common_slot_space_dim": full.dim,
+            "leave_one_out_dims": [s.dim for s in left_out],
+        }
         assert f_path == evidence
         assert evidence["common_slot_space_dim"] == common_slot_space(family).dim
-        meets = [
-            bilinear._meet_is(base, pure, SqSubspace.span(ctx, others))
-            for _, base, pure, others, _ in _family_claims(n)
-        ]
-        assert meets == [True] * (2**n - 1)
 
     def test_member_off_its_claim(self, monkeypatch, capsys):
+        # a member whose products miss its claim stops the certificate, as
+        # a claim off its hyperplane does: no report is built from it
         real = bilinear.build_no_common_slot_family
 
         def with_member_off_claim(n):
@@ -1280,18 +1314,12 @@ class TestFamilyDescent:
             return family
 
         monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_member_off_claim)
-        evidence = verify_no_common_slot_family(3)
-        assert evidence["checks"] == {
-            "all_anisotropic": True,
-            "claimed_pure_bases": False,
-            "pairwise_intersections": False,
-            "no_common_slot": False,
-            "sharp_at_all_but_one": True,
-        }
-        assert evidence["common_slot_space_dim"] == 1
-        assert evidence["leave_one_out_dims"] == [1, 2, 2, 2, 2, 2, 2, 1]
-        assert main(["bilinear-family", "--n", "3", "--verify"]) == 1
-        assert json.loads(capsys.readouterr().out)["verdict"] == "NOT_VALID"
+        with pytest.raises(IdentityFailed, match="member 7"):
+            verify_no_common_slot_family(3)
+        assert main(["bilinear-family", "--n", "3", "--verify"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "ERROR"
+        assert report["evidence"]["error_type"] == "IdentityFailed"
 
     def test_masks_need_binary_coordinates(self, ctx2):
         a1, a2 = ctx2.gens
@@ -1306,8 +1334,20 @@ class TestFamilyDescent:
         # field elements; both must describe the same claim
         ctx = FieldContext(n)
         for k in range(2**n):
-            gens = bilinear._claimed_pure_generators(ctx, k)
+            gens = claimed_pure_generators(ctx, k)
             assert bilinear._claimed_masks(ctx, k) == [gf2_mask(g) for g in gens]
+
+
+def claimed_pure_generators(ctx, k):
+    """Reference for bilinear._claimed_masks: the claimed pure basis of
+    member k (bit vector d = ctx.patterns[k]) of build_no_common_slot_family
+    as field elements, the nontrivial monomials other than a^d, then
+    1 + a^d; member 0 has all nontrivial monomials."""
+    d = ctx.patterns[k]
+    gens = [ctx.monomial(e) for e in ctx.patterns[1:] if e != d]
+    if k:
+        gens.append(ctx.one + ctx.monomial(d))
+    return gens
 
 
 def gf2_mask(g):
@@ -1340,7 +1380,8 @@ def _family_claims(n):
 
 
 class TestPairwiseCheck:
-    """The containment-plus-dimension check against a kernel intersection."""
+    """Each claimed pairwise meet against a kernel intersection: the claim
+    holds, and a claim one monomial short or over does not."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_intersection(self, n):
@@ -1354,7 +1395,6 @@ class TestPairwiseCheck:
             for name, gens in claims.items():
                 claimed = SqSubspace.span(ctx, gens)
                 assert (meet == claimed) == (name == "exact")
-                assert bilinear._meet_is(base, pure, claimed) == (name == "exact")
 
 
 class TestIntersectionRows:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import pflab.bilinear
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -15,6 +17,22 @@ def test_reproduce_counterexamples(capsys):
     assert "bilinear family, n=3 (8 forms)" in out
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+def test_reproduce_counterexamples_library_error(capsys, monkeypatch):
+    # a claim off its hyperplane stops the bilinear certificate with
+    # IdentityFailed: each bilinear section reports it as a labelled FAIL
+    # and exits 1, and the later sections still run
+    real = pflab.bilinear._claimed_masks
+    monkeypatch.setattr(pflab.bilinear, "_claimed_masks", lambda ctx, k: real(ctx, k)[:-1])
+    script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
+    assert script["main"](["--max-n", "3", "--skip-quat"]) == 1
+    out = capsys.readouterr().out
+    for n in (2, 3):
+        assert f"bilinear family, n={n}: raised IdentityFailed" in out
+    assert "not its annihilator's hyperplane" in out
+    assert "quadratic family, n=3 (" in out
+    assert "2 check(s) failed" in out
 
 
 def test_sharing_trials(capsys):
