@@ -21,10 +21,9 @@ from pflab import (
     PflabError,
     build_quadratic_family,
     build_quat_triple,
-    insep_obstruction,
     quat_triple_obstruction,
     verify_no_common_slot_family,
-    zero_parity_diagonal_count,
+    verify_quadratic_family,
 )
 
 
@@ -32,7 +31,6 @@ from pflab import (
 class RunConfig:
     bilinear_ranks: tuple[int, ...] = (2, 3)
     quadratic_ranks: tuple[int, ...] = (2, 3)
-    quaternion: bool = True
     failures: list[str] = field(default_factory=list)
 
     def check(self, label: str, ok: bool) -> None:
@@ -73,28 +71,27 @@ def bilinear_section(cfg: RunConfig, n: int) -> None:
     print(f"  ({time.monotonic() - t0:.2f}s, leave-one-out dims {loo})")
 
 
+# table label of each check in the quadratic-family evidence
+QUADRATIC_CHECKS = (
+    ("dominant-term hypotheses hold", "hypothesis_all_pass"),
+    ("each image misses exactly its block slot's class", "pure_parity_images_miss_only_quad_slot"),
+    ("pure parity images intersect in 0 only", "intersection_zero_only"),
+    ("2-dim subspaces hit nonzero parity (exact)", "two_dim_subspaces_hit_nonzero_parity"),
+)
+
+
 def quadratic_section(cfg: RunConfig, n: int) -> None:
     t0 = time.monotonic()
     title = f"quadratic family, n={n}"
     try:
-        family = build_quadratic_family(n)
-        cert = insep_obstruction(family)
-        zero_counts = [zero_parity_diagonal_count(f) for f in family]
+        evidence = verify_quadratic_family(n)
     except PflabError as exc:
         cfg.error(title, exc)
         return
-    print(f"{title} ({len(family)} forms)")
-    cfg.check("dominant-term hypotheses hold", all(cert.hypothesis_checks))
-    cfg.check("pure parity images intersect in 0 only", cert.intersection.is_zero_only)
-    sizes = [len(img.classes) for img in cert.per_form_images]
-    cfg.check(
-        "each image misses exactly one parity class",
-        all(s == 2**n - 1 for s in sizes),
-    )
-    cfg.check(
-        "2-dim subspaces hit nonzero parity (exact)",
-        all(count == 0 for count in zero_counts),
-    )
+    print(f"{title} ({len(evidence['per_form'])} forms)")
+    for label, key in QUADRATIC_CHECKS:
+        cfg.check(label, evidence["checks"][key])
+    sizes = [len(image) for image in evidence["certificate"]["per_form_images"]]
     print(f"  ({time.monotonic() - t0:.2f}s, image sizes {sizes})")
 
 
@@ -123,20 +120,14 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-n", type=int, default=3, choices=tuple(range(2, 11)),
                     help="largest bilinear rank to verify (8 takes 0.6 s, 9 takes 3 s, "
                     "10 takes 10 s)")
-    ap.add_argument("--skip-quat", action="store_true")
     args = ap.parse_args(argv)
 
-    cfg = RunConfig(
-        bilinear_ranks=tuple(range(2, args.max_n + 1)),
-        quadratic_ranks=(2, 3),
-        quaternion=not args.skip_quat,
-    )
+    cfg = RunConfig(bilinear_ranks=tuple(range(2, args.max_n + 1)))
     for n in cfg.bilinear_ranks:
         bilinear_section(cfg, n)
     for n in cfg.quadratic_ranks:
         quadratic_section(cfg, n)
-    if cfg.quaternion:
-        quaternion_section(cfg)
+    quaternion_section(cfg)
 
     if cfg.failures:
         print(f"\n{len(cfg.failures)} check(s) failed:")

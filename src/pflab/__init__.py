@@ -50,6 +50,7 @@ from .quadratic import (
     necessary_insep_split,
     right_slot_from_value,
     unit_vector,
+    verify_quadratic_family,
     zero_parity_diagonal_count,
 )
 from .quaternion import (
@@ -109,5 +110,6 @@ __all__ = [
     "unit_vector",
     "val",
     "verify_no_common_slot_family",
+    "verify_quadratic_family",
     "zero_parity_diagonal_count",
 ]

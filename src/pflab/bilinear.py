@@ -163,9 +163,6 @@ class BilinearPfister:
     def fold(self) -> int:
         return len(self.slots)
 
-    def diagonal(self) -> list[FieldElement]:
-        return _products(self.ctx, self.slots)
-
     def full_value_space(self) -> SqSubspace:
         """F^2-span of all 2^k slot products; equals D(B) plus 0.  Spanned
         from the products' rows, built from the slots' rows."""
@@ -278,24 +275,18 @@ def leave_one_out_slot_spaces(
 
 
 def _mixed_pure_space(
-    ctx: FieldContext,
-    rho_slots: Sequence[FieldElement],
-    complement: Sequence[FieldElement],
-    rows: Sequence[SparseRow] | None = None,
+    ctx: FieldContext, complement: Sequence[FieldElement], rows: Sequence[SparseRow]
 ) -> SqSubspace:
     """Span of r * p with r any rho product and p a nontrivial complement
     product; this is D(rho tensor pi') plus 0.
 
-    Those are the products of rho's slots followed by the complement's
-    whose complement bits, the low ones, are not all 0, so the space is
-    spanned from their sparse rows, built from the slots' rows
-    (``field._product_rows``) unless rows, the product rows of those
-    slots, are given, with no product built as a field element.
-    In ``common_factor`` every one of those slots is in lowest terms.
+    rows are the product rows (``field._product_rows``) of rho's slots
+    followed by the complement's.  The space is spanned from those whose
+    complement bits, the low ones, are not all 0, with no product built
+    as a field element.  In ``common_factor`` every one of those slots
+    is in lowest terms.
     """
     low = 2 ** len(complement) - 1
-    if rows is None:
-        rows = _product_rows(ctx, tuple(rho_slots) + tuple(complement))
     return SqSubspace.from_poly_rows(ctx, [row for e, row in enumerate(rows) if e & low])
 
 
@@ -562,7 +553,7 @@ def factor_out(
     if rho is not None and rho.ctx != ctx:
         raise ContextMismatch("rho over a different field context")
     rows = _product_rows(ctx, tuple(rho_slots) + tuple(known_complement))
-    mixed = _mixed_pure_space(ctx, rho_slots, known_complement, rows)
+    mixed = _mixed_pure_space(ctx, known_complement, rows)
     if beta.is_zero or beta not in mixed:
         raise PreconditionFailed("beta is not a nonzero value of rho tensor pi'")
     if not form.is_anisotropic():
@@ -634,7 +625,7 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     for _ in range(m):
         # with rho empty, the mixed space is the pure value space
         spaces = (
-            [_mixed_pure_space(ctx, rho_slots, c, r) for c, r in zip(comps, comp_rows)]
+            [_mixed_pure_space(ctx, c, r) for c, r in zip(comps, comp_rows)]
             if rho_slots
             else pures
         )

@@ -397,14 +397,7 @@ class SqSubspace:
     elimination that built it, either way.  The canonical ``rows`` of
     field elements, the ``elements()`` and the annihilator are read off
     them, each on first use, so building, intersecting or testing a space
-    builds no field element; ``dim`` counts them, and
-    ``contains_subspace`` tests them.  Besides, it keeps ``spanners``,
-    its input rows, which span the same space.  Canonical entries are
-    ratios of elimination minors and grow with the dimension, so
-    ``sum_with`` stacks the spanners instead; the result is identical.
-    A null space keeps one primitive row per vector it reads off as its
-    spanners: polynomial entries without a common monomial factor, so
-    exponents stay bounded along a chain of intersections.
+    builds no field element; ``dim`` counts them.
 
     The ``annihilator`` is computed on first use and cached: the null
     space of the eliminated rows (``_null_vectors``), one primitive row
@@ -413,18 +406,18 @@ class SqSubspace:
     read straight off the elimination, with no fraction to clear.  A row
     x lies in the space exactly when x . a = 0 for every annihilator row:
     x minus its pivot combination of the basis has zero pivot entries,
-    and its entry at j is x . a up to a nonzero scale.  Membership and
-    ``contains_subspace`` test those dot products; ``intersection`` is
-    the ``null_space`` of the inputs' annihilator rows stacked together,
-    read off with the same ``_null_vectors``.  1's row is e_0, so
-    ``contains_one`` reads column 0 of the annihilator rows.  Next to the
-    annihilator, the entries of the annihilator rows and of the eliminated
-    rows at the fixed point of ``_Point`` are taken on first use and
-    cached, for ``bilinear._next_slot``'s screen and candidates.
+    and its entry at j is x . a up to a nonzero scale.  Membership tests
+    those dot products; ``intersection`` is the ``null_space`` of the
+    inputs' annihilator rows stacked together, read off with the same
+    ``_null_vectors``.  1's row is e_0, so ``contains_one`` reads column 0
+    of the annihilator rows.  Next to the annihilator, the entries of the
+    annihilator rows and of the eliminated rows at the fixed point of
+    ``_Point`` are taken on first use and cached, for
+    ``bilinear._next_slot``'s screen and candidates.
     """
 
     __slots__ = (
-        "ctx", "pivots", "spanners", "_eliminated", "_last", "_rows", "_annihilator", "_elements",
+        "ctx", "pivots", "_eliminated", "_last", "_rows", "_annihilator", "_elements",
         "_row_values", "_annihilator_values",
     )
 
@@ -432,13 +425,11 @@ class SqSubspace:
         self,
         ctx: FieldContext,
         pivots: Sequence[int],
-        spanners: Sequence[SparseRow],
         eliminated: Sequence[Sequence[Poly]],
         last: Poly,
     ):
         self.ctx = ctx
         self.pivots = tuple(pivots)
-        self.spanners = tuple(spanners)
         self._eliminated = tuple(eliminated)
         self._last = last
         self._rows = None
@@ -453,11 +444,10 @@ class SqSubspace:
         dropped): one fraction-free elimination, after which every pivot
         entry equals the final pivot, and one division per entry reads off
         the unique reduced echelon form."""
-        raw = [row for row in raw_rows if row]
         ncols = len(ctx.patterns)
         zero = ctx._zero_poly
         dense = []
-        for row in raw:
+        for row in filter(None, raw_rows):
             polys = [zero] * ncols
             for j, p in row.items():
                 polys[j] = p
@@ -466,7 +456,7 @@ class SqSubspace:
         for polys, pc in zip(dense, pivots):
             if polys[pc].terms != last.terms:
                 raise EliminationInvariant("pivot normalization lost during elimination")
-        return cls(ctx, pivots, raw, dense[:rank], last)
+        return cls(ctx, pivots, dense[:rank], last)
 
     @classmethod
     def span(cls, ctx: FieldContext, generators: Iterable[FieldElement]) -> SqSubspace:
@@ -476,7 +466,7 @@ class SqSubspace:
 
     @classmethod
     def zero(cls, ctx: FieldContext) -> SqSubspace:
-        return cls(ctx, (), (), (), ctx._one_poly)
+        return cls(ctx, (), (), ctx._one_poly)
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]) -> SqSubspace:
@@ -507,7 +497,7 @@ class SqSubspace:
         _, pivots, last = _bareiss_jordan(ctx, flipped, ncols)
         vecs = _null_vectors(ctx, flipped, pivots, last, ncols, reverse=True)
         free = sorted(set(range(ncols)) - {ncols - 1 - p for p in pivots})
-        return cls(ctx, free, [_sparse(_primitive(v)) for v in vecs], vecs, last)
+        return cls(ctx, free, vecs, last)
 
     # -- structure -----------------------------------------------------------
 
@@ -608,9 +598,6 @@ class SqSubspace:
     def __contains__(self, f: FieldElement) -> bool:
         return self._annihilates(_poly_row(f))
 
-    def contains_subspace(self, other: SqSubspace) -> bool:
-        return all(self._annihilates(_sparse(polys)) for polys in other._eliminated)
-
     def is_span_of(
         self, elements: Sequence[FieldElement] = (), rows: Sequence[SparseRow] | None = None
     ) -> bool:
@@ -639,9 +626,6 @@ class SqSubspace:
         return decided
 
     # -- lattice operations -----------------------------------------------------
-
-    def sum_with(self, other: SqSubspace) -> SqSubspace:
-        return SqSubspace.from_poly_rows(self.ctx, self.spanners + other.spanners)
 
     def intersection(self, *others: SqSubspace) -> SqSubspace:
         """The intersection of this space with all the others.

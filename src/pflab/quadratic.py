@@ -19,11 +19,16 @@ fact drives every certificate in this module: the parity image of the
 pure part misses exactly the parity of alpha, so a family whose pure
 parity images intersect in the zero class alone cannot share an
 inseparable quadratic splitting field.
+
+``verify_quadratic_family(n)`` is the one call that certifies the family
+of ``build_quadratic_family(n)``; the CLI and the counterexample script
+both print its evidence.  Each form takes its diagonal values, their
+parities and its hypothesis verdict once, on first use, and every check
+reads them from there.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,14 +59,19 @@ __all__ = [
     "necessary_insep_split",
     "right_slot_from_value",
     "build_quadratic_family",
+    "verify_quadratic_family",
     "zero_parity_diagonal_count",
 ]
 
 
 class QuadraticPfister:
-    """A k-fold quadratic Pfister form: bilinear slots plus the block slot."""
+    """A k-fold quadratic Pfister form: bilinear slots plus the block slot.
 
-    __slots__ = ("ctx", "bilinear_slots", "quad_slot", "_diag")
+    The diagonal values, their parities and the slot hypothesis verdict
+    are computed on first use and cached.
+    """
+
+    __slots__ = ("ctx", "bilinear_slots", "quad_slot", "_diag", "_parities", "_hypothesis")
 
     def __init__(
         self,
@@ -79,6 +89,8 @@ class QuadraticPfister:
         self.bilinear_slots = bilinear_slots
         self.quad_slot = quad_slot
         self._diag = None
+        self._parities = None
+        self._hypothesis = None
 
     @property
     def fold(self) -> int:
@@ -90,9 +102,6 @@ class QuadraticPfister:
 
     def slot_list(self) -> tuple[FieldElement, ...]:
         return self.bilinear_slots + (self.quad_slot,)
-
-    def block_patterns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(itertools.product((0, 1), repeat=self.fold - 1))
 
     def block_coefficients(self) -> list[FieldElement]:
         """Products b^e in ascending lex e-order (one per binary block)."""
@@ -107,6 +116,20 @@ class QuadraticPfister:
         if self._diag is None:
             self._diag = _products(self.ctx, self.slot_list())
         return self._diag
+
+    def diagonal_parities(self) -> tuple[tuple[int, ...], ...]:
+        """Parity of each diagonal value, in coordinate order; index 1 is
+        parity(alpha)."""
+        if self._parities is None:
+            self._parities = tuple(parity(d) for d in self.diagonal_values())
+        return self._parities
+
+    def _hypothesis_holds(self) -> bool:
+        """Whether the slots have negative values with independent parities
+        (``dominant_term_hypothesis``), decided once."""
+        if self._hypothesis is None:
+            self._hypothesis = dominant_term_hypothesis(self.slot_list())
+        return self._hypothesis
 
     def _check_vector(self, v: Sequence[FieldElement]) -> None:
         if len(v) != self.dim:
@@ -142,7 +165,7 @@ class QuadraticPfister:
         return self._block_sum(v[0].square(), v[2:], 1)
 
     def _require_hypothesis(self) -> None:
-        if not dominant_term_hypothesis(self.slot_list()):
+        if not self._hypothesis_holds():
             raise HypothesisFailed("slots lack negative values with independent parities")
 
     def dominant_value(self, v: Sequence[FieldElement]) -> tuple[int, ...]:
@@ -173,12 +196,9 @@ class QuadraticPfister:
         """Parities of the pure-part diagonal values (all basis vectors except
         the w coordinate of the first block); misses exactly parity(alpha)."""
         self._require_hypothesis()
-        classes = []
-        for i, d in enumerate(self.diagonal_values()):
-            if i == 1:  # (e = 0, w): diagonal value alpha itself
-                continue
-            classes.append(parity(d))
-        return ParitySet.of(self.ctx.n, classes)
+        # index 1, (e = 0, w), is the diagonal value alpha itself
+        parities = self.diagonal_parities()
+        return ParitySet.of(self.ctx.n, parities[:1] + parities[2:])
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticPfister):
@@ -205,10 +225,15 @@ class QuadraticPfister:
 
     @classmethod
     def from_json(cls, ctx: FieldContext, data) -> QuadraticPfister:
-        if not isinstance(data, dict) or data.get("type") != "quadratic_pfister":
-            raise ValueError("expected a quadratic_pfister object")
+        if (
+            not isinstance(data, dict)
+            or data.get("type") != "quadratic_pfister"
+            or not isinstance(data.get("bilinear_slots"), list)
+        ):
+            raise ValueError("expected a quadratic_pfister object with a list of bilinear_slots")
+        # a missing quad_slot reads as None, which FieldElement.from_json refuses
         slots = [FieldElement.from_json(ctx, s) for s in data["bilinear_slots"]]
-        quad = FieldElement.from_json(ctx, data["quad_slot"])
+        quad = FieldElement.from_json(ctx, data.get("quad_slot"))
         return cls(ctx, slots, quad)
 
 
@@ -262,21 +287,18 @@ def insep_obstruction(forms: Sequence[QuadraticPfister]) -> InsepObstructionCert
     if not forms:
         raise EmptyInput("no forms given")
     n = forms[0].ctx.n
-    checks = []
     for i, f in enumerate(forms):
         if f.ctx.n != n:
             raise ContextMismatch("forms over different field contexts")
-        ok = dominant_term_hypothesis(f.slot_list())
-        if not ok:
+        if not f._hypothesis_holds():
             raise HypothesisFailed(
                 f"form {i} fails the slot hypothesis (negative values, independent parities)"
             )
-        checks.append(ok)
     images = tuple(f.pure_parity_image() for f in forms)
     inter = images[0]
     for ps in images[1:]:
         inter = inter & ps
-    return InsepObstructionCertificate(n, images, inter, tuple(checks))
+    return InsepObstructionCertificate(n, images, inter, (True,) * len(forms))
 
 
 def zero_parity_diagonal_count(form: QuadraticPfister) -> int:
@@ -291,7 +313,7 @@ def zero_parity_diagonal_count(form: QuadraticPfister) -> int:
     the certificate does: ``insep_obstruction`` checks it.
     """
     zero = (0,) * form.ctx.n
-    return sum(parity(d) == zero for d in form.diagonal_values()[1:])
+    return sum(p == zero for p in form.diagonal_parities()[1:])
 
 
 def necessary_insep_split(form: QuadraticPfister, gamma: FieldElement) -> bool:
@@ -350,3 +372,41 @@ def build_quadratic_family(n: int) -> list[QuadraticPfister]:
         bilinear = tuple(g for i, g in enumerate(gens) if i != lead)
         forms.append(QuadraticPfister(ctx, bilinear, ctx.monomial(d)))
     return forms
+
+
+def verify_quadratic_family(n: int) -> dict:
+    """Exact certificate that the forms of ``build_quadratic_family(n)``
+    share no inseparable quadratic splitting field, as the evidence dict
+    the CLI prints.
+
+    ``insep_obstruction`` checks each form's hypothesis and intersects the
+    pure parity images.  Each image must be the whole group but the
+    form's missing class, parity(alpha), and every form must have no
+    zero-parity diagonal value after the first (its 2-dimensional step).
+    The verdict is VALID exactly when every entry of ``checks`` is true.
+    """
+    family = build_quadratic_family(n)
+    cert = insep_obstruction(family)
+    miss_ok = True
+    per_form = []
+    for f, image in zip(family, cert.per_form_images):
+        missing = f.diagonal_parities()[1]
+        miss_ok = miss_ok and image == ParitySet.of(n, [missing]).complement()
+        per_form.append(
+            {"form": repr(f), "pure_parity_image": image.to_json(), "missing_class": list(missing)}
+        )
+    contr_failures = sum(zero_parity_diagonal_count(f) for f in family)
+    checks = {
+        "hypothesis_all_pass": all(cert.hypothesis_checks),
+        "pure_parity_images_miss_only_quad_slot": miss_ok,
+        "intersection_zero_only": cert.intersection.is_zero_only,
+        "two_dim_subspaces_hit_nonzero_parity": contr_failures == 0,
+    }
+    return {
+        "checks": checks,
+        "certificate": cert.to_json(),
+        "per_form": per_form,
+        "contr_trials_per_form": family[0].dim - 1,
+        "contr_failures": contr_failures,
+        "max_degree": None,
+    }

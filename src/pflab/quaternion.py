@@ -104,10 +104,11 @@ class QuaternionAlgebra:
     def from_json(cls, ctx: FieldContext, data) -> QuaternionAlgebra:
         if not isinstance(data, dict) or data.get("type") != "quaternion":
             raise ValueError("expected a quaternion object")
+        # a missing slot reads as None, which FieldElement.from_json refuses
         return cls(
             ctx,
-            FieldElement.from_json(ctx, data["alpha"]),
-            FieldElement.from_json(ctx, data["beta"]),
+            FieldElement.from_json(ctx, data.get("alpha")),
+            FieldElement.from_json(ctx, data.get("beta")),
         )
 
 

@@ -126,7 +126,8 @@ def test_criterion_3_kernel_oracles():
         gens2 = [random_element(rng, ctx) for _ in range(rng.randint(1, 4))]
         s1 = SqSubspace.span(ctx, gens1)
         s2 = SqSubspace.span(ctx, gens2)
-        both = s1.intersection(s2).dim + s1.sum_with(s2).dim
+        total = SqSubspace.span(ctx, gens1 + gens2)
+        both = s1.intersection(s2).dim + total.dim
         assert both == s1.dim + s2.dim
 
     # brute-force value-set oracle at n=2: the pure part of <<a1, a2>>_b

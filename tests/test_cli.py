@@ -7,7 +7,7 @@ import time
 import pytest
 
 from pflab import FieldContext, ParitySet, ParseError, build_quadratic_family
-from pflab import cli
+from pflab import quadratic
 from pflab.cli import main, parse_element
 
 
@@ -290,7 +290,7 @@ class TestQuadraticFamily:
     def test_two_dim_failure_is_not_valid(self, capsys, monkeypatch):
         last = build_quadratic_family(2)[-1]
         monkeypatch.setattr(
-            cli, "zero_parity_diagonal_count", lambda form: int(form == last)
+            quadratic, "zero_parity_diagonal_count", lambda form: int(form == last)
         )
         code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
         assert code == 1
@@ -309,7 +309,7 @@ class TestQuadraticFamily:
     def test_failing_certificate_check_is_not_valid(self, capsys, monkeypatch, failing):
         # the verdict is read off the checks alone, so a certificate check
         # that fails must reach it through them
-        real = cli.insep_obstruction
+        real = quadratic.insep_obstruction
 
         def broken(family):
             cert = real(family)
@@ -318,7 +318,7 @@ class TestQuadraticFamily:
                 return dataclasses.replace(cert, hypothesis_checks=checks)
             return dataclasses.replace(cert, intersection=ParitySet.full(cert.n))
 
-        monkeypatch.setattr(cli, "insep_obstruction", broken)
+        monkeypatch.setattr(quadratic, "insep_obstruction", broken)
         code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
         assert code == 1
         assert report["verdict"] == "NOT_VALID"

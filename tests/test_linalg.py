@@ -28,6 +28,12 @@ def span2(ctx2, *gens):
     return SqSubspace.span(ctx2, list(gens))
 
 
+def contains_subspace(s, t):
+    """Whether space t lies in space s: s's annihilator test of each of
+    t's eliminated rows, with no field element built."""
+    return all(s._annihilates(linalg._sparse(polys)) for polys in t._eliminated)
+
+
 class TestSpan:
     def test_dependent_generator(self, ctx2):
         a1, a2 = ctx2.gens
@@ -40,6 +46,7 @@ class TestSpan:
     def test_empty(self, ctx2):
         s = SqSubspace.span(ctx2, [])
         assert s.dim == 0 and s.is_zero
+        assert SqSubspace.from_poly_rows(ctx2, [{}]).is_zero
 
     def test_zero_generators_dropped(self, ctx2):
         a1, _ = ctx2.gens
@@ -180,13 +187,6 @@ class TestRowPath:
     )
     def test_fractions_n3(self, ctx3, gens, scales):
         self.check(ctx3, gens, scales)
-
-    def test_spanners_are_the_input_rows(self, ctx2):
-        a1, a2 = ctx2.gens
-        gens = [a1 / (ctx2.one + a2), ctx2.zero, a1 * a2]
-        space = SqSubspace.span(ctx2, gens)
-        assert list(space.spanners) == [_poly_row(gens[0]), _poly_row(gens[2])]
-        assert SqSubspace.from_poly_rows(ctx2, [{}]).is_zero
 
 
 class TestMember:
@@ -335,8 +335,8 @@ class TestIntersection:
         s1 = span2(ctx2, a1, a2)
         s2 = span2(ctx2, a1 + a2, a1 * a2)
         inter = s1.intersection(s2)
-        assert s1.contains_subspace(inter)
-        assert s2.contains_subspace(inter)
+        assert contains_subspace(s1, inter)
+        assert contains_subspace(s2, inter)
 
 
 class TestEliminationInvariant:
@@ -685,20 +685,21 @@ class TestAgainstTextbookElimination:
         s1 = SqSubspace.from_rows(ctx2, r1)
         s2 = SqSubspace.from_rows(ctx2, r2)
         inter = s1.intersection(s2)
-        assert s1.contains_subspace(inter) and s2.contains_subspace(inter)
-        assert inter.dim + s1.sum_with(s2).dim == s1.dim + s2.dim
+        assert contains_subspace(s1, inter) and contains_subspace(s2, inter)
+        total = SqSubspace.from_rows(ctx2, list(r1) + list(r2))
+        assert inter.dim + total.dim == s1.dim + s2.dim
 
 
 def kernel_intersection(s1, s2):
     """Reference: the pairwise intersection by a left kernel of the stacked
-    spanners, the method the annihilator intersection replaced.  A kernel
-    vector x has x * stacked = 0, so its first block combines the first
-    space's spanners into a row that lies in both spaces."""
+    canonical rows, the method the annihilator intersection replaced.  A
+    kernel vector x has x * stacked = 0, so its first block combines the
+    first space's rows into a row that lies in both spaces."""
     ctx = s1.ctx
     if s1.is_zero or s2.is_zero:
         return SqSubspace.zero(ctx)
-    first = dense_rows(ctx, s1.spanners)
-    stacked = first + dense_rows(ctx, s2.spanners)
+    first = list(s1.rows)
+    stacked = first + list(s2.rows)
     vecs = []
     for combo in left_kernel_reference(ctx, stacked):
         row = [ctx.zero] * len(ctx.patterns)
@@ -707,22 +708,6 @@ def kernel_intersection(s1, s2):
                 row = [a + c * b for a, b in zip(row, brow)]
         vecs.append(row)
     return SqSubspace.from_rows(ctx, vecs)
-
-
-def dense_rows(ctx, sparse_rows):
-    """Sparse polynomial rows as dense rows of field elements."""
-    one, ncols = ctx._one_poly, len(ctx.patterns)
-    return [
-        tuple(FieldElement(ctx, row[j], one) if j in row else ctx.zero for j in range(ncols))
-        for row in sparse_rows
-    ]
-
-
-def assert_primitive_spanners(space):
-    for row in space.spanners:
-        entries = list(row.values())
-        assert entries and all(p.terms for p in entries)
-        assert not any(min(col) for col in zip(*(p.monomial_content() for p in entries)))
 
 
 class TestAnnihilatorIntersection:
@@ -746,8 +731,6 @@ class TestAnnihilatorIntersection:
         assert rows_match
         stacked = [a for s in spaces for a in s.annihilator]
         assert_same_null_space(got, null_space_reference(ctx, stacked))
-        if len(spaces) > 1 and not got.is_zero:
-            assert_primitive_spanners(got)
 
     def test_full_space_is_neutral(self, ctx2):
         a1, a2 = ctx2.gens
@@ -768,7 +751,7 @@ class TestAnnihilator:
             assert not any(min(col) for col in contents)
         for row in s.rows:
             assert s._annihilates(linalg._sparse(cleared(ctx2, row)[0]))
-        assert s.contains_subspace(s)
+        assert contains_subspace(s, s)
 
     @given(
         rows=sparse_matrices(CTX2),
@@ -795,7 +778,7 @@ class TestAnnihilator:
         s1 = SqSubspace.from_rows(ctx2, r1)
         s2 = SqSubspace.from_rows(ctx2, r2)
         by_reduce = all(not any(reduce_row(s1, row)) for row in s2.rows)
-        assert s1.contains_subspace(s2) == by_reduce
+        assert contains_subspace(s1, s2) == by_reduce
 
 
 def rank_at_point_dense(ctx, rows):
@@ -885,7 +868,7 @@ class TestRankAtPoint:
         # the product rows the family certificate ranks: at most two
         # entries each, and full rank 2^n - 1 at the point
         for form in build_no_common_slot_family(n)[:4]:
-            rows = [_poly_row(p) for p in form.diagonal()[1:]]
+            rows = [_poly_row(p) for p in bilinear._products(form.ctx, form.slots)[1:]]
             assert all(len(row) <= 2 for row in rows)
             assert linalg._rank_at_point(form.ctx, rows) == rank_at_point_dense(form.ctx, rows)
             assert rank_at_point_dense(form.ctx, rows) == 2**n - 1
@@ -936,7 +919,7 @@ class TestDimFormula:
         s1 = SqSubspace.span(ctx2, g1)
         s2 = SqSubspace.span(ctx2, g2)
         inter = s1.intersection(s2)
-        total = s1.sum_with(s2)
+        total = SqSubspace.span(ctx2, g1 + g2)
         assert inter.dim + total.dim == s1.dim + s2.dim
 
     @given(
@@ -947,7 +930,7 @@ class TestDimFormula:
         s1 = SqSubspace.span(ctx3, g1)
         s2 = SqSubspace.span(ctx3, g2)
         assert (
-            s1.intersection(s2).dim + s1.sum_with(s2).dim == s1.dim + s2.dim
+            s1.intersection(s2).dim + SqSubspace.span(ctx3, g1 + g2).dim == s1.dim + s2.dim
         )
 
 
@@ -985,7 +968,7 @@ class TestLazyRows:
         assert (s.dim, t.dim, inter.dim, back.dim) == (4, 3, 1, 4)
         assert not s.is_zero and t.annihilator
         assert all(g in s for g in gens) and outside not in s
-        assert s.contains_subspace(inter) and t.contains_subspace(inter)
+        assert contains_subspace(s, inter) and contains_subspace(t, inter)
         assert made == []
         monkeypatch.undo()
         # the rows read later are those of an eager construction

@@ -16,6 +16,7 @@ from pflab import (
     ZeroW,
     build_quadratic_family,
     insep_obstruction,
+    verify_quadratic_family,
     necessary_insep_split,
     parity,
     right_slot_from_value,
@@ -23,6 +24,7 @@ from pflab import (
     val,
     zero_parity_diagonal_count,
 )
+from pflab import quadratic
 from pflab.errors import BadRank
 from pflab.sampling import random_vector
 from conftest import CTX2, elements, nonzero_elements
@@ -108,6 +110,17 @@ class TestConstruction:
         data = phi12.to_json()
         assert data["type"] == "quadratic_pfister"
         assert QuadraticPfister.from_json(ctx2, data) == phi12
+
+    def test_json_without_bilinear_slots(self, ctx2, phi12):
+        data = phi12.to_json()
+        del data["bilinear_slots"]
+        with pytest.raises(ValueError, match="bilinear_slots"):
+            QuadraticPfister.from_json(ctx2, data)
+
+    def test_json_bilinear_slots_not_a_list(self, ctx2, phi12):
+        data = {**phi12.to_json(), "bilinear_slots": 5}
+        with pytest.raises(ValueError, match="bilinear_slots"):
+            QuadraticPfister.from_json(ctx2, data)
 
 
 class TestEvaluate:
@@ -264,6 +277,44 @@ class TestInsepObstruction:
         data = cert.to_json()
         assert data["valid"] is True
         assert data["intersection"] == [[0, 0]]
+
+
+class TestVerifyFamily:
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_each_fact_taken_once_per_form(self, monkeypatch, n):
+        # one hypothesis check and one parity per diagonal value per form,
+        # 2^n - 1 forms of 2^n diagonal values each
+        calls = {"parity": 0, "dominant_term_hypothesis": 0}
+        for name in calls:
+            real = getattr(quadratic, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(quadratic, name, counted)
+        evidence = verify_quadratic_family(n)
+        assert all(evidence["checks"].values())
+        assert calls == {
+            "parity": (2**n - 1) * 2**n,
+            "dominant_term_hypothesis": 2**n - 1,
+        }
+
+    def test_image_off_its_missing_class_fails_its_check(self, monkeypatch):
+        # a pure image that also drops the zero class misses more than its
+        # block slot's class; the intersection loses the zero class too
+        real = QuadraticPfister.pure_parity_image
+
+        def short(form):
+            image = real(form)
+            return ParitySet(image.n, image.classes - {(0,) * image.n})
+
+        monkeypatch.setattr(QuadraticPfister, "pure_parity_image", short)
+        checks = verify_quadratic_family(2)["checks"]
+        assert [key for key, ok in checks.items() if not ok] == [
+            "pure_parity_images_miss_only_quad_slot",
+            "intersection_zero_only",
+        ]
 
 
 class TestTwoDimStep:

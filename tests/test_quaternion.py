@@ -170,3 +170,9 @@ class TestTriple:
     def test_json(self, ctx2, qa):
         data = qa.to_json()
         assert data["type"] == "quaternion"
+
+    def test_json_without_alpha(self, ctx2, qa):
+        data = qa.to_json()
+        del data["alpha"]
+        with pytest.raises(ValueError):
+            QuaternionAlgebra.from_json(ctx2, data)

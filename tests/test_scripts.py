@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 
 import pflab.bilinear
+import pflab.quadratic
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_reproduce_counterexamples(capsys):
     script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
-    assert script["main"](["--max-n", "3", "--skip-quat"]) == 0
+    assert script["main"](["--max-n", "3"]) == 0
     out = capsys.readouterr().out
     assert "bilinear family, n=3 (8 forms)" in out
     assert "FAIL" not in out
@@ -26,13 +27,34 @@ def test_reproduce_counterexamples_library_error(capsys, monkeypatch):
     real = pflab.bilinear._claimed_masks
     monkeypatch.setattr(pflab.bilinear, "_claimed_masks", lambda ctx, k: real(ctx, k)[:-1])
     script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
-    assert script["main"](["--max-n", "3", "--skip-quat"]) == 1
+    assert script["main"](["--max-n", "3"]) == 1
     out = capsys.readouterr().out
     for n in (2, 3):
         assert f"bilinear family, n={n}: raised IdentityFailed" in out
     assert "not its annihilator's hyperplane" in out
     assert "quadratic family, n=3 (" in out
     assert "2 check(s) failed" in out
+
+
+def test_reproduce_counterexamples_quadratic_failure(capsys, monkeypatch):
+    # one form per family with a zero-parity diagonal value: each
+    # quadratic section fails its 2-dimensional check, labelled, and exits 1
+    real = pflab.quadratic.zero_parity_diagonal_count
+    monkeypatch.setattr(
+        pflab.quadratic,
+        "zero_parity_diagonal_count",
+        lambda form: real(form) + (form.quad_slot == form.ctx.gens[0]),
+    )
+    script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
+    assert script["main"](["--max-n", "2"]) == 1
+    out = capsys.readouterr().out
+    label = "2-dim subspaces hit nonzero parity (exact)"
+    for n in (2, 3):
+        section = out.split(f"quadratic family, n={n} (")[1].split("image sizes")[0]
+        assert section.count("FAIL") == 1
+        assert f"{label:<52} FAIL" in section
+    assert "2 check(s) failed" in out
+    assert "quaternion triple over GF(2)(a1,a2)" in out
 
 
 def test_sharing_trials(capsys):
