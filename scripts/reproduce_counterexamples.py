@@ -33,16 +33,18 @@ class RunConfig:
     quadratic_ranks: tuple[int, ...] = (2, 3)
     failures: list[str] = field(default_factory=list)
 
-    def check(self, label: str, ok: bool) -> None:
+    def check(self, title: str, label: str, ok: bool) -> None:
+        """One row of the table; a failure is recorded under its section's
+        title, so that the summary tells the ranks apart."""
         mark = "ok" if ok else "FAIL"
         print(f"  {label:<52} {mark}")
         if not ok:
-            self.failures.append(label)
+            self.failures.append(f"{title}: {label}")
 
     def error(self, title: str, exc: PflabError) -> None:
         """A section whose library call raised: one labelled FAIL."""
         print(title)
-        self.check(f"{title}: raised {type(exc).__name__}", False)
+        self.check(title, f"raised {type(exc).__name__}", False)
         print(f"    {exc}")
 
 
@@ -66,7 +68,7 @@ def bilinear_section(cfg: RunConfig, n: int) -> None:
         return
     print(f"{title} ({evidence['family_size']} forms)")
     for label, key in BILINEAR_CHECKS:
-        cfg.check(label, evidence["checks"][key])
+        cfg.check(title, label, evidence["checks"][key])
     loo = evidence["leave_one_out_dims"]
     print(f"  ({time.monotonic() - t0:.2f}s, leave-one-out dims {loo})")
 
@@ -90,7 +92,7 @@ def quadratic_section(cfg: RunConfig, n: int) -> None:
         return
     print(f"{title} ({len(evidence['per_form'])} forms)")
     for label, key in QUADRATIC_CHECKS:
-        cfg.check(label, evidence["checks"][key])
+        cfg.check(title, label, evidence["checks"][key])
     sizes = [len(image) for image in evidence["certificate"]["per_form_images"]]
     print(f"  ({time.monotonic() - t0:.2f}s, image sizes {sizes})")
 
@@ -107,8 +109,9 @@ def quaternion_section(cfg: RunConfig) -> None:
         cfg.error(title, exc)
         return
     print(title)
-    cfg.check("triple certificate valid", cert.valid)
+    cfg.check(title, "triple certificate valid", cert.valid)
     cfg.check(
+        title,
         "norm forms recover the rank-2 quadratic family",
         norms == set(build_quadratic_family(2)),
     )

@@ -23,11 +23,16 @@ dot products of a^g * D(current) with the annihilator of D(B'), whose
 null vectors, read off one elimination, are the deltas' reduced rows.
 Every accepted completion is certified once, by one exact
 pure-value-space equality in ``_complete``; ``check_log`` reports it,
-and nothing it certified is spanned again.  The equality is
-``SqSubspace.is_span_of``: every product lies in the pure space (one dot
-product with its annihilator row each), and the products have full rank
-at a fixed point of GF(2^16)^n, an exact lower bound on their rank over
-F.  Intersections and membership tests go through annihilators too.
+and nothing it certified is spanned again.  The equality is three
+facts, each checked once: the head's product rows lie in the pure space
+(one dot product with each annihilator row, on entry to ``_complete``);
+each accepted slot's products lie in it (the exact test of
+``_admissible``, which builds them); and all the product rows have
+rank dim W at the end (``linalg._has_rank``: the rank at a fixed point
+of GF(2^16)^n, an exact lower bound on the rank over F, and an exact
+span only when it falls short).  So a completion tests none of its
+product rows against the pure space twice.  Intersections and
+membership tests go through annihilators too.
 
 The operands stay small.  Every chosen slot (the intersection element
 beta and each slot ``_next_slot`` accepts) is kept in lowest terms, one
@@ -74,10 +79,11 @@ space.
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` from each member's claimed pure space,
 taken as GF(2) bitmasks whose annihilator is one known 0/1 row, and the
-member's own products: one ``linalg._spans`` per member (the routine
-behind ``is_span_of``) on the products' sparse rows, each with at most
-two nonzero coordinates and built from the slots' rows
-(``field._product_rows``); a member whose products miss its claim
+member's own products, on their sparse rows, each with at most two
+nonzero coordinates and built from the slots' rows
+(``field._product_rows``): each row is tested once against the claim's
+annihilator row, and the rows' rank once by ``linalg._has_rank``, the
+rank test of ``is_span_of``; a member whose products miss its claim
 raises IdentityFailed.  The rest is GF(2) ranks of bitmasks, taken one
 member at a time.  ``leave_one_out_slot_spaces`` builds the same spaces
 for any family, one k-way intersection each.
@@ -108,7 +114,9 @@ from .field import (
     _row_element,
     _row_mul,
 )
-from .linalg import _GF_ORDER, SparseRow, SqSubspace, _dot, _Point, _sparse, _spans
+from .linalg import (
+    _GF_ORDER, SparseRow, SqSubspace, _annihilated, _dot, _has_rank, _Point, _sparse,
+)
 # no caller here any more; the binding stays, since perfbench's tracer test
 # checks that bilinear.left_kernel is restored after tracing
 from .linalg import left_kernel  # noqa: F401
@@ -397,8 +405,10 @@ def _admissible(
     product on rows, with no product built as a field element, that
     decides as it would on the elements themselves.  Those product rows
     are the ones ``_complete`` appends, so each is built once, here, and
-    they are returned in the order of u_rows.  An empty row is
-    delta = 0, never a slot."""
+    they are returned in the order of u_rows.  This exact test is the
+    certification's fact that the accepted slot's products lie in W:
+    ``_complete`` does not test them again.  An empty row is delta = 0,
+    never a slot."""
     if not row or screen.rejects(values):
         return None
     ctx = W.ctx
@@ -479,26 +489,32 @@ def _complete(
     failure raises CompletionNotFound.  Returns the full slot list and
     its product rows.
 
-    The certification is three exact steps, W the form's pure space:
+    W is the form's pure space.  1 is not in W: 1's row is e_0, so this
+    reads column 0 of W's annihilator (``SqSubspace.contains_one``),
+    first, since ``_next_slot`` relies on it.  Then the equality is
+    three facts, each checked once:
 
-      1. 1 is not in W: 1's row is e_0, so this reads column 0 of W's
-         annihilator (``SqSubspace.contains_one``).  It is read first,
-         before any search, since ``_next_slot`` relies on it;
-      2. every nontrivial product lies in W: its 2-basis row, scaled by
-         a nonzero polynomial, has dot product 0 with W's annihilator rows;
-      3. the product rows have rank dim W at the fixed point of
-         linalg._rank_at_point in GF(2^16)^n.  A minor that is 0 over F
-         is 0 at every point, so the rank over F is at least that, and
-         span(products) <= W then fills W.
+      1. the head's nontrivial products lie in W: each given row has
+         dot product 0 with W's annihilator rows.  They are tested on
+         entry, before any search, so a head product outside W (the
+         row of a1^2 = a1^2 * 1 of an isotropic head (a1, a1), say)
+         stops the completion at once;
+      2. each accepted slot's products lie in W: the exact test of
+         ``_admissible``, which built them, and they are not tested
+         again here;
+      3. all the nontrivial product rows have rank dim W
+         (``linalg._has_rank``): the rank at the fixed point of
+         ``linalg._rank_at_point`` in GF(2^16)^n, which cannot exceed
+         the rank over F since a minor that is 0 over F is 0 at every
+         point, and an exact span only when it falls short.  With 1
+         and 2, span(products) <= W then fills W.
 
-    Steps 2 and 3 are W.is_span_of on the products' rows; only when the
-    rank at the point falls short are the rows spanned exactly and
-    compared with W.  The partial lists are not checked on their own.
-    Every slot ``_next_slot`` adds lies outside the field F^2(slots),
-    with its square in F^2, so it doubles the span of the products; and
-    when the given slots are isotropic, their product rows are
-    dependent, the final rows are too, and step 3 fails for an
-    anisotropic form, whose W has dimension 2^k - 1.
+    The partial lists are not checked on their own.  Every slot
+    ``_next_slot`` adds lies outside the field F^2(slots), with its
+    square in F^2, so it doubles the span of the products; and when
+    the given slots are isotropic but their products lie in W, their
+    product rows are dependent, the final rows are too, and fact 3
+    fails for an anisotropic form, whose W has dimension 2^k - 1.
 
     No product is built as a field element.  The products' sparse rows
     start as the given rows, ``field._product_rows`` of the given slots
@@ -517,6 +533,8 @@ def _complete(
     W = form.pure_value_space()
     if W.contains_one():
         raise CompletionNotFound("the form's pure value space contains 1")
+    if not all(W._annihilates(r) for r in rows[1:]):
+        raise CompletionNotFound("a head product failed the exact certification")
     while len(slots) < form.fold:
         found = _next_slot(W, rows)
         if found is None:
@@ -526,7 +544,7 @@ def _complete(
         cand, products = found
         slots = slots + (cand,)
         rows = [x for r, p in zip(rows, products) for x in (r, p)]
-    if not W.is_span_of(rows=rows[1:]):
+    if not _has_rank(W.ctx, rows[1:], W.dim):
         raise CompletionNotFound("completion failed the exact certification")
     return slots, rows
 
@@ -545,8 +563,8 @@ def factor_out(
     certified by the one exact pure-value-space equality of _complete,
     which extends the product rows of the head rho + beta, built here.
     Both preconditions are checked here: beta by one span of the mixed
-    space, the recombination by SqSubspace.is_span_of, the helper that
-    _complete certifies with.
+    space, the recombination by SqSubspace.is_span_of, whose rank test
+    ``linalg._has_rank`` is the one _complete certifies with.
     """
     ctx = form.ctx
     rho_slots: tuple[FieldElement, ...] = () if rho is None else rho.slots
@@ -559,7 +577,7 @@ def factor_out(
     if not form.is_anisotropic():
         raise IsotropicInput("cannot factor an isotropic form")
     # the stated factorization must actually hold
-    if not form.pure_value_space().is_span_of(rows=rows[1:]):
+    if not form.pure_value_space().is_span_of(rows[1:]):
         raise PreconditionFailed("rho and known_complement do not recombine to the form")
     head = rho_slots + (beta,)
     return _complete(head, form, _product_rows(ctx, head))[0][len(head) :]
@@ -575,14 +593,16 @@ class FactorWitness:
     _complete (``pure_value_space_equal``, true in every witness, since a
     failed one raises) and the pure space's ``dim``, 2^n - 1.
 
-    ``pure_value_space_equal`` rests on SqSubspace.is_span_of: each
-    nontrivial product of the rebuilt form has dot product 0 with the pure
-    space's annihilator rows, so the products span a subspace of it; and
-    their 2-basis rows, scaled to polynomials, have rank 2^n - 1 at a fixed
-    point of GF(2^16)^n.  Substitution cannot raise a rank, so that is a
-    lower bound on their rank over F, and the two spaces are equal.  A
-    rank that falls short at the point sends the check to an exact span;
-    neither path samples.
+    ``pure_value_space_equal`` rests on three facts of ``_complete``,
+    each checked once.  Each nontrivial product of the rebuilt form has
+    dot product 0 with the pure space's annihilator rows: the head's
+    products on entry, each accepted slot's in ``_admissible``.  So the
+    products span a subspace of it.  And their 2-basis rows, scaled to
+    polynomials, have rank 2^n - 1 (``linalg._has_rank``): at a fixed
+    point of GF(2^16)^n, where substitution cannot raise a rank, so that
+    is a lower bound on their rank over F, or by an exact span when the
+    rank at the point falls short.  So the two spaces are equal; neither
+    path samples.
     """
 
     rho: BilinearPfister
@@ -716,22 +736,19 @@ def _gf2_family_evidence(anns: list[int], pair_ok: bool) -> dict:
 
 
 def _member_spans_claim(form: BilinearPfister, k: int) -> bool:
-    """Whether member k's nontrivial products span its claim, the space
-    annihilated by e_0 + e_k (e_0 for member 0): ``linalg._spans`` on the
+    """Whether member k's nontrivial products span its claim, the
+    hyperplane annihilated by e_0 + e_k (e_0 for member 0), on the
     products' sparse rows, built from the slots' rows by
     ``field._product_rows`` with no product built as a field element.
-    Only when the rank at the point falls short are those rows spanned
-    exactly; ``_spans`` has put each of them in the claim, a hyperplane,
-    so they span it exactly when their span has its dimension."""
+    Each row is tested once against the claim's one annihilator row,
+    which puts it in the claim, and then the rows' rank is tested by
+    ``linalg._has_rank``, the rank test of ``SqSubspace.is_span_of``."""
     ctx = form.ctx
     zero, one = ctx._zero_poly, ctx._one_poly
     size = len(ctx.patterns)
-    ann = tuple(one if j in (0, k) else zero for j in range(size))
+    ann = (tuple(one if j in (0, k) else zero for j in range(size)),)
     rows = _product_rows(ctx, form.slots)[1:]
-    decided = _spans(ctx, (ann,), size - 1, rows)
-    if decided is None:
-        return SqSubspace.from_poly_rows(ctx, rows).dim == size - 1
-    return decided
+    return all(_annihilated(r, ann) for r in rows) and _has_rank(ctx, rows, size - 1)
 
 
 def verify_no_common_slot_family(n: int) -> dict:
@@ -755,18 +772,19 @@ def verify_no_common_slot_family(n: int) -> dict:
     read them, and only the pairwise verdict and the annihilator rows
     are kept.
 
-    The F-level work is one ``linalg._spans`` per member, the routine
-    behind ``SqSubspace.is_span_of`` (``common_factor`` certifies with
-    it too): every nontrivial product has dot product 0 with the claim's
-    annihilator row, and the products have rank 2^n - 1 at a fixed point
-    of GF(2^16)^n, an exact lower bound on their rank over F.  So the
-    products span the claim, which is the member's pure value space.  A
-    product has at most two nonzero 2-basis coordinates, and its row is
-    kept sparse (column -> polynomial) through the dot products and the
-    rank.  The rows are built from the member's slots' rows
-    (``field._product_rows``), so no product is built as a field element.
-    Only when the rank at the point falls short are those rows spanned
-    exactly, and their span's dimension compared with the claim's.
+    The F-level work is two facts per member, each checked once
+    (``_member_spans_claim``): every nontrivial product has dot product 0
+    with the claim's annihilator row, and the products have rank
+    2^n - 1, by ``linalg._has_rank``, the rank test of
+    ``SqSubspace.is_span_of`` that ``common_factor`` certifies with too.
+    That is the rank at a fixed point of GF(2^16)^n, an exact lower
+    bound on the rank over F, and an exact span of the rows only when it
+    falls short.  So the products span the claim, which is the member's
+    pure value space.  A product has at most two nonzero 2-basis
+    coordinates, and its row is kept sparse (column -> polynomial)
+    through the dot products and the rank.  The rows are built from the
+    member's slots' rows (``field._product_rows``), so no product is
+    built as a field element.
 
     By dim(A & B) = dim A + dim B - dim(A + B), intersections of such
     spans have the dimensions of the GF(2) ones too, so everything after

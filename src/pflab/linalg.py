@@ -13,10 +13,16 @@ A subspace is also described by its annihilator: the rows a with
 x . a = 0 exactly for the rows x of the space, one per non-pivot column.
 Membership is then one polynomial dot product per annihilator row, and
 an intersection is the space annihilated by all the inputs' annihilator
-rows together.  A rank lower bound at a fixed point of GF(2^16)^n
-(``_rank_at_point``) lets ``SqSubspace.is_span_of`` prove a spanning
-set without eliminating it; the point is defined once, by ``_Point``,
-which ``bilinear._next_slot`` also screens its candidates at.  Rows
+rows together.  A spanning set is proved by two facts: each row is
+annihilated, so the span is inside the space, and the rows have rank at
+least the space's dimension, so it fills the space.  The rank is
+decided by ``_has_rank``, the one exact rank test: a lower bound at a
+fixed point of GF(2^16)^n (``_rank_at_point``) proves it without an
+elimination, and only a rank that falls short there is spanned exactly.
+``SqSubspace.is_span_of`` is the two facts together; a caller that has
+already tested its rows against the space calls ``_has_rank`` alone.
+The point is defined once, by ``_Point``, which
+``bilinear._next_slot`` also screens its candidates at.  Rows
 that are spanned, tested against an annihilator or ranked at the point
 are sparse (column -> polynomial, ``field._poly_row``): an element's
 coordinates times its denominator, so no fraction is cleared on the way
@@ -356,23 +362,17 @@ def _rank_at_point(ctx: FieldContext, rows: Sequence[SparseRow]) -> int:
     return len(pivots)
 
 
-def _spans(
-    ctx: FieldContext, annihilator: Sequence[Sequence[Poly]], dim: int, rows: Sequence[SparseRow]
-) -> bool | None:
-    """Whether sparse polynomial rows span the space of dimension dim cut
-    out by the annihilator rows, as far as the rank at the point decides.
+def _has_rank(ctx: FieldContext, rows: Sequence[SparseRow], dim: int) -> bool:
+    """Whether sparse polynomial rows have rank at least dim over F: the
+    one exact rank test behind every spanning certificate.
 
-    False when some row has a nonzero dot product with an annihilator row,
-    so lies outside the space; True when every row lies inside and the rows
-    have rank at least dim at the point of ``_rank_at_point``, an exact
-    lower bound on their rank over F, so their span fills the space; None
-    when that rank falls short, and only an exact span can decide.
+    The rank at the point of ``_rank_at_point``, an exact lower bound,
+    decides when it reaches dim; only when it falls short are the rows
+    spanned exactly (``SqSubspace.from_poly_rows``).  A caller that has
+    put every row inside a space of dimension dim learns from True that
+    the rows span it.
     """
-    if not all(_annihilated(r, annihilator) for r in rows):
-        return False
-    if _rank_at_point(ctx, rows) >= dim:
-        return True
-    return None
+    return _rank_at_point(ctx, rows) >= dim or SqSubspace.from_poly_rows(ctx, rows).dim >= dim
 
 
 class SqSubspace:
@@ -598,32 +598,18 @@ class SqSubspace:
     def __contains__(self, f: FieldElement) -> bool:
         return self._annihilates(_poly_row(f))
 
-    def is_span_of(
-        self, elements: Sequence[FieldElement] = (), rows: Sequence[SparseRow] | None = None
-    ) -> bool:
-        """Whether the F^2-span of some elements is exactly this space.
+    def is_span_of(self, rows: Sequence[SparseRow]) -> bool:
+        """Whether the elements of some sparse rows span exactly this space.
 
-        The elements are given by their sparse rows: rows, when given,
-        each an element's 2-basis row up to a nonzero scale
-        (``field._product_rows`` builds them for slot products, with no
-        product built as a field element), else ``field._poly_row`` of
-        each of elements.  Three facts decide it.  Every row has dot
-        product 0 with the annihilator rows, so the span is inside the
-        space.  The rows have rank at least dim at the fixed point of
-        ``_rank_at_point``; substituting values for the variables can only
-        lower a rank, since a minor that vanishes over F vanishes at every
-        point, so the span has dimension at least dim and fills the space.
-        Those two are ``_spans``.  Only when the rank at the point falls
-        short are the rows spanned exactly (``from_poly_rows``) and the
-        result compared; a nonzero scale per row leaves their span as it
-        is, so the verdict is that of the elements' own span.
+        Each row is an element's 2-basis row up to a nonzero scale
+        (``field._poly_row`` of an element, or ``field._product_rows`` of
+        slot products, with no product built as a field element); a scale
+        moves neither a dot product's vanishing nor a rank.  Two facts
+        decide it, each checked once.  Every row has dot product 0 with
+        the annihilator rows, so the span is inside the space.  The rows
+        have rank at least dim (``_has_rank``), so the span fills it.
         """
-        if rows is None:
-            rows = [_poly_row(e) for e in elements]
-        decided = _spans(self.ctx, self.annihilator, self.dim, rows)
-        if decided is None:
-            return SqSubspace.from_poly_rows(self.ctx, rows) == self
-        return decided
+        return all(self._annihilates(r) for r in rows) and _has_rank(self.ctx, rows, self.dim)
 
     # -- lattice operations -----------------------------------------------------
 

@@ -567,22 +567,64 @@ class TestCommonFactor:
         assert ranks == [1]
 
     def test_isotropic_head_fails_certification(self, ctx3, monkeypatch):
-        # the head's dimension is not checked on its own: the search still
-        # finds slots for the isotropic head (a1, a1), and the dependent
-        # product rows fail the exact certification
+        # the head's dimension is not checked on its own, but its product
+        # rows are tested against W on entry: the row of a1^2 = a1^2 * 1
+        # is a1 times 1's row, outside W, so the isotropic head (a1, a1)
+        # fails the exact certification before any search
+        searches = []
+        monkeypatch.setattr(bilinear, "_next_slot", lambda *args: searches.append(1))
         a1, a2, a3 = ctx3.gens
         head = (a1, a1)
         form = BilinearPfister(ctx3, (a1, a2, a3))
         with pytest.raises(CompletionNotFound, match="exact certification"):
             bilinear._complete(head, form, _product_rows(ctx3, head))
+        assert searches == []
         # a pure space holding 1 stops the completion before any search
-        searches = []
-        monkeypatch.setattr(bilinear, "_next_slot", lambda *args: searches.append(1))
         isotropic = BilinearPfister(ctx3, (a1, a1))
         assert ctx3.one in isotropic.pure_value_space()
         with pytest.raises(CompletionNotFound, match="contains 1"):
             bilinear._complete((a1,), isotropic, _product_rows(ctx3, (a1,)))
         assert searches == []
+
+    def test_head_product_outside_stops_before_search(self, ctx3, monkeypatch):
+        # 1 + a2 is a head product outside D(<<a1, a2, a3>>'), the span of
+        # the nontrivial monomials: the head rows are tested on entry, so
+        # the completion fails before any slot is searched or rank taken
+        searches, ranks = [], []
+        monkeypatch.setattr(bilinear, "_next_slot", lambda *args: searches.append(1))
+        monkeypatch.setattr(linalg, "_rank_at_point", lambda *args: ranks.append(1) or 0)
+        a1, a2, a3 = ctx3.gens
+        form = BilinearPfister(ctx3, (a1, a2, a3))
+        head = (a1, ctx3.one + a2)
+        with pytest.raises(CompletionNotFound, match="exact certification"):
+            bilinear._complete(head, form, _product_rows(ctx3, head))
+        assert searches == [] and ranks == []
+
+    def test_no_row_tested_twice(self, monkeypatch):
+        # each product row is tested against a space once: the head rows
+        # on entry to _complete, each accepted slot's products in
+        # _admissible, and the final certification takes only the rank.
+        # A row is one row object; every tested row and annihilator is
+        # kept alive, so that no id is reused
+        runs = [
+            (1, golden_forms, "common-factor-m1.json"),
+            (2, golden_forms, "common-factor-m2.json"),
+            (2, fallback_forms, "common-factor-fallback-m2.json"),
+        ]
+        tested = {}
+        real = linalg._annihilated
+
+        def recorded(row, annihilator):
+            key = (id(annihilator), id(row))
+            assert key not in tested, "a row was tested twice against one space"
+            tested[key] = (annihilator, row)
+            return real(row, annihilator)
+
+        monkeypatch.setattr(linalg, "_annihilated", recorded)
+        for m, forms, name in runs:
+            golden = json.loads((GOLDEN / name).read_text())
+            assert common_factor(m, forms()).to_json() == golden["evidence"]["witness"]
+        assert tested
 
     @pytest.mark.parametrize("m, most", [(1, 17), (2, 28)])
     def test_each_factorization_spanned_once(self, ctx3, monkeypatch, m, most):
@@ -1186,8 +1228,9 @@ class TestFamily:
         assert evidence["leave_one_out_dims"] == [1] * 8
 
     def test_members_certified_without_pure_spaces(self, monkeypatch):
-        # each member's claim is proved by is_span_of on its products, so
-        # no member's pure value space is ever spanned
+        # each member's claim is proved on its product rows, by one
+        # annihilator test each and one rank test, so no member's pure
+        # value space is ever spanned
         def refuse(self):
             raise AssertionError("pure_value_space called")
 
@@ -1220,7 +1263,7 @@ class TestFamily:
         assert checked == list(range(16))
 
     def test_short_specialization_keeps_report(self, monkeypatch):
-        # with every rank at the point falling short, is_span_of spans the
+        # with every rank at the point falling short, _has_rank spans the
         # products exactly, and the report is the same
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE

@@ -53,7 +53,10 @@ def test_reproduce_counterexamples_quadratic_failure(capsys, monkeypatch):
         section = out.split(f"quadratic family, n={n} (")[1].split("image sizes")[0]
         assert section.count("FAIL") == 1
         assert f"{label:<52} FAIL" in section
-    assert "2 check(s) failed" in out
+    # the summary names each failure with its section, so the ranks differ
+    summary = out.split("2 check(s) failed:")[1]
+    for n in (2, 3):
+        assert f"  - quadratic family, n={n}: {label}\n" in summary
     assert "quaternion triple over GF(2)(a1,a2)" in out
 
 
