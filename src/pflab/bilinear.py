@@ -68,13 +68,25 @@ them and multiplies nothing again, so each is built once.  So a pass of
 ``common_factor`` builds no product of field elements, and no product
 row twice.
 
-Within a round of ``common_factor`` every form is completed from the same
-head slots (rho's slots and beta), so the round builds the head's
-product rows once and passes them to every ``_complete``; the next
-round's mixed spaces are spanned from the product rows ``_complete``
-built, not rebuilt from the slots.  beta is read off the intersection's
-first eliminated row, and its one row is tested against every mixed
-space.
+``common_factor`` searches and certifies once per distinct pure space.
+``_complete`` reads nothing of a form but its pure space and fold, so
+the forms are grouped by exact equality of their pure spaces
+(``SqSubspace.__eq__``, fraction-free; isometric forms share a group),
+and only the first form of each group, its representative, gets mixed
+spaces, a place in the intersection and a ``_complete`` call.  Every
+form of a group gets its representative's complement, certified
+against the pure space they share; every slot is read off reduced rows
+in lowest terms, so that is the witness of completing each form on its
+own.  Forms that share every complement share their later mixed spaces
+too, so the groups hold in every round.
+
+Within a round of ``common_factor`` every representative is completed
+from the same head slots (rho's slots and beta), so the round builds the
+head's product rows once and passes them to every ``_complete``; the
+next round's mixed spaces are spanned from the product rows
+``_complete`` built, not rebuilt from the slots.  beta is read off the
+intersection's first eliminated row, and its one row is tested against
+every mixed space.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` from each member's claimed pure space,
@@ -588,10 +600,13 @@ class FactorWitness:
     """A verified m-fold common factor of a family of n-fold forms.
 
     For every input form, rho's slots followed by the matching complement
-    rebuild a form with exactly the same pure value space.  Entry i of
-    check_log reports the last round's certification of form i in
-    _complete (``pure_value_space_equal``, true in every witness, since a
-    failed one raises) and the pure space's ``dim``, 2^n - 1.
+    rebuild a form with exactly the same pure value space.  The search
+    and the certification run once per distinct pure space: forms with
+    equal pure spaces share one complement, that of the first of them.
+    Entry i of check_log, one per input form, reports the last round's
+    certification in _complete of form i's pure space
+    (``pure_value_space_equal``, true in every witness, since a failed
+    one raises) and the pure space's ``dim``, 2^n - 1.
 
     ``pure_value_space_equal`` rests on three facts of ``_complete``,
     each checked once.  Each nontrivial product of the rebuilt form has
@@ -621,14 +636,19 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     """Extract a verified m-fold common factor, or None when the slot
     intersection dies before m slots are collected.
 
-    Each round intersects the mixed pure spaces, takes beta, the first
-    element of the intersection's reduced basis, checks it against every
-    mixed space through its one row, and completes every form from the
+    The per-form work runs once per distinct pure space.  The forms are
+    grouped by exact equality of their pure spaces, and the first form of
+    each group, in input order, represents it.  Each round intersects the
+    representatives' mixed pure spaces, takes beta, the first element of
+    the intersection's reduced basis, checks it against every mixed space
+    through its one row, and completes every representative from the
     head rho + beta.  The head is the same for every form, so its
     product rows are built once per round and shared by every
     ``_complete``; no head space is spanned.  Each completion returns
     its full product rows, the rows of rho + beta + complement, and the
-    next round's mixed spaces are spanned from them."""
+    next round's mixed spaces are spanned from them.  Every form gets
+    its representative's complement, certified against the pure space
+    the two share, and check_log has one entry per input form."""
     pures = _pure_spaces(forms)
     ctx = forms[0].ctx
     n = forms[0].fold
@@ -637,17 +657,27 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     if not 1 <= m <= n - 1:
         raise ValueError(f"factor fold m={m} must satisfy 1 <= m <= {n - 1}")
 
+    # one representative per distinct pure space, by exact equality: the
+    # first form holding it; form i's representative is reps[group[i]]
+    reps: list[int] = []
+    group: list[int] = []
+    for i, pure in enumerate(pures):
+        g = next((g for g, r in enumerate(reps) if pures[r] == pure), len(reps))
+        if g == len(reps):
+            reps.append(i)
+        group.append(g)
+
     rho_slots: tuple[FieldElement, ...] = ()
-    comps = [tuple(f.slots) for f in forms]
-    # the product rows of rho_slots + comps[i], as the last round's
+    comps: list = []
+    # the product rows of rho_slots + comps[g], as the last round's
     # _complete built them
-    comp_rows: list = [None] * len(forms)
+    comp_rows: list = []
     for _ in range(m):
         # with rho empty, the mixed space is the pure value space
         spaces = (
             [_mixed_pure_space(ctx, c, r) for c, r in zip(comps, comp_rows)]
             if rho_slots
-            else pures
+            else [pures[r] for r in reps]
         )
         inter = spaces[0].intersection(*spaces[1:])
         if inter.is_zero:
@@ -664,15 +694,17 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
         head = rho_slots + (beta,)
         # the head's product rows are the same for every form
         head_rows = _product_rows(ctx, head)
-        done = [_complete(head, f, head_rows) for f in forms]
+        done = [_complete(head, forms[r], head_rows) for r in reps]
         comps = [slots[len(head) :] for slots, _ in done]
         comp_rows = [rows for _, rows in done]
         rho_slots = head
 
-    # _complete raised unless every form's last certification held
+    # _complete raised unless every representative's last certification
+    # held, and each form's pure space equals its representative's
     log = [{"form": i, "pure_value_space_equal": True, "dim": pure.dim}
            for i, pure in enumerate(pures)]
-    return FactorWitness(BilinearPfister(ctx, rho_slots), tuple(comps), tuple(log))
+    complements = tuple(comps[g] for g in group)
+    return FactorWitness(BilinearPfister(ctx, rho_slots), complements, tuple(log))
 
 
 def build_no_common_slot_family(n: int) -> list[BilinearPfister]:

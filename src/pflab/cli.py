@@ -52,6 +52,12 @@ __all__ = ["parse_element", "main", "console_main"]
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
 _MAX_N = 6
+# largest exponent of a variable in an element read from the command line
+# or a forms file.  A large exponent is cheap to store but not to reduce:
+# a forms file of 3-fold forms with slots like (1 + a1^e) / (1 + a1^3)
+# took about 0.5 s at e=31, 3.6 s at e=127 and over 60 s at e=511.  The
+# golden inputs use exponents up to 1.
+_MAX_EXPONENT = 64
 _MAX_FAMILY_N = 10
 _MAX_SUBSET_N = 8
 _MAX_QUADRATIC_N = 6
@@ -109,6 +115,11 @@ def _parse_factor(cur: _Cursor, ctx: FieldContext) -> Poly:
             ek, ev, epos = cur.take()
             if ek != "INT":
                 raise ParseError("expected an integer exponent after '^'", epos)
+            # the length test first: int() is slow on, or refuses, a long digit string
+            if len(ev) > len(str(_MAX_EXPONENT)) or int(ev) > _MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {reprlib.repr(ev)} exceeds the limit {_MAX_EXPONENT}", epos
+                )
             exp = int(ev)
         mono = tuple(exp if j == index - 1 else 0 for j in range(ctx.n))
         return Poly(frozenset((mono,)), ctx.n)
@@ -120,16 +131,19 @@ def _parse_factor(cur: _Cursor, ctx: FieldContext) -> Poly:
 
 
 def _parse_term(cur: _Cursor, ctx: FieldContext) -> Poly:
+    """A product of factors, one monomial or 0; the exponents it adds up
+    stay within _MAX_EXPONENT, as each factor's does."""
+    start = cur.peek()[2]
     poly = _parse_factor(cur, ctx)
     while True:
         kind, value, _ = cur.peek()
         if kind == "OP" and value == "*":
             cur.take()
-            poly = poly * _parse_factor(cur, ctx)
-        elif kind in ("VAR", "INT"):
-            poly = poly * _parse_factor(cur, ctx)
-        else:
+        elif kind not in ("VAR", "INT"):
+            if any(e > _MAX_EXPONENT for t in poly.terms for e in t):
+                raise ParseError(f"a term's exponent exceeds the limit {_MAX_EXPONENT}", start)
             return poly
+        poly = poly * _parse_factor(cur, ctx)
 
 
 def _parse_poly(cur: _Cursor, ctx: FieldContext) -> Poly:
@@ -281,6 +295,11 @@ def _read_forms(ctx: FieldContext, items) -> list[BilinearPfister]:
             and item.get("type") == "bilinear_pfister"
             and isinstance(item.get("slots"), list)
         ):
+            # refused before any element is built: building one reduces it
+            if _largest_exponent(item["slots"]) > _MAX_EXPONENT:
+                raise ValueError(
+                    f"forms file entry {i} has an exponent above the limit {_MAX_EXPONENT}"
+                )
             forms.append(BilinearPfister.from_json(ctx, item))
         else:
             raise ValueError(
@@ -288,6 +307,26 @@ def _read_forms(ctx: FieldContext, items) -> list[BilinearPfister]:
                 f"bilinear_pfister object, got {reprlib.repr(item)}"
             )
     return forms
+
+
+def _largest_exponent(slots: list) -> int:
+    """The largest integer exponent in the slots' JSON ``num`` and ``den``
+    term lists, 0 when there is none; malformed parts are left to
+    ``FieldElement.from_json`` to refuse."""
+    return max(
+        (
+            e
+            for s in slots
+            if isinstance(s, dict)
+            for key in ("num", "den")
+            if isinstance(s.get(key), list)
+            for t in s[key]
+            if isinstance(t, list)
+            for e in t
+            if isinstance(e, int)
+        ),
+        default=0,
+    )
 
 
 def _cmd_quadratic_family(args) -> int:

@@ -505,8 +505,8 @@ class SqSubspace:
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
         """The canonical reduced basis: dense rows of field elements, each
         eliminated row divided by last.  Built on first read and cached;
-        equality, hashing and ``to_json`` read it, while building,
-        intersecting and testing a space do not."""
+        hashing and ``to_json`` read it, while building, intersecting,
+        comparing and testing a space do not."""
         if self._rows is None:
             ctx, last = self.ctx, self._last
             self._rows = tuple(
@@ -536,11 +536,26 @@ class SqSubspace:
         return self._elements
 
     def __eq__(self, other):
+        """Whether the two spaces are equal, fraction-free.  They are when
+        their reduced bases are, row for row: the same pivots, and each
+        eliminated row e of this space and f of the other, e / last and
+        f / other.last, cross-multiplied, other.last * e == last * f,
+        entry by entry.  No fraction is put in lowest terms, so equal
+        spaces built with different final pivots compare with one product
+        per nonzero entry and no gcd."""
         if not isinstance(other, SqSubspace):
             return NotImplemented
-        return self.ctx == other.ctx and self.rows == other.rows
+        if self.ctx != other.ctx or self.pivots != other.pivots:
+            return False
+        a, b = self._last, other._last
+        return all(
+            (b * e).terms == (a * f).terms
+            for r, s in zip(self._eliminated, other._eliminated)
+            for e, f in zip(r, s)
+        )
 
     def __hash__(self):
+        # equal spaces have equal canonical rows, so this agrees with __eq__
         return hash((self.ctx, self.rows))
 
     def __repr__(self):

@@ -453,7 +453,63 @@ def golden_forms():
     return _read_forms(FieldContext(data["n"]), data["forms"])
 
 
+def isometric_forms():
+    """Fresh forms of the golden isometric common-factor runs: <<a1, a2, a3>>,
+    an exact duplicate, its slots permuted, the isometric <<a1, a1*a2, a3>>,
+    then <<a1, a2, 1 + a3>> with two forms isometric to it, <<a2, a1, a1*a3>>,
+    isometric to the first, and last <<a1, a2, 1 + a1^2*a3>>, whose pure
+    space has the pivots of <<a1, a2, 1 + a3>>'s but is another space:
+    three distinct pure spaces."""
+    data = json.loads((GOLDEN / "common_factor_isometric_forms.json").read_text())
+    return _read_forms(FieldContext(data["n"]), data["forms"])
+
+
+def common_factor_per_form(m, forms):
+    """Reference for common_factor: every form completed on its own, with
+    factor_out, round by round; (rho's slots, complements) or None."""
+    ctx = forms[0].ctx
+    rho, comps = None, [f.slots for f in forms]
+    for _ in range(m):
+        head = () if rho is None else rho.slots
+        spaces = [
+            bilinear._mixed_pure_space(ctx, c, _product_rows(ctx, head + tuple(c)))
+            for c in comps
+        ]
+        inter = spaces[0].intersection(*spaces[1:])
+        if inter.is_zero:
+            return None
+        beta = inter.elements()[0].lowest_terms()
+        comps = [factor_out(beta, rho, f, c) for f, c in zip(forms, comps)]
+        rho = BilinearPfister(ctx, head + (beta,))
+    return rho.slots, tuple(comps)
+
+
 class TestCommonFactor:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_isometric_forms_completed_once(self, monkeypatch, m):
+        # nine forms, three distinct pure spaces: the witness is the one of
+        # completing every form on its own, with one _complete per distinct
+        # space and round, and every rebuilt form is isometric to its input
+        forms = isometric_forms()
+        want = common_factor_per_form(m, isometric_forms())
+        calls = []
+        real = bilinear._complete
+
+        def counted(slots, form, rows):
+            calls.append(form)
+            return real(slots, form, rows)
+
+        monkeypatch.setattr(bilinear, "_complete", counted)
+        witness = common_factor(m, forms)
+        monkeypatch.undo()
+        assert (witness.rho.slots, witness.complements) == want
+        # the first form of each group, by identity: forms 0 and 1 are equal
+        assert [next(i for i, f in enumerate(forms) if f is c) for c in calls] == [0, 4, 8] * m
+        assert [entry["form"] for entry in witness.check_log] == list(range(len(forms)))
+        for form, complement in zip(forms, witness.complements):
+            rebuilt = BilinearPfister(form.ctx, witness.rho.slots + complement)
+            assert rebuilt.is_isometric(form)
+
     @pytest.mark.parametrize("index", [19, 45])
     def test_heavy_instances_keep_operands_small(self, ctx3, monkeypatch, index):
         # the heaviest instances of corpus 20260814: a round-1 slot that is
@@ -528,8 +584,9 @@ class TestCommonFactor:
     @pytest.mark.parametrize("m", [1, 2])
     def test_short_specialization_takes_exact_span(self, ctx3, monkeypatch, m):
         # a point at which every rank falls short: each certification then
-        # eliminates its product rows exactly, one span more per form and
-        # round, and the witness is the same
+        # eliminates its product rows exactly, one span more per distinct
+        # pure space and round, and the witness is the same.  Forms 0 and 2
+        # of two_fold_family are isometric, so it has two distinct spaces
         spans = []
         real_span = SqSubspace.from_poly_rows
 
@@ -549,7 +606,7 @@ class TestCommonFactor:
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
         got, short = run()
         assert got == want
-        assert short - plain == m * 3
+        assert short - plain == m * 2
 
     def test_product_outside_pure_space(self, ctx2, b0, monkeypatch):
         a1, a2 = ctx2.gens
@@ -680,12 +737,15 @@ class TestCommonFactor:
         assert built == heads
         # no head and no partial U is spanned: with the pure spaces built
         # before the count, the only spans are round 2's mixed spaces, from
-        # the rows of round 1's completions
+        # the rows of round 1's completions, one per distinct pure space.
+        # Form 2 is isometric to form 0, so it shares form 0's complement
+        # and gets no mixed space of its own
         first = common_factor(1, golden_forms())
+        assert first.complements[2] == first.complements[0]
         low = 2 ** len(first.complements[0]) - 1
         mixed = [
             [row for e, row in enumerate(_product_rows(ctx, heads[0] + comp)) if e & low]
-            for comp in first.complements
+            for comp in first.complements[:2]
         ]
         assert spanned == mixed
         # factor_out, called on its own, builds its own head rows and
@@ -764,8 +824,11 @@ class TestCommonFactor:
             assert common_factor(m, forms()).to_json() == golden["evidence"]["witness"]
         monkeypatch.undo()
         assert len(fallbacks) == 1 and fallbacks[0] > 0
-        # one completion per form and round
-        assert len(completions) == sum(m * len(forms()) for m, forms, _ in runs)
+        # one completion per distinct pure space and round; the set keys
+        # each space on its canonical rows
+        assert len(completions) == sum(
+            m * len({f.pure_value_space() for f in forms()}) for m, forms, _ in runs
+        )
         for head, (slots, rows), count in completions:
             want = _product_rows(slots[0].ctx, slots)
             assert len(rows) == len(want) and all(r == w for r, w in zip(rows, want))

@@ -8,7 +8,7 @@ import pytest
 
 from pflab import FieldContext, ParitySet, ParseError, build_quadratic_family
 from pflab import quadratic
-from pflab.cli import main, parse_element
+from pflab.cli import _MAX_EXPONENT, main, parse_element
 
 
 @pytest.fixture
@@ -69,6 +69,13 @@ class TestGrammar:
             parse_element(text, ctx2)
         assert err.value.position == position
         assert f"(position {position})" in str(err.value)
+
+    def test_exponent_limit(self, ctx2):
+        assert parse_element(f"a1^{_MAX_EXPONENT}", ctx2) == ctx2.gens[0] ** _MAX_EXPONENT
+        half = _MAX_EXPONENT // 2 + 1
+        for text in (f"a1^{_MAX_EXPONENT + 1}", f"a1^{half}*a1^{half}", f"a2 a1^{half} a1^{half}"):
+            with pytest.raises(ParseError, match=f"limit {_MAX_EXPONENT}"):
+                parse_element(text, ctx2)
 
     def test_trailing_junk(self, ctx2):
         with pytest.raises(ParseError):
@@ -259,6 +266,32 @@ class TestCommonFactor:
         assert named in report["evidence"]["error"]
 
 
+    @pytest.mark.parametrize(
+        "slot",
+        [
+            "a1^10000000",
+            {"num": [[10000000, 0, 0], [0, 0, 0]], "den": [[1, 0, 0], [0, 0, 0]]},
+        ],
+        ids=["string", "object"],
+    )
+    def test_exponent_outside_budget(self, capsys, tmp_path, slot):
+        # refused before the element is built and reduced
+        if isinstance(slot, str):
+            form = [slot, "a2", "a3"]
+        else:
+            a2 = {"num": [[0, 1, 0]], "den": [[0, 0, 0]]}
+            form = {"type": "bilinear_pfister", "slots": [slot, a2]}
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps({"n": 3, "forms": [["a1", "a2", "a3"], form]}))
+        started = time.monotonic()
+        code, report = run_json(
+            capsys, "common-factor", "--m", "1", "--forms", str(path)
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2
+        assert f"limit {_MAX_EXPONENT}" in report["evidence"]["error"]
+
+
 class TestQuadraticFamily:
     def test_verify(self, capsys):
         code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
@@ -349,6 +382,17 @@ class TestQuatTriple:
         )
         assert code == 2
         assert report["evidence"]["error_type"] == "ParseError"
+
+
+    def test_exponent_outside_budget(self, capsys):
+        started = time.monotonic()
+        code, report = run_json(
+            capsys, "quat-triple", "--alpha", "a1^10000000", "--beta", "a2"
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2
+        assert report["evidence"]["error_type"] == "ParseError"
+        assert f"limit {_MAX_EXPONENT}" in report["evidence"]["error"]
 
 
 class TestReports:

@@ -31,6 +31,10 @@ FORMS = str(GOLDEN / "common_factor_forms.json")
 # corpus 20260814's instance 19 of the sharing benchmark, the one golden
 # input whose run reaches the exact fallback of bilinear._next_slot
 FALLBACK_FORMS = str(GOLDEN / "common_factor_fallback_forms.json")
+# nine forms with three distinct pure spaces: exact duplicates, permuted
+# slots and isometric slot lists, completed once per distinct space, and
+# two forms whose distinct pure spaces have the same pivots
+ISOMETRIC_FORMS = str(GOLDEN / "common_factor_isometric_forms.json")
 
 # file name -> (argv, exit code)
 CASES = {
@@ -57,6 +61,14 @@ CASES = {
     "common-factor-m2.json": (["common-factor", "--m", "2", "--forms", FORMS], 0),
     "common-factor-fallback-m2.json": (
         ["common-factor", "--m", "2", "--forms", FALLBACK_FORMS],
+        0,
+    ),
+    "common-factor-isometric-m1.json": (
+        ["common-factor", "--m", "1", "--forms", ISOMETRIC_FORMS],
+        0,
+    ),
+    "common-factor-isometric-m2.json": (
+        ["common-factor", "--m", "2", "--forms", ISOMETRIC_FORMS],
         0,
     ),
 }

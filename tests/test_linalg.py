@@ -189,6 +189,65 @@ class TestRowPath:
         self.check(ctx3, gens, scales)
 
 
+class TestEquality:
+    """SqSubspace.__eq__, the eliminated rows cross-multiplied by the
+    other space's last, against a comparison of the canonical rows of
+    field elements; equal spaces hash equal."""
+
+    @staticmethod
+    def check(ctx, gens, others, scales, order):
+        space = SqSubspace.span(ctx, gens)
+        # the same space from the generators permuted, each row rescaled,
+        # and from the generators with square multiples of them added: the
+        # eliminations run otherwise and may end in another last
+        rows = [{j: p * s for j, p in _poly_row(g).items()} for g, s in zip(gens, scales) if g]
+        permuted = SqSubspace.from_poly_rows(ctx, [rows[i] for i in order if i < len(rows)])
+        squares = [c * c * g for g, c in zip(gens, others)]
+        candidates = [
+            permuted,
+            SqSubspace.span(ctx, squares + gens),
+            SqSubspace.span(ctx, others),
+            SqSubspace.span(ctx, gens + others),
+        ]
+        assert permuted == space and candidates[1] == space
+        for x in candidates:
+            want = x.pivots == space.pivots and x.rows == space.rows
+            assert (space == x) == want and (x == space) == want
+            if want:
+                assert hash(x) == hash(space)
+
+    @given(
+        gens=st.lists(elements(CTX2, max_degree=2, max_terms=3), max_size=4),
+        others=st.lists(elements(CTX2, max_degree=2, max_terms=3), max_size=3),
+        scales=st.lists(nonzero_polys(CTX2, max_degree=2, max_terms=2), min_size=4, max_size=4),
+        order=st.permutations(range(4)),
+    )
+    def test_n2(self, ctx2, gens, others, scales, order):
+        self.check(ctx2, gens, others, scales, order)
+
+    @given(
+        gens=st.lists(elements(CTX3, max_degree=2, max_terms=3), max_size=4),
+        others=st.lists(elements(CTX3, max_degree=1, max_terms=2), max_size=3),
+        scales=st.lists(nonzero_polys(CTX3, max_degree=1, max_terms=2), min_size=4, max_size=4),
+        order=st.permutations(range(4)),
+    )
+    def test_n3(self, ctx3, gens, others, scales, order):
+        self.check(ctx3, gens, others, scales, order)
+
+    def test_other_last(self, ctx3):
+        # one space from two eliminations that end in different final
+        # pivots: equal, with no canonical row built
+        a1, a2, a3 = ctx3.gens
+        gens = [a1 + a2, a3 / (ctx3.one + a1)]
+        space = SqSubspace.span(ctx3, gens)
+        scaled = SqSubspace.span(ctx3, [(ctx3.one + a2) ** 2 * g for g in reversed(gens)])
+        assert space._last != scaled._last
+        assert space == scaled and scaled._rows is None and space._rows is None
+        assert hash(space) == hash(scaled)
+        assert space != SqSubspace.span(ctx3, gens[:1]) != SqSubspace.zero(ctx3)
+        assert SqSubspace.zero(ctx3) == SqSubspace.span(ctx3, [])
+
+
 class TestMember:
     def test_sum_of_generators(self, ctx2):
         a1, a2 = ctx2.gens
