@@ -1,12 +1,14 @@
 """Command line front end.
 
 Subcommands build the certified families, search for common factors and
-check the quaternion triple.  Reports are JSON (default) or text; output
-is deterministic byte-for-byte across runs unless --timing is given,
-which fills the report's otherwise-null "timing" field with wall-clock
-seconds.  Exit codes: 0 when the certificate is valid or a witness was
-found, 1 for a valid run with a negative result, 2 for invalid input or
-a failed hypothesis.
+check the quaternion triple.  Each returns its field size, inputs, verdict
+and evidence; ``main`` builds every report from them, an error's too, and
+prints it.  Reports are JSON (default) or text; output is deterministic
+byte-for-byte across runs unless --timing is given, which fills the
+report's otherwise-null "timing" field with wall-clock seconds.  Exit
+codes: 0 when the certificate is valid or a witness was found, 1 for a
+valid run with a negative result, 2 for invalid input or a failed
+hypothesis.
 
 Field elements on the command line and in input files use a compact
 grammar: ``a1^3+a2 / a1`` is (a1^3 + a2)/a1.  Variables are a1..an,
@@ -53,10 +55,10 @@ __all__ = ["parse_element", "main", "console_main"]
 # smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
 _MAX_N = 6
 # largest exponent of a variable in an element read from the command line
-# or a forms file.  A large exponent is cheap to store but not to reduce:
-# a forms file of 3-fold forms with slots like (1 + a1^e) / (1 + a1^3)
-# took about 0.5 s at e=31, 3.6 s at e=127 and over 60 s at e=511.  The
-# golden inputs use exponents up to 1.
+# or a forms file, as stored (see _within_budget).  A large exponent is
+# cheap to store but not to reduce: a forms file of 3-fold forms with
+# slots like (1 + a1^e) / (1 + a1^3) took about 0.5 s at e=31, 3.6 s at
+# e=127 and over 60 s at e=511.  The golden inputs use exponents up to 1.
 _MAX_EXPONENT = 64
 _MAX_FAMILY_N = 10
 _MAX_SUBSET_N = 8
@@ -115,8 +117,9 @@ def _parse_factor(cur: _Cursor, ctx: FieldContext) -> Poly:
             ek, ev, epos = cur.take()
             if ek != "INT":
                 raise ParseError("expected an integer exponent after '^'", epos)
-            # the length test first: int() is slow on, or refuses, a long digit string
-            if len(ev) > len(str(_MAX_EXPONENT)) or int(ev) > _MAX_EXPONENT:
+            # int() is slow on, or refuses, a long digit string; the value
+            # itself is bounded on the stored element, by _within_budget
+            if len(ev) > len(str(_MAX_EXPONENT)):
                 raise ParseError(
                     f"exponent {reprlib.repr(ev)} exceeds the limit {_MAX_EXPONENT}", epos
                 )
@@ -131,17 +134,13 @@ def _parse_factor(cur: _Cursor, ctx: FieldContext) -> Poly:
 
 
 def _parse_term(cur: _Cursor, ctx: FieldContext) -> Poly:
-    """A product of factors, one monomial or 0; the exponents it adds up
-    stay within _MAX_EXPONENT, as each factor's does."""
-    start = cur.peek()[2]
+    """A product of factors, one monomial or 0."""
     poly = _parse_factor(cur, ctx)
     while True:
         kind, value, _ = cur.peek()
         if kind == "OP" and value == "*":
             cur.take()
         elif kind not in ("VAR", "INT"):
-            if any(e > _MAX_EXPONENT for t in poly.terms for e in t):
-                raise ParseError(f"a term's exponent exceeds the limit {_MAX_EXPONENT}", start)
             return poly
         poly = poly * _parse_factor(cur, ctx)
 
@@ -158,7 +157,8 @@ def _parse_poly(cur: _Cursor, ctx: FieldContext) -> Poly:
 
 
 def parse_element(text: str, ctx: FieldContext) -> FieldElement:
-    """Parse the compact element grammar; raises ParseError with a position."""
+    """Parse the compact element grammar; raises ParseError with a position,
+    and at position 0 for an element outside the exponent budget."""
     cur = _Cursor(_tokenize(text), len(text))
     num = _parse_poly(cur, ctx)
     den = ctx._one_poly
@@ -171,7 +171,21 @@ def parse_element(text: str, ctx: FieldContext) -> FieldElement:
     kind, value, pos = cur.peek()
     if kind is not None:
         raise ParseError(f"unexpected trailing {value!r}", pos)
-    return FieldElement(ctx, num, den)
+    element = FieldElement(ctx, num, den)
+    if not _within_budget(element):
+        raise ParseError(
+            f"an exponent exceeds the limit {_MAX_EXPONENT} "
+            "after common monomial factors cancel",
+            0,
+        )
+    return element
+
+
+def _within_budget(f: FieldElement) -> bool:
+    """Whether no exponent of f's stored numerator or denominator exceeds
+    _MAX_EXPONENT.  The constructor cancels only a common monomial factor,
+    so this is checked before anything is reduced."""
+    return max(f.num.max_degrees() + f.den.max_degrees()) <= _MAX_EXPONENT
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +219,12 @@ def _emit(report: dict, fmt: str) -> None:
         print(f"timing: {report['timing']}")
 
 
-def _finish(args, command, n, inputs, verdict, evidence, started) -> int:
-    timing = {"seconds": round(time.monotonic() - started, 6)} if args.timing else None
-    _emit(_report(command, n, inputs, verdict, evidence, timing), args.format)
-    return {"VALID": 0, "NOT_VALID": 1}.get(verdict, 2)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (n, inputs, verdict, evidence) for main's report
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bilinear_family(args) -> int:
-    started = time.monotonic()
+def _cmd_bilinear_family(args) -> tuple[int, dict, str, dict]:
     n = args.n
     if args.subset is not None and n > _MAX_SUBSET_N:
         raise ValueError(f"--subset takes n up to {_MAX_SUBSET_N}, got {n}")
@@ -227,7 +234,7 @@ def _cmd_bilinear_family(args) -> int:
         # the certificate builds the family itself
         evidence = verify_no_common_slot_family(n)
         verdict = "VALID" if all(evidence["checks"].values()) else "NOT_VALID"
-        return _finish(args, "bilinear-family", n, inputs, verdict, evidence, started)
+        return n, inputs, verdict, evidence
 
     family = build_no_common_slot_family(n)
     if args.subset is not None:
@@ -239,10 +246,9 @@ def _cmd_bilinear_family(args) -> int:
             "common_slots": [str(e) for e in space.elements()],
         }
         verdict = "VALID" if space.dim > 0 else "NOT_VALID"
-        return _finish(args, "bilinear-family", n, inputs, verdict, evidence, started)
+        return n, inputs, verdict, evidence
 
-    evidence = {"forms": [f.to_json() for f in family]}
-    return _finish(args, "bilinear-family", n, inputs, "VALID", evidence, started)
+    return n, inputs, "VALID", {"forms": [f.to_json() for f in family]}
 
 
 def _parse_subset(raw: str, size: int) -> list[int]:
@@ -258,8 +264,7 @@ def _parse_subset(raw: str, size: int) -> list[int]:
     return indices
 
 
-def _cmd_common_factor(args) -> int:
-    started = time.monotonic()
+def _cmd_common_factor(args) -> tuple[int, dict, str, dict]:
     with open(args.forms, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "n" not in data or "forms" not in data:
@@ -272,13 +277,8 @@ def _cmd_common_factor(args) -> int:
     inputs = {"m": args.m, "forms": [f.to_json() for f in forms]}
     witness = common_factor(args.m, forms)
     if witness is None:
-        evidence = {"witness": None}
-        return _finish(args, "common-factor", ctx.n, inputs, "NOT_VALID", evidence, started)
-    evidence = {
-        "witness": witness.to_json(),
-        "rho": repr(witness.rho),
-    }
-    return _finish(args, "common-factor", ctx.n, inputs, "VALID", evidence, started)
+        return n, inputs, "NOT_VALID", {"witness": None}
+    return n, inputs, "VALID", {"witness": witness.to_json(), "rho": repr(witness.rho)}
 
 
 def _read_forms(ctx: FieldContext, items) -> list[BilinearPfister]:
@@ -295,12 +295,12 @@ def _read_forms(ctx: FieldContext, items) -> list[BilinearPfister]:
             and item.get("type") == "bilinear_pfister"
             and isinstance(item.get("slots"), list)
         ):
-            # refused before any element is built: building one reduces it
-            if _largest_exponent(item["slots"]) > _MAX_EXPONENT:
+            form = BilinearPfister.from_json(ctx, item)
+            if not all(_within_budget(s) for s in form.slots):
                 raise ValueError(
                     f"forms file entry {i} has an exponent above the limit {_MAX_EXPONENT}"
                 )
-            forms.append(BilinearPfister.from_json(ctx, item))
+            forms.append(form)
         else:
             raise ValueError(
                 f"forms file entry {i} must be a list of slot strings or a "
@@ -309,28 +309,7 @@ def _read_forms(ctx: FieldContext, items) -> list[BilinearPfister]:
     return forms
 
 
-def _largest_exponent(slots: list) -> int:
-    """The largest integer exponent in the slots' JSON ``num`` and ``den``
-    term lists, 0 when there is none; malformed parts are left to
-    ``FieldElement.from_json`` to refuse."""
-    return max(
-        (
-            e
-            for s in slots
-            if isinstance(s, dict)
-            for key in ("num", "den")
-            if isinstance(s.get(key), list)
-            for t in s[key]
-            if isinstance(t, list)
-            for e in t
-            if isinstance(e, int)
-        ),
-        default=0,
-    )
-
-
-def _cmd_quadratic_family(args) -> int:
-    started = time.monotonic()
+def _cmd_quadratic_family(args) -> tuple[int, dict, str, dict]:
     n = args.n
     inputs = {"n": n, "verify": bool(args.verify)}
 
@@ -338,14 +317,12 @@ def _cmd_quadratic_family(args) -> int:
         # the certificate builds the family itself
         evidence = verify_quadratic_family(n)
         verdict = "VALID" if all(evidence["checks"].values()) else "NOT_VALID"
-        return _finish(args, "quadratic-family", n, inputs, verdict, evidence, started)
+        return n, inputs, verdict, evidence
 
-    evidence = {"forms": [f.to_json() for f in build_quadratic_family(n)]}
-    return _finish(args, "quadratic-family", n, inputs, "VALID", evidence, started)
+    return n, inputs, "VALID", {"forms": [f.to_json() for f in build_quadratic_family(n)]}
 
 
-def _cmd_quat_triple(args) -> int:
-    started = time.monotonic()
+def _cmd_quat_triple(args) -> tuple[int, dict, str, dict]:
     ctx = FieldContext(args.n)
     alpha = parse_element(args.alpha, ctx)
     beta = parse_element(args.beta, ctx)
@@ -358,7 +335,7 @@ def _cmd_quat_triple(args) -> int:
         "certificate": cert.to_json(),
     }
     verdict = "VALID" if cert.valid else "NOT_VALID"
-    return _finish(args, "quat-triple", args.n, inputs, verdict, evidence, started)
+    return args.n, inputs, verdict, evidence
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +396,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        n, inputs, verdict, evidence = args.func(args)
+        timing = {"seconds": round(time.monotonic() - started, 6)} if args.timing else None
     except (PflabError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        report = _report(
-            args.command,
-            getattr(args, "n", 0) or 0,
-            {},
-            "ERROR",
-            {"error_type": type(exc).__name__, "error": str(exc)},
-            None,
-        )
-        _emit(report, args.format)
-        return 2
+        n, inputs, verdict, timing = getattr(args, "n", 0), {}, "ERROR", None
+        evidence = {"error_type": type(exc).__name__, "error": str(exc)}
+    _emit(_report(args.command, n, inputs, verdict, evidence, timing), args.format)
+    return {"VALID": 0, "NOT_VALID": 1}.get(verdict, 2)
 
 
 def console_main() -> None:

@@ -520,8 +520,11 @@ class FieldElement:
             raise ValueError("field element JSON must have 'num' and 'den'")
         for key in ("num", "den"):
             terms = data[key]
+            # a JSON true or false is a Python int too; it is not an exponent
             if not isinstance(terms, list) or not all(
-                isinstance(t, list) and all(isinstance(e, int) for e in t) for t in terms
+                isinstance(t, list)
+                and all(isinstance(e, int) and not isinstance(e, bool) for e in t)
+                for t in terms
             ):
                 raise ValueError(
                     f"field element '{key}' must be a list of integer exponent lists"

@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from pflab import FieldContext, ParitySet, ParseError, build_quadratic_family
 from pflab import quadratic
-from pflab.cli import _MAX_EXPONENT, main, parse_element
+from pflab.cli import _MAX_EXPONENT, _read_forms, main, parse_element
+
+GOLDEN_FORMS = Path(__file__).resolve().parent / "golden" / "common_factor_forms.json"
 
 
 @pytest.fixture
@@ -71,9 +74,20 @@ class TestGrammar:
         assert f"(position {position})" in str(err.value)
 
     def test_exponent_limit(self, ctx2):
-        assert parse_element(f"a1^{_MAX_EXPONENT}", ctx2) == ctx2.gens[0] ** _MAX_EXPONENT
+        # the limit holds on the stored element, after a common monomial
+        # factor of numerator and denominator cancels
+        a1 = ctx2.gens[0]
+        assert parse_element(f"a1^{_MAX_EXPONENT}", ctx2) == a1**_MAX_EXPONENT
+        stored = parse_element(f"a1^{_MAX_EXPONENT + 1}/a1", ctx2)
+        assert stored.num == (a1**_MAX_EXPONENT).num and stored.den.is_one()
         half = _MAX_EXPONENT // 2 + 1
-        for text in (f"a1^{_MAX_EXPONENT + 1}", f"a1^{half}*a1^{half}", f"a2 a1^{half} a1^{half}"):
+        for text in (
+            f"a1^{_MAX_EXPONENT + 1}",
+            f"a1^{_MAX_EXPONENT + 2}/a1",
+            f"a1^{half}*a1^{half}",
+            f"a2 a1^{half} a1^{half}",
+            f"1/a1^{half}*a1^{half}",
+        ):
             with pytest.raises(ParseError, match=f"limit {_MAX_EXPONENT}"):
                 parse_element(text, ctx2)
 
@@ -253,6 +267,16 @@ class TestCommonFactor:
             ([["a1", "a2"], 5], "entry 1"),
             ([{"type": "bilinear_pfister"}], "entry 0"),
             ([{"type": "bilinear_pfister", "slots": [{"num": 5, "den": []}]}], "'num'"),
+            # JSON booleans are Python ints; read as 1 and 0 the slot would be a1
+            (
+                [
+                    {
+                        "type": "bilinear_pfister",
+                        "slots": [{"num": [[True, 0, 0]], "den": [[0, 0, 0]]}],
+                    }
+                ],
+                "'num' must be a list of integer exponent lists",
+            ),
         ],
     )
     def test_malformed_forms(self, capsys, tmp_path, forms, named):
@@ -271,11 +295,15 @@ class TestCommonFactor:
         [
             "a1^10000000",
             {"num": [[10000000, 0, 0], [0, 0, 0]], "den": [[1, 0, 0], [0, 0, 0]]},
+            f"a1^{_MAX_EXPONENT + 2}/a1",
+            {"num": [[_MAX_EXPONENT + 2, 0, 0]], "den": [[1, 0, 0]]},
+            f"a1^{_MAX_EXPONENT // 2 + 1}*a1^{_MAX_EXPONENT // 2 + 1}",
+            {"num": [[_MAX_EXPONENT + 2, 0, 0]], "den": [[0, 0, 0]]},
         ],
-        ids=["string", "object"],
+        ids=["string", "object", "quotient", "quotient-object", "product", "product-object"],
     )
     def test_exponent_outside_budget(self, capsys, tmp_path, slot):
-        # refused before the element is built and reduced
+        # refused on the stored element, before anything is reduced
         if isinstance(slot, str):
             form = [slot, "a2", "a3"]
         else:
@@ -290,6 +318,19 @@ class TestCommonFactor:
         assert time.monotonic() - started < 1.0
         assert code == 2
         assert f"limit {_MAX_EXPONENT}" in report["evidence"]["error"]
+
+    @pytest.mark.parametrize(
+        "slot",
+        [f"a1^{_MAX_EXPONENT + 1}/a1", {"num": [[_MAX_EXPONENT + 1, 0, 0]], "den": [[1, 0, 0]]}],
+        ids=["string", "object"],
+    )
+    def test_exponent_inside_budget_once_stored(self, slot):
+        # a1^65/a1 is stored as a1^64 and accepted, from either entry kind;
+        # a1^64 is a square, so the form is read here and not searched
+        ctx = FieldContext(3)
+        entry = [slot] if isinstance(slot, str) else {"type": "bilinear_pfister", "slots": [slot]}
+        (form,) = _read_forms(ctx, [entry])
+        assert form.slots == (ctx.gens[0] ** _MAX_EXPONENT,)
 
 
 class TestQuadraticFamily:
@@ -409,6 +450,30 @@ class TestReports:
         _, report = run_json(capsys, "bilinear-family", "--n", "2", "--timing")
         assert report["timing"] is not None
         assert report["timing"]["seconds"] >= 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("common-factor", "--m", "1", "--forms", str(GOLDEN_FORMS)),
+            ("quadratic-family", "--n", "2", "--verify"),
+            ("quat-triple", "--alpha", "a1", "--beta", "a2"),
+        ],
+        ids=["common-factor", "quadratic-family", "quat-triple"],
+    )
+    def test_timing_other_subcommands(self, capsys, argv):
+        # bilinear-family is test_timing_opt_in
+        code, report = run_json(capsys, *argv, "--timing")
+        assert code == 0
+        assert set(report["timing"]) == {"seconds"}
+        assert report["timing"]["seconds"] >= 0
+
+    def test_error_keeps_timing_null(self, capsys):
+        code, report = run_json(
+            capsys, "quat-triple", "--alpha", "a1", "--beta", "a1", "--timing"
+        )
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert report["timing"] is None
 
     def test_schema_fields(self, capsys):
         _, report = run_json(capsys, "bilinear-family", "--n", "2")

@@ -180,6 +180,19 @@ class TestSerialization:
     def test_json_round_trip(self, f):
         assert FieldElement.from_json(f.ctx, f.to_json()) == f
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"num": [[True, False]], "den": [[False, False]]},
+            {"num": [[1, 0]], "den": [[0, True]]},
+        ],
+    )
+    def test_boolean_exponent_refused(self, ctx2, data):
+        # JSON true and false are Python ints; read as 1 and 0 they would
+        # turn the first into a1
+        with pytest.raises(ValueError, match="integer exponent lists"):
+            FieldElement.from_json(ctx2, data)
+
     def test_str_format(self, ctx2, gens2):
         a1, a2 = gens2
         assert str((a1**3 + a2) / a1) == "a1^3+a2 / a1"
