@@ -39,7 +39,6 @@ from .bilinear import (
     common_factor,
     common_slot_space,
     factor_out,
-    leave_one_out_slot_spaces,
     verify_no_common_slot_family,
 )
 from .quadratic import (
@@ -100,7 +99,6 @@ __all__ = [
     "dominant_term_hypothesis",
     "factor_out",
     "insep_obstruction",
-    "leave_one_out_slot_spaces",
     "necessary_insep_split",
     "parity",
     "parity_span",

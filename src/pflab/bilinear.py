@@ -89,16 +89,15 @@ intersection's first eliminated row, and its one row is tested against
 every mixed space.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
-``build_no_common_slot_family`` from each member's claimed pure space,
-taken as GF(2) bitmasks whose annihilator is one known 0/1 row, and the
-member's own products, on their sparse rows, each with at most two
-nonzero coordinates and built from the slots' rows
-(``field._product_rows``): each row is tested once against the claim's
-annihilator row, and the rows' rank once by ``linalg._has_rank``, the
-rank test of ``is_span_of``; a member whose products miss its claim
-raises IdentityFailed.  The rest is GF(2) ranks of bitmasks, taken one
-member at a time.  ``leave_one_out_slot_spaces`` builds the same spaces
-for any family, one k-way intersection each.
+``build_no_common_slot_family`` with one F-level fact per member: its
+nontrivial products span its claim, the hyperplane of 2-basis rows
+annihilated by one 0/1 row, a bitmask.  The products' sparse rows, each
+with at most two nonzero coordinates, are built from the slots' rows
+(``field._product_rows``): each row is tested once against the mask's
+row, and the rows' rank once by ``linalg._has_rank``, the rank test of
+``is_span_of``; a member whose products miss its claim raises
+IdentityFailed.  The rest of the report is read off the masks, whose
+leading bits are distinct, with no GF(2) elimination.
 """
 
 from __future__ import annotations
@@ -132,13 +131,11 @@ from .linalg import (
 # no caller here any more; the binding stays, since perfbench's tracer test
 # checks that bilinear.left_kernel is restored after tracing
 from .linalg import left_kernel  # noqa: F401
-from .valuation import gf2_mask_rank
 
 __all__ = [
     "BilinearPfister",
     "FactorWitness",
     "common_slot_space",
-    "leave_one_out_slot_spaces",
     "factor_out",
     "common_factor",
     "build_no_common_slot_family",
@@ -264,29 +261,6 @@ def common_slot_space(forms: Sequence[BilinearPfister]) -> SqSubspace:
     """Intersection of all pure value spaces; nonzero elements are common slots."""
     first, *rest = _pure_spaces(forms)
     return first.intersection(*rest)
-
-
-def leave_one_out_slot_spaces(
-    forms: Sequence[BilinearPfister],
-) -> tuple[SqSubspace, list[SqSubspace]]:
-    """The common slot space of the family and, for every k, that of the
-    family without form k.
-
-    Each space is one k-way intersection: the null space of the stacked
-    annihilator rows of its members' pure value spaces, so N forms cost
-    N + 1 eliminations of at most N rows each, and no intermediate space
-    is built.  Reduced bases are canonical, so every space equals
-    common_slot_space of the same subfamily row for row.
-    """
-    spaces = _pure_spaces(forms)
-    if len(spaces) < 2:
-        raise EmptyInput("leaving one form out needs at least two forms")
-    first, *rest = spaces
-    left_out = []
-    for k in range(len(spaces)):
-        head, *tail = spaces[:k] + spaces[k + 1 :]
-        left_out.append(head.intersection(*tail))
-    return first.intersection(*rest), left_out
 
 
 # ---------------------------------------------------------------------------
@@ -728,59 +702,56 @@ def build_no_common_slot_family(n: int) -> list[BilinearPfister]:
     return forms
 
 
-def _claimed_masks(ctx: FieldContext, k: int) -> list[int]:
-    """The claimed pure basis of member k (bit vector d = ctx.patterns[k])
-    of build_no_common_slot_family as GF(2) bitmasks of 2-basis rows,
-    read off the patterns: the nontrivial monomials other than a^d, bit j
-    for a^e, e = ctx.patterns[j], then 1 + a^d, 1 | 1 << k; member 0 has
-    all nontrivial monomials."""
-    masks = [1 << j for j in range(1, len(ctx.patterns)) if j != k]
-    if k:
-        masks.append(1 | 1 << k)
-    return masks
+def _gf2_family_evidence(anns: list[int]) -> dict:
+    """The family evidence read off the annihilator masks alone, once
+    every member's pure value space is known to be the hyperplane of
+    2^n-bit rows annihilated by anns[k].
 
-
-def _odd(mask: int) -> bool:
-    return mask.bit_count() % 2 == 1
-
-
-def _gf2_family_evidence(anns: list[int], pair_ok: bool) -> dict:
-    """The family evidence from the claimed pure bases alone, once every
-    member's pure value space is known to be the F-span of its claim,
-    the hyperplane of 2^n-bit rows annihilated by anns[k]; pair_ok is the
-    pairwise check, made on each claim's masks as they were taken."""
-    size = len(anns)  # 2^n members, and 2^n columns
-    common_dim = size - gf2_mask_rank(anns)
-    dims = [size - gf2_mask_rank(anns[:k] + anns[k + 1 :]) for k in range(size)]
+    Masks with pairwise distinct leading bits are independent over GF(2),
+    and so is every subset of them: in a sum of some of them, the highest
+    of their leading bits is set in one term only, so the sum is not 0.
+    That rule, checked once here, gives every rank; a failure raises
+    IdentityFailed.  A 0/1 matrix has the same rank over F as over GF(2),
+    so s members have a common slot space of dimension 2^n - s.
+    """
+    members = columns = len(anns)  # 2^n of each
+    leads = {ann.bit_length() for ann in anns}
+    if 0 in leads or len(leads) != members:
+        raise IdentityFailed("the members' annihilators do not have distinct leading bits")
+    common_dim = columns - members
+    dims = [columns - (members - 1)] * members
     return {
         "checks": {
-            # 1 is e_0, the mask 1
-            "all_anisotropic": all(_odd(ann & 1) for ann in anns),
+            # 1 is e_0: bit 0 of a mask is its dot product with 1
+            "all_anisotropic": all(ann & 1 for ann in anns),
             "claimed_pure_bases": True,
-            "pairwise_intersections": pair_ok,
+            # member 0 meets member k where e_0 and e_0 + e_k both vanish,
+            # that is, where coordinates 0 and k do
+            "pairwise_intersections": anns[0] == 1
+            and all(anns[0] ^ ann == 1 << k for k, ann in enumerate(anns) if k),
             "no_common_slot": common_dim == 0,
             "sharp_at_all_but_one": all(dim > 0 for dim in dims),
         },
-        "family_size": size,
+        "family_size": members,
         "common_slot_space_dim": common_dim,
         "leave_one_out_dims": dims,
     }
 
 
-def _member_spans_claim(form: BilinearPfister, k: int) -> bool:
-    """Whether member k's nontrivial products span its claim, the
-    hyperplane annihilated by e_0 + e_k (e_0 for member 0), on the
-    products' sparse rows, built from the slots' rows by
+def _member_spans_claim(form: BilinearPfister, ann: int) -> bool:
+    """Whether the form's nontrivial products span the hyperplane
+    annihilated by ann, a 0/1 row as a bitmask (bit j for column j), on
+    the products' sparse rows, built from the slots' rows by
     ``field._product_rows`` with no product built as a field element.
-    Each row is tested once against the claim's one annihilator row,
-    which puts it in the claim, and then the rows' rank is tested by
+    Each row is tested once against ann's one dense row, which puts it in
+    the hyperplane, and then the rows' rank is tested by
     ``linalg._has_rank``, the rank test of ``SqSubspace.is_span_of``."""
     ctx = form.ctx
     zero, one = ctx._zero_poly, ctx._one_poly
     size = len(ctx.patterns)
-    ann = (tuple(one if j in (0, k) else zero for j in range(size)),)
+    row = (tuple(one if ann >> j & 1 else zero for j in range(size)),)
     rows = _product_rows(ctx, form.slots)[1:]
-    return all(_annihilated(r, ann) for r in rows) and _has_rank(ctx, rows, size - 1)
+    return all(_annihilated(r, row) for r in rows) and _has_rank(ctx, rows, size - 1)
 
 
 def verify_no_common_slot_family(n: int) -> dict:
@@ -792,70 +763,54 @@ def verify_no_common_slot_family(n: int) -> dict:
     monomials; the whole family has no common slot; every subfamily of
     2^n - 1 members has one.
 
-    Each claim is taken as GF(2) bitmasks of its generators' 2-basis
-    rows, read off the patterns (``_claimed_masks``), and checked first:
-    member 0's claim must be the hyperplane annihilated by e_0, member
-    k's the one annihilated by e_0 + e_k (rank 2^n - 1 over GF(2), even
-    parity against the annihilator).  The rank of a 0/1 matrix does not
-    change under the field extension GF(2) < F, so the F-span of the
-    claim is then the hyperplane of F^(2^n) cut out by that one 0/1 row;
-    no claim is spanned over F.  The masks are taken one member at a
-    time: the hyperplane check and the pairwise check against member 0
-    read them, and only the pairwise verdict and the annihilator rows
-    are kept.
+    Member k's claim is the hyperplane H_k of 2-basis rows annihilated by
+    the mask anns[k] = 1 | 1 << k, that is e_0 + e_k (e_0 for member 0).
+    The claimed generators are a basis of H_k.  The monomials a^e with
+    e != 0, d are the unit rows e_j with j != 0, k, and 1 + a^d is
+    e_0 + e_k; each has even parity against e_0 + e_k, so lies in H_k.
+    They are independent, since only 1 + a^d has a nonzero coordinate 0
+    and the unit rows are distinct: 2^n - 1 independent rows in a
+    hyperplane of dimension 2^n - 1.  Member 0's generators are the unit
+    rows e_j, j >= 1, which span x_0 = 0.  So no claim is built, as
+    masks or as field elements.
 
     The F-level work is two facts per member, each checked once
     (``_member_spans_claim``): every nontrivial product has dot product 0
-    with the claim's annihilator row, and the products have rank
-    2^n - 1, by ``linalg._has_rank``, the rank test of
-    ``SqSubspace.is_span_of`` that ``common_factor`` certifies with too.
-    That is the rank at a fixed point of GF(2^16)^n, an exact lower
-    bound on the rank over F, and an exact span of the rows only when it
-    falls short.  So the products span the claim, which is the member's
-    pure value space.  A product has at most two nonzero 2-basis
-    coordinates, and its row is kept sparse (column -> polynomial)
-    through the dot products and the rank.  The rows are built from the
-    member's slots' rows (``field._product_rows``), so no product is
-    built as a field element.
+    with the mask's row, and the products have rank 2^n - 1, by
+    ``linalg._has_rank``, the rank test of ``SqSubspace.is_span_of`` that
+    ``common_factor`` certifies with too.  That is the rank at a fixed
+    point of GF(2^16)^n, an exact lower bound on the rank over F, and an
+    exact span of the rows only when it falls short.  So the products
+    span the claim, which is the member's pure value space.  A product
+    has at most two nonzero 2-basis coordinates, and its row is kept
+    sparse (column -> polynomial) through the dot products and the rank.
+    The rows are built from the member's slots' rows
+    (``field._product_rows``), so no product is built as a field element.
 
-    By dim(A & B) = dim A + dim B - dim(A + B), intersections of such
-    spans have the dimensions of the GF(2) ones too, so everything after
-    the equalities is linear algebra on 2^n-bit masks:
+    Everything after that is read off the masks (``_gf2_family_evidence``).
+    anns[k] has leading bit k, so every subset of the masks is
+    independent, and s members have a common slot space of dimension
+    2^n - s:
 
-      * 1 (mask e_0) lies outside every claim, and the full value space
-        is span(1) + pure, so every member is anisotropic;
+      * 0 for the family, 1 without any one member;
+      * 1 (the row e_0) lies outside every claim, since bit 0 is set in
+        every mask, and the full value space is span(1) + pure, so every
+        member is anisotropic;
       * member 0 meets member k in the space annihilated by e_0 and
-        e_0 + e_k, which is the span of the other monomials;
-      * a set of members has a common slot space of dimension 2^n minus
-        the rank of their annihilators: 0 for the family, 1 without any
-        one member.
+        e_0 + e_k, where coordinates 0 and k vanish: the span of the other
+        monomials.
 
-    A claim off its hyperplane, or a member whose products do not span
-    its claim, raises IdentityFailed: both hold for every n by the
-    paper's construction.  An isotropic member is one such, since a
-    claim holding proves anisotropy.  So a returned report always has
-    ``all_anisotropic`` and ``claimed_pure_bases`` true; the keys stay
-    for the report's fixed layout.
+    A member whose products do not span its claim raises IdentityFailed:
+    every member's do, for every n, by the paper's construction.  An
+    isotropic member is one such, since a claim holding proves
+    anisotropy.  So a returned report always has ``all_anisotropic`` and
+    ``claimed_pure_bases`` true; the keys stay for the report's fixed
+    layout.
     """
     family = build_no_common_slot_family(n)
-    ctx = family[0].ctx
-    size = len(family)  # 2^n members, and 2^n columns
     # e_0 annihilates member 0's claim, e_0 + e_k member k's (1 | 1 << 0 is e_0)
-    anns = [1 | 1 << k for k in range(size)]
-    pair_ok = True
-    for k, ann in enumerate(anns):
-        # one member's masks at a time: all of them together are 2^n lists
-        # of 2^n - 1 masks of 2^n bits
-        rows = _claimed_masks(ctx, k)
-        if gf2_mask_rank(rows) != size - 1 or any(_odd(ann & m) for m in rows):
-            raise IdentityFailed("a claimed pure space is not its annihilator's hyperplane")
-        if k:
-            others = rows[:-1]
-            pair_ok = pair_ok and (
-                gf2_mask_rank(others) + gf2_mask_rank([anns[0], ann]) == size
-                and not any(_odd(anns[0] & m) for m in others)
-            )
-    for k, form in enumerate(family):
-        if not _member_spans_claim(form, k):
+    anns = [1 | 1 << k for k in range(len(family))]
+    for k, (form, ann) in enumerate(zip(family, anns)):
+        if not _member_spans_claim(form, ann):
             raise IdentityFailed(f"member {k}'s products do not span its claimed pure space")
-    return _gf2_family_evidence(anns, pair_ok)
+    return _gf2_family_evidence(anns)

@@ -47,10 +47,10 @@ __all__ = ["parse_element", "main", "console_main"]
 # all 2^n patterns up front, so n is bounded before anything is built.
 # The family certificate at n=9 takes about 3 s and at n=10 about 10 s,
 # both near 20 MB: it builds each member's product rows from its slots'
-# rows and takes one member's claim masks at a time.  --subset spans
-# every chosen member's pure space exactly, 2^n - 1 dimensions each: the
-# whole n=7 family in about 1.1 s and the whole n=8 family in about 8 s
-# at 240 MB.  n=9 is unmeasured, so it keeps the bound of 8.
+# rows and reads the rest off one annihilator mask per member.  --subset
+# spans every chosen member's pure space exactly, 2^n - 1 dimensions
+# each: the whole n=7 family in about 1.1 s and the whole n=8 family in
+# about 8 s at 240 MB.  n=9 is unmeasured, so it keeps the bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
 _MAX_N = 6
@@ -272,6 +272,8 @@ def _cmd_common_factor(args) -> tuple[int, dict, str, dict]:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_N:
         raise ValueError(f"forms file 'n' must be an integer in 1..{_MAX_N}, got {n!r}")
+    # main's error report reads args.n, so it carries n from here on
+    args.n = n
     ctx = FieldContext(n)
     forms = _read_forms(ctx, data["forms"])
     inputs = {"m": args.m, "forms": [f.to_json() for f in forms]}

@@ -26,10 +26,9 @@ from pflab import (
     common_factor,
     common_slot_space,
     factor_out,
-    leave_one_out_slot_spaces,
     verify_no_common_slot_family,
 )
-from pflab import bilinear, field, linalg
+from pflab import bilinear, field, linalg, valuation
 from pflab.cli import _read_forms, main
 from pflab.errors import BadRank
 from pflab.field import _from_dense, _poly_row, _product_rows, _row_element
@@ -1264,9 +1263,8 @@ class TestFamily:
         by_subfamily = [
             common_slot_space(family[:k] + family[k + 1 :]).dim for k in range(4)
         ]
-        by_prefix_suffix = [s.dim for s in leave_one_out_slot_spaces(family)[1]]
         by_verify = verify_no_common_slot_family(2)["leave_one_out_dims"]
-        for dims in (by_subfamily, by_prefix_suffix, by_verify):
+        for dims in (by_subfamily, by_verify):
             assert len(dims) == 4
             assert all(dim >= 1 for dim in dims)
 
@@ -1310,20 +1308,39 @@ class TestFamily:
         checked = []
         real = bilinear._member_spans_claim
 
-        def guarded(form, k):
-            checked.append(k)
+        def guarded(form, ann):
+            checked.append(ann)
             with monkeypatch.context() as m:
                 m.setattr(FieldElement, "__mul__", refuse)
                 m.setattr(FieldElement, "__rmul__", refuse)
-                return real(form, k)
+                return real(form, ann)
 
+        # one call per member, on its annihilator mask e_0 + e_k (e_0 for
+        # member 0)
+        anns = [1 | 1 << k for k in range(16)]
         monkeypatch.setattr(bilinear, "_member_spans_claim", guarded)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
-        assert checked == list(range(16))
+        assert checked == anns
         checked.clear()
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
-        assert checked == list(range(16))
+        assert checked == anns
+
+    def test_no_gf2_elimination(self, monkeypatch):
+        # the GF(2) side is read off the annihilator masks, so no rank over
+        # GF(2) is taken
+        def refuse(vectors):
+            raise AssertionError("gf2_rank called")
+
+        monkeypatch.setattr(valuation, "gf2_rank", refuse)
+        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
+
+    @pytest.mark.parametrize("anns", [[1, 3, 3, 9], [1, 3, 5, 6], [0, 3, 5, 9]])
+    def test_annihilators_need_distinct_leading_bits(self, anns):
+        # a repeated mask, two masks with one leading bit, or the zero mask,
+        # which has none, breaks the rule every rank rests on
+        with pytest.raises(IdentityFailed, match="leading bits"):
+            bilinear._gf2_family_evidence(anns)
 
     def test_short_specialization_keeps_report(self, monkeypatch):
         # with every rank at the point falling short, _has_rank spans the
@@ -1353,9 +1370,37 @@ class TestFamily:
             assert spans == {"span": 0, "from_poly_rows": 2**n}
 
     def test_claim_off_its_hyperplane_raises(self, monkeypatch):
-        real = bilinear._claimed_masks
-        monkeypatch.setattr(bilinear, "_claimed_masks", lambda ctx, k: real(ctx, k)[:-1])
-        with pytest.raises(IdentityFailed):
+        # member 5 replaced by member 3: its products span member 3's
+        # hyperplane, which member 5's annihilator e_0 + e_5 does not cut out
+        real = bilinear.build_no_common_slot_family
+
+        def with_member_off_its_hyperplane(n):
+            family = real(n)
+            family[5] = family[3]
+            return family
+
+        monkeypatch.setattr(
+            bilinear, "build_no_common_slot_family", with_member_off_its_hyperplane
+        )
+        with pytest.raises(IdentityFailed, match="member 5's products"):
+            verify_no_common_slot_family(3)
+
+    @pytest.mark.parametrize("short", [False, True])
+    def test_member_short_of_its_claim_raises(self, monkeypatch, short):
+        # member 5 (d = a1*a3) without its slot 1 + a1*a3: the products
+        # a2, a3, a2*a3 lie in its hyperplane but span only 3 of its 7
+        # dimensions, at the point and exactly
+        real = bilinear.build_no_common_slot_family
+
+        def with_member_short(n):
+            family = real(n)
+            family[5] = BilinearPfister(family[0].ctx, family[5].slots[:-1])
+            return family
+
+        monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_member_short)
+        if short:
+            monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
+        with pytest.raises(IdentityFailed, match="member 5's products"):
             verify_no_common_slot_family(3)
 
     def test_isotropic_member_raises(self, monkeypatch):
@@ -1376,8 +1421,9 @@ class TestFamily:
 
 
 class TestFamilyDescent:
-    """The GF(2) evidence of verify_no_common_slot_family against the same
-    facts computed by F-level intersections and left kernels."""
+    """The evidence that verify_no_common_slot_family reads off the
+    annihilator masks against the same facts computed by F-level pure
+    spaces and intersections."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_agrees_with_f_path(self, n):
@@ -1385,9 +1431,11 @@ class TestFamilyDescent:
         family = build_no_common_slot_family(n)
         ctx = family[0].ctx
         # the same report from F-level spaces: the pure spaces against the
-        # claims, the dims from leave_one_out_slot_spaces, and each pairwise
-        # meet from an intersection
-        full, left_out = leave_one_out_slot_spaces(family)
+        # claims, the dims from common_slot_space of the family and of each
+        # subfamily without one member, and each pairwise meet from an
+        # intersection
+        full = common_slot_space(family)
+        left_out = [common_slot_space(family[:k] + family[k + 1 :]) for k in range(2**n)]
         claims = [SqSubspace.span(ctx, claimed_pure_generators(ctx, k)) for k in range(2**n)]
         base = family[0].pure_value_space()
         f_path = {
@@ -1408,11 +1456,10 @@ class TestFamilyDescent:
             "leave_one_out_dims": [s.dim for s in left_out],
         }
         assert f_path == evidence
-        assert evidence["common_slot_space_dim"] == common_slot_space(family).dim
 
     def test_member_off_its_claim(self, monkeypatch, capsys):
-        # a member whose products miss its claim stops the certificate, as
-        # a claim off its hyperplane does: no report is built from it
+        # a member whose products miss its claim stops the certificate: no
+        # report is built from it
         real = bilinear.build_no_common_slot_family
 
         def with_member_off_claim(n):
@@ -1429,47 +1476,17 @@ class TestFamilyDescent:
         assert report["verdict"] == "ERROR"
         assert report["evidence"]["error_type"] == "IdentityFailed"
 
-    def test_masks_need_binary_coordinates(self, ctx2):
-        a1, a2 = ctx2.gens
-        assert gf2_mask(ctx2.one + a1 * a2) == 0b1001
-        # a1^3 = a1^2 * a1 has the coordinate a1 at column a1
-        with pytest.raises(PreconditionFailed):
-            gf2_mask(a1**3)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_claimed_masks_match_generators(self, n):
-        # the masks are read off the patterns, the generators built as
-        # field elements; both must describe the same claim
-        ctx = FieldContext(n)
-        for k in range(2**n):
-            gens = claimed_pure_generators(ctx, k)
-            assert bilinear._claimed_masks(ctx, k) == [gf2_mask(g) for g in gens]
-
 
 def claimed_pure_generators(ctx, k):
-    """Reference for bilinear._claimed_masks: the claimed pure basis of
-    member k (bit vector d = ctx.patterns[k]) of build_no_common_slot_family
-    as field elements, the nontrivial monomials other than a^d, then
-    1 + a^d; member 0 has all nontrivial monomials."""
+    """The claimed pure basis of member k (bit vector d = ctx.patterns[k])
+    of build_no_common_slot_family as field elements, the nontrivial
+    monomials other than a^d, then 1 + a^d; member 0 has all nontrivial
+    monomials."""
     d = ctx.patterns[k]
     gens = [ctx.monomial(e) for e in ctx.patterns[1:] if e != d]
     if k:
         gens.append(ctx.one + ctx.monomial(d))
     return gens
-
-
-def gf2_mask(g):
-    """Reference for bilinear._claimed_masks: g's 2-basis row as a GF(2)
-    bitmask, bit j for column j, from its Frobenius decomposition."""
-    ctx = g.ctx
-    mask = 0
-    for j, c in enumerate(g.frobenius_decompose().dense()):
-        if not c:
-            continue
-        if c != ctx.one:
-            raise PreconditionFailed(f"{g} has a 2-basis coordinate other than 0 or 1")
-        mask |= 1 << j
-    return mask
 
 
 def _family_claims(n):
@@ -1516,45 +1533,49 @@ def _sharing_family(ctx3):
 
 
 class TestLeaveOneOutSpaces:
-    """The prefix/suffix spaces against common_slot_space of each subfamily,
-    compared as canonical subspaces, not only by dimension."""
+    """common_slot_space of a family and of each subfamily without one
+    member, compared as canonical subspaces, not only by dimension."""
 
-    def check_against_subfamilies(self, family):
-        full, left_out = leave_one_out_slot_spaces(family)
-        assert full == common_slot_space(family)
-        assert len(left_out) == len(family)
-        for k, space in enumerate(left_out):
-            assert space == common_slot_space(family[:k] + family[k + 1 :])
-        return full, left_out
+    def leave_one_out(self, family):
+        return [common_slot_space(family[:k] + family[k + 1 :]) for k in range(len(family))]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_no_common_slot_family(self, n):
-        full, left_out = self.check_against_subfamilies(build_no_common_slot_family(n))
-        assert full.is_zero
+        family = build_no_common_slot_family(n)
+        assert common_slot_space(family).is_zero
+        left_out = self.leave_one_out(family)
         assert all(space.dim == 1 for space in left_out)
+        # without member 0 every coordinate equals coordinate 0: the space
+        # is spanned by the all-ones row, the sum of 1 and every monomial
+        ctx = family[0].ctx
+        ones = sum((ctx.monomial(e) for e in ctx.patterns), ctx.zero)
+        assert left_out[0] == SqSubspace.span(ctx, [ones])
 
     def test_sharing_family(self, ctx3):
-        full, left_out = self.check_against_subfamilies(_sharing_family(ctx3))
+        family = _sharing_family(ctx3)
+        full = common_slot_space(family)
         assert ctx3.gens[0] in full
         assert full.dim == 6
+        left_out = self.leave_one_out(family)
         assert sorted(space.dim for space in left_out) == [6, 6, 6, 6, 7]
 
     def test_two_forms(self):
+        # leaving one of two forms out leaves the other's pure space
         family = build_no_common_slot_family(2)[:2]
-        full, left_out = self.check_against_subfamilies(family)
-        assert left_out == [family[1].pure_value_space(), family[0].pure_value_space()]
+        assert self.leave_one_out(family) == [
+            family[1].pure_value_space(),
+            family[0].pure_value_space(),
+        ]
 
     def test_isotropic_member_rejected(self, ctx2):
         a1, _ = ctx2.gens
         family = build_no_common_slot_family(2) + [BilinearPfister(ctx2, (a1, a1))]
-        with pytest.raises(IsotropicInput):
-            leave_one_out_slot_spaces(family)
+        for k in range(len(family) - 1):
+            with pytest.raises(IsotropicInput):
+                common_slot_space(family[:k] + family[k + 1 :])
 
     def test_context_mismatch(self, ctx2, ctx3, b0):
-        with pytest.raises(ContextMismatch):
-            leave_one_out_slot_spaces([b0, BilinearPfister(ctx3, ctx3.gens[:2])])
-
-    @pytest.mark.parametrize("size", [0, 1])
-    def test_fewer_than_two_forms(self, b0, size):
-        with pytest.raises(EmptyInput):
-            leave_one_out_slot_spaces([b0] * size)
+        family = [b0, b0, BilinearPfister(ctx3, ctx3.gens[:2])]
+        for k in range(2):
+            with pytest.raises(ContextMismatch):
+                common_slot_space(family[:k] + family[k + 1 :])

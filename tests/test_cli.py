@@ -260,6 +260,24 @@ class TestCommonFactor:
         assert "1..6" in report["evidence"]["error"]
 
     @pytest.mark.parametrize(
+        "data, n",
+        [
+            ({"n": 2, "forms": [["a1", "a1"]]}, 2),
+            ({"n": 40, "forms": [["a1", "a1"]]}, 0),
+            ({"forms": [["a1", "a1"]]}, 0),
+        ],
+        ids=["isotropic", "n-invalid", "n-missing"],
+    )
+    def test_error_report_carries_valid_n(self, capsys, tmp_path, data, n):
+        # once the forms file's n is validated, an error report carries it
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps(data))
+        code, report = run_json(capsys, "common-factor", "--m", "1", "--forms", str(path))
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert report["field"]["n"] == n
+
+    @pytest.mark.parametrize(
         "forms, named",
         [
             (5, "'forms' must be a list"),

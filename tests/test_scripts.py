@@ -21,17 +21,24 @@ def test_reproduce_counterexamples(capsys):
 
 
 def test_reproduce_counterexamples_library_error(capsys, monkeypatch):
-    # a claim off its hyperplane stops the bilinear certificate with
-    # IdentityFailed: each bilinear section reports it as a labelled FAIL
-    # and exits 1, and the later sections still run
-    real = pflab.bilinear._claimed_masks
-    monkeypatch.setattr(pflab.bilinear, "_claimed_masks", lambda ctx, k: real(ctx, k)[:-1])
+    # a member whose products miss its claim stops the bilinear certificate
+    # with IdentityFailed: each bilinear section reports it as a labelled
+    # FAIL naming the member and exits 1, and the later sections still run
+    real = pflab.bilinear.build_no_common_slot_family
+
+    def with_member_off_claim(n):
+        # the last member replaced by an anisotropic copy of member 0
+        family = real(n)
+        family[-1] = family[0]
+        return family
+
+    monkeypatch.setattr(pflab.bilinear, "build_no_common_slot_family", with_member_off_claim)
     script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
     assert script["main"](["--max-n", "3"]) == 1
     out = capsys.readouterr().out
     for n in (2, 3):
         assert f"bilinear family, n={n}: raised IdentityFailed" in out
-    assert "not its annihilator's hyperplane" in out
+        assert f"member {2**n - 1}'s products do not span its claimed pure space" in out
     assert "quadratic family, n=3 (" in out
     assert "2 check(s) failed" in out
 
