@@ -121,8 +121,8 @@ def quaternion_section(cfg: RunConfig) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=3, choices=tuple(range(2, 11)),
-                    help="largest bilinear rank to verify (8 takes 0.5 s, 9 takes 2 s, "
-                    "10 takes 7 to 9 s)")
+                    help="largest bilinear rank to verify (the whole run takes about "
+                    "0.6 s to 8, 2 to 2.6 s to 9 and 9 s to 10)")
     args = ap.parse_args(argv)
 
     cfg = RunConfig(bilinear_ranks=tuple(range(2, args.max_n + 1)))

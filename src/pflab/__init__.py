@@ -29,8 +29,8 @@ from .errors import (
     ZeroSlot,
     ZeroW,
 )
-from .field import FieldContext, FieldElement, Poly, TwoBasisCoords
-from .linalg import SqSubspace, representation_over
+from .field import FieldContext, FieldElement, Poly
+from .linalg import SqSubspace
 from .valuation import ParitySet, dominant_term_hypothesis, parity, parity_span, val
 from .bilinear import (
     BilinearPfister,
@@ -87,7 +87,6 @@ __all__ = [
     "QuaternionAlgebra",
     "QuaternionElement",
     "SqSubspace",
-    "TwoBasisCoords",
     "ValuationOfZero",
     "ZeroSlot",
     "ZeroW",
@@ -103,7 +102,6 @@ __all__ = [
     "parity",
     "parity_span",
     "quat_triple_obstruction",
-    "representation_over",
     "right_slot_from_value",
     "unit_vector",
     "val",

@@ -693,13 +693,19 @@ def build_no_common_slot_family(n: int) -> list[BilinearPfister]:
     ctx = FieldContext(n)
     gens = ctx.gens
     forms = [BilinearPfister(ctx, gens)]
-    for k in range(1, 2**n):
-        d = tuple((k >> i) & 1 for i in range(n))
-        lead = min(i for i in range(n) if d[i])
+    for d, lead in _twists(ctx):
         twist = ctx.one + ctx.monomial(d)
         slots = tuple(g for i, g in enumerate(gens) if i != lead) + (twist,)
         forms.append(BilinearPfister(ctx, slots))
     return forms
+
+
+def _twists(ctx: FieldContext) -> list[tuple[tuple[int, ...], int]]:
+    """(d, lead) for every nonzero pattern d in column order, lead the
+    index of d's first variable: column k's pattern is k's bits, first
+    variable least significant, so lead is k's lowest set bit.  Both
+    family builders drop gens[lead]."""
+    return [(ctx.patterns[k], (k & -k).bit_length() - 1) for k in range(1, 2**ctx.n)]
 
 
 def _gf2_family_evidence(anns: list[int]) -> dict:

@@ -45,14 +45,14 @@ __all__ = ["parse_element", "main", "console_main"]
 
 # largest number of variables a command accepts; FieldContext(n) builds
 # all 2^n patterns up front, so n is bounded before anything is built.
-# The family certificate at n=9 takes about 3 s and at n=10 about 10 s,
-# both near 20 MB: it builds each member's product rows from its slots'
+# The family certificate at n=9 takes about 2 s and at n=10 6 to 8 s,
+# both near 19 MB: it builds each member's product rows from its slots'
 # rows and reads the rest off one annihilator mask per member.  --subset
 # spans every chosen member's pure space exactly, 2^n - 1 dimensions
 # each: the whole n=7 family in about 1.1 s and the whole n=8 family in
 # about 8 s at 240 MB.  n=9 is unmeasured, so it keeps the bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
-# smaller bound.  The quadratic certificate at n=6 takes about 0.3 s.
+# smaller bound.  The quadratic certificate at n=6 takes about 0.1 s.
 _MAX_N = 6
 # largest exponent of a variable in an element read from the command line
 # or a forms file, as stored (see _within_budget).  A large exponent is
@@ -107,9 +107,9 @@ class _Cursor:
 def _parse_factor(cur: _Cursor, ctx: FieldContext) -> Poly:
     kind, value, pos = cur.take()
     if kind == "VAR":
-        index = int(value[1:])
-        if not 1 <= index <= ctx.n:
-            raise ParseError(f"unknown variable {value} (n={ctx.n})", pos)
+        index = _short_int(value[1:], ctx.n)
+        if index is None or not 1 <= index <= ctx.n:
+            raise ParseError(f"unknown variable {reprlib.repr(value)} (n={ctx.n})", pos)
         exp = 1
         k, v, _ = cur.peek()
         if k == "OP" and v == "^":
@@ -117,20 +117,28 @@ def _parse_factor(cur: _Cursor, ctx: FieldContext) -> Poly:
             ek, ev, epos = cur.take()
             if ek != "INT":
                 raise ParseError("expected an integer exponent after '^'", epos)
-            # int() is slow on, or refuses, a long digit string; the value
-            # itself is bounded on the stored element, by _within_budget
-            if len(ev) > len(str(_MAX_EXPONENT)):
+            # the value itself is bounded on the stored element, by _within_budget
+            exp = _short_int(ev, _MAX_EXPONENT)
+            if exp is None:
                 raise ParseError(
                     f"exponent {reprlib.repr(ev)} exceeds the limit {_MAX_EXPONENT}", epos
                 )
-            exp = int(ev)
         mono = tuple(exp if j == index - 1 else 0 for j in range(ctx.n))
         return Poly(frozenset((mono,)), ctx.n)
     if kind == "INT":
-        if int(value) % 2:
-            return ctx._one_poly
-        return ctx._zero_poly
+        # a coefficient is read mod 2, so its last digit decides it
+        return ctx._one_poly if value[-1] in "13579" else ctx._zero_poly
     raise ParseError("expected a variable or an integer", pos)
+
+
+def _short_int(digits: str, bound: int) -> int | None:
+    """The value of a digit string, or None when it has more significant
+    digits than bound, so it exceeds bound.  int() is slow on, or refuses,
+    a long digit string, so it never sees one."""
+    significant = digits.lstrip("0")
+    if len(significant) > len(str(bound)):
+        return None
+    return int(significant or "0")
 
 
 def _parse_term(cur: _Cursor, ctx: FieldContext) -> Poly:
@@ -266,7 +274,10 @@ def _parse_subset(raw: str, size: int) -> list[int]:
 
 def _cmd_common_factor(args) -> tuple[int, dict, str, dict]:
     with open(args.forms, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("forms file nests too deeply to read") from exc
     if not isinstance(data, dict) or "n" not in data or "forms" not in data:
         raise ValueError("forms file must be an object with 'n' and 'forms'")
     n = data["n"]

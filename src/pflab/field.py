@@ -10,9 +10,11 @@ decomposes uniquely as
     f = sum over d in {0,1}^n of  c_d^2 * a^d
 
 with a^d = prod a_i^(d_i) ranging over the 2-basis monomials and
-c_d in F.  ``FieldElement.frobenius_decompose`` computes that
-decomposition; it is the bridge from F^2-linear structure in F to plain
-linear algebra over F (see linalg).
+c_d in F.  ``_poly_row`` computes that decomposition as a sparse row of
+polynomials, the c_d times f's denominator, and ``_row_element`` turns
+such a row back into an element; the pair is the bridge from F^2-linear
+structure in F to plain linear algebra over F (see linalg).
+``FieldElement.frobenius_decompose`` reads the c_d themselves off the row.
 
 Fractions are not kept in lowest terms during arithmetic.  Equality is
 cross-multiplicative, so correctness never depends on reduction; a
@@ -24,11 +26,11 @@ many products will carry.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContextMismatch, DivisionByZero, NotASquare, NotDivisible
 
-__all__ = ["FieldContext", "Poly", "FieldElement", "TwoBasisCoords"]
+__all__ = ["FieldContext", "Poly", "FieldElement"]
 
 
 class FieldContext:
@@ -212,7 +214,7 @@ def _poly_str(p: Poly) -> str:
 
 # ---------------------------------------------------------------------------
 # exact division (the gcd below, FieldElement.canonical, and linalg's
-# _caught_up, _bareiss_jordan and SqSubspace.from_rows) and the
+# _caught_up and _bareiss_jordan) and the
 # multivariate gcd over GF(2) (FieldElement.canonical)
 # ---------------------------------------------------------------------------
 
@@ -487,14 +489,12 @@ class FieldElement:
             raise NotASquare(f"{self} is not a square")
         return FieldElement(self.ctx, g.sqrt(), self.den)
 
-    def frobenius_decompose(self) -> TwoBasisCoords:
-        """The unique coordinates {c_d} with f = sum c_d^2 * a^d, d in {0,1}^n.
-
-        Writes f = (num*den)/den^2, splits num*den by the exponent parity
-        pattern d into a^d * s_d(a^2), and sets c_d = s_d(a)/den.
-        """
-        coords = {d: FieldElement(self.ctx, s, self.den) for d, s in _halves(self).items()}
-        return TwoBasisCoords(self.ctx, coords)
+    def frobenius_decompose(self) -> dict[tuple[int, ...], FieldElement]:
+        """The nonzero coordinates {d: c_d} of f = sum c_d^2 * a^d, d in
+        {0,1}^n: ``_poly_row``'s entries over the denominator.  No
+        certificate calls it; perfbench's tracer hooks it by this name."""
+        ctx, den = self.ctx, self.den
+        return {ctx._patterns[j]: FieldElement(ctx, s, den) for j, s in _poly_row(self).items()}
 
     # -- presentation ----------------------------------------------------------
 
@@ -532,22 +532,21 @@ class FieldElement:
         return ctx.element(data["num"], data["den"])
 
 
-def _halves(f: FieldElement) -> dict[tuple[int, ...], Poly]:
-    """The nonzero s_d with num * den = sum a^d * s_d(a)^2, by pattern d."""
+def _poly_row(f: FieldElement) -> dict[int, Poly]:
+    """f's sparse 2-basis row times its denominator: column j -> s_d for
+    every nonzero s_d, j the index of d in the context's pattern order,
+    with f = sum (s_d / den)^2 * a^d.
+
+    f = (num * den) / den^2, and splitting num * den's terms by the
+    parity pattern d of their exponents gives num * den = sum a^d * s_d^2.
+    """
     buckets: dict[tuple[int, ...], set] = {}
     g = f.num if f.den.is_one() else f.num * f.den
     for t in g.terms:
         d = tuple([e & 1 for e in t])
         buckets.setdefault(d, set()).add(tuple([e >> 1 for e in t]))
-    return {d: Poly(frozenset(h), f.ctx.n) for d, h in buckets.items()}
-
-
-def _poly_row(f: FieldElement) -> dict[int, Poly]:
-    """f's sparse 2-basis row times its denominator: column j -> s_d for
-    every nonzero s_d, j the index of d in the context's pattern order,
-    with f = sum (s_d / den)^2 * a^d."""
-    columns = f.ctx._columns
-    return {columns[d]: s for d, s in _halves(f).items()}
+    columns, n = f.ctx._columns, f.ctx.n
+    return {columns[d]: Poly(frozenset(h), n) for d, h in buckets.items()}
 
 
 def _row_element(ctx: FieldContext, row: dict[int, Poly], scale: Poly) -> FieldElement:
@@ -609,47 +608,3 @@ def _product_rows(ctx: FieldContext, slots: Sequence[FieldElement]) -> list[dict
         row = _poly_row(s)
         out = out + [_row_mul(ctx, row, r) for r in out]
     return out
-
-
-def _from_dense(ctx: FieldContext, row) -> FieldElement:
-    """The element sum c_d^2 * a^d of a dense 2-basis row, summed in the
-    context's pattern order."""
-    out = ctx.zero
-    for c, d in zip(row, ctx.patterns):
-        if c:
-            out = out + c.square() * ctx.monomial(d)
-    return out
-
-
-class TwoBasisCoords:
-    """Coordinates of f over the 2-basis monomials: f = sum c_d^2 * a^d.
-
-    Only nonzero coordinates are stored.
-    """
-
-    __slots__ = ("ctx", "coords")
-
-    def __init__(self, ctx: FieldContext, coords: dict[tuple[int, ...], FieldElement]):
-        self.ctx = ctx
-        self.coords = {d: c for d, c in coords.items() if c}
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
-        return iter(sorted(self.coords.items()))
-
-    def __getitem__(self, d: tuple[int, ...]) -> FieldElement:
-        return self.coords.get(d, self.ctx.zero)
-
-    def dense(self) -> tuple[FieldElement, ...]:
-        """Row over all patterns of {0,1}^n in the context's column order."""
-        zero = self.ctx.zero
-        return tuple(self.coords.get(d, zero) for d in self.ctx.patterns)
-
-    def reconstruct(self) -> FieldElement:
-        return _from_dense(self.ctx, self.dense())
-
-    def to_json(self):
-        return [[list(d), c.to_json()] for d, c in sorted(self.coords.items())]
-
-    def __repr__(self):
-        inner = ", ".join(f"{d}: {c}" for d, c in self)
-        return f"TwoBasisCoords({{{inner}}})"

@@ -65,7 +65,7 @@ from .field import (
     _row_element,
 )
 
-__all__ = ["SqSubspace", "representation_over"]
+__all__ = ["SqSubspace"]
 
 # a polynomial coordinate row by column, zero entries left out
 SparseRow = dict[int, Poly]
@@ -385,8 +385,7 @@ class SqSubspace:
     Such a row has no fraction to clear, so the elimination sees the
     elements' own sizes, and a caller keeps it small by keeping its
     operands in lowest terms, as ``common_factor`` does with every slot
-    it chooses.  ``span`` takes field elements, and ``from_rows`` dense
-    rows of field elements, each scaled by its denominators' product.
+    it chooses.  ``span`` takes field elements, through their rows.
     ``null_space`` takes the rows the space is the null space of, as
     ``intersection`` and ``bilinear._stable_subspace`` do; it eliminates
     them once, with their columns reversed, and the null vectors it reads
@@ -469,24 +468,6 @@ class SqSubspace:
         return cls(ctx, (), (), ctx._one_poly)
 
     @classmethod
-    def from_rows(cls, ctx: FieldContext, raw_rows: Iterable[Sequence[FieldElement]]) -> SqSubspace:
-        """F-span of dense coordinate rows of field elements, each scaled
-        by P, the product of its distinct denominators, to the sparse
-        polynomial row c_j.num * (P / c_j.den), which spans the same line."""
-        poly_rows = []
-        for row in raw_rows:
-            dens = {c.den.terms: c.den for c in row if c and not c.den.is_one()}
-            scale = ctx._one_poly
-            for d in dens.values():
-                scale = scale * d
-            poly_rows.append({
-                j: c.num * (scale if c.den.is_one() else _divexact(scale, c.den))
-                for j, c in enumerate(row)
-                if c
-            })
-        return cls.from_poly_rows(ctx, poly_rows)
-
-    @classmethod
     def null_space(cls, ctx: FieldContext, rows: Iterable[Sequence[Poly]]) -> SqSubspace:
         """The space of the rows x with x . r = 0 for every dense
         polynomial row r, from one elimination of the rows with their
@@ -567,11 +548,13 @@ class SqSubspace:
         """Witness coefficients c_i with f = sum c_i^2 * g_i over the reduced
         basis g_i, or None when f is not in the subspace.  The reduced basis
         has the identity at its pivots, so the c_i are f's own 2-basis
-        coordinates there."""
-        if f not in self:
+        coordinates there: the entries of its row (``field._poly_row``)
+        over its denominator, read at the pivots only."""
+        row = _poly_row(f)
+        if not self._annihilates(row):
             return None
-        coords = f.frobenius_decompose()
-        return tuple(coords[self.ctx.patterns[pc]] for pc in self.pivots)
+        ctx, zero = self.ctx, self.ctx._zero_poly
+        return tuple(FieldElement(ctx, row.get(pc, zero), f.den) for pc in self.pivots)
 
     @property
     def annihilator(self) -> tuple[tuple[Poly, ...], ...]:
@@ -659,35 +642,13 @@ def left_kernel(ctx: FieldContext, rows: Sequence[SparseRow]) -> list[SparseRow]
     non-pivot row of M, forward, so the basis is not reduced.  Scaling a
     column of M by a nonzero polynomial leaves the kernel as it is, so a
     caller may clear each column of its own denominators, and no row
-    scale has to be folded back.  Only ``representation_over`` calls it,
-    and it needs one vector with a nonzero last entry, not a canonical
-    basis; a space that must be canonical is a ``SqSubspace.null_space``.
+    scale has to be folded back.  No certificate calls it; it stays, with
+    its ``bilinear.left_kernel`` binding, because ``perfbench``'s tracer
+    hooks it and ``perfbench/test_perfbench.py`` reads that binding.  A
+    space that must be canonical is a ``SqSubspace.null_space``.
     """
     zero = ctx._zero_poly
     columns = sorted({j for row in rows for j in row})
     transposed = [[row.get(j, zero) for row in rows] for j in columns]
     _, pivots, last = _bareiss_jordan(ctx, transposed, len(rows))
     return [_sparse(v) for v in _null_vectors(ctx, transposed, pivots, last, len(rows))]
-
-
-def representation_over(
-    ctx: FieldContext, generators: Sequence[FieldElement], f: FieldElement
-) -> tuple[FieldElement, ...] | None:
-    """Coefficients c_i with f = sum c_i^2 * generators[i], or None.
-
-    Unlike SqSubspace.coordinates_of, the combination is over the given
-    generators themselves, not over a reduced basis.
-    """
-    k = len(generators)
-    dens = [g.den for g in generators] + [f.den]
-    # row i of the matrix is element i's coordinate row times dens[i], so
-    # y * rows = 0 gives x_i = y_i * dens[i] with x * coordinate rows = 0;
-    # when x_f != 0, f = sum (x_i / x_f)^2 * generators[i]
-    # (signs vanish in characteristic 2)
-    for y in left_kernel(ctx, [_poly_row(g) for g in (*generators, f)]):
-        if k in y:
-            x_f = y[k] * dens[k]
-            return tuple(
-                FieldElement(ctx, y[i] * dens[i], x_f) if i in y else ctx.zero for i in range(k)
-            )
-    return None

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bilinear import _products
+from .bilinear import _products, _twists
 from .errors import (
     BadRank,
     ContextMismatch,
@@ -366,9 +366,7 @@ def build_quadratic_family(n: int) -> list[QuadraticPfister]:
     ctx = FieldContext(n)
     gens = ctx.gens
     forms = []
-    for k in range(1, 2**n):
-        d = tuple((k >> i) & 1 for i in range(n))
-        lead = min(i for i in range(n) if d[i])
+    for d, lead in _twists(ctx):
         bilinear = tuple(g for i, g in enumerate(gens) if i != lead)
         forms.append(QuadraticPfister(ctx, bilinear, ctx.monomial(d)))
     return forms

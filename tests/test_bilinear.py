@@ -31,8 +31,8 @@ from pflab import (
 from pflab import bilinear, field, linalg, valuation
 from pflab.cli import _read_forms, main
 from pflab.errors import BadRank
-from pflab.field import _from_dense, _poly_row, _product_rows, _row_element
-from conftest import CTX2, CTX3, nonzero_elements, nonzero_polys
+from pflab.field import _poly_row, _product_rows, _row_element
+from conftest import CTX2, CTX3, dense, from_dense, nonzero_elements, nonzero_polys
 from test_linalg import (
     assert_same_null_space,
     assert_same_space,
@@ -688,11 +688,11 @@ class TestCommonFactor:
         forms = two_fold_family(ctx3)
         calls = []
         depth = [0]
-        for name in ("span", "from_rows", "from_poly_rows"):
+        for name in ("span", "from_poly_rows"):
             real = getattr(SqSubspace, name)
 
             def counted(cls, *args, _real=real):
-                # span and from_rows end in from_poly_rows: one elimination
+                # span ends in from_poly_rows: one elimination
                 # is one call, however many of these names it passes
                 calls.append(depth[0] == 0)
                 depth[0] += 1
@@ -919,7 +919,7 @@ class TestNextSlot:
     def test_elements_cached(self, ctx3):
         W = BilinearPfister(ctx3, ctx3.gens).pure_value_space()
         assert W.elements() is W.elements()
-        assert W.elements() == tuple(_from_dense(ctx3, row) for row in W.rows)
+        assert W.elements() == tuple(from_dense(ctx3, row) for row in W.rows)
 
     def test_any_basis_of_partial_space(self, ctx3):
         # the slot's products and the reduced basis span the same U, so the
@@ -946,10 +946,10 @@ def stable_subspace_by_residues(u_basis, W):
         mono = ctx.monomial(g)
         row = []
         for u in u_basis:
-            row.extend(reduce_row(W, (mono * u).frobenius_decompose().dense()))
+            row.extend(reduce_row(W, dense(mono * u)))
         rows.append(row)
     kernel = left_kernel_reference(ctx, rows)
-    return SqSubspace.span(ctx, [_from_dense(ctx, z) for z in kernel])
+    return SqSubspace.span(ctx, [from_dense(ctx, z) for z in kernel])
 
 
 def stable_subspace_two_step(u_rows, W):
@@ -1075,7 +1075,7 @@ class TestRowSearch:
         rows = [linalg._sparse(polys) for polys in W._eliminated]
         for i, row in enumerate(rows):
             got = _row_element(ctx, row, W._last)
-            assert got == W.elements()[i] == _from_dense(ctx, W.rows[i])
+            assert got == W.elements()[i] == from_dense(ctx, W.rows[i])
         for (i, a), (j, b) in itertools.combinations(enumerate(W._eliminated), 2):
             pair = linalg._sparse([x + y for x, y in zip(a, b)])
             assert _row_element(ctx, pair, W._last) == W.elements()[i] + W.elements()[j]

@@ -49,6 +49,10 @@ class TestGrammar:
         assert parse_element("1+1", ctx2) == ctx2.zero
         assert parse_element("3", ctx2) == ctx2.one
         assert parse_element("1+a1", ctx2) == ctx2.one + ctx2.gens[0]
+        # read mod 2 from the last digit, at any length
+        assert parse_element(f"a1*{'1' * 5000}", ctx2) == ctx2.gens[0]
+        assert parse_element(f"{'1' * 4999}2", ctx2) == ctx2.zero
+        assert parse_element(f"{'9' * 5000}", ctx2) == ctx2.one
 
     def test_dense_fraction_round_trip(self, ctx2):
         f = parse_element("a1^3+a2 / a1", ctx2)
@@ -65,6 +69,8 @@ class TestGrammar:
             ("/a1", 0),
             ("a1 / 0", 3),
             ("a1 a2 +", 7),
+            pytest.param(f"a1^{'1' * 5000}", 3, id="long-exponent"),
+            pytest.param(f"a2 + a{'1' * 5000}", 5, id="long-index"),
         ],
     )
     def test_error_positions(self, ctx2, text, position):
@@ -90,6 +96,14 @@ class TestGrammar:
         ):
             with pytest.raises(ParseError, match=f"limit {_MAX_EXPONENT}"):
                 parse_element(text, ctx2)
+
+    def test_leading_zeros(self, ctx2):
+        # the digit guards count significant digits only
+        a1, a2 = ctx2.gens
+        assert parse_element(f"a1^0{_MAX_EXPONENT}", ctx2) == a1**_MAX_EXPONENT
+        assert parse_element("a1^000", ctx2) == ctx2.one
+        assert parse_element(f"a1^{'0' * 5000}1", ctx2) == a1
+        assert parse_element("a02", ctx2) == a2
 
     def test_trailing_junk(self, ctx2):
         with pytest.raises(ParseError):
@@ -218,6 +232,19 @@ class TestCommonFactor:
             capsys, "common-factor", "--m", "1", "--forms", str(path)
         )
         assert code == 2
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # the decoder's recursion limit is an input error, not a traceback
+        # or exit 1, which means a valid NOT_VALID result
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, report = run_json(
+            capsys, "common-factor", "--m", "1", "--forms", str(path)
+        )
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert report["evidence"]["error_type"] == "ValueError"
+        assert "nests too deeply" in report["evidence"]["error"]
 
     def test_missing_file(self, capsys):
         code, report = run_json(

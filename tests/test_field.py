@@ -15,7 +15,8 @@ from pflab import (
     Poly,
 )
 from pflab import field
-from conftest import CTX2, CTX3, elements, nonzero_elements, polys
+from pflab.field import _poly_row, _row_element
+from conftest import CTX2, CTX3, dense, elements, from_dense, nonzero_elements, polys
 
 
 @pytest.fixture
@@ -130,30 +131,27 @@ class TestSquares:
 
 class TestFrobeniusDecompose:
     def test_one(self, ctx2):
-        dec = ctx2.one.frobenius_decompose()
-        assert dec.coords == {(0, 0): ctx2.one}
+        assert ctx2.one.frobenius_decompose() == {(0, 0): ctx2.one}
 
     def test_generator(self, ctx2, gens2):
         a1, _ = gens2
-        dec = a1.frobenius_decompose()
-        assert dec.coords == {(1, 0): ctx2.one}
+        assert a1.frobenius_decompose() == {(1, 0): ctx2.one}
 
     def test_mixed_fraction(self, ctx2, gens2):
         a1, a2 = gens2
         f = (a1**3 + a2) / a1
         dec = f.frobenius_decompose()
-        assert set(dec.coords) == {(0, 0), (1, 1)}
-        assert dec.coords[(0, 0)] == a1
-        assert dec.coords[(1, 1)] == a1**-1
-        assert dec.reconstruct() == f
+        assert set(dec) == {(0, 0), (1, 1)}
+        assert dec[(0, 0)] == a1
+        assert dec[(1, 1)] == a1**-1
+        assert from_dense(ctx2, dense(f)) == f
 
     def test_zero(self, ctx2):
-        assert ctx2.zero.frobenius_decompose().coords == {}
+        assert ctx2.zero.frobenius_decompose() == {}
 
     @given(f=elements(CTX2))
     def test_round_trip(self, f):
-        dec = f.frobenius_decompose()
-        assert dec.reconstruct() == f
+        assert from_dense(f.ctx, dense(f)) == f
 
     @given(f=elements(CTX2))
     def test_uniqueness_via_reconstruction(self, f):
@@ -161,8 +159,33 @@ class TestFrobeniusDecompose:
         # square element must decompose onto the trivial pattern alone
         sq = f * f
         dec = sq.frobenius_decompose()
-        nontrivial = {d for d, c in dec.coords.items() if any(d) and c}
+        nontrivial = {d for d, c in dec.items() if any(d) and c}
         assert nontrivial == set()
+
+
+class TestPolyRow:
+    """field._poly_row and field._row_element, the conversion every
+    certificate uses, each way."""
+
+    @given(f=elements(CTX2))
+    def test_round_trip_n2(self, f):
+        self.check(f)
+
+    @given(f=elements(CTX3, max_degree=3, max_terms=4))
+    def test_round_trip_n3(self, f):
+        self.check(f)
+
+    @staticmethod
+    def check(f):
+        ctx = f.ctx
+        row = _poly_row(f)
+        assert _row_element(ctx, row, f.den) == f
+        # the entries over the denominator are f's coordinates, nonzero
+        # ones only: summed as c_d^2 * a^d in field arithmetic, they give f
+        assert all(s.terms for s in row.values())
+        zero = ctx._zero_poly
+        coords = [FieldElement(ctx, row.get(j, zero), f.den) for j in range(len(ctx.patterns))]
+        assert from_dense(ctx, coords) == f
 
 
 class TestSerialization:

@@ -17,11 +17,10 @@ from pflab import (
     Poly,
     SqSubspace,
     build_no_common_slot_family,
-    representation_over,
 )
 from pflab import bilinear, linalg
 from pflab.field import _poly_row, _product_rows
-from conftest import CTX2, CTX3, elements, nonzero_polys, polys
+from conftest import CTX2, CTX3, cleared, dense, elements, nonzero_polys, polys, span_rows
 
 
 def span2(ctx2, *gens):
@@ -66,35 +65,6 @@ class TestSpan:
         assert span2(ctx2, a1 * c * c) == span2(ctx2, a1)
 
 
-def cleared(ctx, row):
-    """A fraction row scaled to polynomial entries; returns (polys, scale).
-
-    Multiplying a row by the product of its distinct denominators does not
-    move its span.  The clearing the polynomial row path replaced, kept as
-    the references' way into the elimination."""
-    dens = []
-    seen = set()
-    for e in row:
-        if not e or e.den.is_one() or e.den.terms in seen:
-            continue
-        seen.add(e.den.terms)
-        dens.append(e.den)
-    scale = ctx._one_poly
-    for d in dens:
-        scale = scale * d
-    out = []
-    for e in row:
-        if not e:
-            out.append(ctx._zero_poly)
-            continue
-        p = e.num
-        for d in dens:
-            if d.terms != e.den.terms:
-                p = p * d
-        out.append(p)
-    return out, scale
-
-
 def left_kernel_reference(ctx, rows):
     """Reference for linalg.left_kernel on dense rows of field elements:
     each row cleared, an identity block appended, the augmented matrix
@@ -118,16 +88,27 @@ def left_kernel_reference(ctx, rows):
 
 
 def reduce(space, row):
-    """Reference for membership: a dense coordinate row eliminated against
+    """Reference for membership: a dense coordinate row reduced against
     the reduced basis; returns the coefficient taken at each pivot and the
-    remainder."""
-    rem = list(row)
-    coeffs = []
-    for brow, pc in zip(space.rows, space.pivots):
-        c = rem[pc]
-        coeffs.append(c)
-        if c:
-            rem = [a + c * b for a, b in zip(rem, brow)]
+    remainder.
+
+    The basis has the identity at its pivots and 0 at each other's, so
+    the coefficients are the row's own entries there, and the remainder
+    is row + sum c_i * basis_i (signs vanish in characteristic 2).  Each
+    basis entry is e_ij / last and the row is p / P over its common
+    denominator (``cleared``), so each remainder entry is the one fraction
+    (p_j * last + sum_i p_(pc_i) * e_ij) / (P * last): no denominator
+    compounds from one basis row to the next, as a row-by-row update
+    over fractions would."""
+    ctx, last = space.ctx, space._last
+    polys, scale = cleared(ctx, row)
+    coeffs = [row[pc] for pc in space.pivots]
+    rem = []
+    for j, p in enumerate(polys):
+        num = p * last
+        for brow, pc in zip(space._eliminated, space.pivots):
+            num = num + polys[pc] * brow[j]
+        rem.append(FieldElement(ctx, num, scale * last))
     return coeffs, rem
 
 
@@ -142,7 +123,7 @@ def span_by_frobenius_rows(ctx, generators):
     Frobenius coordinates, cleared to polynomials by multiplying with
     every distinct denominator in it, then the same elimination and
     read-off.  Returns (rows, pivots) of the reduced basis."""
-    rows = [cleared(ctx, g.frobenius_decompose().dense())[0] for g in generators if g]
+    rows = [cleared(ctx, dense(g))[0] for g in generators if g]
     rank, pivots, last = linalg._bareiss_jordan(ctx, rows, len(ctx.patterns))
     basis = [
         tuple(FieldElement(ctx, e, last) if e.terms else ctx.zero for e in row)
@@ -273,27 +254,21 @@ class TestMember:
         )
         assert combo == a2
 
-    def test_witness_over_original_generators(self, ctx2):
-        a1, a2 = ctx2.gens
-        gens = [a1, a1 * a2, a1 * a1 * a2]
-        coeffs = representation_over(ctx2, gens, a2)
-        assert coeffs == (ctx2.zero, ctx2.zero, a1**-1)
-        combo = sum((c * c * g for c, g in zip(coeffs, gens)), ctx2.zero)
-        assert combo == a2
+    def test_witness_reads_the_row_at_the_pivots(self, ctx3, monkeypatch):
+        # one row per call, read at the pivots: no coordinate outside them
+        # is built as a field element
+        a1, a2, a3 = ctx3.gens
+        s = SqSubspace.span(ctx3, [a1, a2 / (ctx3.one + a3)])
+        f = (a1 + a3) ** 2 * a1 + a2 / (ctx3.one + a3)
 
-    @given(
-        gens=st.lists(elements(CTX2, max_degree=2, max_terms=3), max_size=4),
-        coeffs=st.lists(elements(CTX2, max_degree=1, max_terms=2), min_size=4, max_size=4),
-        noise=st.one_of(st.none(), elements(CTX2, max_degree=2, max_terms=3)),
-    )
-    def test_representation_over_fractions_n2(self, ctx2, gens, coeffs, noise):
-        # fraction generators, often dependent; noise usually moves f out
-        f = sum((c * c * g for c, g in zip(coeffs, gens)), noise or ctx2.zero)
-        got = representation_over(ctx2, gens, f)
-        assert (got is None) == (f not in SqSubspace.span(ctx2, gens))
-        if got is not None:
-            assert len(got) == len(gens)
-            assert sum((c * c * g for c, g in zip(got, gens)), ctx2.zero) == f
+        def refuse(self):
+            raise AssertionError("frobenius_decompose called")
+
+        monkeypatch.setattr(FieldElement, "frobenius_decompose", refuse)
+        coords = s.coordinates_of(f)
+        assert coords is not None and len(coords) == 2
+        assert sum((c * c * g for c, g in zip(coords, s.elements())), ctx3.zero) == f
+        assert s.coordinates_of(f + a3) is None
 
     def test_zero_is_member(self, ctx2):
         a1, _ = ctx2.gens
@@ -323,7 +298,7 @@ class TestMember:
         s = SqSubspace.span(ctx2, gens)
         f = sum((c * c * g for c, g in zip(coeffs, gens)), noise or ctx2.zero)
         got = s.coordinates_of(f)
-        want, remainder = reduce(s, f.frobenius_decompose().dense())
+        want, remainder = reduce(s, dense(f))
         assert (got is None) == any(remainder)
         if got is not None:
             assert got == tuple(want)
@@ -424,7 +399,7 @@ class TestEliminationInvariant:
         # the first pivot is a1, so the second sweep divides by it
         rows = [(a1, a2, zero, zero), (a2, a1, one, zero), (one, a1, a2, one)]
         with pytest.raises(EliminationInvariant, match="not divisible") as info:
-            SqSubspace.from_rows(ctx2, rows)
+            span_rows(ctx2, rows)
         assert isinstance(info.value.__cause__, NotDivisible)
 
     @pytest.mark.parametrize(
@@ -703,7 +678,7 @@ class TestAgainstTextbookElimination:
         self.check_rref(ctx3, rows)
 
     def check_rref(self, ctx, rows):
-        space = SqSubspace.from_rows(ctx, rows)
+        space = span_rows(ctx, rows)
         got = space.rows
         want, want_pivots = textbook_rref(rows)
         assert len(got) == len(want)
@@ -741,11 +716,11 @@ class TestAgainstTextbookElimination:
 
     @given(r1=sparse_matrices(CTX2, max_rows=4), r2=sparse_matrices(CTX2, max_rows=4))
     def test_intersection_n2(self, ctx2, r1, r2):
-        s1 = SqSubspace.from_rows(ctx2, r1)
-        s2 = SqSubspace.from_rows(ctx2, r2)
+        s1 = span_rows(ctx2, r1)
+        s2 = span_rows(ctx2, r2)
         inter = s1.intersection(s2)
         assert contains_subspace(s1, inter) and contains_subspace(s2, inter)
-        total = SqSubspace.from_rows(ctx2, list(r1) + list(r2))
+        total = span_rows(ctx2, list(r1) + list(r2))
         assert inter.dim + total.dim == s1.dim + s2.dim
 
 
@@ -766,7 +741,7 @@ def kernel_intersection(s1, s2):
             if c:
                 row = [a + c * b for a, b in zip(row, brow)]
         vecs.append(row)
-    return SqSubspace.from_rows(ctx, vecs)
+    return span_rows(ctx, vecs)
 
 
 class TestAnnihilatorIntersection:
@@ -782,7 +757,7 @@ class TestAnnihilatorIntersection:
         self.check(ctx3, mats)
 
     def check(self, ctx, mats):
-        spaces = [SqSubspace.from_rows(ctx, rows) for rows in mats]
+        spaces = [span_rows(ctx, rows) for rows in mats]
         got = spaces[0].intersection(*spaces[1:])
         want = functools.reduce(kernel_intersection, spaces)
         assert got.pivots == want.pivots
@@ -803,7 +778,7 @@ class TestAnnihilatorIntersection:
 class TestAnnihilator:
     @given(rows=sparse_matrices(CTX2))
     def test_shape_n2(self, ctx2, rows):
-        s = SqSubspace.from_rows(ctx2, rows)
+        s = span_rows(ctx2, rows)
         assert len(s.annihilator) == len(ctx2.patterns) - s.dim
         for a in s.annihilator:
             contents = zip(*(p.monomial_content() for p in a if p.terms))
@@ -818,24 +793,24 @@ class TestAnnihilator:
         coeffs=st.lists(elements(CTX2, max_degree=1, max_terms=2), min_size=4, max_size=4),
     )
     def test_membership_agrees_with_reduce_n2(self, ctx2, rows, f, coeffs):
-        s = SqSubspace.from_rows(ctx2, rows)
+        s = span_rows(ctx2, rows)
         # a member built from the basis, and an element that is usually outside
         member = sum((c * c * g for c, g in zip(coeffs, s.elements())), ctx2.zero)
         for x in (member, f, member + f):
-            remainder = reduce_row(s, x.frobenius_decompose().dense())
+            remainder = reduce_row(s, dense(x))
             assert (x in s) == (not any(remainder))
         assert member in s
 
     @given(rows=sparse_matrices(CTX3, max_rows=4), f=elements(CTX3, max_degree=2, max_terms=3))
     def test_membership_agrees_with_reduce_n3(self, ctx3, rows, f):
-        s = SqSubspace.from_rows(ctx3, rows)
-        remainder = reduce_row(s, f.frobenius_decompose().dense())
+        s = span_rows(ctx3, rows)
+        remainder = reduce_row(s, dense(f))
         assert (f in s) == (not any(remainder))
 
     @given(r1=sparse_matrices(CTX2, max_rows=4), r2=sparse_matrices(CTX2, max_rows=4))
     def test_contains_subspace_agrees_with_reduce_n2(self, ctx2, r1, r2):
-        s1 = SqSubspace.from_rows(ctx2, r1)
-        s2 = SqSubspace.from_rows(ctx2, r2)
+        s1 = span_rows(ctx2, r1)
+        s2 = span_rows(ctx2, r2)
         by_reduce = all(not any(reduce_row(s1, row)) for row in s2.rows)
         assert contains_subspace(s1, s2) == by_reduce
 
@@ -999,7 +974,7 @@ class TestSerialization:
         s = span2(ctx2, a1, a2)
         data = s.to_json()
         assert len(data) == 2  # one serialized row per basis element
-        assert SqSubspace.from_rows(ctx2, s.rows) == s
+        assert span_rows(ctx2, s.rows) == s
 
 
 class TestLazyRows:
