@@ -89,15 +89,22 @@ intersection's first eliminated row, and its one row is tested against
 every mixed space.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
-``build_no_common_slot_family`` with one F-level fact per member: its
-nontrivial products span its claim, the hyperplane of 2-basis rows
-annihilated by one 0/1 row, a bitmask.  The products' sparse rows, each
-with at most two nonzero coordinates, are built from the slots' rows
-(``field._product_rows``): each row is tested once against the mask's
-row, and the rows' rank once by ``linalg._has_rank``, the rank test of
-``is_span_of``; a member whose products miss its claim raises
-IdentityFailed.  The rest of the report is read off the masks, whose
-leading bits are distinct, with no GF(2) elimination.
+``build_no_common_slot_family`` with F-level work on two members only.
+Member 0 and member 1, R = <<a2, ..., an, 1 + a1>>, each span their
+claim: the hyperplane of 2-basis rows annihilated by one 0/1 row, a
+bitmask.  Their products' sparse rows, each with at most two nonzero
+coordinates, are built from the slots' rows (``field._product_rows``):
+each row is tested once against the mask's row, and the rows' rank once
+by ``linalg._has_rank``, the rank test of ``is_span_of``.  Every other
+member is R's image under a monomial map rho_d, a^t -> a^(M t), whose
+integer exponent matrix M has determinant +-1: an automorphism of
+GF(2)(a1..an) that maps F^2 onto F^2, so pure spaces onto pure spaces.
+Each such member gets two exact checks, det M = +-1 and its slots equal
+rho_d of R's slots, mapped term by term; its claim is then rho_d of R's,
+since rho_d(1 + a1) = 1 + a^d pins M e_1 = d over the integers.  A
+member that fails any check raises IdentityFailed.  The rest of the
+report is read off the masks, whose leading bits are distinct, with no
+GF(2) elimination.
 """
 
 from __future__ import annotations
@@ -760,6 +767,61 @@ def _member_spans_claim(form: BilinearPfister, ann: int) -> bool:
     return all(_annihilated(r, row) for r in rows) and _has_rank(ctx, rows, size - 1)
 
 
+def _monomial_map(ctx: FieldContext, d: tuple[int, ...], lead: int) -> list[tuple[int, ...]]:
+    """The exponent matrix M of rho_d = (a_l -> a_l * a^(d - e_l)) o
+    (a1 <-> a_l), l = lead, by its columns: rho_d(a^t) = a^(M t).  M is
+    the identity with column 1 set to d and column l set to e_1; when l
+    is 1, only column 1 changes."""
+    cols = [ctx.patterns[1 << j] for j in range(ctx.n)]
+    cols[lead] = cols[0]
+    cols[0] = d
+    return cols
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """The exact determinant of a square integer matrix, by Bareiss's
+    fraction-free elimination, whose every division is exact.  A row with
+    0 in the pivot column is left as it is while the pivot equals the
+    previous one, so a matrix near the identity costs little."""
+    m = [list(r) for r in rows]
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size):
+        p = next((i for i in range(k, size) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            if a or pivot != prev:
+                for j in range(k + 1, size):
+                    row[j] = (pivot * row[j] - a * top[j]) // prev
+        prev = pivot
+    return sign * prev
+
+
+def _transported(cols: Sequence[tuple[int, ...]], slots: Sequence[FieldElement]) -> set:
+    """The stored (num.terms, den.terms) pairs of the slots' images under
+    the monomial map a^t -> a^(M t), M given by its columns, mapped term
+    by term on num and den.  The entries of ``_monomial_map``'s matrices
+    are 0 or 1, so every image is a polynomial."""
+
+    def image(t):
+        out = [0] * len(t)
+        for j, e in enumerate(t):
+            if e:
+                for i, c in enumerate(cols[j]):
+                    out[i] += e * c
+        return tuple(out)
+
+    return {
+        (frozenset(map(image, s.num.terms)), frozenset(map(image, s.den.terms))) for s in slots
+    }
+
+
 def verify_no_common_slot_family(n: int) -> dict:
     """Certify build_no_common_slot_family(n); returns the evidence dict.
 
@@ -780,8 +842,9 @@ def verify_no_common_slot_family(n: int) -> dict:
     rows e_j, j >= 1, which span x_0 = 0.  So no claim is built, as
     masks or as field elements.
 
-    The F-level work is two facts per member, each checked once
-    (``_member_spans_claim``): every nontrivial product has dot product 0
+    Two members get F-level work, member 0 and member 1, which is
+    R = <<a2, ..., an, 1 + a1>>: two facts each, each checked once
+    (``_member_spans_claim``).  Every nontrivial product has dot product 0
     with the mask's row, and the products have rank 2^n - 1, by
     ``linalg._has_rank``, the rank test of ``SqSubspace.is_span_of`` that
     ``common_factor`` certifies with too.  That is the rank at a fixed
@@ -792,6 +855,36 @@ def verify_no_common_slot_family(n: int) -> dict:
     sparse (column -> polynomial) through the dot products and the rank.
     The rows are built from the member's slots' rows
     (``field._product_rows``), so no product is built as a field element.
+
+    Every member k >= 2, with (d, lead l) from ``_twists``, is R
+    transported by the monomial map rho_d = (a_l -> a_l * a^(d - e_l)) o
+    (a1 <-> a_l), whose integer exponent matrix M (``_monomial_map``)
+    sends a^t to a^(M t).  Two exact checks per member:
+
+      * det M = +-1 (``_int_det``), so rho_d is an automorphism of
+        F = GF(2)(a1..an) and maps F^2 onto F^2;
+      * rho_d of R's slots, mapped term by term on num and den, are
+        member k's slots, as a set of n stored (num, den) pairs
+        (``_transported``).
+
+    The slot match alone already pins M: its columns are then d and the
+    unit vectors other than e_l, with determinant +-d_l = +-1.  The
+    determinant is checked on its own all the same, so that the
+    automorphism does not rest on that argument.
+
+    Why that proves member k's claim.  rho_d is a field automorphism
+    that maps F^2 onto itself, so it maps the F^2-span of R's products
+    onto that of their images: pure(rho_d(R)) = rho_d(pure(R)), and
+    rho_d(R) is member k.  In 2-basis coordinates, x = sum_e x_e^2 a^e
+    maps to sum_e rho_d(x_e)^2 a^(M e), so member k's coordinate
+    y_(M e mod 2) is rho_d(x_e) * a^((M e - (M e mod 2)) / 2).  det M is
+    odd, so M mod 2 is a bijection on the patterns, and every coordinate
+    of the image is one of these.  The twist check, rho_d(1 + a1) =
+    1 + a^d, pins M e_1 = d over the integers, and M 0 = 0; so
+    R's claim {x_0 = x_1} maps onto {y_0 = y_d}, member k's claim.  A
+    match mod 2 alone would not do: with the twist 1 + a^(d + 2 e_1), the
+    image would be {y_0 = a_1 * y_d}, another hyperplane, and that twist
+    is refused.
 
     Everything after that is read off the masks (``_gf2_family_evidence``).
     anns[k] has leading bit k, so every subset of the masks is
@@ -806,17 +899,30 @@ def verify_no_common_slot_family(n: int) -> dict:
         e_0 + e_k, where coordinates 0 and k vanish: the span of the other
         monomials.
 
-    A member whose products do not span its claim raises IdentityFailed:
-    every member's do, for every n, by the paper's construction.  An
-    isotropic member is one such, since a claim holding proves
-    anisotropy.  So a returned report always has ``all_anisotropic`` and
-    ``claimed_pure_bases`` true; the keys stay for the report's fixed
-    layout.
+    A member 0 or 1 whose products do not span its claim raises
+    IdentityFailed, and so does a member k >= 2 that is not R's image
+    under a unimodular rho_d: every member passes, for every n, by the
+    paper's construction.  An isotropic member is one such, since a
+    claim holding proves anisotropy.  So a returned report always has
+    ``all_anisotropic`` and ``claimed_pure_bases`` true; the keys stay
+    for the report's fixed layout.
     """
     family = build_no_common_slot_family(n)
     # e_0 annihilates member 0's claim, e_0 + e_k member k's (1 | 1 << 0 is e_0)
     anns = [1 | 1 << k for k in range(len(family))]
-    for k, (form, ann) in enumerate(zip(family, anns)):
-        if not _member_spans_claim(form, ann):
+    for k in (0, 1):
+        if not _member_spans_claim(family[k], anns[k]):
             raise IdentityFailed(f"member {k}'s products do not span its claimed pure space")
+    ctx = family[0].ctx
+    for k, (d, lead) in enumerate(_twists(ctx)[1:], 2):
+        cols = _monomial_map(ctx, d, lead)
+        # det M^T = det M, so M's columns serve as the rows
+        det = _int_det(cols)
+        if det not in (1, -1):
+            raise IdentityFailed(f"member {k}'s monomial map has determinant {det}, not +-1")
+        slots = family[k].slots
+        image = _transported(cols, family[1].slots)
+        stored = {(s.num.terms, s.den.terms) for s in slots}
+        if len(slots) != n or len(image) != n or image != stored:
+            raise IdentityFailed(f"member {k} is not the image of member 1 under its monomial map")
     return _gf2_family_evidence(anns)

@@ -45,12 +45,17 @@ __all__ = ["parse_element", "main", "console_main"]
 
 # largest number of variables a command accepts; FieldContext(n) builds
 # all 2^n patterns up front, so n is bounded before anything is built.
-# The family certificate at n=9 takes about 2 s and at n=10 6 to 8 s,
-# both near 19 MB: it builds each member's product rows from its slots'
-# rows and reads the rest off one annihilator mask per member.  --subset
-# spans every chosen member's pure space exactly, 2^n - 1 dimensions
-# each: the whole n=7 family in about 1.1 s and the whole n=8 family in
-# about 8 s at 240 MB.  n=9 is unmeasured, so it keeps the bound of 8.
+# The family certificate (--verify) spans the products of two members
+# exactly and transports the rest by monomial maps: a whole CLI run
+# takes about 0.2 s up to n=10, 0.4 s at n=12, 0.8 s at n=13 and 1.5 to
+# 2.4 s at n=14, at 62 MB, with a 148 KB report (leave_one_out_dims has
+# 2^n entries).  The plain listing prints every slot's exponent vectors:
+# 0.6 s and 5.8 MB of JSON at n=10, 0.9 s and 14 MB at n=11, and 10 s
+# and 164 MB at 1.1 GB RSS at n=14, so it keeps the bound of 10.
+# --subset spans every chosen member's pure space exactly, 2^n - 1
+# dimensions each: the whole n=7 family in about 1.1 s and the whole n=8
+# family in about 8 s at 240 MB.  n=9 is unmeasured, so it keeps the
+# bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate at n=6 takes about 0.1 s.
 _MAX_N = 6
@@ -60,7 +65,8 @@ _MAX_N = 6
 # slots like (1 + a1^e) / (1 + a1^3) took about 0.5 s at e=31, 3.6 s at
 # e=127 and over 60 s at e=511.  The golden inputs use exponents up to 1.
 _MAX_EXPONENT = 64
-_MAX_FAMILY_N = 10
+_MAX_FAMILY_N = 14
+_MAX_LISTING_N = 10
 _MAX_SUBSET_N = 8
 _MAX_QUADRATIC_N = 6
 
@@ -244,6 +250,11 @@ def _cmd_bilinear_family(args) -> tuple[int, dict, str, dict]:
         verdict = "VALID" if all(evidence["checks"].values()) else "NOT_VALID"
         return n, inputs, verdict, evidence
 
+    if args.subset is None and n > _MAX_LISTING_N:
+        raise ValueError(
+            f"the plain listing takes n up to {_MAX_LISTING_N}, got {n} "
+            f"(--verify takes n up to {_MAX_FAMILY_N})"
+        )
     family = build_no_common_slot_family(n)
     if args.subset is not None:
         indices = _parse_subset(args.subset, len(family))
@@ -263,12 +274,12 @@ def _parse_subset(raw: str, size: int) -> list[int]:
     try:
         indices = [int(p) for p in raw.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise ParseError(f"bad subset {raw!r}", 0) from exc
+        raise ParseError(f"bad subset {reprlib.repr(raw)}", 0) from exc
     if not indices:
         raise ParseError("empty subset", 0)
     for i in indices:
         if not 0 <= i < size:
-            raise ParseError(f"subset index {i} out of range 0..{size - 1}", 0)
+            raise ParseError(f"subset index {reprlib.repr(i)} out of range 0..{size - 1}", 0)
     return indices
 
 

@@ -51,6 +51,9 @@ def _run_cli(capsys, *argv):
 
 def test_criterion_1_bilinear_family_cli(capsys):
     budgets = {2: 10.0, 3: 10.0, 4: 10.0, 5: 10.0, 6: 10.0, 7: 10.0, 8: 10.0, 9: 20.0, 10: 60.0}
+    # measured on two cores: about 0.17 s at n=11, 0.3 s at n=12, 0.7 s at n=13 and
+    # 1.6 s at n=14; each budget leaves about 5x
+    budgets.update({11: 1.0, 12: 2.0, 13: 4.0, 14: 8.0})
     timings = {}
     for n, budget in budgets.items():
         started = time.monotonic()

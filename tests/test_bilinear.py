@@ -1315,9 +1315,9 @@ class TestFamily:
                 m.setattr(FieldElement, "__rmul__", refuse)
                 return real(form, ann)
 
-        # one call per member, on its annihilator mask e_0 + e_k (e_0 for
-        # member 0)
-        anns = [1 | 1 << k for k in range(16)]
+        # one call each for member 0 and member 1 (R), on their annihilator
+        # masks e_0 and e_0 + e_1; every other member is R transported
+        anns = [1, 3]
         monkeypatch.setattr(bilinear, "_member_spans_claim", guarded)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
         assert checked == anns
@@ -1350,8 +1350,8 @@ class TestFamily:
 
     def test_claims_spanned_only_when_rank_falls_short(self, monkeypatch):
         # at the point nothing is spanned over F; with every rank falling
-        # short each member spans the product rows it has, once, and no
-        # claim is spanned
+        # short member 0 and member 1 each span the product rows they have,
+        # once, and no claim is spanned: the other members are transported
         spans = {"span": 0, "from_poly_rows": 0}
         for name in spans:
             real = getattr(SqSubspace, name)
@@ -1367,11 +1367,12 @@ class TestFamily:
         for n, golden in ((3, GOLDEN_N3_EVIDENCE), (4, GOLDEN_N4_EVIDENCE)):
             spans.update(span=0, from_poly_rows=0)
             assert verify_no_common_slot_family(n) == golden
-            assert spans == {"span": 0, "from_poly_rows": 2**n}
+            assert spans == {"span": 0, "from_poly_rows": 2}
 
     def test_claim_off_its_hyperplane_raises(self, monkeypatch):
         # member 5 replaced by member 3: its products span member 3's
-        # hyperplane, which member 5's annihilator e_0 + e_5 does not cut out
+        # hyperplane, which member 5's annihilator e_0 + e_5 does not cut
+        # out, and its slots are not R's image under member 5's map
         real = bilinear.build_no_common_slot_family
 
         def with_member_off_its_hyperplane(n):
@@ -1382,25 +1383,25 @@ class TestFamily:
         monkeypatch.setattr(
             bilinear, "build_no_common_slot_family", with_member_off_its_hyperplane
         )
-        with pytest.raises(IdentityFailed, match="member 5's products"):
+        with pytest.raises(IdentityFailed, match=r"member 5\b"):
             verify_no_common_slot_family(3)
 
     @pytest.mark.parametrize("short", [False, True])
     def test_member_short_of_its_claim_raises(self, monkeypatch, short):
-        # member 5 (d = a1*a3) without its slot 1 + a1*a3: the products
-        # a2, a3, a2*a3 lie in its hyperplane but span only 3 of its 7
-        # dimensions, at the point and exactly
+        # member 1, R = <<a2, a3, 1 + a1>>, without its slot 1 + a1: the
+        # products a2, a3, a2*a3 lie in its hyperplane but span only 3 of
+        # its 7 dimensions, at the point and exactly
         real = bilinear.build_no_common_slot_family
 
         def with_member_short(n):
             family = real(n)
-            family[5] = BilinearPfister(family[0].ctx, family[5].slots[:-1])
+            family[1] = BilinearPfister(family[0].ctx, family[1].slots[:-1])
             return family
 
         monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_member_short)
         if short:
             monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
-        with pytest.raises(IdentityFailed, match="member 5's products"):
+        with pytest.raises(IdentityFailed, match="member 1's products"):
             verify_no_common_slot_family(3)
 
     def test_isotropic_member_raises(self, monkeypatch):
@@ -1417,6 +1418,188 @@ class TestFamily:
 
         monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_isotropic_member)
         with pytest.raises(IdentityFailed):
+            verify_no_common_slot_family(3)
+
+
+def substituted(elem, cols):
+    """elem under the ring map a_j -> a^cols[j], by field arithmetic: each
+    term a^t goes to the product of the generators' images to the t_j."""
+    ctx = elem.ctx
+    images = [ctx.monomial(col) for col in cols]
+
+    def mapped(poly):
+        acc = ctx.zero
+        for t in poly.terms:
+            term = ctx.one
+            for image, e in zip(images, t):
+                term = term * image**e
+            acc = acc + term
+        return acc
+
+    return mapped(elem.num) / mapped(elem.den)
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over all permutations."""
+    size = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+class TestFamilyTransport:
+    """Members 2..2^n - 1 are certified as images of member 1 under
+    unimodular monomial maps, against the per-member F-level check and
+    field-arithmetic substitution."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_member_spans_its_claim(self, n):
+        # the per-member certificate the transport replaced: each member's
+        # products span the hyperplane annihilated by e_0 + e_k
+        for k, form in enumerate(build_no_common_slot_family(n)):
+            assert bilinear._member_spans_claim(form, 1 | 1 << k), k
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_two_members_spanned(self, monkeypatch, n):
+        checked = []
+        real = bilinear._member_spans_claim
+
+        def counted(form, ann):
+            checked.append(ann)
+            return real(form, ann)
+
+        monkeypatch.setattr(bilinear, "_member_spans_claim", counted)
+        evidence = verify_no_common_slot_family(n)
+        assert checked == [1, 3]
+        assert evidence["family_size"] == 2**n
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_maps_agree_with_substitution(self, n):
+        # member k's slots, as field elements, are member 1's slots under
+        # a_j -> a^(M e_j), and _transported's stored pairs are those images
+        family = build_no_common_slot_family(n)
+        ctx = family[0].ctx
+        for k, (d, lead) in enumerate(bilinear._twists(ctx)[1:], 2):
+            cols = bilinear._monomial_map(ctx, d, lead)
+            by_field = {substituted(s, cols) for s in family[1].slots}
+            assert by_field == set(family[k].slots)
+            transported = {
+                FieldElement(ctx, Poly(num, n), Poly(den, n))
+                for num, den in bilinear._transported(cols, family[1].slots)
+            }
+            assert transported == by_field
+
+    def test_transport_of_fractions(self):
+        # on slots with several terms in num and den the term-by-term map
+        # is the field's substitution, for every member's map at n=3
+        ctx = CTX3
+        a1, a2, a3 = ctx.gens
+        one = ctx.one
+        slots = [(a1 + a2 * a3) / (one + a1**2 * a3), a2**3 / (a1 + a3), one + a1 * a2 * a3**2]
+        for d, lead in bilinear._twists(ctx):
+            cols = bilinear._monomial_map(ctx, d, lead)
+            transported = {
+                FieldElement(ctx, Poly(num, 3), Poly(den, 3))
+                for num, den in bilinear._transported(cols, slots)
+            }
+            assert transported == {substituted(s, cols) for s in slots}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_maps_unimodular(self, n):
+        # det M = +-1, M e_1 = d over the integers, and M mod 2 permutes
+        # the 2-basis patterns
+        ctx = FieldContext(n)
+        for d, lead in bilinear._twists(ctx):
+            cols = bilinear._monomial_map(ctx, d, lead)
+            assert bilinear._int_det(cols) in (1, -1)
+            assert cols[0] == d
+            mod2 = {
+                tuple(sum(e * col[i] for e, col in zip(p, cols)) % 2 for i in range(n))
+                for p in ctx.patterns
+            }
+            assert len(mod2) == 2**n
+
+    def test_int_det_against_leibniz(self):
+        rng = random.Random(20261020)
+        for size in range(1, 6):
+            for _ in range(40):
+                entries = (-3, -1, 0, 0, 0, 1, 2)
+                rows = [[rng.choice(entries) for _ in range(size)] for _ in range(size)]
+                assert bilinear._int_det(rows) == leibniz_det(rows), rows
+        # a zero first pivot, a singular matrix and a pivot other than +-1
+        for rows in ([[0, 1], [1, 0]], [[1, 2], [2, 4]], [[2, 1, 0], [1, 1, 0], [0, 0, 3]]):
+            assert bilinear._int_det(rows) == leibniz_det(rows)
+
+    def test_twist_off_by_a_square_raises(self, monkeypatch):
+        # member 6 (d = a2*a3, lead a2) with the twist 1 + a1^2*a2*a3: the
+        # same 2-basis pattern mod 2, but its claim is y_0 = a1 * y_d, not
+        # y_0 = y_d, so its products miss member 6's hyperplane and the
+        # transport refuses it
+        real = bilinear.build_no_common_slot_family
+
+        def with_twist_off(n):
+            family = real(n)
+            ctx = family[0].ctx
+            slots = family[6].slots[:-1] + (ctx.one + ctx.monomial((2, 1, 1)),)
+            family[6] = BilinearPfister(ctx, slots)
+            return family
+
+        monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_twist_off)
+        assert not bilinear._member_spans_claim(with_twist_off(3)[6], 1 | 1 << 6)
+        with pytest.raises(IdentityFailed, match="member 6 is not the image of member 1"):
+            verify_no_common_slot_family(3)
+
+    def test_member_with_a_repeated_slot_raises(self, monkeypatch):
+        # member 6 with its first slot repeated: the same set of slots as
+        # R's image, but an isotropic (n + 1)-fold form
+        real = bilinear.build_no_common_slot_family
+
+        def with_slot_repeated(n):
+            family = real(n)
+            family[6] = BilinearPfister(family[0].ctx, family[6].slots + family[6].slots[:1])
+            return family
+
+        monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_slot_repeated)
+        assert not with_slot_repeated(3)[6].is_anisotropic()
+        with pytest.raises(IdentityFailed, match="member 6 is not the image of member 1"):
+            verify_no_common_slot_family(3)
+
+    def test_broken_representative_raises(self, monkeypatch):
+        # member 1, R, with the twist 1 + a1^3: the pattern of 1 + a1 mod 2,
+        # but not its claim; R is spanned before anything is transported
+        real = bilinear.build_no_common_slot_family
+
+        def with_r_broken(n):
+            family = real(n)
+            ctx = family[0].ctx
+            slots = family[1].slots[:-1] + (ctx.one + ctx.monomial((3, 0, 0)),)
+            family[1] = BilinearPfister(ctx, slots)
+            return family
+
+        monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_r_broken)
+        with pytest.raises(IdentityFailed, match="member 1's products"):
+            verify_no_common_slot_family(3)
+
+    def test_map_of_determinant_two_raises(self, monkeypatch):
+        # member 6's map with its last column doubled: det 2 in absolute
+        # value, so not an automorphism of F, and the member is refused
+        real = bilinear._monomial_map
+        # _twists lists members 1 .. 2^n - 1
+        d6, lead6 = bilinear._twists(CTX3)[5]
+
+        def doubled(ctx, d, lead):
+            cols = real(ctx, d, lead)
+            if (d, lead) == (d6, lead6):
+                cols[-1] = tuple(2 * c for c in cols[-1])
+            return cols
+
+        monkeypatch.setattr(bilinear, "_monomial_map", doubled)
+        with pytest.raises(IdentityFailed, match=r"member 6's monomial map has determinant -?2\b"):
             verify_no_common_slot_family(3)
 
 

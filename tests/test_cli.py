@@ -150,13 +150,13 @@ class TestBilinearFamily:
         assert main(["bilinear-family", "--n", "1"]) == 2
 
     def test_n_above_cap(self, capsys):
-        assert main(["bilinear-family", "--n", "11"]) == 2
+        assert main(["bilinear-family", "--n", "15"]) == 2
 
     def test_subset_above_its_cap(self, capsys):
-        # --verify and the listing take n=9 and 10; an exact --subset would
-        # span 511- or 1023-dimensional pure spaces, so it is refused before
-        # any is built
-        for n in ("9", "10"):
+        # --verify takes n up to 14 and the listing up to 10; an exact
+        # --subset would span 511- to 16383-dimensional pure spaces, so it
+        # is refused before any is built
+        for n in ("9", "10", "14"):
             started = time.monotonic()
             code, report = run_json(capsys, "bilinear-family", "--n", n, "--subset", "0,1")
             elapsed = time.monotonic() - started
@@ -169,6 +169,29 @@ class TestBilinearFamily:
         code, report = run_json(capsys, "bilinear-family", "--n", "10")
         assert code == 0
         assert len(report["evidence"]["forms"]) == 1024
+
+    def test_listing_above_its_cap(self, capsys):
+        # --verify takes n=11 to 14; the plain listing of 2^n forms' exponent
+        # vectors is refused there before the family is built
+        for n in ("11", "14"):
+            started = time.monotonic()
+            code, report = run_json(capsys, "bilinear-family", "--n", n)
+            elapsed = time.monotonic() - started
+            assert code == 2
+            assert report["verdict"] == "ERROR"
+            assert "listing takes n up to 10" in report["evidence"]["error"]
+            assert elapsed < 5.0, f"n={n} took {elapsed:.2f}s (budget 5s)"
+
+    @pytest.mark.parametrize("subset", ["0," + "9" * 5001, "0," + "9" * 4000])
+    def test_huge_subset_index_short_message(self, capsys, subset):
+        # a 5,001-digit index fails int() and a 4,000-digit one is out of
+        # range; either way the message abbreviates it, as parse_element
+        # does, instead of echoing thousands of digits
+        code, report = run_json(capsys, "bilinear-family", "--n", "3", "--subset", subset)
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert report["evidence"]["error_type"] == "ParseError"
+        assert len(report["evidence"]["error"]) < 200
 
     def test_bad_subset_index(self, capsys):
         code, report = run_json(

@@ -21,9 +21,10 @@ def test_reproduce_counterexamples(capsys):
 
 
 def test_reproduce_counterexamples_library_error(capsys, monkeypatch):
-    # a member whose products miss its claim stops the bilinear certificate
-    # with IdentityFailed: each bilinear section reports it as a labelled
-    # FAIL naming the member and exits 1, and the later sections still run
+    # a member that is not R's image under its monomial map stops the
+    # bilinear certificate with IdentityFailed: each bilinear section
+    # reports it as a labelled FAIL naming the member and exits 1, and the
+    # later sections still run
     real = pflab.bilinear.build_no_common_slot_family
 
     def with_member_off_claim(n):
@@ -38,7 +39,7 @@ def test_reproduce_counterexamples_library_error(capsys, monkeypatch):
     out = capsys.readouterr().out
     for n in (2, 3):
         assert f"bilinear family, n={n}: raised IdentityFailed" in out
-        assert f"member {2**n - 1}'s products do not span its claimed pure space" in out
+        assert f"member {2**n - 1} is not the image of member 1 under its monomial map" in out
     assert "quadratic family, n=3 (" in out
     assert "2 check(s) failed" in out
 
@@ -77,9 +78,9 @@ def test_sharing_trials(capsys):
 
 
 def test_reproduce_counterexamples_rank_bound(capsys):
-    # --max-n takes 2..10, the ranks bilinear-family --verify takes
+    # --max-n takes 2..14, the ranks bilinear-family --verify takes
     script = runpy.run_path(str(SCRIPTS / "reproduce_counterexamples.py"))
     with pytest.raises(SystemExit) as exc:
-        script["main"](["--max-n", "11"])
+        script["main"](["--max-n", "15"])
     assert exc.value.code == 2
-    assert "invalid choice: 11" in capsys.readouterr().err
+    assert "invalid choice: 15" in capsys.readouterr().err
