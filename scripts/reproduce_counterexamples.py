@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from pflab import (
@@ -69,8 +70,11 @@ def bilinear_section(cfg: RunConfig, n: int) -> None:
     print(f"{title} ({evidence['family_size']} forms)")
     for label, key in BILINEAR_CHECKS:
         cfg.check(title, label, evidence["checks"][key])
-    loo = evidence["leave_one_out_dims"]
-    print(f"  ({time.monotonic() - t0:.2f}s, leave-one-out dims {loo})")
+    # 2^n entries: print how many subfamilies share a slot space of each
+    # dimension, not the list
+    counts = sorted(Counter(evidence["leave_one_out_dims"]).items())
+    loo = ", ".join(f"{count} of dim {dim}" for dim, count in counts)
+    print(f"  ({time.monotonic() - t0:.2f}s, leave-one-out subfamilies: {loo})")
 
 
 # table label of each check in the quadratic-family evidence

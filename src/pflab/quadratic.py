@@ -22,9 +22,11 @@ inseparable quadratic splitting field.
 
 ``verify_quadratic_family(n)`` is the one call that certifies the family
 of ``build_quadratic_family(n)``; the CLI and the counterexample script
-both print its evidence.  Each form takes its diagonal values, their
-parities and its hypothesis verdict once, on first use, and every check
-reads them from there.
+both print its evidence.  Each form takes its slot values once, on first
+use, and reads its hypothesis verdict and every diagonal parity off them:
+the valuation is a homomorphism, so parity(b^e) is the XOR of the slot
+parities picked out by e, and the certificate builds no field product.
+The diagonal values themselves are built only to evaluate the form.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from .errors import (
 from .field import FieldContext, FieldElement
 from .valuation import (
     ParitySet,
-    dominant_term_hypothesis,
     parity,
     parity_span,
     val,
+    values_meet_hypothesis,
 )
 
 __all__ = [
@@ -67,11 +69,19 @@ __all__ = [
 class QuadraticPfister:
     """A k-fold quadratic Pfister form: bilinear slots plus the block slot.
 
-    The diagonal values, their parities and the slot hypothesis verdict
-    are computed on first use and cached.
+    The slot values, the diagonal values, their parities and the slot
+    hypothesis verdict are computed on first use and cached.
     """
 
-    __slots__ = ("ctx", "bilinear_slots", "quad_slot", "_diag", "_parities", "_hypothesis")
+    __slots__ = (
+        "ctx",
+        "bilinear_slots",
+        "quad_slot",
+        "_values",
+        "_diag",
+        "_parities",
+        "_hypothesis",
+    )
 
     def __init__(
         self,
@@ -88,6 +98,7 @@ class QuadraticPfister:
         self.ctx = ctx
         self.bilinear_slots = bilinear_slots
         self.quad_slot = quad_slot
+        self._values = None
         self._diag = None
         self._parities = None
         self._hypothesis = None
@@ -117,18 +128,47 @@ class QuadraticPfister:
             self._diag = _products(self.ctx, self.slot_list())
         return self._diag
 
+    def _slot_values(self) -> tuple[tuple[int, ...], ...]:
+        """val(s) for each slot of ``slot_list()``, taken once."""
+        if self._values is None:
+            self._values = tuple(val(s) for s in self.slot_list())
+        return self._values
+
+    def _slot_parities(self) -> tuple[tuple[int, ...], ...]:
+        """parity(s) for each slot of ``slot_list()``, read off its value."""
+        return tuple(tuple(x % 2 for x in v) for v in self._slot_values())
+
     def diagonal_parities(self) -> tuple[tuple[int, ...], ...]:
         """Parity of each diagonal value, in coordinate order; index 1 is
-        parity(alpha)."""
+        parity(alpha).
+
+        Built from the slot parities alone, in the order of
+        ``diagonal_values()``: the last slot is the lowest bit of e, so
+        doubling the list over the slots in reverse, each new half the
+        old one XORed with the slot's parity, gives parity(b^e) at index e.
+
+        The rule is exact for any nonzero slots, whether or not the slot
+        hypothesis holds.  Over GF(2) the lex-leading monomial of a
+        product of polynomials is the product of their leading monomials
+        (the order is compatible with multiplication, so that product
+        arises from one pair of terms only and cannot cancel).  Hence
+        v(pq) = v(p) + v(q) on polynomials, fractions subtract, and
+        v(xy) = v(x) + v(y) for all nonzero x and y.  Reduced mod 2,
+        parity(b^e) is the sum of e_i * parity(b_i), which is what the
+        doubling computes; so ``zero_parity_diagonal_count`` stays exact.
+        """
         if self._parities is None:
-            self._parities = tuple(parity(d) for d in self.diagonal_values())
+            out = [(0,) * self.ctx.n]
+            for p in reversed(self._slot_parities()):
+                out = out + [tuple(a ^ b for a, b in zip(p, q)) for q in out]
+            self._parities = tuple(out)
         return self._parities
 
     def _hypothesis_holds(self) -> bool:
         """Whether the slots have negative values with independent parities
-        (``dominant_term_hypothesis``), decided once."""
+        (``dominant_term_hypothesis``), decided once from the slot values."""
         if self._hypothesis is None:
-            self._hypothesis = dominant_term_hypothesis(self.slot_list())
+            self._hypothesis = values_meet_hypothesis(self._slot_values())
         return self._hypothesis
 
     def _check_vector(self, v: Sequence[FieldElement]) -> None:
@@ -190,7 +230,7 @@ class QuadraticPfister:
     def parity_image(self) -> ParitySet:
         """GF(2)-span of the slot parities; the parity image of D(phi)."""
         self._require_hypothesis()
-        return parity_span(self.ctx.n, [parity(s) for s in self.slot_list()])
+        return parity_span(self.ctx.n, self._slot_parities())
 
     def pure_parity_image(self) -> ParitySet:
         """Parities of the pure-part diagonal values (all basis vectors except

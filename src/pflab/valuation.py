@@ -19,6 +19,7 @@ __all__ = [
     "val",
     "parity",
     "dominant_term_hypothesis",
+    "values_meet_hypothesis",
     "ParitySet",
     "parity_span",
     "gf2_rank",
@@ -71,15 +72,17 @@ def dominant_term_hypothesis(slots: Sequence[FieldElement]) -> bool:
     These are the conditions under which a diagonal form's value on a
     vector is read off its dominant coordinate alone.
     """
-    parities = []
-    for s in slots:
-        if s.is_zero:
-            return False
-        v = val(s)
-        if not v < (0,) * len(v):
-            return False
-        parities.append(tuple(x % 2 for x in v))
-    return gf2_rank(parities) == len(parities)
+    if any(s.is_zero for s in slots):
+        return False
+    return values_meet_hypothesis([val(s) for s in slots])
+
+
+def values_meet_hypothesis(values: Sequence[ValueVector]) -> bool:
+    """``dominant_term_hypothesis`` on slot values already taken: every
+    value is negative (lex) and their parities are independent."""
+    if not all(v < (0,) * len(v) for v in values):
+        return False
+    return gf2_rank([tuple(x % 2 for x in v) for v in values]) == len(values)
 
 
 @dataclass(frozen=True)

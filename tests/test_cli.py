@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -417,7 +420,7 @@ class TestQuadraticFamily:
         assert len(report["evidence"]["forms"]) == 3
 
     def test_n_above_cap(self, capsys):
-        code, _ = run(capsys, "quadratic-family", "--n", "7", "--verify")
+        code, _ = run(capsys, "quadratic-family", "--n", "9", "--verify")
         assert code == 2
 
     @pytest.mark.parametrize("value", ["1", "lots"])
@@ -564,3 +567,23 @@ class TestReports:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+class TestClosedPipe:
+    def test_early_close_ends_quietly(self):
+        # the n=6 certificate is 0.9 MB of JSON, far more than a pipe
+        # buffers, so the write fails once the reader has gone
+        program = "from pflab.cli import console_main; console_main()"
+        argv = ["quadratic-family", "--n", "6", "--verify"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", program, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.stdout.read(64).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pflab import (
     EmptyInput,
@@ -24,10 +25,11 @@ from pflab import (
     val,
     zero_parity_diagonal_count,
 )
-from pflab import quadratic
+from pflab import bilinear, quadratic
 from pflab.errors import BadRank
+from pflab.field import FieldElement, Poly
 from pflab.sampling import random_vector
-from conftest import CTX2, elements, nonzero_elements
+from conftest import CTX2, CTX3, elements, nonzero_elements
 
 
 # -- spot-check oracle for the 2-dimensional step ----------------------------
@@ -279,12 +281,86 @@ class TestInsepObstruction:
         assert data["intersection"] == [[0, 0]]
 
 
+def reference_parities(form):
+    """parity of each diagonal value, each value built as a field product."""
+    return tuple(parity(d) for d in form.diagonal_values())
+
+
+def _forms(ctx, max_degree, max_terms):
+    """Forms of one to three slots, each a fraction of up to max_terms terms
+    in numerator and denominator; many fail the slot hypothesis."""
+    slots = nonzero_elements(ctx, max_degree=max_degree, max_terms=max_terms)
+    return st.builds(
+        lambda bilinear_slots, quad: QuadraticPfister(ctx, bilinear_slots, quad),
+        st.lists(slots, max_size=2),
+        slots,
+    )
+
+
+class TestDiagonalParities:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_family_matches_products(self, n):
+        for form in build_quadratic_family(n):
+            assert form.diagonal_parities() == reference_parities(form)
+
+    @given(form=_forms(CTX2, max_degree=3, max_terms=4))
+    def test_drawn_forms_n2(self, form):
+        assert form.diagonal_parities() == reference_parities(form)
+
+    @given(form=_forms(CTX3, max_degree=2, max_terms=3))
+    def test_drawn_forms_n3(self, form):
+        assert form.diagonal_parities() == reference_parities(form)
+
+    def test_form_failing_the_hypothesis(self, ctx3):
+        # several num and den terms, a positive value and dependent
+        # parities: the product rule needs none of the hypothesis
+        a1, a2, a3 = ctx3.gens
+        one = ctx3.one
+        slots = ((a1**3 + a2 * a3) / (a1 + a2**2 + one), (a2 + a3) / (a1 * a3 + one))
+        form = QuadraticPfister(ctx3, slots, (a1**2 * a2 + a3) / (a1**5 + a2))
+        assert not form._hypothesis_holds()
+        assert form.diagonal_parities() == reference_parities(form)
+        assert zero_parity_diagonal_count(form) == sum(
+            p == (0, 0, 0) for p in reference_parities(form)[1:]
+        )
+
+    def test_certificate_builds_no_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a field product was built")
+
+        monkeypatch.setattr(bilinear, "_products", refuse)
+        monkeypatch.setattr(quadratic, "_products", refuse)
+        monkeypatch.setattr(FieldElement, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        assert all(verify_quadratic_family(4)["checks"].values())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flipped_slot_parity_fails_a_check(self, monkeypatch, n):
+        # the form whose block slot is a1 reads a1's parity as zero: its
+        # diagonal value alpha then counts as a zero-parity value and its
+        # missing class as the zero class
+        real = QuadraticPfister._slot_parities
+
+        def flipped(form):
+            parities = list(real(form))
+            if form.quad_slot == form.ctx.gens[0]:
+                parities[-1] = (1 - parities[-1][0],) + parities[-1][1:]
+            return tuple(parities)
+
+        monkeypatch.setattr(QuadraticPfister, "_slot_parities", flipped)
+        checks = verify_quadratic_family(n)["checks"]
+        assert [key for key, ok in checks.items() if not ok] == [
+            "pure_parity_images_miss_only_quad_slot",
+            "two_dim_subspaces_hit_nonzero_parity",
+        ]
+
+
 class TestVerifyFamily:
     @pytest.mark.parametrize("n", [3, 6])
     def test_each_fact_taken_once_per_form(self, monkeypatch, n):
-        # one hypothesis check and one parity per diagonal value per form,
-        # 2^n - 1 forms of 2^n diagonal values each
-        calls = {"parity": 0, "dominant_term_hypothesis": 0}
+        # one value per slot and one hypothesis check per form, 2^n - 1
+        # forms of n slots each; every parity is read off the slot values
+        calls = {"val": 0, "parity": 0, "values_meet_hypothesis": 0}
         for name in calls:
             real = getattr(quadratic, name)
 
@@ -296,8 +372,9 @@ class TestVerifyFamily:
         evidence = verify_quadratic_family(n)
         assert all(evidence["checks"].values())
         assert calls == {
-            "parity": (2**n - 1) * 2**n,
-            "dominant_term_hypothesis": 2**n - 1,
+            "val": (2**n - 1) * n,
+            "parity": 0,
+            "values_meet_hypothesis": 2**n - 1,
         }
 
     def test_image_off_its_missing_class_fails_its_check(self, monkeypatch):

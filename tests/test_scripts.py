@@ -16,6 +16,9 @@ def test_reproduce_counterexamples(capsys):
     assert script["main"](["--max-n", "3"]) == 0
     out = capsys.readouterr().out
     assert "bilinear family, n=3 (8 forms)" in out
+    # the 2^n leave-one-out dimensions are summarized, not listed
+    assert "leave-one-out subfamilies: 8 of dim 1)" in out
+    assert "[1, 1" not in out
     assert "FAIL" not in out
     assert "all checks passed" in out
 
