@@ -31,7 +31,7 @@ from .errors import (
 )
 from .field import FieldContext, FieldElement, Poly
 from .linalg import SqSubspace
-from .valuation import ParitySet, dominant_term_hypothesis, parity, parity_span, val
+from .valuation import ParitySet, dominant_term_hypothesis, parity, parity_sums, val
 from .bilinear import (
     BilinearPfister,
     FactorWitness,
@@ -100,7 +100,7 @@ __all__ = [
     "insep_obstruction",
     "necessary_insep_split",
     "parity",
-    "parity_span",
+    "parity_sums",
     "quat_triple_obstruction",
     "right_slot_from_value",
     "unit_vector",

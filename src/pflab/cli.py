@@ -38,11 +38,11 @@ from .bilinear import (
 )
 from .errors import ParseError, PflabError
 from .field import FieldContext, FieldElement, Poly
-from .quadratic import build_quadratic_family, verify_quadratic_family
+from .quadratic import build_quadratic_family, insep_obstruction, verify_quadratic_family
 # no caller here any more; the binding stays, since perfbench/tracing.py
 # hooks cli._contr_failures and test_deleted_hook_is_absent_not_fatal deletes it
 from .quadratic import zero_parity_diagonal_count as _contr_failures  # noqa: F401
-from .quaternion import build_quat_triple, quat_triple_obstruction
+from .quaternion import build_quat_triple
 
 __all__ = ["parse_element", "main", "console_main"]
 
@@ -61,8 +61,8 @@ __all__ = ["parse_element", "main", "console_main"]
 # bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate reads every parity off the
-# slot values: in process it takes about 12 ms at n=6, 45 ms at n=7 and
-# 0.2 s at n=8.  A whole --verify run at n=8 takes 1.0 to 1.2 s at about
+# slot values: in process it takes about 11 ms at n=6, 43 ms at n=7 and
+# 0.22 s at n=8.  A whole --verify run at n=8 takes 1.0 to 1.2 s at about
 # 140 MB RSS, most of it printing 18.8 MB of JSON.
 _MAX_N = 6
 # largest exponent of a variable in an element read from the command line
@@ -248,6 +248,8 @@ def _cmd_bilinear_family(args) -> tuple[int, dict, str, dict]:
     n = args.n
     if args.subset is not None and n > _MAX_SUBSET_N:
         raise ValueError(f"--subset takes n up to {_MAX_SUBSET_N}, got {n}")
+    if args.subset is not None and args.verify:
+        raise ValueError("--verify certifies the whole family; it does not take --subset")
     inputs = {"n": n, "verify": bool(args.verify), "subset": args.subset}
 
     if args.verify and args.subset is None:
@@ -358,10 +360,11 @@ def _cmd_quat_triple(args) -> tuple[int, dict, str, dict]:
     beta = parse_element(args.beta, ctx)
     inputs = {"n": args.n, "alpha": str(alpha), "beta": str(beta)}
     triple = build_quat_triple(alpha, beta)
-    cert = quat_triple_obstruction(alpha, beta)
+    norm_forms = [q.norm_form() for q in triple]
+    cert = insep_obstruction(norm_forms)
     evidence = {
         "algebras": [q.to_json() for q in triple],
-        "norm_forms": [repr(q.norm_form()) for q in triple],
+        "norm_forms": [repr(f) for f in norm_forms],
         "certificate": cert.to_json(),
     }
     verdict = "VALID" if cert.valid else "NOT_VALID"

@@ -23,10 +23,13 @@ inseparable quadratic splitting field.
 ``verify_quadratic_family(n)`` is the one call that certifies the family
 of ``build_quadratic_family(n)``; the CLI and the counterexample script
 both print its evidence.  Each form takes its slot values once, on first
-use, and reads its hypothesis verdict and every diagonal parity off them:
-the valuation is a homomorphism, so parity(b^e) is the XOR of the slot
+use, and doubles their parities once (``valuation.parity_sums``): the
+valuation is a homomorphism, so parity(b^e) is the XOR of the slot
 parities picked out by e, and the certificate builds no field product.
-The diagonal values themselves are built only to evaluate the form.
+Every parity fact is read off those 2^k sums: the hypothesis's
+independence (the sums are pairwise distinct), the parity image (their
+set) and the pure image (all but index 1).  The diagonal values
+themselves are built only to evaluate the form.
 """
 
 from __future__ import annotations
@@ -46,13 +49,7 @@ from .errors import (
     ZeroW,
 )
 from .field import FieldContext, FieldElement
-from .valuation import (
-    ParitySet,
-    parity,
-    parity_span,
-    val,
-    values_meet_hypothesis,
-)
+from .valuation import ParitySet, parity, parity_sums, val, values_meet_hypothesis
 
 __all__ = [
     "QuadraticPfister",
@@ -142,10 +139,10 @@ class QuadraticPfister:
         """Parity of each diagonal value, in coordinate order; index 1 is
         parity(alpha).
 
-        Built from the slot parities alone, in the order of
-        ``diagonal_values()``: the last slot is the lowest bit of e, so
-        doubling the list over the slots in reverse, each new half the
-        old one XORed with the slot's parity, gives parity(b^e) at index e.
+        The ``parity_sums`` of the slot parities, taken once: they come
+        in the order of ``diagonal_values()``, the last slot the lowest
+        bit of e, so parity(b^e) sits at index e.  The slot hypothesis,
+        both parity images and the zero-parity count all read these sums.
 
         The rule is exact for any nonzero slots, whether or not the slot
         hypothesis holds.  Over GF(2) the lex-leading monomial of a
@@ -158,17 +155,17 @@ class QuadraticPfister:
         doubling computes; so ``zero_parity_diagonal_count`` stays exact.
         """
         if self._parities is None:
-            out = [(0,) * self.ctx.n]
-            for p in reversed(self._slot_parities()):
-                out = out + [tuple(a ^ b for a, b in zip(p, q)) for q in out]
-            self._parities = tuple(out)
+            self._parities = parity_sums(self._slot_parities())
         return self._parities
 
     def _hypothesis_holds(self) -> bool:
         """Whether the slots have negative values with independent parities
-        (``dominant_term_hypothesis``), decided once from the slot values."""
+        (``dominant_term_hypothesis``), decided once from the slot values
+        and the cached diagonal parities."""
         if self._hypothesis is None:
-            self._hypothesis = values_meet_hypothesis(self._slot_values())
+            self._hypothesis = values_meet_hypothesis(
+                self._slot_values(), self.diagonal_parities()
+            )
         return self._hypothesis
 
     def _check_vector(self, v: Sequence[FieldElement]) -> None:
@@ -228,9 +225,10 @@ class QuadraticPfister:
         return best
 
     def parity_image(self) -> ParitySet:
-        """GF(2)-span of the slot parities; the parity image of D(phi)."""
+        """GF(2)-span of the slot parities, the set of their subset sums;
+        the parity image of D(phi)."""
         self._require_hypothesis()
-        return parity_span(self.ctx.n, self._slot_parities())
+        return ParitySet.of(self.ctx.n, self.diagonal_parities())
 
     def pure_parity_image(self) -> ParitySet:
         """Parities of the pure-part diagonal values (all basis vectors except
@@ -419,7 +417,8 @@ def verify_quadratic_family(n: int) -> dict:
 
     ``insep_obstruction`` checks each form's hypothesis and intersects the
     pure parity images.  Each image must be the whole group but the
-    form's missing class, parity(alpha), and every form must have no
+    form's missing class, parity(alpha): 2^n - 1 classes of (Z/2)^n, none
+    of them parity(alpha).  And every form must have no
     zero-parity diagonal value after the first (its 2-dimensional step).
     The verdict is VALID exactly when every entry of ``checks`` is true.
     """
@@ -429,7 +428,7 @@ def verify_quadratic_family(n: int) -> dict:
     per_form = []
     for f, image in zip(family, cert.per_form_images):
         missing = f.diagonal_parities()[1]
-        miss_ok = miss_ok and image == ParitySet.of(n, [missing]).complement()
+        miss_ok = miss_ok and len(image.classes) == 2**n - 1 and missing not in image
         per_form.append(
             {"form": repr(f), "pure_parity_image": image.to_json(), "missing_class": list(missing)}
         )

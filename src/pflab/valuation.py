@@ -5,6 +5,12 @@ negative value.  Distinct monomials take distinct values, hence the value
 of a polynomial is the minimum over its monomials and no GF(2) cancellation
 can disturb it; fractions subtract.  The parity map sends v(f) to
 Z^n / 2Z^n, where the images of a1, ..., an are independent.
+
+``parity_sums`` is the one place where parity classes are combined: it
+lists the 2^k subset sums of k classes.  The classes are independent over
+GF(2) exactly when those sums are pairwise distinct, since a GF(2)-linear
+map is injective exactly when its kernel is 0; so the slot hypothesis
+reads independence off the sums, and no rank over GF(2) is taken.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ __all__ = [
     "parity",
     "dominant_term_hypothesis",
     "values_meet_hypothesis",
+    "parity_sums",
     "ParitySet",
-    "parity_span",
-    "gf2_rank",
 ]
 
 ValueVector = tuple[int, ...]
@@ -49,20 +54,19 @@ def parity(f: FieldElement) -> ParityClass:
     return tuple(v % 2 for v in val(f))
 
 
-def gf2_rank(vectors: Iterable[Sequence[int]]) -> int:
-    """Rank over GF(2) of 0/1 vectors, each packed as an int bitmask."""
-    basis: dict[int, int] = {}  # leading bit length -> reduced vector
-    for vec in vectors:
-        x = 0
-        for b in vec:
-            x = (x << 1) | (b & 1)
-        while x:
-            h = x.bit_length()
-            if h not in basis:
-                basis[h] = x
-                break
-            x ^= basis[h]
-    return len(basis)
+def parity_sums(parities: Sequence[ParityClass]) -> tuple[ParityClass, ...]:
+    """The 2^k subset sums of k parity classes, in ``bilinear._products``
+    order: index e holds the sum of the classes picked out by the bits of
+    e, the last class the lowest bit.
+
+    Built by doubling over the classes in reverse, each new half the old
+    one XORed with the class.  With no classes it is the one empty sum,
+    ``((),)``, since no class gives the group's width.
+    """
+    sums = [tuple(0 for _ in parities[0]) if parities else ()]
+    for p in reversed(parities):
+        sums += [tuple(a ^ b for a, b in zip(p, q)) for q in sums]
+    return tuple(sums)
 
 
 def dominant_term_hypothesis(slots: Sequence[FieldElement]) -> bool:
@@ -74,15 +78,19 @@ def dominant_term_hypothesis(slots: Sequence[FieldElement]) -> bool:
     """
     if any(s.is_zero for s in slots):
         return False
-    return values_meet_hypothesis([val(s) for s in slots])
+    values = [val(s) for s in slots]
+    sums = parity_sums([tuple(x % 2 for x in v) for v in values])
+    return values_meet_hypothesis(values, sums)
 
 
-def values_meet_hypothesis(values: Sequence[ValueVector]) -> bool:
-    """``dominant_term_hypothesis`` on slot values already taken: every
-    value is negative (lex) and their parities are independent."""
+def values_meet_hypothesis(values: Sequence[ValueVector], sums: Sequence[ParityClass]) -> bool:
+    """``dominant_term_hypothesis`` on slot values already taken and the
+    ``parity_sums`` of their parities: every value is negative (lex), and
+    the parities are independent, that is, the 2^k sums are pairwise
+    distinct."""
     if not all(v < (0,) * len(v) for v in values):
         return False
-    return gf2_rank([tuple(x % 2 for x in v) for v in values]) == len(values)
+    return len(set(sums)) == len(sums)
 
 
 @dataclass(frozen=True)
@@ -91,12 +99,6 @@ class ParitySet:
 
     n: int
     classes: frozenset[ParityClass]
-
-    @classmethod
-    def full(cls, n: int) -> ParitySet:
-        import itertools
-
-        return cls(n, frozenset(itertools.product((0, 1), repeat=n)))
 
     @classmethod
     def of(cls, n: int, classes: Iterable[ParityClass]) -> ParitySet:
@@ -110,9 +112,6 @@ class ParitySet:
             raise ValueError("parity sets over different groups")
         return ParitySet(self.n, self.classes & other.classes)
 
-    def complement(self) -> ParitySet:
-        return ParitySet(self.n, ParitySet.full(self.n).classes - self.classes)
-
     @property
     def is_zero_only(self) -> bool:
         return self.classes == frozenset(((0,) * self.n,))
@@ -122,11 +121,3 @@ class ParitySet:
 
     def __repr__(self):
         return f"ParitySet({sorted(self.classes)})"
-
-
-def parity_span(n: int, parities: Sequence[ParityClass]) -> ParitySet:
-    """The GF(2)-span of the given parity classes, as an explicit set."""
-    classes = {(0,) * n}
-    for p in parities:
-        classes |= {tuple(a ^ b for a, b in zip(c, p)) for c in classes}
-    return ParitySet(n, frozenset(classes))

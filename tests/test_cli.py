@@ -1,6 +1,7 @@
 """CLI: element grammar, subcommands, exit codes, deterministic reports."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from pflab import FieldContext, ParitySet, ParseError, build_quadratic_family
-from pflab import quadratic
+from pflab import cli, quadratic, quaternion
 from pflab.cli import _MAX_EXPONENT, _read_forms, main, parse_element
 
 GOLDEN_FORMS = Path(__file__).resolve().parent / "golden" / "common_factor_forms.json"
@@ -195,6 +196,18 @@ class TestBilinearFamily:
         assert report["verdict"] == "ERROR"
         assert report["evidence"]["error_type"] == "ParseError"
         assert len(report["evidence"]["error"]) < 200
+
+    def test_verify_with_subset_refused(self, capsys):
+        # --verify certifies the whole family and --subset a subfamily, so
+        # the pair is refused; an ERROR report carries no inputs
+        code, report = run_json(
+            capsys, "bilinear-family", "--n", "3", "--subset", "0,1", "--verify"
+        )
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert report["inputs"] == {}
+        error = report["evidence"]["error"]
+        assert "--verify" in error and "--subset" in error
 
     def test_bad_subset_index(self, capsys):
         code, report = run_json(
@@ -461,7 +474,8 @@ class TestQuadraticFamily:
             if failing == "hypothesis_all_pass":
                 checks = (False,) + cert.hypothesis_checks[1:]
                 return dataclasses.replace(cert, hypothesis_checks=checks)
-            return dataclasses.replace(cert, intersection=ParitySet.full(cert.n))
+            group = ParitySet.of(cert.n, itertools.product((0, 1), repeat=cert.n))
+            return dataclasses.replace(cert, intersection=group)
 
         monkeypatch.setattr(quadratic, "insep_obstruction", broken)
         code, report = run_json(capsys, "quadratic-family", "--n", "2", "--verify")
@@ -480,6 +494,20 @@ class TestQuatTriple:
         assert code == 0
         assert report["verdict"] == "VALID"
         assert report["evidence"]["certificate"]["intersection"] == [[0, 0]]
+
+    def test_triple_built_once(self, capsys, monkeypatch):
+        calls = []
+        real = quaternion.build_quat_triple
+
+        def counted(alpha, beta):
+            calls.append((alpha, beta))
+            return real(alpha, beta)
+
+        monkeypatch.setattr(quaternion, "build_quat_triple", counted)
+        monkeypatch.setattr(cli, "build_quat_triple", counted)
+        code, _ = run(capsys, "quat-triple", "--alpha", "a1", "--beta", "a2")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_parity_failure(self, capsys):
         code, report = run_json(

@@ -204,7 +204,7 @@ class TestDominantValue:
 
 class TestParityImages:
     def test_full_image(self, ctx2, phi12):
-        assert phi12.parity_image() == ParitySet.full(2)
+        assert phi12.parity_image() == ParitySet.of(2, itertools.product((0, 1), repeat=2))
 
     def test_pure_image_misses_quad_slot(self, ctx2, phi12):
         assert phi12.pure_parity_image() == ParitySet.of(
@@ -336,9 +336,9 @@ class TestDiagonalParities:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_flipped_slot_parity_fails_a_check(self, monkeypatch, n):
-        # the form whose block slot is a1 reads a1's parity as zero: its
-        # diagonal value alpha then counts as a zero-parity value and its
-        # missing class as the zero class
+        # the form whose block slot is a1 reads a1's parity as zero: the
+        # zero class then appears twice among its parity sums, so its slot
+        # parities are dependent and the certificate refuses the form
         real = QuadraticPfister._slot_parities
 
         def flipped(form):
@@ -348,19 +348,20 @@ class TestDiagonalParities:
             return tuple(parities)
 
         monkeypatch.setattr(QuadraticPfister, "_slot_parities", flipped)
-        checks = verify_quadratic_family(n)["checks"]
-        assert [key for key, ok in checks.items() if not ok] == [
-            "pure_parity_images_miss_only_quad_slot",
-            "two_dim_subspaces_hit_nonzero_parity",
-        ]
+        flipped_index = next(
+            i for i, f in enumerate(build_quadratic_family(n)) if f.quad_slot == f.ctx.gens[0]
+        )
+        with pytest.raises(HypothesisFailed, match=f"form {flipped_index} "):
+            verify_quadratic_family(n)
 
 
 class TestVerifyFamily:
     @pytest.mark.parametrize("n", [3, 6])
     def test_each_fact_taken_once_per_form(self, monkeypatch, n):
-        # one value per slot and one hypothesis check per form, 2^n - 1
-        # forms of n slots each; every parity is read off the slot values
-        calls = {"val": 0, "parity": 0, "values_meet_hypothesis": 0}
+        # one value per slot, one doubling and one hypothesis check per
+        # form, 2^n - 1 forms of n slots each; every parity is read off the
+        # slot values
+        calls = {"val": 0, "parity": 0, "parity_sums": 0, "values_meet_hypothesis": 0}
         for name in calls:
             real = getattr(quadratic, name)
 
@@ -374,6 +375,7 @@ class TestVerifyFamily:
         assert calls == {
             "val": (2**n - 1) * n,
             "parity": 0,
+            "parity_sums": 2**n - 1,
             "values_meet_hypothesis": 2**n - 1,
         }
 
