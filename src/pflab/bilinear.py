@@ -70,15 +70,20 @@ row twice.
 
 ``common_factor`` searches and certifies once per distinct pure space.
 ``_complete`` reads nothing of a form but its pure space and fold, so
-the forms are grouped by exact equality of their pure spaces
-(``SqSubspace.__eq__``, fraction-free; isometric forms share a group),
-and only the first form of each group, its representative, gets mixed
-spaces, a place in the intersection and a ``_complete`` call.  Every
-form of a group gets its representative's complement, certified
-against the pure space they share; every slot is read off reduced rows
-in lowest terms, so that is the witness of completing each form on its
-own.  Forms that share every complement share their later mixed spaces
-too, so the groups hold in every round.
+the forms are grouped by their pure spaces (``_groups``; isometric
+forms share a group), and only the first form of each group, its
+representative, gets mixed spaces, a place in the intersection and a
+``_complete`` call.  A form joins a group by the test the certification
+trusts, ``SqSubspace.is_span_of``: its nontrivial product rows, built
+once, are annihilated by the representative's pure space W and reach
+rank dim W, so they span W.  W has dimension 2^k - 1 and misses 1, so
+that proves the form anisotropic too, and only a form that joins no
+group is spanned, to become a representative.  Every form of a group
+gets its representative's complement, certified against the pure space
+they share; every slot is read off reduced rows in lowest terms, so
+that is the witness of completing each form on its own.  Forms that
+share every complement share their later mixed spaces too, so the
+groups hold in every round.
 
 Within a round of ``common_factor`` every representative is completed
 from the same head slots (rho's slots and beta), so the round builds the
@@ -250,9 +255,10 @@ class BilinearPfister:
         return cls(ctx, slots)
 
 
-def _pure_spaces(forms: Sequence[BilinearPfister]) -> list[SqSubspace]:
-    """Pure value spaces of a nonempty family of anisotropic forms over one
-    field context."""
+def common_slot_space(forms: Sequence[BilinearPfister]) -> SqSubspace:
+    """Intersection of all pure value spaces of a nonempty family of
+    anisotropic forms over one field context; nonzero elements are common
+    slots."""
     if not forms:
         raise EmptyInput("no forms given")
     ctx = forms[0].ctx
@@ -261,12 +267,7 @@ def _pure_spaces(forms: Sequence[BilinearPfister]) -> list[SqSubspace]:
             raise ContextMismatch("forms over different field contexts")
         if not f.is_anisotropic():
             raise IsotropicInput(f"form {f!r} is isotropic")
-    return [f.pure_value_space() for f in forms]
-
-
-def common_slot_space(forms: Sequence[BilinearPfister]) -> SqSubspace:
-    """Intersection of all pure value spaces; nonzero elements are common slots."""
-    first, *rest = _pure_spaces(forms)
+    first, *rest = [f.pure_value_space() for f in forms]
     return first.intersection(*rest)
 
 
@@ -583,9 +584,11 @@ class FactorWitness:
     For every input form, rho's slots followed by the matching complement
     rebuild a form with exactly the same pure value space.  The search
     and the certification run once per distinct pure space: forms with
-    equal pure spaces share one complement, that of the first of them.
-    Entry i of check_log, one per input form, reports the last round's
-    certification in _complete of form i's pure space
+    equal pure spaces share one complement, that of the first of them,
+    and a form's pure space is proved equal to that first form's by
+    ``SqSubspace.is_span_of`` of its own product rows: the annihilator
+    dot products and the rank test below.  Entry i of check_log, one per input form, reports
+    the last round's certification in _complete of form i's pure space
     (``pure_value_space_equal``, true in every witness, since a failed
     one raises) and the pure space's ``dim``, 2^n - 1.
 
@@ -613,13 +616,63 @@ class FactorWitness:
         }
 
 
+def _groups(forms: Sequence[BilinearPfister]) -> tuple[list[int], list[int]]:
+    """Group a nonempty family of forms over one field context by their
+    pure value spaces, proving each form anisotropic on the way.  Returns
+    (reps, group): reps[g] is the index of group g's first form, in input
+    order, its representative, and form i lies in group group[i].
+
+    Each form's nontrivial product rows are built once
+    (``field._product_rows``).  Form i joins the first representative of
+    its fold whose pure space W they span exactly,
+    ``W.is_span_of(rows)``: every row has dot product 0 with W's
+    annihilator rows, and the rows have rank dim W (``linalg._has_rank``).
+    Then pure(form i) = W, which has dimension 2^k - 1 and misses 1, so
+    form i is anisotropic too, and its own pure space is never spanned.
+    A form that joins no group is spanned from the same rows, checked by
+    ``is_anisotropic`` and made a representative.  The forms are taken
+    in input order, each one's context before its anisotropy, so the
+    first bad form raises: ContextMismatch or IsotropicInput.
+    """
+    if not forms:
+        raise EmptyInput("no forms given")
+    ctx = forms[0].ctx
+    reps: list[int] = []
+    group: list[int] = []
+    for i, f in enumerate(forms):
+        if f.ctx != ctx:
+            raise ContextMismatch("forms over different field contexts")
+        rows = _product_rows(ctx, f.slots)[1:]
+        joins = (
+            g
+            for g, r in enumerate(reps)
+            if forms[r].fold == f.fold and forms[r].pure_value_space().is_span_of(rows)
+        )
+        g = next(joins, None)
+        if g is None:
+            if f._pure is None:
+                f._pure = SqSubspace.from_poly_rows(ctx, rows)
+            if not f.is_anisotropic():
+                raise IsotropicInput(f"form {f!r} is isotropic")
+            g = len(reps)
+            reps.append(i)
+        group.append(g)
+    return reps, group
+
+
 def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | None:
     """Extract a verified m-fold common factor, or None when the slot
     intersection dies before m slots are collected.
 
     The per-form work runs once per distinct pure space.  The forms are
-    grouped by exact equality of their pure spaces, and the first form of
-    each group, in input order, represents it.  Each round intersects the
+    grouped by their pure spaces (``_groups``), and the first form of each
+    group, in input order, represents it: every other form joins the
+    first representative of its fold whose pure space its product rows
+    span (``SqSubspace.is_span_of``), which also proves it anisotropic,
+    and only a representative is spanned.  The errors come in this order:
+    ContextMismatch or IsotropicInput at the first form, in input order,
+    of another context or isotropic, then ValueError for unequal folds,
+    then for a bad m.  Each round intersects the
     representatives' mixed pure spaces, takes beta, the first element of
     the intersection's reduced basis, checks it against every mixed space
     through its one row, and completes every representative from the
@@ -630,23 +683,14 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     next round's mixed spaces are spanned from them.  Every form gets
     its representative's complement, certified against the pure space
     the two share, and check_log has one entry per input form."""
-    pures = _pure_spaces(forms)
+    reps, group = _groups(forms)
     ctx = forms[0].ctx
     n = forms[0].fold
     if any(f.fold != n for f in forms):
         raise ValueError("common_factor needs forms of equal fold")
     if not 1 <= m <= n - 1:
         raise ValueError(f"factor fold m={m} must satisfy 1 <= m <= {n - 1}")
-
-    # one representative per distinct pure space, by exact equality: the
-    # first form holding it; form i's representative is reps[group[i]]
-    reps: list[int] = []
-    group: list[int] = []
-    for i, pure in enumerate(pures):
-        g = next((g for g, r in enumerate(reps) if pures[r] == pure), len(reps))
-        if g == len(reps):
-            reps.append(i)
-        group.append(g)
+    pures = [forms[r].pure_value_space() for r in reps]
 
     rho_slots: tuple[FieldElement, ...] = ()
     comps: list = []
@@ -658,7 +702,7 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
         spaces = (
             [_mixed_pure_space(ctx, c, r) for c, r in zip(comps, comp_rows)]
             if rho_slots
-            else [pures[r] for r in reps]
+            else pures
         )
         inter = spaces[0].intersection(*spaces[1:])
         if inter.is_zero:
@@ -682,8 +726,8 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
 
     # _complete raised unless every representative's last certification
     # held, and each form's pure space equals its representative's
-    log = [{"form": i, "pure_value_space_equal": True, "dim": pure.dim}
-           for i, pure in enumerate(pures)]
+    log = [{"form": i, "pure_value_space_equal": True, "dim": pures[g].dim}
+           for i, g in enumerate(group)]
     complements = tuple(comps[g] for g in group)
     return FactorWitness(BilinearPfister(ctx, rho_slots), complements, tuple(log))
 

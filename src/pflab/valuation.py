@@ -102,7 +102,8 @@ class ParitySet:
 
     @classmethod
     def of(cls, n: int, classes: Iterable[ParityClass]) -> ParitySet:
-        return cls(n, frozenset(tuple(c) for c in classes))
+        """The set of the given classes, each a tuple already."""
+        return cls(n, frozenset(classes))
 
     def __contains__(self, c: ParityClass) -> bool:
         return tuple(c) in self.classes

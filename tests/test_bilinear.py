@@ -1,6 +1,7 @@
 """Bilinear Pfister forms: value spaces, slots, isometry, factor extraction."""
 
 import importlib
+import functools
 import itertools
 import json
 import pkgutil
@@ -36,6 +37,7 @@ from pflab.cli import _read_forms, main
 from pflab.errors import BadRank
 from pflab.field import _poly_row, _product_rows, _row_element
 from conftest import CTX2, CTX3, dense, from_dense, nonzero_elements, nonzero_polys
+from test_golden import _workloads
 from test_linalg import (
     assert_same_null_space,
     assert_same_space,
@@ -588,7 +590,10 @@ class TestCommonFactor:
         # a point at which every rank falls short: each certification then
         # eliminates its product rows exactly, one span more per distinct
         # pure space and round, and the witness is the same.  Forms 0 and 2
-        # of two_fold_family are isometric, so it has two distinct spaces
+        # of two_fold_family are isometric, so it has two distinct spaces.
+        # Form 2 joins form 0's group by is_span_of, whose rank test then
+        # spans its product rows too: one span more for each form that is
+        # not a representative, once per call, not per round
         spans = []
         real_span = SqSubspace.from_poly_rows
 
@@ -608,7 +613,7 @@ class TestCommonFactor:
         monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
         got, short = run()
         assert got == want
-        assert short - plain == m * 2
+        assert short - plain == m * 2 + 1
 
     def test_product_outside_pure_space(self, ctx2, b0, monkeypatch):
         a1, a2 = ctx2.gens
@@ -711,7 +716,9 @@ class TestCommonFactor:
     def test_round_head_rows_built_once(self, monkeypatch):
         # every form of a round completes the same head slots (rho, beta):
         # their product rows are built once per round and never spanned,
-        # and the next round's mixed spaces read the rows _complete built
+        # and the next round's mixed spaces read the rows _complete built.
+        # Before the rounds, the grouping builds each form's own product
+        # rows once, to test it against the representatives' pure spaces
         forms = golden_forms()
         ctx = forms[0].ctx
         for f in forms:
@@ -736,7 +743,7 @@ class TestCommonFactor:
         golden = json.loads((GOLDEN / "common-factor-m2.json").read_text())
         assert witness.to_json() == golden["evidence"]["witness"]
         heads = [witness.rho.slots[:1], witness.rho.slots[:2]]
-        assert built == heads
+        assert built == [f.slots for f in forms] + heads
         # no head and no partial U is spanned: with the pure spaces built
         # before the count, the only spans are round 2's mixed spaces, from
         # the rows of round 1's completions, one per distinct pure space.
@@ -890,6 +897,178 @@ class TestCommonFactor:
         witness = common_factor(1, family[:3])
         data = witness.to_json()
         assert set(data) == {"rho", "complements", "check_log"}
+
+
+def groups_by_equality(forms):
+    """Reference for bilinear._groups: the grouping common_factor made
+    before, by exact equality of pure spaces (``SqSubspace.__eq__``), with
+    every form spanned and checked anisotropic on its own."""
+    pures = []
+    for f in forms:
+        if not f.is_anisotropic():
+            raise IsotropicInput(f"form {f!r} is isotropic")
+        pures.append(f.pure_value_space())
+    reps, group = [], []
+    for i, pure in enumerate(pures):
+        g = next((g for g, r in enumerate(reps) if pures[r] == pure), len(reps))
+        if g == len(reps):
+            reps.append(i)
+        group.append(g)
+    return reps, group
+
+
+def witness_text(m, forms):
+    witness = common_factor(m, forms)
+    return None if witness is None else json.dumps(witness.to_json())
+
+
+# the sharing corpus's slot pool, each entry by its monomials
+SHARING_POOL = _workloads().POOL
+
+
+@functools.lru_cache(maxsize=None)
+def anisotropic_pool_triples():
+    """Index triples into the sharing pool whose 3-fold forms are
+    anisotropic, as the sharing corpus draws them."""
+    ctx = FieldContext(3)
+    elements = [ctx.element(terms) for terms in SHARING_POOL]
+    return tuple(
+        idx
+        for idx in itertools.combinations(range(len(SHARING_POOL)), 3)
+        if BilinearPfister(ctx, [elements[i] for i in idx]).is_anisotropic()
+    )
+
+
+@st.composite
+def isometric_families(draw):
+    """A recipe for a family of anisotropic 3-fold forms over CTX3: a few
+    base forms from the sharing pool, and members that are a base form
+    again, its slots permuted, or an isometric form with another slot
+    list, slot i times slot j (<<a, b>> = <<a, ab>>) or times a square.
+    Returns (m, recipe) with the recipe's slots as pool indices and
+    rewrites, so that every call builds fresh forms."""
+    bases = draw(st.lists(st.sampled_from(anisotropic_pool_triples()), min_size=1, max_size=3))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(draw(st.sampled_from(bases))))
+        rewrites = draw(
+            st.lists(
+                st.tuples(st.permutations(range(3)), st.sampled_from([None, 0, 1, 2, 6])),
+                max_size=2,
+            )
+        )
+        members.append((tuple(order), [(p[0], p[1], sq) for p, sq in rewrites]))
+    return draw(st.sampled_from([1, 2])), members
+
+
+def recipe_forms(members):
+    """Fresh forms of an ``isometric_families`` recipe: a rewrite (i, j,
+    None) multiplies slot i by slot j, and (i, j, k) multiplies it by the
+    square of pool element k."""
+    ctx = FieldContext(3)
+    pool = [ctx.element(terms) for terms in SHARING_POOL]
+    forms = []
+    for order, rewrites in members:
+        slots = [pool[k] for k in order]
+        for i, j, square in rewrites:
+            slots[i] = slots[i] * (slots[j] if square is None else pool[square] * pool[square])
+        forms.append(BilinearPfister(ctx, slots))
+    return forms
+
+
+class TestGrouping:
+    """The grouping of common_factor, by ``is_span_of`` against the
+    representatives' pure spaces, against the equality grouping it
+    replaced: the same groups, the same witness byte for byte, and no
+    form spanned but the representatives."""
+
+    def check(self, m, make_forms):
+        want = groups_by_equality(make_forms())
+        forms = make_forms()
+        spans = []
+        real = SqSubspace.from_poly_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                SqSubspace,
+                "from_poly_rows",
+                classmethod(lambda cls, *args: spans.append(1) or real(*args)),
+            )
+            got = bilinear._groups(forms)
+        assert got == want
+        reps = got[0]
+        spanned = [i in reps for i in range(len(forms))]
+        # one span per representative, and none for a form that joins
+        assert len(spans) == len(reps)
+        assert [f._pure is not None for f in forms] == spanned
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bilinear, "_groups", groups_by_equality)
+            reference = witness_text(m, make_forms())
+        forms = make_forms()
+        assert witness_text(m, forms) == reference
+        # the rounds span no pure space of a form that joined a group
+        assert [f._pure is not None for f in forms] == spanned
+
+    @pytest.mark.parametrize("corpus_seed", [20260814, 20261017])
+    def test_sharing_corpora(self, corpus_seed):
+        corpus = _workloads().SharingWorkload(pflab, 1, corpus_seed).corpus
+        assert len(corpus) == 60
+
+        def fresh(triples):
+            ctx = FieldContext(3)
+            pool = [ctx.element(terms) for terms in SHARING_POOL]
+            return lambda: [BilinearPfister(ctx, [pool[i] for i in t]) for t in triples]
+
+        for m, triples in corpus:
+            self.check(m, fresh(triples))
+
+    def test_golden_isometric_forms(self):
+        # three distinct pure spaces among nine forms, and two of them with
+        # the same pivots
+        assert bilinear._groups(isometric_forms()) == ([0, 4, 8], [0, 0, 0, 0, 1, 1, 1, 0, 2])
+        for m in (1, 2):
+            self.check(m, isometric_forms)
+
+    @given(family=isometric_families())
+    def test_isometric_families(self, family):
+        m, members = family
+        self.check(m, lambda: recipe_forms(members))
+
+    def test_isotropic_form_after_isometric_pair(self, ctx2):
+        # the isotropic <<a1, a1>> has the fold of the pair's group, but its
+        # product a1^2, a square, lies outside the pair's pure space: it
+        # joins no group, is spanned and refused by name
+        a1, a2 = ctx2.gens
+        isotropic = BilinearPfister(ctx2, (a1, a1))
+
+        def family():
+            return [BilinearPfister(ctx2, (a1, a2)), BilinearPfister(ctx2, (a2, a1)), isotropic]
+
+        for m in (1, 5):
+            with pytest.raises(IsotropicInput, match=r"^form <<a1, a1>>_b is isotropic$"):
+                common_factor(m, family())
+        # unequal folds and a bad m come after the isotropic form
+        with pytest.raises(IsotropicInput, match="<<a1, a1>>_b"):
+            common_factor(5, family() + [BilinearPfister(ctx2, (a1,))])
+        # and the first isotropic form in input order is the one named
+        twisted = BilinearPfister(ctx2, (a2, a2))
+        with pytest.raises(IsotropicInput, match="<<a2, a2>>_b"):
+            common_factor(1, family()[:2] + [twisted, isotropic])
+
+    def test_other_fold_is_not_tried(self, ctx2, monkeypatch):
+        # a form is tested only against representatives of its own fold;
+        # one of another fold starts a group, and the folds are refused
+        # after every form is grouped
+        a1, a2 = ctx2.gens
+        tried = []
+        real = SqSubspace.is_span_of
+        monkeypatch.setattr(
+            SqSubspace, "is_span_of", lambda W, rows: tried.append(W) or real(W, rows)
+        )
+        forms = [BilinearPfister(ctx2, (a1, a2)), BilinearPfister(ctx2, (a1 * a2,))]
+        assert bilinear._groups(forms) == ([0, 1], [0, 1])
+        assert tried == []
+        with pytest.raises(ValueError, match="equal fold"):
+            common_factor(1, forms)
 
 
 class TestNextSlot:

@@ -219,6 +219,27 @@ class TestParityImages:
         )
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_images_built_from_tuples(self, monkeypatch, n):
+        # ParitySet.of keeps the classes it is given as they are, so every
+        # caller hands it tuples, which a parity test can match
+        given_classes = []
+        real = ParitySet.of.__func__
+
+        def recorded(cls, width, classes):
+            classes = list(classes)
+            given_classes.extend(classes)
+            return real(cls, width, classes)
+
+        monkeypatch.setattr(ParitySet, "of", classmethod(recorded))
+        for phi in build_quadratic_family(n):
+            parities = phi.diagonal_parities()
+            assert phi.parity_image().classes == frozenset(parities)
+            assert phi.pure_parity_image().classes == frozenset(parities[:1] + parities[2:])
+        assert given_classes
+        assert all(type(c) is tuple and len(c) == n for c in given_classes)
+
+
 class TestFamily:
     def test_n2_exact(self, ctx2):
         a1, a2 = ctx2.gens
