@@ -6,10 +6,34 @@ with 0, is the F^2-span of the diagonal, so every structural question
 (anisotropy, slots, isometry, common factors) reduces to linear algebra
 on SqSubspace objects:
 
-  * anisotropic        <=> the full value space has dimension 2^k;
+  * anisotropic        <=> the full value space has dimension 2^k
+                       <=> 1 lies outside the pure value space;
   * beta is a slot     <=> beta lies in the pure value space;
   * isometry           <=> equal pure value spaces (anisotropic, equal fold);
   * common slot        <=> nonzero intersection of the pure value spaces.
+
+The anisotropy lemma.  Let b_1..b_k be nonzero and P the F^2-span of
+the 2^k - 1 nontrivial products b^e, e != 0.  If 1 is not in P, the
+2^k products are F^2-independent: the form is anisotropic and P has
+dimension 2^k - 1.  Proof: each b_i^2 lies in F^2, so the products of
+b_1..b_j span the field K_j = F^2(b_1..b_j) over F^2, K_0 = F^2.  If
+no b_j lies in K_(j-1), each K_j has degree 2 over K_(j-1), so K_k has
+dimension 2^k and its 2^k spanning products are independent.
+Otherwise take the first j with b_j in K_(j-1).  b_j is nonzero, so
+b_j * K_(j-1) = K_(j-1), which holds 1, and b_j * K_(j-1) is spanned
+by the products b_j * b^e, e over the slots before j, each nontrivial:
+1 lies in P.  Conversely, 1 is itself a product, so an anisotropic
+form's P misses it.  ``BilinearPfister.is_anisotropic`` is the lemma:
+one read of column 0 of the pure space's annihilator.
+
+So no rank is taken to prove that products span a space W that misses
+1.  Rows that are the nontrivial product rows of k nonzero slots, each
+annihilated by W, span a P inside W that misses 1, of dimension
+2^k - 1; when W has that dimension too, P = W.  Each certificate reads
+a span this way, from annihilator tests, 1 outside W and a slot count:
+the grouping of ``common_factor`` (``_groups``), the completion
+(``_complete``), the recombination of ``factor_out`` and the family's
+two spanned members (``_member_spans_claim``).
 
 ``common_factor`` extracts an m-fold common factor from a family by
 iterating: intersect the complement pure spaces, pick the first reduced
@@ -23,15 +47,14 @@ dot products of a^g * D(current) with the annihilator of D(B'), whose
 null vectors, read off one elimination, are the deltas' reduced rows.
 Every accepted completion is certified once, by one exact
 pure-value-space equality in ``_complete``; ``check_log`` reports it,
-and nothing it certified is spanned again.  The equality is three
-facts, each checked once: the head's product rows lie in the pure space
-(one dot product with each annihilator row, on entry to ``_complete``);
-each accepted slot's products lie in it (the exact test of
-``_admissible``, which builds them); and all the product rows have
-rank dim W at the end (``linalg._has_rank``: the rank at a fixed point
-of GF(2^16)^n, an exact lower bound on the rank over F, and an exact
-span only when it falls short).  So a completion tests none of its
-product rows against the pure space twice.  Intersections and
+and nothing it certified is spanned again.  By the anisotropy lemma the
+equality is four facts, each checked once: 1 lies outside the pure
+space W (``SqSubspace.contains_one``, on entry to ``_complete``); the
+head's product rows lie in W (one dot product with each annihilator
+row, on entry too); each accepted slot's products lie in it (the exact
+test of ``_admissible``, which builds them); and the completion ends at
+the form's fold.  So a completion tests none of its product rows
+against the pure space twice and takes no rank.  Intersections and
 membership tests go through annihilators too.
 
 The operands stay small.  Every chosen slot (the intersection element
@@ -73,17 +96,17 @@ row twice.
 the forms are grouped by their pure spaces (``_groups``; isometric
 forms share a group), and only the first form of each group, its
 representative, gets mixed spaces, a place in the intersection and a
-``_complete`` call.  A form joins a group by the test the certification
-trusts, ``SqSubspace.is_span_of``: its nontrivial product rows, built
-once, are annihilated by the representative's pure space W and reach
-rank dim W, so they span W.  W has dimension 2^k - 1 and misses 1, so
-that proves the form anisotropic too, and only a form that joins no
-group is spanned, to become a representative.  Every form of a group
-gets its representative's complement, certified against the pure space
-they share; every slot is read off reduced rows in lowest terms, so
-that is the witness of completing each form on its own.  Forms that
-share every complement share their later mixed spaces too, so the
-groups hold in every round.
+``_complete`` call.  A form joins a group when it has the
+representative's fold and its nontrivial product rows, built once, are
+annihilated by the representative's pure space W.  W misses 1 and has
+dimension 2^k - 1, so by the anisotropy lemma the form is anisotropic
+and its pure space is W; only a form that joins no group is spanned,
+to become a representative.  Every form of a group gets its
+representative's complement, certified against the pure space they
+share; every slot is read off reduced rows in lowest terms, so that is
+the witness of completing each form on its own.  Forms that share every
+complement share their later mixed spaces too, so the groups hold in
+every round.
 
 Within a round of ``common_factor`` every representative is completed
 from the same head slots (rho's slots and beta), so the round builds the
@@ -97,19 +120,20 @@ every mixed space.
 ``build_no_common_slot_family`` with F-level work on two members only.
 Member 0 and member 1, R = <<a2, ..., an, 1 + a1>>, each span their
 claim: the hyperplane of 2-basis rows annihilated by one 0/1 row, a
-bitmask.  Their products' sparse rows, each with at most two nonzero
-coordinates, are built from the slots' rows (``field._product_rows``):
-each row is tested once against the mask's row, and the rows' rank once
-by ``linalg._has_rank``, the rank test of ``is_span_of``.  Every other
-member is R's image under a monomial map rho_d, a^t -> a^(M t), whose
-integer exponent matrix M has determinant +-1: an automorphism of
-GF(2)(a1..an) that maps F^2 onto F^2, so pure spaces onto pure spaces.
-Each such member gets two exact checks, det M = +-1 and its slots equal
-rho_d of R's slots, mapped term by term; its claim is then rho_d of R's,
-since rho_d(1 + a1) = 1 + a^d pins M e_1 = d over the integers.  A
-member that fails any check raises IdentityFailed.  The rest of the
-report is read off the masks, whose leading bits are distinct, with no
-GF(2) elimination.
+bitmask with bit 0 set, so 1 lies outside it.  Their products' sparse
+rows, each with at most two nonzero coordinates, are built from the
+slots' rows (``field._product_rows``), and each row is tested once
+against the mask's row; with n slots, the anisotropy lemma makes the
+rows span the hyperplane.  Every other member is R's image under a
+monomial map rho_d, a^t -> a^(M t), whose integer exponent matrix M
+has determinant +-1: an automorphism of GF(2)(a1..an) that maps F^2
+onto F^2, so pure spaces onto pure spaces.  Each such member gets two
+exact checks, det M = +-1 and its slots equal rho_d of R's slots,
+mapped term by term; its claim is then rho_d of R's, since
+rho_d(1 + a1) = 1 + a^d pins M e_1 = d over the integers.  A member
+that fails any check raises IdentityFailed.  The rest of the report is
+read off the masks, whose leading bits are distinct, with no GF(2)
+elimination.
 """
 
 from __future__ import annotations
@@ -137,9 +161,7 @@ from .field import (
     _row_element,
     _row_mul,
 )
-from .linalg import (
-    _GF_ORDER, SparseRow, SqSubspace, _annihilated, _dot, _has_rank, _Point, _sparse,
-)
+from .linalg import _GF_ORDER, SparseRow, SqSubspace, _annihilated, _dot, _Point, _sparse
 # no caller here any more; the binding stays, since perfbench's tracer test
 # checks that bilinear.left_kernel is restored after tracing
 from .linalg import left_kernel  # noqa: F401
@@ -208,10 +230,9 @@ class BilinearPfister:
         return self._pure
 
     def is_anisotropic(self) -> bool:
-        # the full value space is span(1) + pure, so it has dimension 2^k
-        # exactly when the pure space has dimension 2^k - 1 and misses 1
-        pure = self.pure_value_space()
-        return pure.dim == 2**self.fold - 1 and not pure.contains_one()
+        """Whether 1 lies outside the pure value space: the anisotropy
+        lemma of the module docstring."""
+        return not self.pure_value_space().contains_one()
 
     def is_slot(self, beta: FieldElement) -> bool:
         """Whether <<beta>> is a 1-fold factor, i.e. beta in D(B')."""
@@ -483,32 +504,28 @@ def _complete(
     failure raises CompletionNotFound.  Returns the full slot list and
     its product rows.
 
-    W is the form's pure space.  1 is not in W: 1's row is e_0, so this
-    reads column 0 of W's annihilator (``SqSubspace.contains_one``),
-    first, since ``_next_slot`` relies on it.  Then the equality is
-    three facts, each checked once:
+    W is the form's pure space.  By the anisotropy lemma of the module
+    docstring, the equality is four facts, each checked once:
 
-      1. the head's nontrivial products lie in W: each given row has
-         dot product 0 with W's annihilator rows.  They are tested on
-         entry, before any search, so a head product outside W (the
-         row of a1^2 = a1^2 * 1 of an isotropic head (a1, a1), say)
-         stops the completion at once;
-      2. each accepted slot's products lie in W: the exact test of
+      1. 1 is not in W: 1's row is e_0, so this reads column 0 of W's
+         annihilator (``SqSubspace.contains_one``), first, since
+         ``_next_slot`` relies on it too.  By the lemma the form is then
+         anisotropic, and W has dimension 2^fold - 1;
+      2. the head's nontrivial products are nonzero and lie in W: each
+         given row is not empty and has dot product 0 with W's
+         annihilator rows.  They are tested on entry, before any
+         search, so a zero head slot, whose product rows are empty, or
+         a head product outside W (the row of a1^2 = a1^2 * 1 of an
+         isotropic head (a1, a1), say) stops the completion at once;
+      3. each accepted slot's products lie in W: the exact test of
          ``_admissible``, which built them, and they are not tested
-         again here;
-      3. all the nontrivial product rows have rank dim W
-         (``linalg._has_rank``): the rank at the fixed point of
-         ``linalg._rank_at_point`` in GF(2^16)^n, which cannot exceed
-         the rank over F since a minor that is 0 over F is 0 at every
-         point, and an exact span only when it falls short.  With 1
-         and 2, span(products) <= W then fills W.
+         again here.  Each accepted slot is nonzero;
+      4. the list ends at form.fold slots: a head longer than that is
+         refused on entry, and the search stops there.
 
-    The partial lists are not checked on their own.  Every slot
-    ``_next_slot`` adds lies outside the field F^2(slots), with its
-    square in F^2, so it doubles the span of the products; and when
-    the given slots are isotropic but their products lie in W, their
-    product rows are dependent, the final rows are too, and fact 3
-    fails for an anisotropic form, whose W has dimension 2^k - 1.
+    With 1 to 4, the nontrivial products of fold nonzero slots span a
+    subspace of W that misses 1, so by the lemma it has dimension
+    2^fold - 1, W's: the two are equal, and no rank is taken.
 
     No product is built as a field element.  The products' sparse rows
     start as the given rows, ``field._product_rows`` of the given slots
@@ -519,15 +536,17 @@ def _complete(
     Those products are built once, by the accepted slot's exact test in
     ``_admissible``, and ``_next_slot`` returns them with the slot, so
     no product row is multiplied twice.  ``_next_slot`` tests its
-    candidates against the rows, and the certification reads them; the
-    slots that ``_next_slot`` adds are in lowest terms, so the rows stay
-    small.  The given slots are the same for every form of a
-    ``common_factor`` round, so the round builds their rows once.
+    candidates against the rows; the slots that ``_next_slot`` adds are
+    in lowest terms, so the rows stay small.  The given slots are the
+    same for every form of a ``common_factor`` round, so the round
+    builds their rows once.
     """
     W = form.pure_value_space()
     if W.contains_one():
         raise CompletionNotFound("the form's pure value space contains 1")
-    if not all(W._annihilates(r) for r in rows[1:]):
+    if len(slots) > form.fold:
+        raise CompletionNotFound(f"a head of {len(slots)} slots is longer than the form's fold")
+    if not all(r and W._annihilates(r) for r in rows[1:]):
         raise CompletionNotFound("a head product failed the exact certification")
     while len(slots) < form.fold:
         found = _next_slot(W, rows)
@@ -538,8 +557,6 @@ def _complete(
         cand, products = found
         slots = slots + (cand,)
         rows = [x for r, p in zip(rows, products) for x in (r, p)]
-    if not _has_rank(W.ctx, rows[1:], W.dim):
-        raise CompletionNotFound("completion failed the exact certification")
     return slots, rows
 
 
@@ -557,8 +574,11 @@ def factor_out(
     certified by the one exact pure-value-space equality of _complete,
     which extends the product rows of the head rho + beta, built here.
     Both preconditions are checked here: beta by one span of the mixed
-    space, the recombination by SqSubspace.is_span_of, whose rank test
-    ``linalg._has_rank`` is the one _complete certifies with.
+    space, the recombination by the anisotropy lemma of the module
+    docstring, as _complete certifies: the form is anisotropic, so its
+    pure space W misses 1 and has dimension 2^fold - 1; rho and the
+    known complement hold fold nonzero slots; and each of their
+    nontrivial product rows is annihilated by W.
     """
     ctx = form.ctx
     rho_slots: tuple[FieldElement, ...] = () if rho is None else rho.slots
@@ -571,7 +591,12 @@ def factor_out(
     if not form.is_anisotropic():
         raise IsotropicInput("cannot factor an isotropic form")
     # the stated factorization must actually hold
-    if not form.pure_value_space().is_span_of(rows[1:]):
+    W = form.pure_value_space()
+    if (
+        any(s.is_zero for s in known_complement)
+        or len(rho_slots) + len(known_complement) != form.fold
+        or not all(W._annihilates(r) for r in rows[1:])
+    ):
         raise PreconditionFailed("rho and known_complement do not recombine to the form")
     head = rho_slots + (beta,)
     return _complete(head, form, _product_rows(ctx, head))[0][len(head) :]
@@ -585,23 +610,22 @@ class FactorWitness:
     rebuild a form with exactly the same pure value space.  The search
     and the certification run once per distinct pure space: forms with
     equal pure spaces share one complement, that of the first of them,
-    and a form's pure space is proved equal to that first form's by
-    ``SqSubspace.is_span_of`` of its own product rows: the annihilator
-    dot products and the rank test below.  Entry i of check_log, one per input form, reports
-    the last round's certification in _complete of form i's pure space
-    (``pure_value_space_equal``, true in every witness, since a failed
-    one raises) and the pure space's ``dim``, 2^n - 1.
+    and a form's pure space is proved equal to that first form's by the
+    anisotropy lemma of the module docstring, from the annihilator dot
+    products of its own product rows (``_groups``).  Entry i of
+    check_log, one per input form, reports the last round's certification
+    in _complete of form i's pure space (``pure_value_space_equal``, true
+    in every witness, since a failed one raises) and the pure space's
+    ``dim``, 2^n - 1.
 
-    ``pure_value_space_equal`` rests on three facts of ``_complete``,
-    each checked once.  Each nontrivial product of the rebuilt form has
-    dot product 0 with the pure space's annihilator rows: the head's
-    products on entry, each accepted slot's in ``_admissible``.  So the
-    products span a subspace of it.  And their 2-basis rows, scaled to
-    polynomials, have rank 2^n - 1 (``linalg._has_rank``): at a fixed
-    point of GF(2^16)^n, where substitution cannot raise a rank, so that
-    is a lower bound on their rank over F, or by an exact span when the
-    rank at the point falls short.  So the two spaces are equal; neither
-    path samples.
+    ``pure_value_space_equal`` rests on the four facts of ``_complete``,
+    each checked once.  The pure space misses 1, so it has dimension
+    2^n - 1.  Each nontrivial product of the rebuilt form has dot
+    product 0 with the pure space's annihilator rows: the head's
+    products on entry, each accepted slot's in ``_admissible``.  And the
+    rebuilt form has n nonzero slots.  So by the lemma its products span
+    a subspace of dimension 2^n - 1 of the pure space, which is all of
+    it; nothing is sampled and no rank is taken.
     """
 
     rho: BilinearPfister
@@ -624,15 +648,14 @@ def _groups(forms: Sequence[BilinearPfister]) -> tuple[list[int], list[int]]:
 
     Each form's nontrivial product rows are built once
     (``field._product_rows``).  Form i joins the first representative of
-    its fold whose pure space W they span exactly,
-    ``W.is_span_of(rows)``: every row has dot product 0 with W's
-    annihilator rows, and the rows have rank dim W (``linalg._has_rank``).
-    Then pure(form i) = W, which has dimension 2^k - 1 and misses 1, so
-    form i is anisotropic too, and its own pure space is never spanned.
-    A form that joins no group is spanned from the same rows, checked by
-    ``is_anisotropic`` and made a representative.  The forms are taken
-    in input order, each one's context before its anisotropy, so the
-    first bad form raises: ContextMismatch or IsotropicInput.
+    its fold whose pure space W annihilates every one of them.  W misses
+    1 and has dimension 2^k - 1, so by the anisotropy lemma of the module
+    docstring form i is anisotropic and pure(form i) = W, and its own pure
+    space is never spanned.  A form that joins no group is spanned from
+    the same rows, checked by ``is_anisotropic`` and made a
+    representative.  The forms are taken in input order, each one's
+    context before its anisotropy, so the first bad form raises:
+    ContextMismatch or IsotropicInput.
     """
     if not forms:
         raise EmptyInput("no forms given")
@@ -646,7 +669,7 @@ def _groups(forms: Sequence[BilinearPfister]) -> tuple[list[int], list[int]]:
         joins = (
             g
             for g, r in enumerate(reps)
-            if forms[r].fold == f.fold and forms[r].pure_value_space().is_span_of(rows)
+            if forms[r].fold == f.fold and all(map(forms[r].pure_value_space()._annihilates, rows))
         )
         g = next(joins, None)
         if g is None:
@@ -667,16 +690,16 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     The per-form work runs once per distinct pure space.  The forms are
     grouped by their pure spaces (``_groups``), and the first form of each
     group, in input order, represents it: every other form joins the
-    first representative of its fold whose pure space its product rows
-    span (``SqSubspace.is_span_of``), which also proves it anisotropic,
-    and only a representative is spanned.  The errors come in this order:
-    ContextMismatch or IsotropicInput at the first form, in input order,
-    of another context or isotropic, then ValueError for unequal folds,
-    then for a bad m.  Each round intersects the
-    representatives' mixed pure spaces, takes beta, the first element of
-    the intersection's reduced basis, checks it against every mixed space
-    through its one row, and completes every representative from the
-    head rho + beta.  The head is the same for every form, so its
+    first representative of its fold whose pure space annihilates its
+    product rows, which by the anisotropy lemma proves it anisotropic
+    with that pure space, and only a representative is spanned.  The
+    errors come in this order: ContextMismatch or IsotropicInput at the
+    first form, in input order, of another context or isotropic, then
+    ValueError for unequal folds, then for a bad m.  Each round
+    intersects the representatives' mixed pure spaces, takes beta, the
+    first element of the intersection's reduced basis, checks it against
+    every mixed space through its one row, and completes every
+    representative from the head rho + beta.  The head is the same for every form, so its
     product rows are built once per round and shared by every
     ``_complete``; no head space is spanned.  Each completion returns
     its full product rows, the rows of rho + beta + complement, and the
@@ -800,15 +823,17 @@ def _member_spans_claim(form: BilinearPfister, ann: int) -> bool:
     annihilated by ann, a 0/1 row as a bitmask (bit j for column j), on
     the products' sparse rows, built from the slots' rows by
     ``field._product_rows`` with no product built as a field element.
-    Each row is tested once against ann's one dense row, which puts it in
-    the hyperplane, and then the rows' rank is tested by
-    ``linalg._has_rank``, the rank test of ``SqSubspace.is_span_of``."""
+    Three facts decide it, by the anisotropy lemma of the module
+    docstring: the form has n slots, nonzero as every slot is; bit 0 of
+    ann is set, so 1, the row e_0, lies outside the hyperplane, of
+    dimension 2^n - 1; and each row is tested once against ann's one
+    dense row, which puts it in the hyperplane."""
     ctx = form.ctx
     zero, one = ctx._zero_poly, ctx._one_poly
     size = len(ctx.patterns)
     row = (tuple(one if ann >> j & 1 else zero for j in range(size)),)
     rows = _product_rows(ctx, form.slots)[1:]
-    return all(_annihilated(r, row) for r in rows) and _has_rank(ctx, rows, size - 1)
+    return form.fold == ctx.n and bool(ann & 1) and all(_annihilated(r, row) for r in rows)
 
 
 def _monomial_map(ctx: FieldContext, d: tuple[int, ...], lead: int) -> list[tuple[int, ...]]:
@@ -887,18 +912,18 @@ def verify_no_common_slot_family(n: int) -> dict:
     masks or as field elements.
 
     Two members get F-level work, member 0 and member 1, which is
-    R = <<a2, ..., an, 1 + a1>>: two facts each, each checked once
-    (``_member_spans_claim``).  Every nontrivial product has dot product 0
-    with the mask's row, and the products have rank 2^n - 1, by
-    ``linalg._has_rank``, the rank test of ``SqSubspace.is_span_of`` that
-    ``common_factor`` certifies with too.  That is the rank at a fixed
-    point of GF(2^16)^n, an exact lower bound on the rank over F, and an
-    exact span of the rows only when it falls short.  So the products
-    span the claim, which is the member's pure value space.  A product
-    has at most two nonzero 2-basis coordinates, and its row is kept
-    sparse (column -> polynomial) through the dot products and the rank.
-    The rows are built from the member's slots' rows
-    (``field._product_rows``), so no product is built as a field element.
+    R = <<a2, ..., an, 1 + a1>> (``_member_spans_claim``).  Each has n
+    nonzero slots, 1 lies outside its claim since bit 0 of its mask is
+    set, and every nontrivial product has dot product 0 with the mask's
+    row, each checked once.  By the anisotropy lemma of the module
+    docstring the products then span a subspace of the claim of
+    dimension 2^n - 1, the claim's own: they span the claim, which is the
+    member's pure value space, with no rank taken.  A product has at
+    most two nonzero 2-basis coordinates, and its row is kept sparse
+    (column -> polynomial) through the dot products.  The rows are built
+    from the member's slots' rows (``field._product_rows``), so no
+    product is built as a field element, and no point of GF(2^16)^n is
+    used.
 
     Every member k >= 2, with (d, lead l) from ``_twists``, is R
     transported by the monomial map rho_d = (a_l -> a_l * a^(d - e_l)) o

@@ -48,11 +48,12 @@ __all__ = ["parse_element", "main", "console_main"]
 
 # largest number of variables a command accepts; FieldContext(n) builds
 # all 2^n patterns up front, so n is bounded before anything is built.
-# The family certificate (--verify) spans the products of two members
-# exactly and transports the rest by monomial maps: a whole CLI run
-# takes about 0.2 s up to n=10, 0.4 s at n=12, 0.8 s at n=13 and 1.5 to
-# 2.4 s at n=14, at 62 MB, with a 148 KB report (leave_one_out_dims has
-# 2^n entries).  The plain listing prints every slot's exponent vectors:
+# The family certificate (--verify) tests the products of two members
+# against their hyperplanes, which by the anisotropy lemma proves the
+# span, and transports the rest by monomial maps: a whole CLI run takes
+# about 0.13 s at n=10, 0.33 s at n=12, 0.63 s at n=13 and 1.5 s at
+# n=14, at 57 MB, with a 148 KB report (leave_one_out_dims has 2^n
+# entries).  The plain listing prints every slot's exponent vectors:
 # 0.6 s and 5.8 MB of JSON at n=10, 0.9 s and 14 MB at n=11, and 10 s
 # and 164 MB at 1.1 GB RSS at n=14, so it keeps the bound of 10.
 # --subset spans every chosen member's pure space exactly, 2^n - 1

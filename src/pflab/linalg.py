@@ -13,20 +13,15 @@ A subspace is also described by its annihilator: the rows a with
 x . a = 0 exactly for the rows x of the space, one per non-pivot column.
 Membership is then one polynomial dot product per annihilator row, and
 an intersection is the space annihilated by all the inputs' annihilator
-rows together.  A spanning set is proved by two facts: each row is
-annihilated, so the span is inside the space, and the rows have rank at
-least the space's dimension, so it fills the space.  The rank is
-decided by ``_has_rank``, the one exact rank test: a lower bound at a
-fixed point of GF(2^16)^n (``_rank_at_point``) proves it without an
-elimination, and only a rank that falls short there is spanned exactly.
-``SqSubspace.is_span_of`` is the two facts together; a caller that has
-already tested its rows against the space calls ``_has_rank`` alone.
-The point is defined once, by ``_Point``, which
-``bilinear._next_slot`` also screens its candidates at.  Rows
-that are spanned, tested against an annihilator or ranked at the point
-are sparse (column -> polynomial, ``field._poly_row``): an element's
-coordinates times its denominator, so no fraction is cleared on the way
-in, and a slot product has at most two nonzero coordinates.
+rows together.  No rank is taken to prove that rows span a space: every
+spanning set a certificate claims is the nontrivial slot products of a
+bilinear Pfister form, inside a space that misses 1, and the anisotropy
+lemma of ``bilinear`` turns that and a slot count into the span.  Rows
+that are spanned or tested against an annihilator are sparse (column ->
+polynomial, ``field._poly_row``): an element's coordinates times its
+denominator, so no fraction is cleared on the way in, and a slot product
+has at most two nonzero coordinates.  ``_Point`` fixes a point of
+GF(2^16)^n, at which ``bilinear._next_slot`` screens its candidates.
 
 Every elimination is ``_bareiss_jordan`` on polynomial rows, and every
 null space is read off one by ``_null_vectors``: a space's annihilator
@@ -246,7 +241,7 @@ def _null_vectors(
 
 
 # ---------------------------------------------------------------------------
-# rank lower bounds at a point of GF(2^16)^n
+# a fixed point of GF(2^16)^n
 # ---------------------------------------------------------------------------
 
 _GF_ORDER = 2**16 - 1  # multiplicative group of GF(2^16)
@@ -274,17 +269,16 @@ def _gf_tables() -> tuple[array, array]:
 
 
 class _Point:
-    """The fixed point of GF(2^16)^n at which ranks are bounded and slot
-    candidates screened: each a_i is x^(7919 * i), x the generator of
-    GF(2^16)^*.  One is made per call of ``_rank_at_point`` or
-    ``bilinear._next_slot`` and per space whose row or annihilator values
-    are taken (``_values_at_point``), and it remembers the value of each
-    monomial it has met, since the product rows of a family repeat their
-    monomials.
+    """The fixed point of GF(2^16)^n at which ``bilinear._next_slot``
+    screens its slot candidates: each a_i is x^(7919 * i), x the generator
+    of GF(2^16)^*.  One is made per ``bilinear._Screen`` and per space
+    whose row or annihilator values are taken (``_values_at_point``), and
+    it remembers the value of each monomial it has met, since the product
+    rows of a family repeat their monomials.  The tables are built on the
+    first one made, so a run that searches no slot builds none.
 
     Substitution is a ring homomorphism F[a] -> GF(2^16), so a polynomial
-    with a nonzero value is nonzero, and a minor that is 0 over F is 0
-    here."""
+    with a nonzero value is nonzero."""
 
     __slots__ = ("exp", "log", "_logs", "_values")
 
@@ -316,63 +310,6 @@ def _values_at_point(
     ``_Point``, row by row."""
     value = _Point(ctx).value
     return tuple(tuple(map(value, polys)) for polys in rows)
-
-
-def _rank_at_point(ctx: FieldContext, rows: Sequence[SparseRow]) -> int:
-    """Rank over GF(2^16) of the sparse polynomial rows at the fixed point
-    of ``_Point``.
-
-    Every minor of the substituted matrix is the substituted minor of the
-    original, so this rank never exceeds the rank over F: it is an exact
-    lower bound.  Schwartz (1980) and Zippel (1979) bound how rarely a
-    point falls short, which only matters for speed.
-
-    The rows stay sparse through the elimination, as in structured
-    Gaussian elimination (LaMacchia and Odlyzko, 1990): each substituted
-    row is reduced against the pivot rows found so far, keyed by their
-    first column and scaled to 1 there, until it vanishes or opens a new
-    pivot.  Rows with at most two entries, such as slot products, stay
-    that short.
-    """
-    point = _Point(ctx)
-    exp, log, value = point.exp, point.log, point.value
-
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        vec = {}
-        for j, p in row.items():
-            v = value(p)
-            if v:
-                vec[j] = v
-        while vec:
-            col = min(vec)
-            prow = pivots.get(col)
-            if prow is None:
-                inv = _GF_ORDER - log[vec[col]]
-                pivots[col] = {j: exp[log[v] + inv] for j, v in vec.items()}
-                break
-            # vec -= vec[col] * prow, which clears col since prow[col] = 1
-            lc = log[vec[col]]
-            for j, b in prow.items():
-                v = vec.get(j, 0) ^ exp[lc + log[b]]
-                if v:
-                    vec[j] = v
-                else:
-                    del vec[j]
-    return len(pivots)
-
-
-def _has_rank(ctx: FieldContext, rows: Sequence[SparseRow], dim: int) -> bool:
-    """Whether sparse polynomial rows have rank at least dim over F: the
-    one exact rank test behind every spanning certificate.
-
-    The rank at the point of ``_rank_at_point``, an exact lower bound,
-    decides when it reaches dim; only when it falls short are the rows
-    spanned exactly (``SqSubspace.from_poly_rows``).  A caller that has
-    put every row inside a space of dimension dim learns from True that
-    the rows span it.
-    """
-    return _rank_at_point(ctx, rows) >= dim or SqSubspace.from_poly_rows(ctx, rows).dim >= dim
 
 
 class SqSubspace:
@@ -595,19 +532,6 @@ class SqSubspace:
 
     def __contains__(self, f: FieldElement) -> bool:
         return self._annihilates(_poly_row(f))
-
-    def is_span_of(self, rows: Sequence[SparseRow]) -> bool:
-        """Whether the elements of some sparse rows span exactly this space.
-
-        Each row is an element's 2-basis row up to a nonzero scale
-        (``field._poly_row`` of an element, or ``field._product_rows`` of
-        slot products, with no product built as a field element); a scale
-        moves neither a dot product's vanishing nor a rank.  Two facts
-        decide it, each checked once.  Every row has dot product 0 with
-        the annihilator rows, so the span is inside the space.  The rows
-        have rank at least dim (``_has_rank``), so the span fills it.
-        """
-        return all(self._annihilates(r) for r in rows) and _has_rank(self.ctx, rows, self.dim)
 
     # -- lattice operations -----------------------------------------------------
 

@@ -53,6 +53,17 @@ GOLDEN_N3_EVIDENCE = json.loads(GOLDEN_N3.read_text())["evidence"]
 GOLDEN_N4_EVIDENCE = json.loads(GOLDEN_N4.read_text())["evidence"]
 
 
+def count_spans(monkeypatch):
+    """Record one entry per ``SqSubspace.from_poly_rows`` call, every
+    span's one elimination, in the returned list."""
+    spans = []
+    real = SqSubspace.from_poly_rows
+    monkeypatch.setattr(
+        SqSubspace, "from_poly_rows", classmethod(lambda cls, *a: spans.append(1) or real(*a))
+    )
+    return spans
+
+
 @pytest.fixture
 def b0(ctx2):
     a1, a2 = ctx2.gens
@@ -262,6 +273,31 @@ class TestValueSpaceRows:
             assert_same_space(got, mixed_by_products(ctx3, witness.rho.slots, comp))
 
 
+@st.composite
+def dependent_slots(draw):
+    """Nonzero slots over CTX3 that are often dependent: a few fraction
+    or listed slots, and slots inserted anywhere among them that are the product of
+    two of them, one of them times the square of a fraction, or one of
+    them again."""
+    a1, a2, a3 = CTX3.gens
+    fractions = nonzero_elements(CTX3, max_degree=1, max_terms=2)
+    # the listed slots make an anisotropic 3-fold form more likely
+    listed = st.sampled_from([a1, a2, a3, CTX3.one + a1, a2 / a3, a1 * a2 / (CTX3.one + a3)])
+    slots = draw(st.lists(st.one_of(fractions, listed), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["product", "square", "repeat"]))
+        i = draw(st.integers(0, len(slots) - 1))
+        if kind == "product":
+            new = slots[i] * slots[draw(st.integers(0, len(slots) - 1))]
+        elif kind == "square":
+            c = draw(fractions)
+            new = slots[i] * c * c
+        else:
+            new = slots[i]
+        slots.insert(draw(st.integers(0, len(slots))), new)
+    return slots
+
+
 class TestAnisotropy:
     def test_examples(self, ctx2, b0):
         a1, a2 = ctx2.gens
@@ -287,6 +323,23 @@ class TestAnisotropy:
             form = BilinearPfister(ctx2, slots)
             want = form.full_value_space().dim == 2**form.fold
             assert form.is_anisotropic() == want, slots
+
+        # the anisotropy lemma on drawn slots, often dependent: 1 is
+        # outside the pure span exactly when the full span has dimension
+        # 2^k, and then the pure span has dimension 2^k - 1; both sides
+        # are exact spans
+        @given(slots=dependent_slots())
+        def lemma(slots):
+            form = BilinearPfister(CTX3, slots)
+            k = form.fold
+            pure = form.pure_value_space()
+            anisotropic = form.full_value_space().dim == 2**k
+            assert (not pure.contains_one()) == anisotropic, slots
+            if anisotropic:
+                assert pure.dim == 2**k - 1
+            assert form.is_anisotropic() == anisotropic
+
+        lemma()
 
 
 class TestIsSlot:
@@ -391,10 +444,20 @@ class TestFactorOut:
         with pytest.raises(PreconditionFailed):
             factor_out(a2, None, form, [a1, ctx2.one + a1])
 
-    def test_wrong_complement_rejected(self, ctx2, b0):
+    def test_wrong_complement_rejected(self, ctx2, ctx3, b0):
         a1, _ = ctx2.gens
         with pytest.raises(PreconditionFailed):
             factor_out(a1, None, b0, [a1, a1])
+        # rho = <<a1>> and beta = a2 in <<a1, a2, a3>>: a complement one
+        # slot short, one slot long, or holding 0 does not recombine,
+        # though beta is a value of each mixed space and every product
+        # of the short one and the one with 0 lies in the pure space
+        a1, a2, a3 = ctx3.gens
+        form = BilinearPfister(ctx3, (a1, a2, a3))
+        rho = BilinearPfister(ctx3, (a1,))
+        for complement in [(a2,), (a2, a3, a1 * a3), (a2, ctx3.zero)]:
+            with pytest.raises(PreconditionFailed, match="do not recombine"):
+                factor_out(a2, rho, form, complement)
 
     def test_isotropic_rejected(self, ctx2):
         a1, a2 = ctx2.gens
@@ -570,65 +633,57 @@ class TestCommonFactor:
 
     def test_wrong_last_slot_fails_certification(self, ctx3, monkeypatch):
         real = bilinear._next_slot
+        wrong = []
 
         def wrong_last(W, u_rows):
-            # at m=2 the two rho slots are in place and one slot is missing;
-            # any element of U repeats a value, so the list is isotropic.
-            # the search spans no U, so it is spanned here
+            # with two slots in place and one missing, any element of U
+            # repeats a value, so the list is isotropic.  The search spans
+            # no U, so it is spanned here
             spanned = SqSubspace.from_poly_rows(W.ctx, u_rows)
             if spanned.dim != 4:
                 return real(W, u_rows)
             slot = spanned.elements()[-1]
+            wrong.append((slot, W, u_rows))
             return slot, [field._row_mul(W.ctx, _poly_row(slot), r) for r in u_rows]
 
         monkeypatch.setattr(bilinear, "_next_slot", wrong_last)
         with pytest.raises(CompletionNotFound, match="exact certification"):
             common_factor(2, two_fold_family(ctx3))
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_short_specialization_takes_exact_span(self, ctx3, monkeypatch, m):
-        # a point at which every rank falls short: each certification then
-        # eliminates its product rows exactly, one span more per distinct
-        # pure space and round, and the witness is the same.  Forms 0 and 2
-        # of two_fold_family are isometric, so it has two distinct spaces.
-        # Form 2 joins form 0's group by is_span_of, whose rank test then
-        # spans its product rows too: one span more for each form that is
-        # not a representative, once per call, not per round
-        spans = []
-        real_span = SqSubspace.from_poly_rows
-
-        def counted(cls, *args):
-            spans.append(1)
-            return real_span(*args)
-
-        def run():
-            forms = two_fold_family(ctx3)
-            for f in forms:
-                f.pure_value_space()
-            spans.clear()
-            return common_factor(m, forms).to_json(), len(spans)
-
-        monkeypatch.setattr(SqSubspace, "from_poly_rows", classmethod(counted))
-        want, plain = run()
-        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
-        got, short = run()
-        assert got == want
-        assert short - plain == m * 2 + 1
+        monkeypatch.undo()
+        # the wrong slots skip the exact test of _admissible, the
+        # certification's fact for an accepted slot, so round 1 completes
+        # with them, and round 2's head products fail the entry test.  The
+        # exact test itself refuses each: its products with U hold 1,
+        # which W misses
+        assert wrong
+        for slot, W, u_rows in wrong:
+            row = _poly_row(slot)
+            values = [linalg._Point(ctx3).value(row.get(j, ctx3._zero_poly)) for j in range(8)]
+            screen = bilinear._Screen(u_rows, W)
+            assert bilinear._admissible(row, values, slot.den, screen, u_rows, W) is None
+            with monkeypatch.context() as m:
+                m.setattr(bilinear._Screen, "rejects", lambda self, values: False)
+                assert bilinear._admissible(row, values, slot.den, screen, u_rows, W) is None
 
     def test_product_outside_pure_space(self, ctx2, b0, monkeypatch):
         a1, a2 = ctx2.gens
-        ranks = []
-        real = linalg._rank_at_point
+        b0.pure_value_space()
+        spans, tested = count_spans(monkeypatch), []
+        real_test = SqSubspace._annihilates
         monkeypatch.setattr(
-            linalg, "_rank_at_point", lambda ctx, rows: ranks.append(1) or real(ctx, rows)
+            SqSubspace, "_annihilates", lambda W, row: tested.append(row) or real_test(W, row)
         )
-        # 1 + a2 is a product outside D(b0') = span(a1, a2, a1*a2)
+        # 1 + a2 is a product outside D(b0') = span(a1, a2, a1*a2): the
+        # entry test stops at its row, the first tested
         slots = (a1, ctx2.one + a2)
         with pytest.raises(CompletionNotFound, match="exact certification"):
             bilinear._complete(slots, b0, _product_rows(ctx2, slots))
-        assert ranks == []
+        assert len(tested) == 1
+        # a head of the form's fold with its products inside is certified
+        # by the three entry tests alone: no search and no span
+        tested.clear()
         assert bilinear._complete((a1, a2), b0, _product_rows(ctx2, (a1, a2)))[0] == (a1, a2)
-        assert ranks == [1]
+        assert len(tested) == 3 and spans == []
 
     def test_isotropic_head_fails_certification(self, ctx3, monkeypatch):
         # the head's dimension is not checked on its own, but its product
@@ -649,25 +704,45 @@ class TestCommonFactor:
         with pytest.raises(CompletionNotFound, match="contains 1"):
             bilinear._complete((a1,), isotropic, _product_rows(ctx3, (a1,)))
         assert searches == []
+        # a zero slot's products are 0, which lies in W, but their rows
+        # are empty, and the anisotropy lemma needs nonzero slots
+        head = (a1, ctx3.zero)
+        with pytest.raises(CompletionNotFound, match="exact certification"):
+            bilinear._complete(head, BilinearPfister(ctx3, (a1, a2)), _product_rows(ctx3, head))
+        assert searches == []
+
+    def test_head_longer_than_fold_refused(self, ctx3, monkeypatch):
+        # the completion ends at the form's fold, so a head with more
+        # slots is refused on entry, before its rows are tested
+        tested = []
+        monkeypatch.setattr(bilinear, "_next_slot", lambda *args: tested.append(1))
+        monkeypatch.setattr(SqSubspace, "_annihilates", lambda W, row: tested.append(row))
+        a1, a2, a3 = ctx3.gens
+        form = BilinearPfister(ctx3, (a1, a2))
+        for head in [(a1, a2, a3), (a1, a2, a1 * a2)]:
+            with pytest.raises(CompletionNotFound, match="longer than the form's fold"):
+                bilinear._complete(head, form, _product_rows(ctx3, head))
+        assert tested == []
 
     def test_head_product_outside_stops_before_search(self, ctx3, monkeypatch):
         # 1 + a2 is a head product outside D(<<a1, a2, a3>>'), the span of
         # the nontrivial monomials: the head rows are tested on entry, so
-        # the completion fails before any slot is searched or rank taken
-        searches, ranks = [], []
+        # the completion fails before any slot is searched or space spanned
+        searches = []
         monkeypatch.setattr(bilinear, "_next_slot", lambda *args: searches.append(1))
-        monkeypatch.setattr(linalg, "_rank_at_point", lambda *args: ranks.append(1) or 0)
         a1, a2, a3 = ctx3.gens
         form = BilinearPfister(ctx3, (a1, a2, a3))
+        form.pure_value_space()
+        spans = count_spans(monkeypatch)
         head = (a1, ctx3.one + a2)
         with pytest.raises(CompletionNotFound, match="exact certification"):
             bilinear._complete(head, form, _product_rows(ctx3, head))
-        assert searches == [] and ranks == []
+        assert searches == [] and spans == []
 
     def test_no_row_tested_twice(self, monkeypatch):
         # each product row is tested against a space once: the head rows
         # on entry to _complete, each accepted slot's products in
-        # _admissible, and the final certification takes only the rank.
+        # _admissible, and the certification tests nothing more.
         # A row is one row object; every tested row and annihilator is
         # kept alive, so that no id is reused
         runs = [
@@ -977,9 +1052,9 @@ def recipe_forms(members):
 
 
 class TestGrouping:
-    """The grouping of common_factor, by ``is_span_of`` against the
-    representatives' pure spaces, against the equality grouping it
-    replaced: the same groups, the same witness byte for byte, and no
+    """The grouping of common_factor, by the annihilator tests of the
+    anisotropy lemma against the representatives' pure spaces, against
+    the equality grouping it replaced: the same groups, the same witness byte for byte, and no
     form spanned but the representatives."""
 
     def check(self, m, make_forms):
@@ -1060,9 +1135,9 @@ class TestGrouping:
         # after every form is grouped
         a1, a2 = ctx2.gens
         tried = []
-        real = SqSubspace.is_span_of
+        real = SqSubspace._annihilates
         monkeypatch.setattr(
-            SqSubspace, "is_span_of", lambda W, rows: tried.append(W) or real(W, rows)
+            SqSubspace, "_annihilates", lambda W, row: tried.append(W) or real(W, row)
         )
         forms = [BilinearPfister(ctx2, (a1, a2)), BilinearPfister(ctx2, (a1 * a2,))]
         assert bilinear._groups(forms) == ([0, 1], [0, 1])
@@ -1472,8 +1547,8 @@ class TestFamily:
 
     def test_members_certified_without_pure_spaces(self, monkeypatch):
         # each member's claim is proved on its product rows, by one
-        # annihilator test each and one rank test, so no member's pure
-        # value space is ever spanned
+        # annihilator test each and the anisotropy lemma, so no member's
+        # pure value space is ever spanned
         def refuse(self):
             raise AssertionError("pure_value_space called")
 
@@ -1482,8 +1557,7 @@ class TestFamily:
 
     def test_member_check_builds_no_products(self, monkeypatch):
         # each member's product rows come from its slots' rows: no product
-        # is built as a field element, whether the rank at the point
-        # decides or the rows are spanned exactly
+        # is built as a field element, and no space is spanned
         def refuse(self, other):
             raise AssertionError("a slot product was built as a field element")
 
@@ -1501,12 +1575,9 @@ class TestFamily:
         # masks e_0 and e_0 + e_1; every other member is R transported
         anns = [1, 3]
         monkeypatch.setattr(bilinear, "_member_spans_claim", guarded)
+        spans = count_spans(monkeypatch)
         assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
-        assert checked == anns
-        checked.clear()
-        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
-        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
-        assert checked == anns
+        assert checked == anns and spans == []
 
     def test_no_gf2_elimination(self):
         # the GF(2) side is read off the annihilator masks, and no module of
@@ -1525,33 +1596,6 @@ class TestFamily:
         with pytest.raises(IdentityFailed, match="leading bits"):
             bilinear._gf2_family_evidence(anns)
 
-    def test_short_specialization_keeps_report(self, monkeypatch):
-        # with every rank at the point falling short, _has_rank spans the
-        # products exactly, and the report is the same
-        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
-        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
-
-    def test_claims_spanned_only_when_rank_falls_short(self, monkeypatch):
-        # at the point nothing is spanned over F; with every rank falling
-        # short member 0 and member 1 each span the product rows they have,
-        # once, and no claim is spanned: the other members are transported
-        spans = {"span": 0, "from_poly_rows": 0}
-        for name in spans:
-            real = getattr(SqSubspace, name)
-
-            def counted(cls, *args, _name=name, _real=real):
-                spans[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(SqSubspace, name, classmethod(counted))
-        assert verify_no_common_slot_family(4) == GOLDEN_N4_EVIDENCE
-        assert spans == {"span": 0, "from_poly_rows": 0}
-        monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
-        for n, golden in ((3, GOLDEN_N3_EVIDENCE), (4, GOLDEN_N4_EVIDENCE)):
-            spans.update(span=0, from_poly_rows=0)
-            assert verify_no_common_slot_family(n) == golden
-            assert spans == {"span": 0, "from_poly_rows": 2}
-
     def test_claim_off_its_hyperplane_raises(self, monkeypatch):
         # member 5 replaced by member 3: its products span member 3's
         # hyperplane, which member 5's annihilator e_0 + e_5 does not cut
@@ -1569,11 +1613,10 @@ class TestFamily:
         with pytest.raises(IdentityFailed, match=r"member 5\b"):
             verify_no_common_slot_family(3)
 
-    @pytest.mark.parametrize("short", [False, True])
-    def test_member_short_of_its_claim_raises(self, monkeypatch, short):
+    def test_member_short_of_its_claim_raises(self, monkeypatch):
         # member 1, R = <<a2, a3, 1 + a1>>, without its slot 1 + a1: the
-        # products a2, a3, a2*a3 lie in its hyperplane but span only 3 of
-        # its 7 dimensions, at the point and exactly
+        # products a2, a3, a2*a3 lie in its hyperplane, which misses 1,
+        # but span only 3 of its 7 dimensions; the slot count refuses it
         real = bilinear.build_no_common_slot_family
 
         def with_member_short(n):
@@ -1582,10 +1625,16 @@ class TestFamily:
             return family
 
         monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_member_short)
-        if short:
-            monkeypatch.setattr(linalg, "_rank_at_point", lambda ctx, rows: 0)
         with pytest.raises(IdentityFailed, match="member 1's products"):
             verify_no_common_slot_family(3)
+
+    def test_claim_holding_1_refused(self):
+        # the zero mask cuts out the whole space, which holds 1: member 0's
+        # products lie in it but span only a hyperplane, and bit 0 of the
+        # mask refuses it
+        member = build_no_common_slot_family(3)[0]
+        assert bilinear._member_spans_claim(member, 1)
+        assert not bilinear._member_spans_claim(member, 0)
 
     def test_isotropic_member_raises(self, monkeypatch):
         # all_anisotropic never reads false: an isotropic member's products
