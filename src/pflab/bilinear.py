@@ -161,7 +161,7 @@ from .field import (
     _row_element,
     _row_mul,
 )
-from .linalg import _GF_ORDER, SparseRow, SqSubspace, _annihilated, _dot, _Point, _sparse
+from .linalg import _GF_ORDER, SparseRow, SqSubspace, _dot, _Point, _sparse
 # no caller here any more; the binding stays, since perfbench's tracer test
 # checks that bilinear.left_kernel is restored after tracing
 from .linalg import left_kernel  # noqa: F401
@@ -826,33 +826,47 @@ def _member_spans_claim(form: BilinearPfister, ann: int) -> bool:
     Three facts decide it, by the anisotropy lemma of the module
     docstring: the form has n slots, nonzero as every slot is; bit 0 of
     ann is set, so 1, the row e_0, lies outside the hyperplane, of
-    dimension 2^n - 1; and each row is tested once against ann's one
-    dense row, which puts it in the hyperplane."""
+    dimension 2^n - 1; and each row has dot product 0 with ann's row,
+    which puts it in the hyperplane.  The first two are read before any
+    row is built.  A sparse row's dot product with a 0/1 row is the sum,
+    over GF(2)[a], of its entries in the columns of ann's set bits: the
+    XOR of their term sets, with no Poly product."""
     ctx = form.ctx
-    zero, one = ctx._zero_poly, ctx._one_poly
-    size = len(ctx.patterns)
-    row = (tuple(one if ann >> j & 1 else zero for j in range(size)),)
-    rows = _product_rows(ctx, form.slots)[1:]
-    return form.fold == ctx.n and bool(ann & 1) and all(_annihilated(r, row) for r in rows)
+    if form.fold != ctx.n or not ann & 1:
+        return False
+    for row in _product_rows(ctx, form.slots)[1:]:
+        acc: set = set()
+        for j, x in row.items():
+            if ann >> j & 1:
+                acc ^= x.terms
+        if acc:
+            return False
+    return True
 
 
-def _monomial_map(ctx: FieldContext, d: tuple[int, ...], lead: int) -> list[tuple[int, ...]]:
+def _monomial_map(ctx: FieldContext, d: tuple[int, ...], lead: int) -> dict[int, tuple[int, ...]]:
     """The exponent matrix M of rho_d = (a_l -> a_l * a^(d - e_l)) o
-    (a1 <-> a_l), l = lead, by its columns: rho_d(a^t) = a^(M t).  M is
-    the identity with column 1 set to d and column l set to e_1; when l
-    is 1, only column 1 changes."""
-    cols = [ctx.patterns[1 << j] for j in range(ctx.n)]
-    cols[lead] = cols[0]
-    cols[0] = d
-    return cols
+    (a1 <-> a_l), l = lead, by its moved columns: rho_d(a^t) = a^(M t).
+    Column 1 is d and column l is e_1; when l is 1, only column 1 moves.
+
+    A moved-column map {j: column} stands for the n x n matrix whose
+    column j is the given one for every key j and the unit vector e_j for
+    every other j.  ``_int_det`` and ``_transported`` read M off the
+    moved columns alone."""
+    if lead == 0:
+        return {0: d}
+    return {0: d, lead: ctx.patterns[1]}
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """The exact determinant of a square integer matrix, by Bareiss's
-    fraction-free elimination, whose every division is exact.  A row with
-    0 in the pivot column is left as it is while the pivot equals the
-    previous one, so a matrix near the identity costs little."""
-    m = [list(r) for r in rows]
+def _int_det(moved: dict[int, Sequence[int]]) -> int:
+    """The exact determinant of the integer matrix given by its moved
+    columns (see ``_monomial_map``).  Expanding along a column equal to
+    e_j drops row j and column j with sign +1, so the determinant is
+    that of the minor on the moved indices, taken by Bareiss's
+    fraction-free elimination, whose every division is exact.  The
+    minor is read by columns; its transpose has the same determinant."""
+    index = sorted(moved)
+    m = [[moved[j][i] for i in index] for j in index]
     size = len(m)
     sign, prev = 1, 1
     for k in range(size):
@@ -872,23 +886,42 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def _transported(cols: Sequence[tuple[int, ...]], slots: Sequence[FieldElement]) -> set:
+def _transported(moved: dict[int, Sequence[int]], slots: Sequence[FieldElement]) -> set:
     """The stored (num.terms, den.terms) pairs of the slots' images under
-    the monomial map a^t -> a^(M t), M given by its columns, mapped term
-    by term on num and den.  The entries of ``_monomial_map``'s matrices
-    are 0 or 1, so every image is a polynomial."""
+    the monomial map a^t -> a^(M t), M given by its moved columns (see
+    ``_monomial_map``), mapped term by term on num and den.  Column j of
+    M is e_j + (col_j - e_j), so M t = t + sum_j t_j * (col_j - e_j) over
+    the moved j: a term with no exponent in a moved column is its own
+    image, and a term set with none such is kept as the same object.
+    The entries of ``_monomial_map``'s columns are 0 or 1, so every image
+    is a polynomial."""
+    shifts = [
+        (j, [(i, c - (i == j)) for i, c in enumerate(col) if c != (i == j)])
+        for j, col in sorted(moved.items())
+    ]
 
-    def image(t):
-        out = [0] * len(t)
-        for j, e in enumerate(t):
-            if e:
-                for i, c in enumerate(cols[j]):
-                    out[i] += e * c
-        return tuple(out)
+    def fixed(terms):
+        for t in terms:
+            for j, _ in shifts:
+                if t[j]:
+                    return False
+        return True
 
-    return {
-        (frozenset(map(image, s.num.terms)), frozenset(map(image, s.den.terms))) for s in slots
-    }
+    def image(terms):
+        if fixed(terms):
+            return terms
+        out = set()
+        for t in terms:
+            u = list(t)
+            for j, shift in shifts:
+                e = t[j]
+                if e:
+                    for i, c in shift:
+                        u[i] += e * c
+            out.add(tuple(u))
+        return frozenset(out)
+
+    return {(image(s.num.terms), image(s.den.terms)) for s in slots}
 
 
 def verify_no_common_slot_family(n: int) -> dict:
@@ -927,14 +960,18 @@ def verify_no_common_slot_family(n: int) -> dict:
 
     Every member k >= 2, with (d, lead l) from ``_twists``, is R
     transported by the monomial map rho_d = (a_l -> a_l * a^(d - e_l)) o
-    (a1 <-> a_l), whose integer exponent matrix M (``_monomial_map``)
-    sends a^t to a^(M t).  Two exact checks per member:
+    (a1 <-> a_l), whose integer exponent matrix M sends a^t to a^(M t).
+    M is the identity outside columns 1 and l, so ``_monomial_map`` gives
+    it by those moved columns alone, and both checks read only them.  Two
+    exact checks per member:
 
-      * det M = +-1 (``_int_det``), so rho_d is an automorphism of
-        F = GF(2)(a1..an) and maps F^2 onto F^2;
+      * det M = +-1 (``_int_det``, the minor on the moved columns), so
+        rho_d is an automorphism of F = GF(2)(a1..an) and maps F^2 onto
+        F^2;
       * rho_d of R's slots, mapped term by term on num and den, are
         member k's slots, as a set of n stored (num, den) pairs
-        (``_transported``).
+        (``_transported``, which moves only the exponents in the moved
+        columns).
 
     The slot match alone already pins M: its columns are then d and the
     unit vectors other than e_l, with determinant +-d_l = +-1.  The
@@ -984,13 +1021,12 @@ def verify_no_common_slot_family(n: int) -> dict:
             raise IdentityFailed(f"member {k}'s products do not span its claimed pure space")
     ctx = family[0].ctx
     for k, (d, lead) in enumerate(_twists(ctx)[1:], 2):
-        cols = _monomial_map(ctx, d, lead)
-        # det M^T = det M, so M's columns serve as the rows
-        det = _int_det(cols)
+        moved = _monomial_map(ctx, d, lead)
+        det = _int_det(moved)
         if det not in (1, -1):
             raise IdentityFailed(f"member {k}'s monomial map has determinant {det}, not +-1")
         slots = family[k].slots
-        image = _transported(cols, family[1].slots)
+        image = _transported(moved, family[1].slots)
         stored = {(s.num.terms, s.den.terms) for s in slots}
         if len(slots) != n or len(image) != n or image != stored:
             raise IdentityFailed(f"member {k} is not the image of member 1 under its monomial map")

@@ -50,12 +50,13 @@ __all__ = ["parse_element", "main", "console_main"]
 # all 2^n patterns up front, so n is bounded before anything is built.
 # The family certificate (--verify) tests the products of two members
 # against their hyperplanes, which by the anisotropy lemma proves the
-# span, and transports the rest by monomial maps: a whole CLI run takes
-# about 0.13 s at n=10, 0.33 s at n=12, 0.63 s at n=13 and 1.5 s at
-# n=14, at 57 MB, with a 148 KB report (leave_one_out_dims has 2^n
-# entries).  The plain listing prints every slot's exponent vectors:
-# 0.6 s and 5.8 MB of JSON at n=10, 0.9 s and 14 MB at n=11, and 10 s
-# and 164 MB at 1.1 GB RSS at n=14, so it keeps the bound of 10.
+# span, and transports the rest by monomial maps, each read off the two
+# columns it moves: a whole CLI run takes about 0.11 s at n=10, 0.21 s
+# at n=12, 0.36 s at n=13 and 0.65 to 0.85 s at n=14, at 57 MB, with a
+# 148 KB report (leave_one_out_dims has 2^n entries).  The plain
+# listing prints every slot's exponent vectors: 0.6 s and 5.8 MB of JSON
+# at n=10, 0.9 s and 14 MB at n=11, and 10 s and 164 MB at 1.1 GB RSS
+# at n=14, so it keeps the bound of 10.
 # --subset spans every chosen member's pure space exactly, 2^n - 1
 # dimensions each: the whole n=7 family in about 1.1 s and the whole n=8
 # family in about 8 s at 240 MB.  n=9 is unmeasured, so it keeps the
@@ -237,7 +238,7 @@ def _emit(report: dict, fmt: str) -> None:
     for key, value in report["evidence"].items():
         print(f"{key}: {json.dumps(value, sort_keys=False)}")
     if report["timing"] is not None:
-        print(f"timing: {report['timing']}")
+        print(f"timing: {json.dumps(report['timing'], sort_keys=False)}")
 
 
 # ---------------------------------------------------------------------------

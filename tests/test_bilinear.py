@@ -1684,6 +1684,62 @@ def leibniz_det(rows):
     return total
 
 
+def dense_columns(n, moved):
+    """All n columns of the matrix that ``_monomial_map`` gives by its
+    moved columns: the given column for each key j, e_j for every other j."""
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [tuple(moved[j]) if j in moved else unit[j] for j in range(n)]
+
+
+def int_det_dense(rows):
+    """The exact determinant of a square integer matrix, by Bareiss's
+    fraction-free elimination over all of it: the reference for
+    ``bilinear._int_det``, which eliminates only the moved minor."""
+    m = [list(r) for r in rows]
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size):
+        p = next((i for i in range(k, size) if m[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            if a or pivot != prev:
+                for j in range(k + 1, size):
+                    row[j] = (pivot * row[j] - a * top[j]) // prev
+        prev = pivot
+    return sign * prev
+
+
+def transported_dense(cols, slots):
+    """The stored (num.terms, den.terms) pairs of the slots' images under
+    a^t -> a^(M t), M given by all its columns and applied to every term
+    as a dense product: the reference for ``bilinear._transported``."""
+
+    def image(t):
+        out = [0] * len(t)
+        for j, e in enumerate(t):
+            if e:
+                for i, c in enumerate(cols[j]):
+                    out[i] += e * c
+        return tuple(out)
+
+    return {
+        (frozenset(map(image, s.num.terms)), frozenset(map(image, s.den.terms))) for s in slots
+    }
+
+
+def fraction_slots(ctx):
+    """Slots at n=3 with several terms in num and den."""
+    a1, a2, a3 = ctx.gens
+    one = ctx.one
+    return [(a1 + a2 * a3) / (one + a1**2 * a3), a2**3 / (a1 + a3), one + a1 * a2 * a3**2]
+
+
 class TestFamilyTransport:
     """Members 2..2^n - 1 are certified as images of member 1 under
     unimodular monomial maps, against the per-member F-level check and
@@ -1717,12 +1773,13 @@ class TestFamilyTransport:
         family = build_no_common_slot_family(n)
         ctx = family[0].ctx
         for k, (d, lead) in enumerate(bilinear._twists(ctx)[1:], 2):
-            cols = bilinear._monomial_map(ctx, d, lead)
+            moved = bilinear._monomial_map(ctx, d, lead)
+            cols = dense_columns(n, moved)
             by_field = {substituted(s, cols) for s in family[1].slots}
             assert by_field == set(family[k].slots)
             transported = {
                 FieldElement(ctx, Poly(num, n), Poly(den, n))
-                for num, den in bilinear._transported(cols, family[1].slots)
+                for num, den in bilinear._transported(moved, family[1].slots)
             }
             assert transported == by_field
 
@@ -1730,16 +1787,14 @@ class TestFamilyTransport:
         # on slots with several terms in num and den the term-by-term map
         # is the field's substitution, for every member's map at n=3
         ctx = CTX3
-        a1, a2, a3 = ctx.gens
-        one = ctx.one
-        slots = [(a1 + a2 * a3) / (one + a1**2 * a3), a2**3 / (a1 + a3), one + a1 * a2 * a3**2]
+        slots = fraction_slots(ctx)
         for d, lead in bilinear._twists(ctx):
-            cols = bilinear._monomial_map(ctx, d, lead)
+            moved = bilinear._monomial_map(ctx, d, lead)
             transported = {
                 FieldElement(ctx, Poly(num, 3), Poly(den, 3))
-                for num, den in bilinear._transported(cols, slots)
+                for num, den in bilinear._transported(moved, slots)
             }
-            assert transported == {substituted(s, cols) for s in slots}
+            assert transported == {substituted(s, dense_columns(3, moved)) for s in slots}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_maps_unimodular(self, n):
@@ -1747,8 +1802,9 @@ class TestFamilyTransport:
         # the 2-basis patterns
         ctx = FieldContext(n)
         for d, lead in bilinear._twists(ctx):
-            cols = bilinear._monomial_map(ctx, d, lead)
-            assert bilinear._int_det(cols) in (1, -1)
+            moved = bilinear._monomial_map(ctx, d, lead)
+            cols = dense_columns(n, moved)
+            assert bilinear._int_det(moved) in (1, -1)
             assert cols[0] == d
             mod2 = {
                 tuple(sum(e * col[i] for e, col in zip(p, cols)) % 2 for i in range(n))
@@ -1757,15 +1813,72 @@ class TestFamilyTransport:
             assert len(mod2) == 2**n
 
     def test_int_det_against_leibniz(self):
+        # a dense matrix is the map that moves every column; _int_det reads
+        # the columns as rows, and the transpose has the same determinant
         rng = random.Random(20261020)
         for size in range(1, 6):
             for _ in range(40):
                 entries = (-3, -1, 0, 0, 0, 1, 2)
                 rows = [[rng.choice(entries) for _ in range(size)] for _ in range(size)]
-                assert bilinear._int_det(rows) == leibniz_det(rows), rows
+                assert bilinear._int_det(dict(enumerate(rows))) == leibniz_det(rows), rows
+                assert int_det_dense(rows) == leibniz_det(rows), rows
         # a zero first pivot, a singular matrix and a pivot other than +-1
         for rows in ([[0, 1], [1, 0]], [[1, 2], [2, 4]], [[2, 1, 0], [1, 1, 0], [0, 0, 3]]):
-            assert bilinear._int_det(rows) == leibniz_det(rows)
+            assert bilinear._int_det(dict(enumerate(rows))) == leibniz_det(rows)
+            assert int_det_dense(rows) == leibniz_det(rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_member_maps_agree_with_dense(self, n):
+        # every member's map, by its moved columns, against the dense
+        # determinant and the dense image of every term of R's slots
+        ctx = FieldContext(n)
+        slots = build_no_common_slot_family(n)[1].slots
+        for d, lead in bilinear._twists(ctx):
+            moved = bilinear._monomial_map(ctx, d, lead)
+            assert len(moved) == (1 if lead == 0 else 2)
+            cols = dense_columns(n, moved)
+            assert bilinear._int_det(moved) == int_det_dense(cols)
+            assert bilinear._transported(moved, slots) == transported_dense(cols, slots)
+
+    def test_random_maps_agree_with_dense(self):
+        # maps that are the identity outside a random set of columns, with
+        # entries from -2..2, on the fraction slots at n=3 and on R's slots
+        # at n=5; the determinants 0, +-1 and +-2 all occur
+        rng = random.Random(20261021)
+        dets = set()
+        for n, slots in ((3, fraction_slots(CTX3)), (5, build_no_common_slot_family(5)[1].slots)):
+            for _ in range(300):
+                keys = rng.sample(range(n), rng.randint(1, n))
+                moved = {j: tuple(rng.choice((-2, -1, 0, 1, 2)) for _ in range(n)) for j in keys}
+                cols = dense_columns(n, moved)
+                det = bilinear._int_det(moved)
+                assert det == int_det_dense(cols) == leibniz_det(cols), moved
+                dets.add(det)
+                assert bilinear._transported(moved, slots) == transported_dense(cols, slots)
+        assert {0, 1, -1, 2, -2} <= dets
+
+    def test_fraction_slots_agree_with_dense(self):
+        ctx = CTX3
+        slots = fraction_slots(ctx)
+        for d, lead in bilinear._twists(ctx):
+            moved = bilinear._monomial_map(ctx, d, lead)
+            cols = dense_columns(3, moved)
+            assert bilinear._transported(moved, slots) == transported_dense(cols, slots)
+
+    def test_unmoved_terms_keep_their_set(self):
+        # R = <<a2, a3, 1 + a1>> under member 2's map, which moves columns
+        # 1 and 2: a3 and every denominator are their own images, kept as
+        # the same frozenset objects
+        ctx = CTX3
+        slots = build_no_common_slot_family(3)[1].slots
+        d, lead = bilinear._twists(ctx)[1]
+        moved = bilinear._monomial_map(ctx, d, lead)
+        assert sorted(moved) == [0, 1]
+        images = bilinear._transported(moved, slots)
+        kept = {id(s.num.terms) for s in slots if not any(t[0] or t[1] for t in s.num.terms)}
+        assert kept and kept <= {id(num) for num, _ in images}
+        dens = {id(den) for _, den in images}
+        assert dens <= {id(s.den.terms) for s in slots}
 
     def test_twist_off_by_a_square_raises(self, monkeypatch):
         # member 6 (d = a2*a3, lead a2) with the twist 1 + a1^2*a2*a3: the
@@ -1825,10 +1938,12 @@ class TestFamilyTransport:
         d6, lead6 = bilinear._twists(CTX3)[5]
 
         def doubled(ctx, d, lead):
-            cols = real(ctx, d, lead)
+            moved = real(ctx, d, lead)
             if (d, lead) == (d6, lead6):
-                cols[-1] = tuple(2 * c for c in cols[-1])
-            return cols
+                # a third moved column, 2 e_n
+                cols = dense_columns(ctx.n, moved)
+                moved[ctx.n - 1] = tuple(2 * c for c in cols[-1])
+            return moved
 
         monkeypatch.setattr(bilinear, "_monomial_map", doubled)
         with pytest.raises(IdentityFailed, match=r"member 6's monomial map has determinant -?2\b"):

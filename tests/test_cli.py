@@ -593,6 +593,16 @@ class TestReports:
         assert out.startswith("command: bilinear-family")
         assert "verdict: VALID" in out
 
+    def test_text_timing_is_json(self, capsys):
+        # every value line of the text format is JSON, the timing line too
+        code, out = run(
+            capsys, "bilinear-family", "--n", "2", "--verify", "--format", "text", "--timing"
+        )
+        assert code == 0
+        [line] = [line for line in out.splitlines() if line.startswith("timing: ")]
+        timing = json.loads(line[len("timing: ") :])
+        assert set(timing) == {"seconds"} and timing["seconds"] >= 0
+
     def test_no_command(self, capsys):
         assert main([]) == 2
 

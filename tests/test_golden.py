@@ -2,7 +2,9 @@
 
 Each case runs one CLI invocation through ``cli.main`` and compares its
 stdout and exit code with the file recorded under ``tests/golden/``.  A
-refactor must leave every file unchanged.  A change that is meant to
+refactor must leave every file unchanged.  The family certificate at
+n = 5..14, too large for a golden file at the top end, is pinned by the
+sha256 of its stdout (``FAMILY_DIGESTS``).  A change that is meant to
 alter a report rewrites its goldens on purpose, and only those: run this
 file as a script, ``PYTHONPATH=src python tests/test_golden.py``, and
 check that ``git diff --stat tests/golden`` lists no other file.
@@ -14,6 +16,7 @@ is written.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -74,6 +77,22 @@ CASES = {
 }
 
 
+# n -> sha256 of the stdout of ``bilinear-family --n N --verify``, for the
+# ranks above the golden files' n <= 4; the reports grow to 148 KB at n=14
+FAMILY_DIGESTS = {
+    5: "9f47957ed136683598ffcd7ae815956e651cf0efc3fee2522544ed877c56ff7f",
+    6: "6e29b98dc4d065b8cc6918404675877b8e89b0d98535da0c20c464b790f81922",
+    7: "7caffd5845577a15c570465c79bacd1847981ea6e348a088236a089f825eeaec",
+    8: "082be05b50d3be3bbc7b34cf8de5858ff781cb866de128f6f6187ded914304cd",
+    9: "0548db9a9ead08d9b3a55448334d1fba235a7b0b04b9c1e3660b90d2dbff3da3",
+    10: "ad3ba9b5cada457a0c7524ca49ca08a25ce7560b8dd56b0bf74f9c3fb2cbd10d",
+    11: "0d1366d81028412fe9f16a29fbbc32098cdc0a46880f01b595631624bf0a2459",
+    12: "c3e7c31d2e5ced683f4947c65948f3f41c9f3d5dab2709679a1d2c3a4888aca7",
+    13: "9237ced35ea82a621e21978eb24e988939a9fb20dd2c73d6216b13fba1c635a1",
+    14: "120e1d3383224ea4825230f7897e59f93e154a018c968577046abfb6e85ec13a",
+}
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -90,6 +109,13 @@ def test_golden_outputs():
         elif out != (GOLDEN / name).read_text(encoding="utf-8"):
             mismatches.append(f"{name}: stdout differs")
     assert not mismatches, mismatches
+
+
+@pytest.mark.parametrize("n", sorted(FAMILY_DIGESTS))
+def test_family_digest(n):
+    code, out = _run(["bilinear-family", "--n", str(n), "--verify"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAMILY_DIGESTS[n]
 
 
 def _workloads():
