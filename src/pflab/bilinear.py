@@ -133,11 +133,17 @@ mapped term by term; its claim is then rho_d of R's, since
 rho_d(1 + a1) = 1 + a^d pins M e_1 = d over the integers.  A member
 that fails any check raises IdentityFailed.  The rest of the report is
 read off the masks, whose leading bits are distinct, with no GF(2)
-elimination.
+elimination.  ``bilinear-family --subset`` runs the same member proofs
+(``_proved_family``) on the whole family and reads the chosen members'
+common slot space off their masks in closed form (``_subset_evidence``):
+no pure space is spanned and no intersection is taken.
+``common_slot_space`` stays the general intersection, of any forms, and
+the reference the tests hold the closed form to.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -199,7 +205,7 @@ class BilinearPfister:
         for s in slots:
             if not isinstance(s, FieldElement):
                 raise TypeError(f"slot {s!r} is not a field element")
-            if s.ctx != ctx:
+            if s.ctx is not ctx and s.ctx != ctx:
                 raise ContextMismatch("slot from a different field context")
             if s.is_zero:
                 raise ZeroSlot("zero slot in a Pfister form")
@@ -279,16 +285,15 @@ class BilinearPfister:
 def common_slot_space(forms: Sequence[BilinearPfister]) -> SqSubspace:
     """Intersection of all pure value spaces of a nonempty family of
     anisotropic forms over one field context; nonzero elements are common
-    slots."""
-    if not forms:
-        raise EmptyInput("no forms given")
-    ctx = forms[0].ctx
-    for f in forms:
-        if f.ctx != ctx:
-            raise ContextMismatch("forms over different field contexts")
-        if not f.is_anisotropic():
-            raise IsotropicInput(f"form {f!r} is isotropic")
-    first, *rest = [f.pure_value_space() for f in forms]
+    slots.  The general intersection: one k-way ``intersection`` of the
+    pure spaces, for any forms.  The family is checked as
+    ``common_factor`` checks it, by ``_groups``: the first form of
+    another context or isotropic raises, and forms that share a pure
+    space are spanned once.  For members of the no-common-slot family,
+    ``bilinear-family --subset`` reads the same space off the masks in
+    closed form (``_subset_evidence``); the tests hold that to this."""
+    reps, _ = _groups(forms)
+    first, *rest = [forms[r].pure_value_space() for r in reps]
     return first.intersection(*rest)
 
 
@@ -992,7 +997,9 @@ def verify_no_common_slot_family(n: int) -> dict:
     image would be {y_0 = a_1 * y_d}, another hyperplane, and that twist
     is refused.
 
-    Everything after that is read off the masks (``_gf2_family_evidence``).
+    ``_proved_family`` runs these member proofs and returns the family
+    with its masks; ``_subset_evidence`` runs them too.  Everything after
+    that is read off the masks (``_gf2_family_evidence``).
     anns[k] has leading bit k, so every subset of the masks is
     independent, and s members have a common slot space of dimension
     2^n - s:
@@ -1013,6 +1020,15 @@ def verify_no_common_slot_family(n: int) -> dict:
     ``all_anisotropic`` and ``claimed_pure_bases`` true; the keys stay
     for the report's fixed layout.
     """
+    return _gf2_family_evidence(_proved_family(n)[1])
+
+
+def _proved_family(n: int) -> tuple[list[BilinearPfister], list[int]]:
+    """build_no_common_slot_family(n) and its masks anns, once every
+    member's pure value space is proved to be the hyperplane annihilated
+    by its mask: members 0 and 1 spanned, every other member transported,
+    as ``verify_no_common_slot_family`` proves.  A member that fails its
+    proof raises IdentityFailed."""
     family = build_no_common_slot_family(n)
     # e_0 annihilates member 0's claim, e_0 + e_k member k's (1 | 1 << 0 is e_0)
     anns = [1 | 1 << k for k in range(len(family))]
@@ -1030,4 +1046,43 @@ def verify_no_common_slot_family(n: int) -> dict:
         stored = {(s.num.terms, s.den.terms) for s in slots}
         if len(slots) != n or len(image) != n or image != stored:
             raise IdentityFailed(f"member {k} is not the image of member 1 under its monomial map")
-    return _gf2_family_evidence(anns)
+    return family, anns
+
+
+def _subset_evidence(n: int, indices: Sequence[int]) -> dict:
+    """The evidence ``bilinear-family --subset`` prints: the members of
+    build_no_common_slot_family(n) at ``indices``, the dimension of their
+    common slot space and its canonical reduced basis.  ``indices`` is a
+    nonempty list in 0..2^n - 1, repeats allowed, as the CLI's
+    ``_parse_subset`` checks.  Every member is proved first, by
+    ``_proved_family`` as for ``verify_no_common_slot_family``, so a
+    member that fails its proof raises IdentityFailed, named or not.
+
+    The space is then read off the masks in closed form.  The members of
+    the set S of indices meet in the rows annihilated by anns[k], k in S.
+    Those masks pass the leading-bit rule of ``_gf2_family_evidence``, so
+    the space has dimension 2^n - |S|.  The union U of the masks has
+    bit 0 and bit k for each k in S.  If 0 is in S, the mask e_0 forces
+    x_0 = 0 and each e_0 + e_k then x_k = 0: the basis is the unit rows
+    e_j for j outside U.  Otherwise x_k = x_0 for each k in S: the basis
+    is U, the element 1 + sum a^(d_k) over k in S, then e_j for j outside
+    U.  Each row is annihilated by every mask, and their lowest bits are
+    distinct, so 2^n - |S| of them are independent and span the space.
+    In this order each row's lowest bit is its pivot, which no other row
+    has set: it is the reduced basis ``common_slot_space`` gives, the
+    general intersection, which the tests hold it to.
+    """
+    family, anns = _proved_family(n)
+    _gf2_family_evidence(anns)
+    masks = {anns[k] for k in indices}
+    union = functools.reduce(int.__or__, masks)
+    ctx = family[0].ctx
+    slots = [ctx.monomial(d) for j, d in enumerate(ctx.patterns) if not union >> j & 1]
+    # member 0's mask is e_0
+    if 1 not in masks:
+        slots.insert(0, ctx.element(d for j, d in enumerate(ctx.patterns) if union >> j & 1))
+    return {
+        "forms": [f"{k}: {family[k]!r}" for k in indices],
+        "common_slot_space_dim": len(slots),
+        "common_slots": [str(e) for e in slots],
+    }

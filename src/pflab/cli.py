@@ -33,7 +33,7 @@ from .bilinear import (
     BilinearPfister,
     build_no_common_slot_family,
     common_factor,
-    common_slot_space,
+    _subset_evidence,
     verify_no_common_slot_family,
 )
 from .errors import ParseError, PflabError
@@ -53,14 +53,12 @@ __all__ = ["parse_element", "main", "console_main"]
 # span, and transports the rest by monomial maps, each read off the two
 # columns it moves: a whole CLI run takes about 0.11 s at n=10, 0.21 s
 # at n=12, 0.36 s at n=13 and 0.65 to 0.85 s at n=14, at 57 MB, with a
-# 148 KB report (leave_one_out_dims has 2^n entries).  The plain
+# 148 KB report (leave_one_out_dims has 2^n entries).  --subset runs
+# the same proofs under the same bound, then prints 2^n - |S| slots:
+# about 0.9 s and 0.5 MB of JSON at n=14 with two members.  The plain
 # listing prints every slot's exponent vectors: 0.6 s and 5.8 MB of JSON
 # at n=10, 0.9 s and 14 MB at n=11, and 10 s and 164 MB at 1.1 GB RSS
 # at n=14, so it keeps the bound of 10.
-# --subset spans every chosen member's pure space exactly, 2^n - 1
-# dimensions each: the whole n=7 family in about 1.1 s and the whole n=8
-# family in about 8 s at 240 MB.  n=9 is unmeasured, so it keeps the
-# bound of 8.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate reads every parity off the
 # slot values: in process it takes about 11 ms at n=6, 43 ms at n=7 and
@@ -75,7 +73,6 @@ _MAX_N = 6
 _MAX_EXPONENT = 64
 _MAX_FAMILY_N = 14
 _MAX_LISTING_N = 10
-_MAX_SUBSET_N = 8
 _MAX_QUADRATIC_N = 8
 
 
@@ -248,36 +245,27 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_bilinear_family(args) -> tuple[int, dict, str, dict]:
     n = args.n
-    if args.subset is not None and n > _MAX_SUBSET_N:
-        raise ValueError(f"--subset takes n up to {_MAX_SUBSET_N}, got {n}")
     if args.subset is not None and args.verify:
         raise ValueError("--verify certifies the whole family; it does not take --subset")
     inputs = {"n": n, "verify": bool(args.verify), "subset": args.subset}
 
-    if args.verify and args.subset is None:
+    if args.verify:
         # the certificate builds the family itself
         evidence = verify_no_common_slot_family(n)
         verdict = "VALID" if all(evidence["checks"].values()) else "NOT_VALID"
         return n, inputs, verdict, evidence
 
-    if args.subset is None and n > _MAX_LISTING_N:
+    if args.subset is not None:
+        # the --verify proofs, then the common slots read off their masks
+        evidence = _subset_evidence(n, _parse_subset(args.subset, 2**n))
+        return n, inputs, "VALID" if evidence["common_slots"] else "NOT_VALID", evidence
+
+    if n > _MAX_LISTING_N:
         raise ValueError(
             f"the plain listing takes n up to {_MAX_LISTING_N}, got {n} "
-            f"(--verify takes n up to {_MAX_FAMILY_N})"
+            f"(--verify and --subset take n up to {_MAX_FAMILY_N})"
         )
-    family = build_no_common_slot_family(n)
-    if args.subset is not None:
-        indices = _parse_subset(args.subset, len(family))
-        space = common_slot_space([family[i] for i in indices])
-        evidence = {
-            "forms": [str(i) + ": " + repr(family[i]) for i in indices],
-            "common_slot_space_dim": space.dim,
-            "common_slots": [str(e) for e in space.elements()],
-        }
-        verdict = "VALID" if space.dim > 0 else "NOT_VALID"
-        return n, inputs, verdict, evidence
-
-    return n, inputs, "VALID", {"forms": [f.to_json() for f in family]}
+    return n, inputs, "VALID", {"forms": [f.to_json() for f in build_no_common_slot_family(n)]}
 
 
 def _parse_subset(raw: str, size: int) -> list[int]:

@@ -83,6 +83,17 @@ class TestConstruction:
         with pytest.raises(ContextMismatch):
             BilinearPfister(ctx2, (ctx3.gens[0],))
 
+    def test_equal_context_accepted(self, ctx2):
+        # the identity shortcut for the form's own context leaves the
+        # comparison by n to every other one: an equal but distinct
+        # context is accepted, another n is still refused
+        other = FieldContext(2)
+        assert other is not ctx2
+        form = BilinearPfister(ctx2, other.gens)
+        assert form.slots == other.gens and form.ctx is ctx2
+        with pytest.raises(ContextMismatch):
+            BilinearPfister(FieldContext(3), other.gens)
+
     def test_json_round_trip(self, ctx2, b0):
         data = b0.to_json()
         assert data["type"] == "bilinear_pfister"
@@ -1651,6 +1662,85 @@ class TestFamily:
         monkeypatch.setattr(bilinear, "build_no_common_slot_family", with_isotropic_member)
         with pytest.raises(IdentityFailed):
             verify_no_common_slot_family(3)
+
+
+def common_slots_by_intersection(family, indices):
+    """The --subset evidence from ``common_slot_space``, the general
+    intersection of the chosen members' spanned pure spaces: the
+    reference for ``bilinear._subset_evidence``."""
+    space = common_slot_space([family[i] for i in indices])
+    return {
+        "forms": [str(i) + ": " + repr(family[i]) for i in indices],
+        "common_slot_space_dim": space.dim,
+        "common_slots": [str(e) for e in space.elements()],
+    }
+
+
+class TestSubsetEvidence:
+    """``--subset`` reads the common slot space of the chosen members off
+    the masks that ``_proved_family`` proves, in closed form."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_subset_agrees_with_intersection(self, n):
+        family = build_no_common_slot_family(n)
+        members = range(2**n)
+        for size in range(1, 2**n + 1):
+            for indices in itertools.combinations(members, size):
+                expected = common_slots_by_intersection(family, indices)
+                assert bilinear._subset_evidence(n, list(indices)) == expected, indices
+
+    @pytest.mark.parametrize("n, draws", [(4, 60), (5, 15)])
+    def test_random_subsets_agree_with_intersection(self, n, draws):
+        # drawn with replacement, so indices repeat and come in any order;
+        # both with and without member 0
+        rng = random.Random(20 + n)
+        family = build_no_common_slot_family(n)
+        subsets = [
+            [rng.randrange(2**n) for _ in range(rng.randint(1, 2**n + 4))] for _ in range(draws)
+        ]
+        assert any(len(set(s)) < len(s) for s in subsets)
+        assert any(0 in s for s in subsets) and any(0 not in s for s in subsets)
+        for indices in subsets:
+            evidence = bilinear._subset_evidence(n, indices)
+            assert evidence == common_slots_by_intersection(family, indices), indices
+            assert evidence["common_slot_space_dim"] == 2**n - len(set(indices))
+
+    def test_builds_no_span(self, monkeypatch):
+        # the members are proved as --verify proves them, two spanned by
+        # annihilator tests alone, so no pure space is spanned
+        spans = count_spans(monkeypatch)
+        evidence = bilinear._subset_evidence(6, list(range(64)))
+        assert evidence["common_slot_space_dim"] == 0 and evidence["common_slots"] == []
+        assert spans == []
+
+    def test_member_outside_subset_is_proved(self, monkeypatch):
+        # member 5 replaced by member 3 fails its transport even when the
+        # subset names neither: every member is proved, as by --verify
+        real = bilinear.build_no_common_slot_family
+
+        def with_member_off_its_hyperplane(n):
+            family = real(n)
+            family[5] = family[3]
+            return family
+
+        monkeypatch.setattr(
+            bilinear, "build_no_common_slot_family", with_member_off_its_hyperplane
+        )
+        with pytest.raises(IdentityFailed, match=r"member 5\b"):
+            bilinear._subset_evidence(3, [0, 1])
+
+    def test_dimension_rests_on_leading_bit_rule(self, monkeypatch):
+        # masks that break the leading-bit rule of _gf2_family_evidence
+        # stop the subset before any basis is read off them
+        real = bilinear._proved_family
+
+        def with_repeated_mask(n):
+            family, anns = real(n)
+            return family, anns[:-1] + anns[-2:-1]
+
+        monkeypatch.setattr(bilinear, "_proved_family", with_repeated_mask)
+        with pytest.raises(IdentityFailed, match="leading bits"):
+            bilinear._subset_evidence(3, [0, 1])
 
 
 def substituted(elem, cols):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from pflab import FieldContext, ParitySet, ParseError, build_quadratic_family
-from pflab import cli, quadratic, quaternion
+from pflab import bilinear, cli, quadratic, quaternion
 from pflab.cli import _MAX_EXPONENT, _read_forms, main, parse_element
 
 GOLDEN_FORMS = Path(__file__).resolve().parent / "golden" / "common_factor_forms.json"
@@ -139,8 +139,8 @@ class TestBilinearFamily:
         assert report["evidence"]["common_slot_space_dim"] == 0
 
     def test_subset_whole_family_n6(self, capsys):
-        # 64 pure spaces met in one k-way intersection; the pairwise fold
-        # this replaced spent 11 s here
+        # every member proved as --verify proves it, then the empty common
+        # slot space read off the 64 masks, with no intersection taken
         subset = ",".join(str(i) for i in range(64))
         started = time.monotonic()
         code, report = run_json(capsys, "bilinear-family", "--n", "6", "--subset", subset)
@@ -156,18 +156,33 @@ class TestBilinearFamily:
     def test_n_above_cap(self, capsys):
         assert main(["bilinear-family", "--n", "15"]) == 2
 
-    def test_subset_above_its_cap(self, capsys):
-        # --verify takes n up to 14 and the listing up to 10; an exact
-        # --subset would span 511- to 16383-dimensional pure spaces, so it
-        # is refused before any is built
-        for n in ("9", "10", "14"):
+    def test_subset_up_to_n14(self, capsys):
+        # --subset takes n up to 14, as --verify does: the same member
+        # proofs, then 2^n - 2 common slots read off two masks
+        for n, budget in ((9, 5.0), (14, 8.0)):
             started = time.monotonic()
-            code, report = run_json(capsys, "bilinear-family", "--n", n, "--subset", "0,1")
+            code, report = run_json(capsys, "bilinear-family", "--n", str(n), "--subset", "0,1")
             elapsed = time.monotonic() - started
-            assert code == 2
-            assert report["verdict"] == "ERROR"
-            assert "--subset takes n up to 8" in report["evidence"]["error"]
-            assert elapsed < 5.0, f"n={n} took {elapsed:.2f}s (budget 5s)"
+            assert code == 0
+            assert report["verdict"] == "VALID"
+            assert report["evidence"]["common_slot_space_dim"] == 2**n - 2
+            assert len(report["evidence"]["common_slots"]) == 2**n - 2
+            assert elapsed < budget, f"n={n} took {elapsed:.2f}s (budget {budget}s)"
+
+    @pytest.mark.parametrize(
+        "proof, result",
+        [("_member_spans_claim", False), ("_transported", set())],
+        ids=["_member_spans_claim", "_transported"],
+    )
+    def test_subset_member_failing_its_proof(self, capsys, monkeypatch, proof, result):
+        # a spanned member whose products miss its claim, or a transported
+        # one whose slots are not R's image, stops --subset as it stops
+        # --verify, even when the subset does not name it
+        monkeypatch.setattr(bilinear, proof, lambda *args: result)
+        code, report = run_json(capsys, "bilinear-family", "--n", "3", "--subset", "0,1")
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert report["evidence"]["error_type"] == "IdentityFailed"
 
     def test_plain_listing_n10(self, capsys):
         code, report = run_json(capsys, "bilinear-family", "--n", "10")
