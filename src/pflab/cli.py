@@ -3,19 +3,23 @@
 Subcommands build the certified families, search for common factors and
 check the quaternion triple.  Each returns its field size, inputs, verdict
 and evidence; ``main`` builds every report from them, an error's too, and
-prints it.  Reports are JSON (default) or text; output is deterministic
-byte-for-byte across runs unless --timing is given, which fills the
-report's otherwise-null "timing" field with wall-clock seconds.  Exit
-codes: 0 when the certificate is valid or a witness was found, 1 for a
-valid run with a negative result, 2 for invalid input or a failed
-hypothesis.  A reader that closes the pipe before the report is written
-(``pflab ... | head``) ends the run quietly with 141, the status a shell
-gives a process killed by SIGPIPE.
+prints it.  Reports are JSON (default) or text.  A JSON report is
+streamed: ``_write_json`` writes the bytes of json.dumps(report, indent=2)
+in batches, so the text of a large certificate is never held as one
+string.  Output is deterministic byte-for-byte across runs unless
+--timing is given, which fills the report's otherwise-null "timing" field
+with wall-clock seconds.  Exit codes: 0 when the certificate is valid or a
+witness was found, 1 for a valid run with a negative result, 2 for
+invalid input or a failed hypothesis.  A reader that closes the pipe
+before the report is written (``pflab ... | head``) ends the run quietly
+with 141, the status a shell gives a process killed by SIGPIPE.
 
 Field elements on the command line and in input files use a compact
 grammar: ``a1^3+a2 / a1`` is (a1^3 + a2)/a1.  Variables are a1..an,
 terms are joined by ``+``, factors by ``*`` (or juxtaposition), a single
-top-level ``/`` separates numerator and denominator.
+top-level ``/`` separates numerator and denominator.  Every integer on
+the command line, in an element, a ``--subset`` index, ``--n`` or
+``--m``, is ASCII digits (``_short_int``).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import re
 import reprlib
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .bilinear import (
@@ -56,14 +61,16 @@ __all__ = ["parse_element", "main", "console_main"]
 # 148 KB report (leave_one_out_dims has 2^n entries).  --subset runs
 # the same proofs under the same bound, then prints 2^n - |S| slots:
 # about 0.9 s and 0.5 MB of JSON at n=14 with two members.  The plain
-# listing prints every slot's exponent vectors: 0.6 s and 5.8 MB of JSON
-# at n=10, 0.9 s and 14 MB at n=11, and 10 s and 164 MB at 1.1 GB RSS
-# at n=14, so it keeps the bound of 10.
+# listing prints every slot's exponent vectors, streamed: 0.4 to 0.5 s
+# at 38 MB with 5.8 MB of JSON at n=10, 0.6 s at 48 MB with 14 MB at
+# n=11 and 1.4 s at 68 MB with 32 MB at n=12 (10 s at 1.1 GB RSS at n=14
+# when the report was one string), so it keeps the bound of 10.
 # common-factor has no measured cost beyond n=6, so a forms file keeps the
 # smaller bound.  The quadratic certificate reads every parity off the
 # slot values: in process it takes about 11 ms at n=6, 43 ms at n=7 and
-# 0.22 s at n=8.  A whole --verify run at n=8 takes 1.0 to 1.2 s at about
-# 140 MB RSS, most of it printing 18.8 MB of JSON.
+# 0.22 s at n=8.  A whole --verify run at n=8 takes 0.7 to 0.85 s at
+# 56 MB RSS, streaming 18.8 MB of JSON (1.1 to 2.0 s at 140 MB when the
+# report was one string).
 _MAX_N = 6
 # largest exponent of a variable in an element read from the command line
 # or a forms file, as stored (see _within_budget).  A large exponent is
@@ -80,7 +87,8 @@ _MAX_QUADRATIC_N = 8
 # element grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(a\d+)|(\d+)|([+*/^])|(\s+)|(.)")
+# ASCII digits only: \d alone also matches other scripts' digits
+_TOKEN_RE = re.compile(r"(a\d+)|(\d+)|([+*/^])|(\s+)|(.)", re.ASCII)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -143,9 +151,13 @@ def _parse_factor(cur: _Cursor, ctx: FieldContext) -> Poly:
 
 
 def _short_int(digits: str, bound: int) -> int | None:
-    """The value of a digit string, or None when it has more significant
-    digits than bound, so it exceeds bound.  int() is slow on, or refuses,
-    a long digit string, so it never sees one."""
+    """The value of a string of ASCII digits, or None when it is not one
+    or has more significant digits than bound, so it exceeds bound.  The
+    one integer grammar of the command line: int() also reads a sign,
+    underscores, surrounding spaces and other scripts' digits, and is slow
+    on, or refuses, a long digit string, so it never sees one."""
+    if not (digits.isascii() and digits.isdigit()):
+        return None
     significant = digits.lstrip("0")
     if len(significant) > len(str(bound)):
         return None
@@ -224,9 +236,82 @@ def _report(command: str, n: int, inputs: dict, verdict: str, evidence: dict, ti
     }
 
 
+# chunks of report text joined into one write: the 18.8 MB report of
+# quadratic-family --n 8 --verify goes out in five writes of up to 4.7 MB
+_BATCH = 65_536
+
+
+def _write_json(value, write) -> None:
+    """Write json.dumps(value, indent=2)'s text, without its C encoder's
+    help (json.dumps never uses it with an indent), through write in
+    batches of _BATCH chunks.  The report holds dicts with str keys,
+    lists, str, int, bool, None and float values; any other type raises
+    TypeError."""
+    chunks: list[str] = []
+    _json_chunks(value, chunks, "\n", write)
+    write("".join(chunks))
+
+
+def _json_chunks(value, chunks: list[str], indent: str, write) -> None:
+    """Append value's text to chunks, indent being the newline and spaces
+    that start value's line; a full batch of chunks is written first."""
+    if len(chunks) >= _BATCH:
+        write("".join(chunks))
+        chunks.clear()
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            chunks.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
+            chunks.append(sep + _encode_str(key) + ": ")
+            _json_chunks(item, chunks, inner, write)
+            sep = "," + inner
+        chunks.append(indent + "}")
+    elif kind is list:
+        if not value:
+            chunks.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(item) is int for item in value):
+            # parity classes, images and exponent vectors: one join each
+            chunks.append(
+                "[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]"
+            )
+            return
+        sep = "[" + inner
+        for item in value:
+            chunks.append(sep)
+            _json_chunks(item, chunks, inner, write)
+            sep = "," + inner
+        chunks.append(indent + "]")
+    elif kind is str:
+        chunks.append(_encode_str(value))
+    elif kind is int:
+        chunks.append(int.__repr__(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif kind is float:
+        chunks.append(json.dumps(value))
+    else:
+        raise TypeError(f"{kind.__name__} is not a report value")
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=False))
+        _write_json(report, sys.stdout.write)
+        # a large write that the reader's closing cuts short can return
+        # without an error, so the newline goes on its own: its flush
+        # raises BrokenPipeError, which console_main turns into exit 141
+        sys.stdout.write("\n")
         return
     print(f"command: {report['command']}")
     print(f"version: {report['version']}")
@@ -269,16 +354,28 @@ def _cmd_bilinear_family(args) -> tuple[int, dict, str, dict]:
 
 
 def _parse_subset(raw: str, size: int) -> list[int]:
-    try:
-        indices = [int(p) for p in raw.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise ParseError(f"bad subset {reprlib.repr(raw)}", 0) from exc
+    """The comma-separated indices of raw, each ASCII digits with optional
+    whitespace around it, and each below size."""
+    indices = []
+    for part in filter(None, map(str.strip, raw.split(","))):
+        index = _short_int(part, size - 1)
+        if index is None or index >= size:
+            raise ParseError(f"subset index {reprlib.repr(part)} is not one of 0..{size - 1}", 0)
+        indices.append(index)
     if not indices:
         raise ParseError("empty subset", 0)
-    for i in indices:
-        if not 0 <= i < size:
-            raise ParseError(f"subset index {reprlib.repr(i)} out of range 0..{size - 1}", 0)
     return indices
+
+
+def _count(text: str) -> int:
+    """The argparse type of --n and --m: at most two significant ASCII
+    digits, read by _short_int; every n and m a command takes is below 15."""
+    value = _short_int(text, 99)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected digits 0-9 for a number below 100, got {reprlib.repr(text)}"
+        )
+    return value
 
 
 def _cmd_common_factor(args) -> tuple[int, dict, str, dict]:
@@ -382,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bilinear-family", help="2^n bilinear forms with no common slot")
-    p.add_argument("--n", type=int, choices=tuple(range(2, _MAX_FAMILY_N + 1)), required=True)
+    p.add_argument("--n", type=_count, choices=tuple(range(2, _MAX_FAMILY_N + 1)), required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--subset", help="comma-separated family indices to intersect")
     common(p)
     p.set_defaults(func=_cmd_bilinear_family)
 
     p = sub.add_parser("common-factor", help="extract an m-fold common factor")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_count, required=True)
     p.add_argument("--forms", required=True, help="JSON file with n and a list of forms")
     common(p)
     p.set_defaults(func=_cmd_common_factor)
@@ -398,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quadratic-family",
         help="2^n - 1 quadratic forms with no common inseparable splitting field",
     )
-    p.add_argument("--n", type=int, choices=tuple(range(2, _MAX_QUADRATIC_N + 1)), required=True)
+    p.add_argument("--n", type=_count, choices=tuple(range(2, _MAX_QUADRATIC_N + 1)), required=True)
     p.add_argument("--verify", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_quadratic_family)
@@ -406,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quat-triple", help="check a triple of quaternion algebras")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--n", type=int, choices=(2, 3, 4), default=2)
+    p.add_argument("--n", type=_count, choices=(2, 3, 4), default=2)
     common(p)
     p.set_defaults(func=_cmd_quat_triple)
 

@@ -191,8 +191,9 @@ def test_criterion_4_valuation_suite():
 
 def test_criterion_5_quadratic_family_cli(capsys):
     budgets = {2: 30.0, 3: 30.0, 4: 30.0, 5: 30.0, 6: 30.0}
-    # measured through main: about 0.24 s at n=7 and 1.1 s at n=8, nearly
-    # all of it the 4.2 and 18.8 MB reports; each budget leaves about 5x
+    # measured through main, the report parsed: about 0.19 s at n=7 and
+    # 0.95 s at n=8, most of it the 4.2 and 18.8 MB reports; each budget
+    # leaves at least 5x
     budgets.update({7: 1.5, 8: 6.0})
     timings = {}
     for n, budget in budgets.items():

@@ -113,6 +113,12 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_element("a1 / a2 / a1", ctx2)
 
+    @pytest.mark.parametrize("text", ["a\u0661", "a1^\u0662", "\u0663", "a1 + \uff11"])
+    def test_digits_are_ascii(self, ctx2, text):
+        # other scripts' digits are refused: "a\u0661" is not a1
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_element(text, ctx2)
+
 
 class TestBilinearFamily:
     def test_verify_valid(self, capsys):
@@ -231,10 +237,72 @@ class TestBilinearFamily:
         assert code == 2
         assert report["verdict"] == "ERROR"
 
+    @pytest.mark.parametrize(
+        "subset", ["1_0, +3", "+1", "-0", "0,\u0663", "0x1", "1 2", "0,1.0"]
+    )
+    def test_subset_index_digits_only(self, capsys, subset):
+        # int() would read "1_0, +3" as members 10 and 3; each index is
+        # ASCII digits, read by the grammar of an exponent
+        code, report = run_json(capsys, "bilinear-family", "--n", "4", "--subset", subset)
+        assert code == 2
+        assert report["verdict"] == "ERROR"
+        assert report["evidence"]["error_type"] == "ParseError"
+
+    def test_subset_whitespace_around_commas(self, capsys):
+        # whitespace around an index, leading zeros and empty parts are kept
+        code, report = run_json(
+            capsys, "bilinear-family", "--n", "3", "--subset", " 0 ,\t01,, 2 ,"
+        )
+        _, plain = run_json(capsys, "bilinear-family", "--n", "3", "--subset", "0,1,2")
+        assert code == 0
+        assert report["inputs"]["subset"] == " 0 ,\t01,, 2 ,"
+        assert report["evidence"] == plain["evidence"]
+
     def test_plain_listing(self, capsys):
         code, report = run_json(capsys, "bilinear-family", "--n", "2")
         assert code == 0
         assert len(report["evidence"]["forms"]) == 4
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bilinear-family", "--n", "0_4"),
+            ("bilinear-family", "--n", "+4"),
+            ("bilinear-family", "--n", " 4"),
+            ("bilinear-family", "--n", "\u0664"),
+            ("bilinear-family", "--n", "4" * 5000),
+            ("quadratic-family", "--n", "0_3"),
+            ("quat-triple", "--alpha", "a1", "--beta", "a2", "--n", "+2"),
+            ("common-factor", "--m", "+1", "--forms", str(GOLDEN_FORMS)),
+            ("common-factor", "--m", "1_0", "--forms", str(GOLDEN_FORMS)),
+        ],
+        ids=[
+            "n-underscore",
+            "n-sign",
+            "n-space",
+            "n-arabic-indic",
+            "n-5000-digits",
+            "quadratic-n-underscore",
+            "quat-n-sign",
+            "m-sign",
+            "m-underscore",
+        ],
+    )
+    def test_digits_only(self, capsys, argv):
+        # argparse's type=int would read "0_4" as 4; --n and --m take ASCII
+        # digits, and anything else is a short usage error with no report
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "expected digits 0-9" in captured.err and len(captured.err) < 1000
+
+    def test_leading_zeros(self, capsys):
+        code, report = run_json(capsys, "bilinear-family", "--n", "03")
+        assert code == 0
+        assert report["inputs"]["n"] == 3
 
 
 class TestCommonFactor:
@@ -622,21 +690,44 @@ class TestReports:
         assert main([]) == 2
 
 
+def close_early(argv) -> tuple[bytes, int, bytes]:
+    """The first 64 bytes of the console script's stdout, read before the
+    pipe is closed, then its exit code and stderr."""
+    program = "from pflab.cli import console_main; console_main()"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", program, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    head = proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return head, proc.wait(timeout=60), err
+
+
 class TestClosedPipe:
     def test_early_close_ends_quietly(self):
         # the n=6 certificate is 0.9 MB of JSON, far more than a pipe
         # buffers, so the write fails once the reader has gone
-        program = "from pflab.cli import console_main; console_main()"
-        argv = ["quadratic-family", "--n", "6", "--verify"]
-        proc = subprocess.Popen(
-            [sys.executable, "-c", program, *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        assert proc.stdout.read(64).startswith(b"{")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 141
+        head, code, err = close_early(["quadratic-family", "--n", "6", "--verify"])
+        assert head.startswith(b"{")
+        assert code == 141
+        assert err == b""
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["quadratic-family", "--n", "8", "--verify"], b"{"),
+            (["quadratic-family", "--n", "6", "--verify", "--format", "text"], b"command: "),
+        ],
+        ids=["json-n8", "text-n6"],
+    )
+    def test_early_close_streamed(self, argv, start):
+        # the n=8 report is 18.8 MB, written in five batches; the text
+        # report is written line by line
+        head, code, err = close_early(argv)
+        assert head.startswith(start)
+        assert code == 141
         assert err == b""

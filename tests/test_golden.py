@@ -4,7 +4,9 @@ Each case runs one CLI invocation through ``cli.main`` and compares its
 stdout and exit code with the file recorded under ``tests/golden/``.  A
 refactor must leave every file unchanged.  The family certificate at
 n = 5..14, too large for a golden file at the top end, is pinned by the
-sha256 of its stdout (``FAMILY_DIGESTS``).  A change that is meant to
+sha256 of its stdout (``FAMILY_DIGESTS``), and so are the quadratic
+certificate and listing at n = 2..8 (``QUADRATIC_DIGESTS`` and
+``QUADRATIC_LISTING_DIGESTS``).  A change that is meant to
 alter a report rewrites its goldens on purpose, and only those: run this
 file as a script, ``PYTHONPATH=src python tests/test_golden.py``, and
 check that ``git diff --stat tests/golden`` lists no other file.
@@ -92,6 +94,27 @@ FAMILY_DIGESTS = {
     14: "120e1d3383224ea4825230f7897e59f93e154a018c968577046abfb6e85ec13a",
 }
 
+# n -> sha256 of the stdout of ``quadratic-family --n N --verify``, and of
+# its plain listing; the --verify report grows to 18.8 MB at n=8
+QUADRATIC_DIGESTS = {
+    2: "8f5195325340df0d4936db49ad15872fdc11891cf1f44620eb1d2cb390d760f5",
+    3: "e6ffdeb3096ee7b91fa7ae817499fc3ac6e01d797d72c644830e98b8e6a770b5",
+    4: "2690f2fa7befda852a9f9821b7561e30c8ba8a2edd7d389ea0567ce188118311",
+    5: "fa9e43c864d7a04a0cc4e6507ec39edf66802137dd1316ff4c18fed2311cb0dc",
+    6: "87b5f08b7da6f4ff51fe3c44124aff3ff0f38580f4a8a4cb228c018c0b11518a",
+    7: "ac557d2e81f08adc07047e8f836680fa75542842a6f20166706b8298ee9d7853",
+    8: "f745879c1ff6c164ed4be7a99d90a0889d7afc0804aae80adf57c8a46a717c4f",
+}
+QUADRATIC_LISTING_DIGESTS = {
+    2: "44451e8e7eb85090f9314f4ad52b13224687d9a4f9947f6dcf853fbb145330d9",
+    3: "5430a8b89390313861d0a9e89106d4792c76e530d9b2f7676b12e1e13d99e83e",
+    4: "6e5b083ab96098e817419c1edb3a7e7f9747d82740be3b9d8cfe6f71260b6cc3",
+    5: "295ddfc62269e4ae3d5aed706d19e357d79700d4d153b2d63228a50461f1da4a",
+    6: "9c72d5ce7228350d33014b85efe32ac18d33da6920953ea17aaf29ed7cd49070",
+    7: "e4ef78202ef44cf22c393264f01602ec98938368f9520237f303d6abe4dbc2b2",
+    8: "2131dcab99609dabe95f801413afab64a1480c1b71cbfd638339b54b9f10cc0a",
+}
+
 
 def _run(argv):
     out = io.StringIO()
@@ -116,6 +139,20 @@ def test_family_digest(n):
     code, out = _run(["bilinear-family", "--n", str(n), "--verify"])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAMILY_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(QUADRATIC_DIGESTS))
+def test_quadratic_digest(n):
+    code, out = _run(["quadratic-family", "--n", str(n), "--verify"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == QUADRATIC_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(QUADRATIC_LISTING_DIGESTS))
+def test_quadratic_listing_digest(n):
+    code, out = _run(["quadratic-family", "--n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == QUADRATIC_LISTING_DIGESTS[n]
 
 
 def _workloads():
