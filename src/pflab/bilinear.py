@@ -24,7 +24,9 @@ b_j * K_(j-1) = K_(j-1), which holds 1, and b_j * K_(j-1) is spanned
 by the products b_j * b^e, e over the slots before j, each nontrivial:
 1 lies in P.  Conversely, 1 is itself a product, so an anisotropic
 form's P misses it.  ``BilinearPfister.is_anisotropic`` is the lemma:
-one read of column 0 of the pure space's annihilator.
+one read of column 0 of the pure space's annihilator.  A form of more
+than n slots is isotropic with no product built: F has dimension 2^n
+over F^2, so its 2^k products are dependent.
 
 So no rank is taken to prove that products span a space W that misses
 1.  Rows that are the nontrivial product rows of k nonzero slots, each
@@ -78,18 +80,18 @@ U is the field F^2(slots), so those products then put the candidate
 outside U as well: a nonzero delta in U would put 1 = delta * delta^-1
 among them.  So U is never spanned, and it doubles its dimension with
 each slot added.  Before any exact product, the dot products are taken
-at the fixed point of GF(2^16)^n of ``linalg._Point``; substitution is
+at the fixed point of GF(2^16)^n of ``field._Point``; substitution is
 a ring homomorphism, so a nonzero value rejects the candidate exactly.
-The target's values there, of its eliminated rows and its annihilator
-rows, are taken once per space and cached with it.  Only a candidate
-that reads 0 on all of them becomes a field element, read off its row
-by ``field._row_element``, the conversion ``SqSubspace.elements()``
-uses, in lowest terms.  The exact test, which alone accepts, multiplies
-that slot's own row by each of the slots' product rows, and those
-products are the accepted slot's product rows: ``_complete`` appends
-them and multiplies nothing again, so each is built once.  So a pass of
-``common_factor`` builds no product of field elements, and no product
-row twice.
+The target's annihilator rows and U's product rows are evaluated there
+once per search (``_Screen``), and each candidate's own row when it is
+screened.  Only a candidate that reads 0 on all of them becomes a field
+element, read off its row by ``field._row_element``, the conversion
+``SqSubspace.elements()`` uses, in lowest terms.  The exact test, which
+alone accepts, multiplies that slot's own row by each of the slots'
+product rows, and those products are the accepted slot's product rows:
+``_complete`` appends them and multiplies nothing again, so each is
+built once.  So a pass of ``common_factor`` builds no product of field
+elements, and no product row twice.
 
 ``common_factor`` searches and certifies once per distinct pure space.
 ``_complete`` reads nothing of a form but its pure space and fold, so
@@ -159,15 +161,17 @@ from .errors import (
     ZeroSlot,
 )
 from .field import (
+    _GF_ORDER,
     FieldContext,
     FieldElement,
     Poly,
+    _point,
     _poly_row,
     _product_rows,
     _row_element,
     _row_mul,
 )
-from .linalg import _GF_ORDER, SparseRow, SqSubspace, _dot, _Point, _sparse
+from .linalg import SparseRow, SqSubspace, _dot, _sparse
 # no caller here any more; the binding stays, since perfbench's tracer test
 # checks that bilinear.left_kernel is restored after tracing
 from .linalg import left_kernel  # noqa: F401
@@ -237,8 +241,9 @@ class BilinearPfister:
 
     def is_anisotropic(self) -> bool:
         """Whether 1 lies outside the pure value space: the anisotropy
-        lemma of the module docstring."""
-        return not self.pure_value_space().contains_one()
+        lemma of the module docstring.  A form of more slots than variables
+        is refused first, before its 2^fold product rows are built."""
+        return self.fold <= self.ctx.n and not self.pure_value_space().contains_one()
 
     def is_slot(self, beta: FieldElement) -> bool:
         """Whether <<beta>> is a 1-fold factor, i.e. beta in D(B')."""
@@ -346,7 +351,7 @@ def _stable_subspace(u_rows: Sequence[SparseRow], W: SqSubspace) -> SqSubspace:
 
 class _Screen:
     """The product test of ``_admissible`` at the fixed point of
-    ``linalg._Point``, set up once per ``_next_slot`` call.
+    ``field._Point``, set up once per ``_next_slot`` call.
 
     The dot product of W's annihilator row a with the row of delta*u,
     x and y the rows of delta and u, is sum x_c * y_e * a^(c & e) *
@@ -354,29 +359,29 @@ class _Screen:
     Substitution is a ring homomorphism, so its value is
     sum phi(x_c) * phi(y_e) * phi(a^(c & e)) * phi(a_(c ^ e)), and a
     nonzero value proves the exact dot product nonzero: delta * u lies
-    outside W, and delta is no slot.  The values of U's product rows and
-    of the column monomials are taken here, once, as logs in GF(2^16);
-    W's annihilator values are taken once per space and cached with its
-    annihilator (``SqSubspace.annihilator_values``).  A candidate brings
-    its own values, which for a sum of two rows are the XOR of theirs."""
+    outside W, and delta is no slot.  The values of U's product rows, of
+    W's annihilator rows and of the column monomials are taken here,
+    once, as logs in GF(2^16); ``rejects`` takes the values of the
+    candidate's own row."""
 
     __slots__ = ("point", "_monomials", "_pairs")
 
     def __init__(self, u_rows: Sequence[SparseRow], W: SqSubspace):
-        point = self.point = _Point(W.ctx)
+        point = self.point = _point(W.ctx.n)
         log, value = point.log, point.value
         self._monomials = [point.monomial_log(t) for t in W.ctx.patterns]
-        anns = [[log[v] if v else None for v in a] for a in W.annihilator_values]
+        anns = [[log[v] if (v := value(p)) else None for p in a] for a in W.annihilator]
         # newest row first: the product with 1, the first row, is delta
         # itself, which lies in W
         us = [[(e, log[v]) for e, p in r.items() if (v := value(p))] for r in reversed(u_rows)]
         self._pairs = [(u, a) for u in us for a in anns]
 
-    def rejects(self, values: Sequence[int]) -> bool:
+    def rejects(self, row: SparseRow) -> bool:
         """Whether some dot product is nonzero at the point, for the
-        candidate whose entries have the given values, column by column."""
-        exp, log, monomials = self.point.exp, self.point.log, self._monomials
-        xs = [(c, log[v]) for c, v in enumerate(values) if v]
+        candidate of the sparse row."""
+        point, monomials = self.point, self._monomials
+        exp, log, value = point.exp, point.log, point.value
+        xs = [(c, log[v]) for c, p in row.items() if (v := value(p))]
         for ys, ann in self._pairs:
             v = 0
             for c, lx in xs:
@@ -391,7 +396,6 @@ class _Screen:
 
 def _admissible(
     row: SparseRow,
-    values: Sequence[int],
     last: Poly,
     screen: _Screen,
     u_rows: Sequence[SparseRow],
@@ -407,9 +411,9 @@ def _admissible(
     1 = delta * delta^-1 in delta*U, outside W: an accepted delta lies
     outside U, and the longer slot list stays anisotropic.
 
-    values are the row's entries at the fixed point, and ``screen``
-    rejects delta first when some product's dot product with an
-    annihilator row of W is nonzero there, which proves it nonzero over
+    ``screen`` rejects delta first when some product's dot product with
+    an annihilator row of W is nonzero at the fixed point, which it
+    reads off the row's own entries there; that proves it nonzero over
     F.  Only a candidate that reads 0 on every one goes on to the exact
     test, and only the exact test accepts.  Such a candidate becomes its
     slot first: read off the row, its element's 2-basis row times the
@@ -429,7 +433,7 @@ def _admissible(
     certification's fact that the accepted slot's products lie in W:
     ``_complete`` does not test them again.  An empty row is delta = 0,
     never a slot."""
-    if not row or screen.rejects(values):
+    if not row or screen.rejects(row):
         return None
     ctx = W.ctx
     slot = _row_element(ctx, row, last).lowest_terms()
@@ -462,39 +466,34 @@ def _next_slot(
 
     The candidates are tried as rows: W's eliminated rows, each last
     times a reduced row, then sums of two of them, which share that
-    scale, then the eliminated rows of the fallback space.  The values
-    of W's rows at the fixed point are taken once per space and cached
-    (``SqSubspace.row_values``), and a sum's values are the XOR of its
-    two rows' values.  Only a candidate that passes the screen becomes a
-    field element, the lowest-terms slot whose own row ``_admissible``
-    multiplies in its exact test; the accepted slot's products are built
-    once, there.
+    scale, then the eliminated rows of the fallback space.  Each
+    candidate's row is screened at the fixed point (``_Screen``), and
+    only a candidate that passes the screen becomes a field element, the
+    lowest-terms slot whose own row ``_admissible`` multiplies in its
+    exact test; the accepted slot's products are built once, there.
     """
     screen = _Screen(u_rows, W)
-    for row, values, last in _candidate_rows(u_rows, W):
-        found = _admissible(row, values, last, screen, u_rows, W)
+    for row, last in _candidate_rows(u_rows, W):
+        found = _admissible(row, last, screen, u_rows, W)
         if found is not None:
             return found
     return None
 
 
 def _candidate_rows(u_rows: Sequence[SparseRow], W: SqSubspace):
-    """The candidates of ``_next_slot`` in order, as (sparse row, values
-    at the point, scale): W's eliminated rows, the sums of two of them,
-    then the eliminated rows of the fallback space, which is computed only
-    when it is reached.  Each space's values are its cached
-    ``row_values``."""
+    """The candidates of ``_next_slot`` in order, as (sparse row, scale):
+    W's eliminated rows, the sums of two of them, then the eliminated rows
+    of the fallback space, which is computed only when it is reached."""
     rows = W._eliminated
-    values = W.row_values
-    for polys, vals in zip(rows, values):
-        yield _sparse(polys), vals, W._last
-    for (a, va), (b, vb) in itertools.combinations(zip(rows, values), 2):
-        yield _sparse([x + y for x, y in zip(a, b)]), [x ^ y for x, y in zip(va, vb)], W._last
+    for polys in rows:
+        yield _sparse(polys), W._last
+    for a, b in itertools.combinations(rows, 2):
+        yield _sparse([x + y for x, y in zip(a, b)]), W._last
     # bounded search exhausted: fall back to the exact candidate subspace,
     # which is nonzero iff any completion step exists at all
     stable = _stable_subspace(u_rows, W)
-    for polys, vals in zip(stable._eliminated, stable.row_values):
-        yield _sparse(polys), vals, stable._last
+    for polys in stable._eliminated:
+        yield _sparse(polys), stable._last
 
 
 def _complete(
@@ -658,9 +657,11 @@ def _groups(forms: Sequence[BilinearPfister]) -> tuple[list[int], list[int]]:
     docstring form i is anisotropic and pure(form i) = W, and its own pure
     space is never spanned.  A form that joins no group is spanned from
     the same rows, checked by ``is_anisotropic`` and made a
-    representative.  The forms are taken in input order, each one's
-    context before its anisotropy, so the first bad form raises:
-    ContextMismatch or IsotropicInput.
+    representative.  A form of more slots than variables is isotropic
+    (the module docstring) and raises before its rows are built.  The
+    forms are taken in input order, each one's context before its
+    anisotropy, so the first bad form raises: ContextMismatch or
+    IsotropicInput.
     """
     if not forms:
         raise EmptyInput("no forms given")
@@ -670,6 +671,8 @@ def _groups(forms: Sequence[BilinearPfister]) -> tuple[list[int], list[int]]:
     for i, f in enumerate(forms):
         if f.ctx != ctx:
             raise ContextMismatch("forms over different field contexts")
+        if f.fold > ctx.n:
+            raise IsotropicInput(f"form {f!r} is isotropic")
         rows = _product_rows(ctx, f.slots)[1:]
         joins = (
             g

@@ -16,6 +16,12 @@ such a row back into an element; the pair is the bridge from F^2-linear
 structure in F to plain linear algebra over F (see linalg).
 ``FieldElement.frobenius_decompose`` reads the c_d themselves off the row.
 
+Substituting a point of GF(2^16)^n for the a_i is a ring homomorphism
+GF(2)[a] -> GF(2^16), so a polynomial with a nonzero value there is
+nonzero.  ``_Point`` fixes one such point per n, with the exp and log
+tables of GF(2^16) (``_gf_tables``), and ``bilinear._next_slot`` screens
+its slot candidates there before their exact test.
+
 Fractions are not kept in lowest terms during arithmetic.  Equality is
 cross-multiplicative, so correctness never depends on reduction; a
 ``canonical`` pass (full multivariate gcd) runs before printing,
@@ -26,6 +32,9 @@ many products will carry.
 
 from __future__ import annotations
 
+from array import array
+from functools import cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatch, DivisionByZero, NotASquare, NotDivisible
@@ -210,6 +219,65 @@ def _poly_str(p: Poly) -> str:
                 factors.append(f"a{i + 1}^{e}")
         parts.append("*".join(factors) if factors else "1")
     return "+".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# a fixed point of GF(2^16)^n
+# ---------------------------------------------------------------------------
+
+_GF_ORDER = 2**16 - 1  # multiplicative group of GF(2^16)
+_GF_MODULUS = 0x1100B  # x^16 + x^12 + x^3 + x + 1, primitive: x generates the group
+# a_i is evaluated at x^(7919 * i); 7919 is prime to the group order, so
+# the coordinates are pairwise distinct
+_POINT_LOG_STEP = 7919
+
+
+@cache
+def _gf_tables() -> tuple[array, array]:
+    """exp and log tables of GF(2^16), built on first use (about 0.4 MB).
+
+    exp holds two periods, so exp[log a + log b] needs no reduction."""
+    exp = array("H", bytes(4 * _GF_ORDER))
+    log = array("H", bytes(2 * (_GF_ORDER + 1)))
+    x = 1
+    for i in range(_GF_ORDER):
+        exp[i] = exp[i + _GF_ORDER] = x
+        log[x] = i
+        x <<= 1
+        if x >> 16:
+            x ^= _GF_MODULUS
+    return exp, log
+
+
+class _Point:
+    """The fixed point of GF(2^16)^n at which ``bilinear._next_slot``
+    screens its slot candidates: each a_i is x^(7919 * i), x the generator
+    of GF(2^16)^*.  One is made per n (``_point``), and the tables are
+    built with the first, so a run that searches no slot builds none."""
+
+    __slots__ = ("exp", "log", "_logs")
+
+    def __init__(self, n: int):
+        self.exp, self.log = _gf_tables()
+        self._logs = [_POINT_LOG_STEP * (i + 1) for i in range(n)]
+
+    def monomial_log(self, t: tuple[int, ...]) -> int:
+        """The log of the monomial a^t at the point."""
+        return sum(map(mul, t, self._logs)) % _GF_ORDER
+
+    def value(self, p: Poly) -> int:
+        """The value of p at the point."""
+        exp, monomial_log = self.exp, self.monomial_log
+        v = 0
+        for t in p.terms:
+            v ^= exp[monomial_log(t)]
+        return v
+
+
+@cache
+def _point(n: int) -> _Point:
+    """The point of GF(2^16)^n, made on first use."""
+    return _Point(n)
 
 
 # ---------------------------------------------------------------------------

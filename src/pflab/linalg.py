@@ -20,8 +20,7 @@ lemma of ``bilinear`` turns that and a slot count into the span.  Rows
 that are spanned or tested against an annihilator are sparse (column ->
 polynomial, ``field._poly_row``): an element's coordinates times its
 denominator, so no fraction is cleared on the way in, and a slot product
-has at most two nonzero coordinates.  ``_Point`` fixes a point of
-GF(2^16)^n, at which ``bilinear._next_slot`` screens its candidates.
+has at most two nonzero coordinates.
 
 Every elimination is ``_bareiss_jordan`` on polynomial rows, and every
 null space is read off one by ``_null_vectors``: a space's annihilator
@@ -45,9 +44,6 @@ row for row.
 
 from __future__ import annotations
 
-from array import array
-from functools import cache
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import EliminationInvariant, NotDivisible
@@ -240,78 +236,6 @@ def _null_vectors(
     return out
 
 
-# ---------------------------------------------------------------------------
-# a fixed point of GF(2^16)^n
-# ---------------------------------------------------------------------------
-
-_GF_ORDER = 2**16 - 1  # multiplicative group of GF(2^16)
-_GF_MODULUS = 0x1100B  # x^16 + x^12 + x^3 + x + 1, primitive: x generates the group
-# a_i is evaluated at x^(7919 * i); 7919 is prime to the group order, so
-# the coordinates are pairwise distinct
-_POINT_LOG_STEP = 7919
-
-
-@cache
-def _gf_tables() -> tuple[array, array]:
-    """exp and log tables of GF(2^16), built on first use (about 0.4 MB).
-
-    exp holds two periods, so exp[log a + log b] needs no reduction."""
-    exp = array("H", bytes(4 * _GF_ORDER))
-    log = array("H", bytes(2 * (_GF_ORDER + 1)))
-    x = 1
-    for i in range(_GF_ORDER):
-        exp[i] = exp[i + _GF_ORDER] = x
-        log[x] = i
-        x <<= 1
-        if x >> 16:
-            x ^= _GF_MODULUS
-    return exp, log
-
-
-class _Point:
-    """The fixed point of GF(2^16)^n at which ``bilinear._next_slot``
-    screens its slot candidates: each a_i is x^(7919 * i), x the generator
-    of GF(2^16)^*.  One is made per ``bilinear._Screen`` and per space
-    whose row or annihilator values are taken (``_values_at_point``), and
-    it remembers the value of each monomial it has met, since the product
-    rows of a family repeat their monomials.  The tables are built on the
-    first one made, so a run that searches no slot builds none.
-
-    Substitution is a ring homomorphism F[a] -> GF(2^16), so a polynomial
-    with a nonzero value is nonzero."""
-
-    __slots__ = ("exp", "log", "_logs", "_values")
-
-    def __init__(self, ctx: FieldContext):
-        self.exp, self.log = _gf_tables()
-        self._logs = [_POINT_LOG_STEP * (i + 1) for i in range(ctx.n)]
-        self._values: dict[tuple[int, ...], int] = {}
-
-    def monomial_log(self, t: tuple[int, ...]) -> int:
-        """The log of the monomial a^t at the point."""
-        return sum(map(mul, t, self._logs)) % _GF_ORDER
-
-    def value(self, p: Poly) -> int:
-        """The value of p at the point."""
-        values = self._values
-        v = 0
-        for t in p.terms:
-            m = values.get(t)
-            if m is None:
-                m = values[t] = self.exp[self.monomial_log(t)]
-            v ^= m
-        return v
-
-
-def _values_at_point(
-    ctx: FieldContext, rows: Iterable[Sequence[Poly]]
-) -> tuple[tuple[int, ...], ...]:
-    """The entries of dense polynomial rows at the fixed point of
-    ``_Point``, row by row."""
-    value = _Point(ctx).value
-    return tuple(tuple(map(value, polys)) for polys in rows)
-
-
 class SqSubspace:
     """An F^2-subspace of F with a canonical reduced row basis.
 
@@ -346,16 +270,10 @@ class SqSubspace:
     those dot products; ``intersection`` is the ``null_space`` of the
     inputs' annihilator rows stacked together, read off with the same
     ``_null_vectors``.  1's row is e_0, so ``contains_one`` reads column 0
-    of the annihilator rows.  Next to the annihilator, the entries of the
-    annihilator rows and of the eliminated rows at the fixed point of
-    ``_Point`` are taken on first use and cached, for
-    ``bilinear._next_slot``'s screen and candidates.
+    of the annihilator rows.
     """
 
-    __slots__ = (
-        "ctx", "pivots", "_eliminated", "_last", "_rows", "_annihilator", "_elements",
-        "_row_values", "_annihilator_values",
-    )
+    __slots__ = ("ctx", "pivots", "_eliminated", "_last", "_rows", "_annihilator", "_elements")
 
     def __init__(
         self,
@@ -371,8 +289,6 @@ class SqSubspace:
         self._rows = None
         self._annihilator = None
         self._elements = None
-        self._row_values = None
-        self._annihilator_values = None
 
     @classmethod
     def from_poly_rows(cls, ctx: FieldContext, raw_rows: Iterable[SparseRow]) -> SqSubspace:
@@ -502,22 +418,6 @@ class SqSubspace:
             )
             self._annihilator = tuple(tuple(v) for v in vecs)
         return self._annihilator
-
-    @property
-    def row_values(self) -> tuple[tuple[int, ...], ...]:
-        """The eliminated rows' entries at the fixed point of ``_Point``,
-        row by row; taken on first use and cached."""
-        if self._row_values is None:
-            self._row_values = _values_at_point(self.ctx, self._eliminated)
-        return self._row_values
-
-    @property
-    def annihilator_values(self) -> tuple[tuple[int, ...], ...]:
-        """The annihilator rows' entries at the fixed point of ``_Point``,
-        row by row; taken on first use and cached."""
-        if self._annihilator_values is None:
-            self._annihilator_values = _values_at_point(self.ctx, self.annihilator)
-        return self._annihilator_values
 
     def contains_one(self) -> bool:
         """Whether 1 lies in the space.  1's row is e_0, so it does when

@@ -352,6 +352,26 @@ class TestAnisotropy:
 
         lemma()
 
+    def test_more_slots_than_variables(self, ctx2, b0, monkeypatch):
+        # 2^3 products in F, of dimension 2^2 over F^2, are dependent: the
+        # form is refused with no product row built
+        real = bilinear._product_rows
+
+        def refusing(ctx, slots):
+            assert len(slots) <= ctx.n, "product rows of more slots than variables"
+            return real(ctx, slots)
+
+        monkeypatch.setattr(bilinear, "_product_rows", refusing)
+        a1, a2 = ctx2.gens
+        long = BilinearPfister(ctx2, (a1, a2, ctx2.one + a1))
+        assert not long.is_anisotropic()
+        assert b0.is_anisotropic()
+        for forms in ([long], [b0, long]):
+            with pytest.raises(IsotropicInput, match="is isotropic"):
+                bilinear._groups(forms)
+            with pytest.raises(IsotropicInput, match="is isotropic"):
+                common_factor(1, forms)
+
 
 class TestIsSlot:
     def test_listed_slot(self, ctx2, b0):
@@ -669,12 +689,11 @@ class TestCommonFactor:
         assert wrong
         for slot, W, u_rows in wrong:
             row = _poly_row(slot)
-            values = [linalg._Point(ctx3).value(row.get(j, ctx3._zero_poly)) for j in range(8)]
             screen = bilinear._Screen(u_rows, W)
-            assert bilinear._admissible(row, values, slot.den, screen, u_rows, W) is None
+            assert bilinear._admissible(row, slot.den, screen, u_rows, W) is None
             with monkeypatch.context() as m:
-                m.setattr(bilinear._Screen, "rejects", lambda self, values: False)
-                assert bilinear._admissible(row, values, slot.den, screen, u_rows, W) is None
+                m.setattr(bilinear._Screen, "rejects", lambda self, row: False)
+                assert bilinear._admissible(row, slot.den, screen, u_rows, W) is None
 
     def test_product_outside_pure_space(self, ctx2, b0, monkeypatch):
         a1, a2 = ctx2.gens
@@ -875,7 +894,7 @@ class TestCommonFactor:
 
         monkeypatch.setattr(bilinear, "_row_mul", counted)
         plain = run()
-        monkeypatch.setattr(linalg._Point, "value", lambda self, p: 0)
+        monkeypatch.setattr(field._Point, "value", lambda self, p: 0)
         assert run() > plain
 
     def test_complete_builds_each_product_row_once(self, monkeypatch):
@@ -1423,14 +1442,16 @@ class TestAdmissible:
         assert a1 in W and a1 in SqSubspace.from_poly_rows(ctx3, u_rows)
         assert ctx3.one not in W
         row = _poly_row(a1)
-        size = len(ctx3.patterns)
         screen = bilinear._Screen(u_rows, W)
-        values = [screen.point.value(row[c]) if c in row else 0 for c in range(size)]
         one = ctx3._one_poly
-        assert screen.rejects(values)
-        assert not bilinear._admissible(row, values, one, screen, u_rows, W)
+        assert screen.rejects(row)
+        assert not bilinear._admissible(row, one, screen, u_rows, W)
         # at a point where every value is 0 the exact test rejects it alone
-        assert not bilinear._admissible(row, [0] * size, one, screen, u_rows, W)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field._Point, "value", lambda self, p: 0)
+            zero = bilinear._Screen(u_rows, W)
+            assert not zero.rejects(row)
+            assert not bilinear._admissible(row, one, zero, u_rows, W)
         assert not W._annihilates(field._row_mul(ctx3, row, row))
 
 

@@ -258,6 +258,12 @@ class TestBilinearFamily:
         assert report["inputs"]["subset"] == " 0 ,\t01,, 2 ,"
         assert report["evidence"] == plain["evidence"]
 
+    def test_empty_subset(self, capsys):
+        code, report = run_json(capsys, "bilinear-family", "--n", "3", "--subset", ",")
+        assert code == 2
+        assert report["evidence"]["error_type"] == "ParseError"
+        assert "empty subset" in report["evidence"]["error"]
+
     def test_plain_listing(self, capsys):
         code, report = run_json(capsys, "bilinear-family", "--n", "2")
         assert code == 0
@@ -407,6 +413,18 @@ class TestCommonFactor:
         assert code == 2
         assert report["evidence"]["error_type"] == "ValueError"
         assert "1..6" in report["evidence"]["error"]
+
+    def test_more_slots_than_variables(self, capsys, tmp_path):
+        # 18 slots over n=2: refused as isotropic before any of the 2^18
+        # product rows is built
+        path = tmp_path / "forms.json"
+        path.write_text(json.dumps({"n": 2, "forms": [["a1"] * 18]}))
+        started = time.monotonic()
+        code, report = run_json(capsys, "common-factor", "--m", "1", "--forms", str(path))
+        assert time.monotonic() - started < 1.0
+        assert code == 2
+        assert report["evidence"]["error_type"] == "IsotropicInput"
+        assert "is isotropic" in report["evidence"]["error"]
 
     @pytest.mark.parametrize(
         "data, n",
@@ -598,6 +616,17 @@ class TestQuatTriple:
         )
         assert code == 2
         assert "parity independence failed" in report["evidence"]["error"]
+
+    @pytest.mark.parametrize(
+        "alpha, error",
+        [("0", "alpha and beta must be nonzero"), ("1/a1", "must have negative values")],
+        ids=["zero", "no-negative-value"],
+    )
+    def test_hypothesis_failed(self, capsys, alpha, error):
+        code, report = run_json(capsys, "quat-triple", "--alpha", alpha, "--beta", "a2")
+        assert code == 2
+        assert report["evidence"]["error_type"] == "HypothesisFailed"
+        assert error in report["evidence"]["error"]
 
     def test_parse_error(self, capsys):
         code, report = run_json(

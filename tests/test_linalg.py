@@ -17,7 +17,7 @@ from pflab import (
     Poly,
     SqSubspace,
 )
-from pflab import linalg
+from pflab import field, linalg
 from pflab.field import _poly_row
 from conftest import CTX2, CTX3, cleared, dense, elements, nonzero_polys, polys, span_rows
 
@@ -334,16 +334,6 @@ class TestContainsOne:
         whole = SqSubspace.span(ctx, [ctx.monomial(d) for d in ctx.patterns])
         assert whole.annihilator == ()
         assert whole.contains_one() and ctx.one in whole
-
-    @given(space=_spans_maybe_with_one(CTX3, 4))
-    def test_point_values_cached(self, space):
-        # the values the slot search reads, taken once per space
-        value = linalg._Point(CTX3).value
-        rows = space.row_values
-        assert rows == tuple(tuple(map(value, polys)) for polys in space._eliminated)
-        anns = space.annihilator_values
-        assert anns == tuple(tuple(map(value, a)) for a in space.annihilator)
-        assert space.row_values is rows and space.annihilator_values is anns
 
 
 class TestIntersection:
@@ -826,11 +816,11 @@ class TestAnnihilator:
 
 
 class TestPoint:
-    """The fixed point of ``linalg._Point`` and its GF(2^16) tables."""
+    """The fixed point of ``field._Point`` and its GF(2^16) tables."""
 
     def test_tables_are_a_logarithm(self):
-        exp, log = linalg._gf_tables()
-        order = linalg._GF_ORDER
+        exp, log = field._gf_tables()
+        order = field._GF_ORDER
         assert sorted(exp[:order]) == list(range(1, order + 1))
         assert exp[order:] == exp[:order]
         assert all(exp[log[x]] == x for x in range(1, order + 1))
@@ -838,7 +828,7 @@ class TestPoint:
     @staticmethod
     def tables_built_after(statement):
         """How many tables a fresh interpreter holds after the statement."""
-        code = f"import pflab.linalg as l; {statement}; print(l._gf_tables.cache_info().currsize)"
+        code = f"import pflab.field as f; {statement}; print(f._gf_tables.cache_info().currsize)"
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

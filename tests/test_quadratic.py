@@ -400,6 +400,14 @@ class TestVerifyFamily:
             "values_meet_hypothesis": 2**n - 1,
         }
 
+    def test_image_list_built_once(self):
+        # per_form[i] prints the certificate's list of image i, not a copy
+        evidence = verify_quadratic_family(3)
+        images = evidence["certificate"]["per_form_images"]
+        assert len(images) == len(evidence["per_form"]) == 7
+        for entry, image in zip(evidence["per_form"], images):
+            assert entry["pure_parity_image"] is image
+
     def test_image_off_its_missing_class_fails_its_check(self, monkeypatch):
         # a pure image that also drops the zero class misses more than its
         # block slot's class; the intersection loses the zero class too
