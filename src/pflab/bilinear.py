@@ -171,7 +171,7 @@ from .field import (
     _row_element,
     _row_mul,
 )
-from .linalg import SparseRow, SqSubspace, _dot, _sparse
+from .linalg import SparseRow, SqSubspace, _sparse
 # no caller here any more; the binding stays, since perfbench's tracer test
 # checks that bilinear.left_kernel is restored after tracing
 from .linalg import left_kernel  # noqa: F401
@@ -334,19 +334,37 @@ def _stable_subspace(u_rows: Sequence[SparseRow], W: SqSubspace) -> SqSubspace:
     matrix row per pair of a row u of u_rows and an annihilator row a,
     whose entry at column g is the dot product of a^g * u with a, and
     ``SqSubspace.null_space`` of those rows.  The matrix is polynomial:
-    the row of a^g * u is built from u's row (``field._row_mul``) and
-    carries u's scale whatever g is, so each matrix row carries one
+    the row of a^g * u, with y u's row, has y_e * a^(g & e) at column
+    g ^ e (``field._row_mul`` of a^g's row and y), so the entry is
+
+        sum over e of  y_e * a^(g & e) * a_(g ^ e).
+
+    Each pair of a column e of y and a nonzero entry a_j adds one product
+    y_e * a_j * a^(e & ~j) to the entry at g = e ^ j, so the matrix row is
+    built from y and a alone, with no row of a^g * u and no dot product.
+    It carries u's scale whatever g is, so each matrix row carries one
     nonzero scale, which leaves the null space as it is.  The null
     vectors read off its one elimination are the deltas' rows already
     reduced, each times the common scale last, so no second elimination
     builds the canonical basis.
     """
     ctx = W.ctx
-    one = ctx._one_poly
-    shifted = [[_row_mul(ctx, {g: one}, r) for g in range(len(ctx.patterns))] for r in u_rows]
-    return SqSubspace.null_space(
-        ctx, [[_dot(p, a) for p in prods] for prods in shifted for a in W.annihilator]
-    )
+    patterns, n, zero = ctx.patterns, ctx.n, ctx._zero_poly
+    anns = [[(j, p) for j, p in enumerate(a) if p.terms] for a in W.annihilator]
+    columns = range(len(patterns))
+    matrix = []
+    for y in u_rows:
+        for a in anns:
+            acc: dict[int, set] = {}
+            for e, x in y.items():
+                for j, p in a:
+                    t = (x * p).terms
+                    if m := e & ~j:
+                        shift = patterns[m]
+                        t = {tuple(map(int.__add__, s, shift)) for s in t}
+                    acc.setdefault(e ^ j, set()).symmetric_difference_update(t)
+            matrix.append([Poly(frozenset(acc[g]), n) if g in acc else zero for g in columns])
+    return SqSubspace.null_space(ctx, matrix)
 
 
 class _Screen:
@@ -582,12 +600,19 @@ def factor_out(
     docstring, as _complete certifies: the form is anisotropic, so its
     pure space W misses 1 and has dimension 2^fold - 1; rho and the
     known complement hold fold nonzero slots; and each of their
-    nontrivial product rows is annihilated by W.
+    nontrivial product rows is annihilated by W.  The slot count and the
+    zero slots are read first, so a list that cannot recombine raises
+    before its 2^k product rows are built.
     """
     ctx = form.ctx
     rho_slots: tuple[FieldElement, ...] = () if rho is None else rho.slots
     if rho is not None and rho.ctx != ctx:
         raise ContextMismatch("rho over a different field context")
+    recombine = "rho and known_complement do not recombine to the form"
+    if len(rho_slots) + len(known_complement) != form.fold or any(
+        s.is_zero for s in known_complement
+    ):
+        raise PreconditionFailed(recombine)
     rows = _product_rows(ctx, tuple(rho_slots) + tuple(known_complement))
     mixed = _mixed_pure_space(ctx, known_complement, rows)
     if beta.is_zero or beta not in mixed:
@@ -595,13 +620,8 @@ def factor_out(
     if not form.is_anisotropic():
         raise IsotropicInput("cannot factor an isotropic form")
     # the stated factorization must actually hold
-    W = form.pure_value_space()
-    if (
-        any(s.is_zero for s in known_complement)
-        or len(rho_slots) + len(known_complement) != form.fold
-        or not all(W._annihilates(r) for r in rows[1:])
-    ):
-        raise PreconditionFailed("rho and known_complement do not recombine to the form")
+    if not all(map(form.pure_value_space()._annihilates, rows[1:])):
+        raise PreconditionFailed(recombine)
     head = rho_slots + (beta,)
     return _complete(head, form, _product_rows(ctx, head))[0][len(head) :]
 

@@ -24,10 +24,14 @@ its slot candidates there before their exact test.
 
 Fractions are not kept in lowest terms during arithmetic.  Equality is
 cross-multiplicative, so correctness never depends on reduction; a
-``canonical`` pass (full multivariate gcd) runs before printing,
-hashing and serialization so equal elements print and hash identically.
-``lowest_terms`` stores an element as that pair, for an operand that
-many products will carry.
+``canonical`` pass runs before printing, hashing and serialization so
+equal elements print and hash identically.  ``lowest_terms`` stores an
+element as that pair, for an operand that many products will carry.
+Its gcd (``_gcd``) reads the variables each operand uses: operands of
+different variables reduce to gcds of coefficients in the variables
+they share, operands of one variable take Euclid on bit-packed GF(2)[x],
+and only operands of the same two or more variables take a
+pseudo-remainder sequence.
 """
 
 from __future__ import annotations
@@ -282,8 +286,8 @@ def _point(n: int) -> _Point:
 
 # ---------------------------------------------------------------------------
 # exact division (the gcd below, FieldElement.canonical, and linalg's
-# _caught_up and _bareiss_jordan) and the
-# multivariate gcd over GF(2) (FieldElement.canonical)
+# _caught_up and _bareiss_jordan) and the gcd over GF(2)
+# (FieldElement.canonical)
 # ---------------------------------------------------------------------------
 
 
@@ -343,12 +347,60 @@ def _prem(f: Poly, g: Poly, v: int) -> Poly:
 
 
 def _primitive(f: Poly, v: int) -> Poly:
-    cont = _content_of(_split(f, v))
+    cont = _content_of(_split(f, v).values())
     return f if cont.is_one() else _divexact(f, cont)
 
 
+def _support(p: Poly) -> int:
+    """The variables p uses, as a bitmask: bit i for a_(i+1)."""
+    return sum(1 << i for i, d in enumerate(p.max_degrees()) if d)
+
+
+def _coefficients(f: Poly, shared: int) -> list[Poly]:
+    """f's coefficients as a polynomial in the variables outside the
+    bitmask shared, each a polynomial in shared's variables only; [f]
+    when f uses no other variable."""
+    if _support(f) == shared:
+        return [f]
+    inside = [(shared >> i) & 1 for i in range(f.n)]
+    parts: dict[tuple[int, ...], set] = {}
+    for t in f.terms:
+        key = tuple([0 if k else e for e, k in zip(t, inside)])
+        parts.setdefault(key, set()).add(tuple([e if k else 0 for e, k in zip(t, inside)]))
+    return [Poly(frozenset(s), f.n) for s in parts.values()]
+
+
+def _gcd_univariate(f: Poly, g: Poly, v: int) -> Poly:
+    """The gcd of two nonzero polynomials in the one variable a_(v+1), by
+    Euclid on GF(2)[x]: each polynomial is an int whose bit k is the
+    coefficient of x^k, and reduction is shift and XOR."""
+    a = sum(1 << t[v] for t in f.terms)
+    b = sum(1 << t[v] for t in g.terms)
+    while b:
+        db = b.bit_length()
+        while (da := a.bit_length()) >= db:
+            a ^= b << (da - db)
+        a, b = b, a
+    zero = (0,) * f.n
+    return Poly(
+        frozenset(zero[:v] + (k,) + zero[v + 1 :] for k in range(a.bit_length()) if (a >> k) & 1),
+        f.n,
+    )
+
+
 def _gcd(f: Poly, g: Poly) -> Poly:
-    """Greatest common divisor in GF(2)[a1..an]; unique (the only unit is 1)."""
+    """Greatest common divisor in GF(2)[a1..an]; unique (the only unit is 1).
+
+    The common monomial factor is split off first.  A divisor of a
+    polynomial uses no variable the polynomial lacks, so when the two
+    cores use different variables, their gcd is the gcd of all their
+    coefficients over the variables they do not share, each a polynomial
+    in the shared variables only (``_coefficients``), and 1 when they
+    share none.  Cores in the same one variable take Euclid on GF(2)[x]
+    (``_gcd_univariate``).  Only cores in the same two or more variables
+    reach the pseudo-remainder sequence in their first variable, whose
+    contents are gcds in fewer variables, taken here again.
+    """
     if not f.terms:
         return g
     if not g.terms:
@@ -361,11 +413,18 @@ def _gcd(f: Poly, g: Poly) -> Poly:
         # after stripping, a single term is the monomial 1
         core = f0 if f0.terms == g0.terms else Poly(frozenset(((0,) * f.n,)), f.n)
         return mono * core
-    df, dg = f0.max_degrees(), g0.max_degrees()
-    v = next(i for i in range(f.n) if df[i] or dg[i])
+    sf, sg = _support(f0), _support(g0)
+    if sf != sg:
+        shared = sf & sg
+        if not shared:
+            return mono
+        return mono * _content_of(_coefficients(f0, shared) + _coefficients(g0, shared))
+    if not sf & (sf - 1):
+        return mono * _gcd_univariate(f0, g0, sf.bit_length() - 1)
+    v = (sf & -sf).bit_length() - 1  # the first variable both use
     fparts, gparts = _split(f0, v), _split(g0, v)
-    cont_f = _content_of(fparts)
-    cont_g = _content_of(gparts)
+    cont_f = _content_of(fparts.values())
+    cont_g = _content_of(gparts.values())
     c = _gcd(cont_f, cont_g)
     fp = f0 if cont_f.is_one() else _divexact(f0, cont_f)
     gp = g0 if cont_g.is_one() else _divexact(g0, cont_g)
@@ -389,10 +448,12 @@ def _gcd(f: Poly, g: Poly) -> Poly:
     return mono * c * pp
 
 
-def _content_of(parts: dict[int, Poly]) -> Poly:
-    coefs = list(parts.values())
-    cont = coefs[0]
-    for c in coefs[1:]:
+def _content_of(coefs: Iterable[Poly]) -> Poly:
+    """The gcd of nonzero polynomials, smallest first, stopping at 1."""
+    cont, *rest = sorted(coefs, key=lambda p: len(p.terms))
+    for c in rest:
+        if cont.is_one():
+            break
         cont = _gcd(cont, c)
     return cont
 

@@ -490,6 +490,22 @@ class TestFactorOut:
             with pytest.raises(PreconditionFailed, match="do not recombine"):
                 factor_out(a2, rho, form, complement)
 
+    def test_slot_count_read_before_rows(self, ctx2, b0, monkeypatch):
+        # a complement longer than the form's fold, or holding 0, is
+        # refused before the 2^k product rows of its slots are built
+        real = bilinear._product_rows
+
+        def refusing(ctx, slots):
+            assert len(slots) <= ctx.n, "product rows of more slots than variables"
+            return real(ctx, slots)
+
+        monkeypatch.setattr(bilinear, "_product_rows", refusing)
+        a1, _ = ctx2.gens
+        for complement in ([a1] * 14, [a1, ctx2.zero], [a1]):
+            with pytest.raises(PreconditionFailed, match="do not recombine"):
+                factor_out(a1, None, b0, complement)
+        assert factor_out(a1, None, b0, list(b0.slots)) == (b0.slots[1],)
+
     def test_isotropic_rejected(self, ctx2):
         a1, a2 = ctx2.gens
         form = BilinearPfister(ctx2, (a1, a1))
@@ -901,8 +917,8 @@ class TestCommonFactor:
         # the accepted slot's exact test multiplies its row by each of U's
         # rows, and _complete appends those products: one _row_mul per new
         # product row, and the rows are _product_rows of the slots.  The
-        # fallback space's own _row_mul calls (_stable_subspace) build no
-        # product row and are not counted
+        # fallback space (_stable_subspace) runs once, on the fallback
+        # forms, and builds its matrix from the rows with no _row_mul
         runs = [
             (1, golden_forms, "common-factor-m1.json"),
             (2, golden_forms, "common-factor-m2.json"),
@@ -937,7 +953,7 @@ class TestCommonFactor:
             golden = json.loads((GOLDEN / name).read_text())
             assert common_factor(m, forms()).to_json() == golden["evidence"]["witness"]
         monkeypatch.undo()
-        assert len(fallbacks) == 1 and fallbacks[0] > 0
+        assert fallbacks == [0]
         # one completion per distinct pure space and round; the set keys
         # each space on its canonical rows
         assert len(completions) == sum(

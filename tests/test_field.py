@@ -15,8 +15,8 @@ from pflab import (
     Poly,
 )
 from pflab import field
-from pflab.field import _poly_row, _row_element
-from conftest import CTX2, CTX3, dense, elements, from_dense, nonzero_elements, polys
+from pflab.field import _divexact, _poly_row, _prem, _row_element, _split
+from conftest import CTX2, CTX3, dense, elements, from_dense, nonzero_elements, nonzero_polys, polys
 
 
 @pytest.fixture
@@ -251,6 +251,135 @@ class TestCanonical:
         assert reduced is not f
         assert (reduced.num, reduced.den) == ((a1 + a2).num, (one + a2).num)
         assert reduced.canonical() == (reduced.num, reduced.den)
+
+
+def _reference_gcd(f: Poly, g: Poly) -> Poly:
+    """The pseudo-remainder-sequence gcd over the first variable either
+    operand uses, for every pair of operands, with the contents taken by
+    itself: the gcd that ``field._gcd`` ran on all operands before it
+    split off operands of different variables and of one variable.  It
+    calls no new code of ``field``, only ``_split``, ``_prem`` and
+    ``_divexact``, bound at import, so a patch of ``field._prem`` leaves
+    it as it is."""
+    if not f.terms:
+        return g
+    if not g.terms:
+        return f
+    mf, mg = f.monomial_content(), g.monomial_content()
+    m = tuple(map(min, mf, mg))
+    f0, g0 = f.shift(mf), g.shift(mg)
+    mono = Poly(frozenset((m,)), f.n)
+    if f0.terms == g0.terms or len(f0.terms) == 1 or len(g0.terms) == 1:
+        core = f0 if f0.terms == g0.terms else Poly(frozenset(((0,) * f.n,)), f.n)
+        return mono * core
+    df, dg = f0.max_degrees(), g0.max_degrees()
+    v = next(i for i in range(f.n) if df[i] or dg[i])
+    cont_f = _reference_content(_split(f0, v))
+    cont_g = _reference_content(_split(g0, v))
+    c = _reference_gcd(cont_f, cont_g)
+    fp = f0 if cont_f.is_one() else _divexact(f0, cont_f)
+    gp = g0 if cont_g.is_one() else _divexact(g0, cont_g)
+    one = Poly(frozenset(((0,) * f.n,)), f.n)
+
+    def vdeg(p: Poly) -> int:
+        return max((t[v] for t in p.terms), default=-1)
+
+    if vdeg(fp) < vdeg(gp):
+        fp, gp = gp, fp
+    while True:
+        if vdeg(gp) == 0:
+            pp = gp if gp == fp else one
+            break
+        r = _prem(fp, gp, v)
+        if not r:
+            pp = gp
+            break
+        fp, gp = gp, _reference_primitive(r, v)
+    return mono * c * pp
+
+
+def _reference_content(parts: dict[int, Poly]) -> Poly:
+    coefs = list(parts.values())
+    cont = coefs[0]
+    for c in coefs[1:]:
+        cont = _reference_gcd(cont, c)
+    return cont
+
+
+def _reference_primitive(f: Poly, v: int) -> Poly:
+    cont = _reference_content(_split(f, v))
+    return f if cont.is_one() else _divexact(f, cont)
+
+
+def _in_variables(p: Poly, mask: int) -> Poly:
+    """p with the exponents of the variables outside the bitmask set to 0."""
+    keep = [(mask >> i) & 1 for i in range(p.n)]
+    return Poly.of((tuple(e if k else 0 for e, k in zip(t, keep)) for t in p.terms), p.n)
+
+
+def _p3(*terms: tuple[int, int, int]) -> Poly:
+    return Poly.of(terms, 3)
+
+
+class TestGcd:
+    # every mask of the three variables: operands that use different
+    # variables, none in common, one variable, or only constants
+    masks = st.integers(0, 7)
+
+    @settings(max_examples=300)
+    @given(
+        a=polys(CTX3),
+        b=polys(CTX3),
+        c=nonzero_polys(CTX3, max_degree=2, max_terms=3),
+        ma=masks,
+        mb=masks,
+        mc=masks,
+    )
+    def test_matches_reference(self, a, b, c, ma, mb, mc):
+        a, b, c = _in_variables(a, ma), _in_variables(b, mb), _in_variables(c, mc)
+        f, g = a * c, b * c
+        got = field._gcd(f, g)
+        assert got == _reference_gcd(f, g)
+        if got:
+            # it divides both, and the common factor c divides it
+            _divexact(f, got)
+            _divexact(g, got)
+            if c:
+                _divexact(got, c)
+
+    def test_no_prem_for_different_or_one_variable(self, monkeypatch):
+        one, a1, a2, a3 = _p3((0, 0, 0)), _p3((1, 0, 0)), _p3((0, 1, 0)), _p3((0, 0, 1))
+        pairs = [
+            # the lowest terms of the fallback slot of corpus 20260814's
+            # instance 19 (tests/golden/common_factor_fallback_forms.json):
+            # a 10-term numerator over a2*a3*(1 + a1)^4
+            (
+                _p3(
+                    (4, 2, 2), (4, 1, 1), (3, 2, 2), (3, 0, 0), (2, 2, 2),
+                    (2, 0, 0), (1, 2, 2), (1, 0, 0), (0, 1, 1), (0, 0, 0),
+                ),
+                _p3((4, 1, 1), (0, 1, 1)),
+            ),
+            # one variable: (1 + a2)^3 (1 + a2 + a2^2) and (1 + a2)^2 (1 + a2^5)
+            (
+                (one + a2) * (one + a2) * (one + a2) * (one + a2 + a2 * a2),
+                (one + a2) * (one + a2) * _p3((0, 0, 0), (0, 5, 0)),
+            ),
+            (a3 * (one + a3) * (one + a3), a3 * a3 * _p3((0, 0, 7), (0, 0, 0))),
+            # no variable in common, and one operand's variables inside the other's
+            ((one + a1) * (one + a1 * a1), one + a2 + a3),
+            ((one + a1 + a2) * (one + a1) * (one + a3), (one + a1) * (one + a1)),
+        ]
+        want = [_reference_gcd(f, g) for f, g in pairs]
+        assert want[0] == (one + a1) * (one + a1) * (one + a1)
+        assert want[1] == (one + a2) * (one + a2) * (one + a2)
+
+        def refused(*args):
+            raise AssertionError("a pseudo-remainder of operands of different or one variable")
+
+        monkeypatch.setattr(field, "_prem", refused)
+        assert [field._gcd(f, g) for f, g in pairs] == want
+        assert [field._gcd(g, f) for f, g in pairs] == want
 
 
 class TestPoly:

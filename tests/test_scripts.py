@@ -87,3 +87,46 @@ def test_reproduce_counterexamples_rank_bound(capsys):
         script["main"](["--max-n", "15"])
     assert exc.value.code == 2
     assert "invalid choice: 15" in capsys.readouterr().err
+
+
+DRAW_0 = ["a1*a2+a2*a3", "a1^2*a2^2*a3^2+a3^2+a3", "a1^2+a1*a3^2+a2"]
+
+
+def test_hard_inputs_draws_are_deterministic():
+    script = runpy.run_path(str(SCRIPTS / "hard_inputs.py"))
+    draws = script["draws"](12)
+    assert draws == script["draws"](12)
+    assert draws[:5] == script["draws"](5)
+    assert draws != script["draws"](12, seed=8)
+    # draw 0 of seed 7, pinned: the rule is random.Random(7), three slots
+    # of 1 to 3 distinct monomials with exponents 0 to 2
+    assert draws[0] == {"n": 3, "forms": [DRAW_0, DRAW_0]}
+    for i, data in enumerate(draws):
+        f, g = data["forms"]
+        assert data["n"] == 3 and len(f) == len(g) == 3
+        if i % 2 == 0:
+            assert f is g
+
+
+def test_hard_inputs_runs_draws_that_end_at_once(capsys):
+    # the first isotropic draws exit 2 at once; draw 6 is VALID in
+    # milliseconds.  The draws that run for seconds are left out
+    script = runpy.run_path(str(SCRIPTS / "hard_inputs.py"))
+    assert script["main"](["--draws", "8", "--only", "1,3,4,6", "--timeout", "20"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    outcomes = [line.split()[:2] for line in out[:-1]]
+    assert outcomes == [
+        ["1", "IsotropicInput"],
+        ["3", "IsotropicInput"],
+        ["4", "IsotropicInput"],
+        ["6", "VALID"],
+    ]
+    assert out[-1] == "outcomes: IsotropicInput 3, VALID 1"
+
+
+def test_hard_inputs_names_where_a_timeout_stopped(tmp_path):
+    # draw 0 runs for seconds: a short alarm stops it inside the library
+    script = runpy.run_path(str(SCRIPTS / "hard_inputs.py"))
+    outcome, seconds, where = script["run_draw"](script["draws"](1)[0], 0.3, str(tmp_path))
+    assert outcome == "TIMEOUT" and seconds < 5
+    assert where.startswith("common_factor > ")
