@@ -5,15 +5,16 @@ Draw i is a forms file over GF(2)(a1, a2, a3) of two 3-slot forms.  Each
 slot is a sum of 1 to 3 distinct monomials with exponents 0 to 2.  Even
 draws are [f, f] and odd draws [f, g], so both the search of one form
 and the intersection of two are exercised.  The draws come in order from
-``random.Random(seed)``, so draw i is the same on every run.
+``random.Random(SEED)``, so draw i is the same on every run.
 
 Each draw runs through ``pflab.cli.main`` with ``--m 1``, in this
 process, under a real-time alarm of ``--timeout`` seconds.  The script
 prints one line per draw: its index, its outcome (VALID, NOT_VALID, the
 error type of an ERROR report, or TIMEOUT), the seconds it took and, for
 a timeout, the chain of pflab functions the alarm stopped it in.  A
-summary of the outcomes follows.  Most draws are isotropic and end at once; the others
-show where ``common-factor`` has no bound on its cost yet.
+summary of the outcomes follows.  Most draws are isotropic and end at
+once; the others show where ``common-factor`` has no bound on its cost
+yet.
 
     python scripts/hard_inputs.py --draws 80 --timeout 2
 """
@@ -36,6 +37,7 @@ from pathlib import Path
 from pflab import cli
 from pflab.field import Poly, _poly_str
 
+SEED = 7
 N = 3
 SLOTS = 3
 MONOMIALS = list(itertools.product(range(3), repeat=N))
@@ -45,9 +47,9 @@ def _slot(rng: random.Random) -> str:
     return _poly_str(Poly(frozenset(rng.sample(MONOMIALS, rng.randint(1, 3))), N))
 
 
-def draws(count: int, seed: int = 7) -> list[dict]:
-    """The first count forms files of the seed, as JSON objects."""
-    rng = random.Random(seed)
+def draws(count: int) -> list[dict]:
+    """The first count forms files, as JSON objects."""
+    rng = random.Random(SEED)
     out = []
     for i in range(count):
         f = [_slot(rng) for _ in range(SLOTS)]
@@ -106,16 +108,12 @@ def run_draw(data: dict, timeout: float, workdir: str) -> tuple[str, float, str]
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--draws", type=int, default=80)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--timeout", type=float, default=2.0, help="seconds per draw")
-    parser.add_argument("--only", default=None, help="comma-separated draw indices to run")
     args = parser.parse_args(argv)
-    files = draws(args.draws, args.seed)
-    indices = range(args.draws) if args.only is None else [int(i) for i in args.only.split(",")]
     outcomes: Counter = Counter()
     with tempfile.TemporaryDirectory() as workdir:
-        for i in indices:
-            outcome, seconds, where = run_draw(files[i], args.timeout, workdir)
+        for i, data in enumerate(draws(args.draws)):
+            outcome, seconds, where = run_draw(data, args.timeout, workdir)
             outcomes[outcome] += 1
             print(f"{i:4d}  {outcome:<16} {seconds:8.3f} s  {where}", flush=True)
     print("outcomes: " + ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items())))

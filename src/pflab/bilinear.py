@@ -170,6 +170,7 @@ from .field import (
     _product_rows,
     _row_element,
     _row_mul,
+    _shifted_dots,
 )
 from .linalg import SparseRow, SqSubspace, _sparse
 # no caller here any more; the binding stays, since perfbench's tracer test
@@ -333,38 +334,17 @@ def _stable_subspace(u_rows: Sequence[SparseRow], W: SqSubspace) -> SqSubspace:
     each of W's annihilator rows, so the space is a null space: one
     matrix row per pair of a row u of u_rows and an annihilator row a,
     whose entry at column g is the dot product of a^g * u with a, and
-    ``SqSubspace.null_space`` of those rows.  The matrix is polynomial:
-    the row of a^g * u, with y u's row, has y_e * a^(g & e) at column
-    g ^ e (``field._row_mul`` of a^g's row and y), so the entry is
-
-        sum over e of  y_e * a^(g & e) * a_(g ^ e).
-
-    Each pair of a column e of y and a nonzero entry a_j adds one product
-    y_e * a_j * a^(e & ~j) to the entry at g = e ^ j, so the matrix row is
-    built from y and a alone, with no row of a^g * u and no dot product.
-    It carries u's scale whatever g is, so each matrix row carries one
-    nonzero scale, which leaves the null space as it is.  The null
-    vectors read off its one elimination are the deltas' rows already
-    reduced, each times the common scale last, so no second elimination
-    builds the canonical basis.
+    ``SqSubspace.null_space`` of those rows.  ``field._shifted_dots``
+    builds each matrix row from u's row and a alone, with no row of
+    a^g * u and no dot product.  The row carries u's scale whatever g
+    is, so each matrix row carries one nonzero scale, which leaves the
+    null space as it is.  The null vectors read off its one elimination
+    are the deltas' rows already reduced, each times the common scale
+    last, so no second elimination builds the canonical basis.
     """
     ctx = W.ctx
-    patterns, n, zero = ctx.patterns, ctx.n, ctx._zero_poly
-    anns = [[(j, p) for j, p in enumerate(a) if p.terms] for a in W.annihilator]
-    columns = range(len(patterns))
-    matrix = []
-    for y in u_rows:
-        for a in anns:
-            acc: dict[int, set] = {}
-            for e, x in y.items():
-                for j, p in a:
-                    t = (x * p).terms
-                    if m := e & ~j:
-                        shift = patterns[m]
-                        t = {tuple(map(int.__add__, s, shift)) for s in t}
-                    acc.setdefault(e ^ j, set()).symmetric_difference_update(t)
-            matrix.append([Poly(frozenset(acc[g]), n) if g in acc else zero for g in columns])
-    return SqSubspace.null_space(ctx, matrix)
+    anns = [_sparse(a) for a in W.annihilator]
+    return SqSubspace.null_space(ctx, [_shifted_dots(ctx, y, a) for y in u_rows for a in anns])
 
 
 class _Screen:

@@ -722,6 +722,33 @@ def _row_mul(ctx: FieldContext, r1: dict[int, Poly], r2: dict[int, Poly]) -> dic
     return {j: Poly(frozenset(s), ctx.n) for j, s in acc.items() if s}
 
 
+def _shifted_dots(ctx: FieldContext, y: dict[int, Poly], ann: dict[int, Poly]) -> list[Poly]:
+    """The dense row whose entry g is the dot product of the row of
+    a^g * u with ann, y the sparse row of u and ann a sparse annihilator
+    row: by ``_row_mul``'s rule the row of a^g * u has y_e * a^(g & e)
+    at column g ^ e, so the entry is
+
+        sum over e of  y_e * a^(g & e) * ann_(g ^ e).
+
+    Each pair of a column e of y and a column j of ann adds one product
+    y_e * ann_j * a^(e & ~j) to the entry at g = e ^ j, so the row is
+    built from y and ann alone, with no row of a^g * u and no dot
+    product.  It carries y's scale in every entry.
+    """
+    patterns = ctx._patterns
+    acc: dict[int, set] = {}
+    for e, x in y.items():
+        for j, p in ann.items():
+            t = (x * p).terms
+            m = e & ~j
+            if m:
+                shift = patterns[m]
+                t = {tuple(map(int.__add__, s, shift)) for s in t}
+            acc.setdefault(e ^ j, set()).symmetric_difference_update(t)
+    zero, n = ctx._zero_poly, ctx.n
+    return [Poly(frozenset(acc[g]), n) if g in acc else zero for g in range(len(patterns))]
+
+
 def _product_rows(ctx: FieldContext, slots: Sequence[FieldElement]) -> list[dict[int, Poly]]:
     """The sparse 2-basis rows of all 2^k slot products b^e, in the order
     of ``bilinear._products``, built from the slots' own rows by doubling
