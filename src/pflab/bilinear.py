@@ -115,8 +115,9 @@ from the same head slots (rho's slots and beta), so the round builds the
 head's product rows once and passes them to every ``_complete``; the
 next round's mixed spaces are spanned from the product rows
 ``_complete`` built, not rebuilt from the slots.  beta is read off the
-intersection's first eliminated row, and its one row is tested against
-every mixed space.
+intersection's first eliminated row, and from round 2 on its one row is
+tested against every mixed space.  In round 1 the spaces are the pure
+spaces, and ``_complete``'s entry test of the head rows is that test.
 
 ``verify_no_common_slot_family`` certifies the sharp family of
 ``build_no_common_slot_family`` with F-level work on two members only.
@@ -707,9 +708,12 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
     intersects the representatives' mixed pure spaces, takes beta, the
     first element of the intersection's reduced basis, checks it against
     every mixed space through its one row, and completes every
-    representative from the head rho + beta.  The head is the same for every form, so its
-    product rows are built once per round and shared by every
-    ``_complete``; no head space is spanned.  Each completion returns
+    representative from the head rho + beta.  In round 1 the spaces are
+    the representatives' pure spaces, and ``_complete``'s entry test of
+    the head rows is that check, so beta is tested once, there.  The
+    head is the same for every form, so its product rows are built once
+    per round and shared by every ``_complete``; no head space is
+    spanned.  Each completion returns
     its full product rows, the rows of rho + beta + complement, and the
     next round's mixed spaces are spanned from them.  Every form gets
     its representative's complement, certified against the pure space
@@ -742,9 +746,13 @@ def common_factor(m: int, forms: Sequence[BilinearPfister]) -> FactorWitness | N
         # elements() would, in lowest terms: beta is a factor of every
         # product after this
         beta = _row_element(ctx, _sparse(inter._eliminated[0]), inter._last).lowest_terms()
-        beta_row = _poly_row(beta)
-        if not all(space._annihilates(beta_row) for space in spaces):
-            raise PreconditionFailed("beta left a mixed pure space")
+        # in round 1 the spaces are the pure spaces that _complete tests
+        # the head's row of beta against on entry, so only a mixed space
+        # is tested here
+        if rho_slots:
+            beta_row = _poly_row(beta)
+            if not all(space._annihilates(beta_row) for space in spaces):
+                raise PreconditionFailed("beta left a mixed pure space")
         # rho + comp presents the form: its own slots in round 1, certified
         # by the previous round's _complete after that
         head = rho_slots + (beta,)

@@ -32,18 +32,28 @@ complement of the null space's reduced-echelon pivots, so that read-off
 is already the reduced basis, every row times the one final pivot, and
 no second elimination is needed.
 
-``_bareiss_jordan`` rescales lazily.  A sweep would multiply every row
-whose pivot-column entry is 0 by p_k / p_(k-1) at each pivot p_k; those
-factors telescope to p_k / p_j, so each row records the pivot p_j it
-was last brought to and is brought up to date once, when it is next
-updated, chosen as the pivot row, or at the end.  Each catch-up
+``_bareiss_jordan`` peels before it sweeps.  About half the rows it is
+given have a single nonzero entry, a monomial's row or a slot
+product's, and such a row in column j spans the unit row e_j, itself a
+row of the reduced echelon form: it is taken as it is, column j is
+cleared in every other row, and the peel repeats on the rows that
+clearing leaves with one entry, with no product and no division.  Only the rows left go through
+the fraction-free sweep (Bareiss, Math. Comp. 22, 1968), and each peeled
+row is written with the sweep's final pivot, the one scale every
+consumer divides by.  The sweep rescales lazily.  It would multiply
+every row whose pivot-column entry is 0 by p_k / p_(k-1) at each pivot
+p_k; those factors telescope to p_k / p_j, so each row records the pivot
+p_j it was last brought to and is brought up to date once, when it is
+next updated, chosen as the pivot row, or at the end.  Each catch-up
 division is exact, because its quotient is the entry the eager sweep
-would hold, an elimination minor, and the output is the eager sweep's
-row for row.
+would hold, an elimination minor, and the sweep's output is the eager
+sweep's row for row.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import EliminationInvariant, NotDivisible
@@ -60,6 +70,8 @@ __all__ = ["SqSubspace"]
 
 # a polynomial coordinate row by column, zero entries left out
 SparseRow = dict[int, Poly]
+
+_terms = attrgetter("terms")
 
 
 def _primitive(polys: list[Poly]) -> list[Poly]:
@@ -105,7 +117,73 @@ def _caught_up(row: list[Poly], target: Poly, level: Poly) -> list[Poly]:
 
 
 def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int):
-    """One-step fraction-free Gauss-Jordan elimination, in place.
+    """Fraction-free Gauss-Jordan elimination of the rows, in place, with
+    pivots searched among the first search_cols columns.  Returns (rank,
+    pivots, last): the pivots ascend, and rows[:rank] are last times the
+    reduced echelon rows, so every pivot entry equals last.  The rows past
+    the rank lie in the rows' span and are 0 in every searched column:
+    the swept rows past the sweep's rank, in the order the sweep leaves
+    them, with the rows the peel emptied among them.
+
+    Single-entry rows are peeled first.  A row whose only nonzero entry
+    lies in a searched column j spans the unit row e_j over F, so e_j is
+    itself a row of the reduced echelon form, and column j is set to 0 in
+    every other row: exact, since the peeled row has no other entry.
+    That may leave new single-entry rows, so the peel repeats until none
+    is left; of two such rows in one column, the second is emptied.  The
+    rows that are left go through the sweep (``_sweep``), whose final
+    pivot is last (1 when every row was peeled), and each peeled row is
+    written as last times e_j and merged in by its pivot column.  No
+    peeled entry is multiplied or divided, and a matrix with no
+    single-entry row is the sweep's, row for row.
+    """
+    # live[i]: the columns of row i's nonzero entries, read in C
+    live = [set(compress(count(), map(_terms, row))) for row in rows]
+    todo = [i for i, s in enumerate(live) if len(s) == 1 and min(s) < search_cols]
+    if not todo:
+        return _sweep(ctx, rows, search_cols)
+    sizes = [len(s) for s in live]
+    holders: dict[int, list[int]] = {}
+    for i, s in enumerate(live):
+        for j in s:
+            holders.setdefault(j, []).append(i)
+    peeled: dict[int, int] = {}  # pivot column -> index of the peeled row
+    while todo:
+        i = todo.pop()
+        if len(live[i]) != 1:
+            # emptied by an earlier row with its one column
+            continue
+        (j,) = live[i]
+        peeled[j] = i
+        for k in holders[j]:
+            s = live[k]
+            if k != i and j in s:
+                s.discard(j)
+                if len(s) == 1 and min(s) < search_cols:
+                    todo.append(k)
+    zero = ctx._zero_poly
+    done = set(peeled.values())
+    # the rows left, with the peeled columns cleared where they had entries
+    rest = [
+        [zero if j in peeled else a for j, a in enumerate(row)] if len(live[i]) < sizes[i] else row
+        for i, row in enumerate(rows)
+        if i not in done
+    ]
+    rank, pivots, last = _sweep(ctx, rest, search_cols)
+    ncols = len(rows[0])
+    reduced = list(zip(pivots, rest))
+    for j in peeled:
+        unit = [zero] * ncols
+        unit[j] = last
+        reduced.append((j, unit))
+    reduced.sort(key=lambda pair: pair[0])
+    rows[:] = [row for _, row in reduced] + rest[rank:]
+    return len(reduced), [j for j, _ in reduced], last
+
+
+def _sweep(ctx: FieldContext, rows: list[list[Poly]], search_cols: int):
+    """One-step fraction-free Gauss-Jordan elimination, in place: the
+    sweep of ``_bareiss_jordan`` on the rows its peel leaves.
 
     Entries stay polynomial: each update (p*a + c*b) is exactly divisible
     by the previous pivot.  Chained fraction arithmetic would grow
@@ -113,7 +191,8 @@ def _bareiss_jordan(ctx: FieldContext, rows: list[list[Poly]], search_cols: int)
     step needs a multivariate gcd, which is slower still; dividing by the
     known factor sidesteps both.  After the sweep every pivot entry equals
     the final pivot, so one division per entry recovers the reduced
-    echelon form.  Returns (rank, pivots, final pivot).
+    echelon form.  Returns (rank, pivots, final pivot), the final pivot 1
+    when no column has a nonzero entry.
 
     The matrices are sparse, so zeros are never multiplied, and a row
     whose pivot-column entry is 0 is not touched: the sweep would only
@@ -254,7 +333,9 @@ class SqSubspace:
 
     The space keeps its eliminated rows, polynomial rows equal to one
     common scale ``last`` times the reduced ones: the final pivot of the
-    elimination that built it, either way.  The canonical ``rows`` of
+    elimination that built it, either way, which is the last pivot of the
+    rows ``_bareiss_jordan`` swept, or 1 when it peeled every row, as for
+    a span of monomials.  The canonical ``rows`` of
     field elements, the ``elements()`` and the annihilator are read off
     them, each on first use, so building, intersecting or testing a space
     builds no field element; ``dim`` counts them.
@@ -295,7 +376,10 @@ class SqSubspace:
         """F-span of sparse polynomial coordinate rows (empty rows are
         dropped): one fraction-free elimination, after which every pivot
         entry equals the final pivot, and one division per entry reads off
-        the unique reduced echelon form."""
+        the unique reduced echelon form.  A row with a single entry, as a
+        monomial's row and most slot products' are, is peeled by the
+        elimination as it stands, so a span of such rows multiplies and
+        divides nothing, and its final pivot is 1."""
         ncols = len(ctx.patterns)
         zero = ctx._zero_poly
         dense = []

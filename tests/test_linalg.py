@@ -571,9 +571,21 @@ def kernel_inputs(draw, ctx, max_rows):
     return rows, draw(st.integers(0, ncols))
 
 
+def peels(rows, search_cols):
+    """Whether _bareiss_jordan peels a row of this input: a row whose only
+    nonzero entry lies in a searched column."""
+    for row in rows:
+        support = [j for j, p in enumerate(row) if p.terms]
+        if len(support) == 1 and support[0] < search_cols:
+            return True
+    return False
+
+
 class TestLazyRescale:
     """_bareiss_jordan, which brings a skipped row up to the current pivot
-    only when it is next used, against the eager sweep, row for row."""
+    only when it is next used, against the eager sweep: the rank, the
+    pivots and the final pivot always, and row for row on an input with
+    no row to peel, where the peel leaves the sweep the whole matrix."""
 
     @given(inputs=kernel_inputs(CTX2, max_rows=5))
     @example(inputs=([], 4))
@@ -594,22 +606,33 @@ class TestLazyRescale:
         want_rows = [list(r) for r in rows]
         got = linalg._bareiss_jordan(ctx, got_rows, search_cols)
         want = bareiss_jordan_reference(ctx, want_rows, search_cols)
-        assert got == want
-        # every row, the rows past the rank too, left dense in place
-        assert got_rows == want_rows
+        assert got[:2] == want[:2]
+        if not peels(rows, search_cols):
+            assert got == want
+            # every row, the rows past the rank too, left dense in place
+            assert got_rows == want_rows
+        # the same reduced rows in the searched columns, cross-multiplied
+        # by the two final pivots
+        rank, _, last = got
+        want_last = want[2]
+        for g, w in zip(got_rows[:rank], want_rows):
+            for x, y in zip(g[:search_cols], w):
+                assert (x * want_last).terms == (y * last).terms
 
     def test_fewer_divisions_when_pivots_differ(self, ctx2, monkeypatch):
         a1, a2 = (g.num for g in ctx2.gens)
         one, zero = ctx2._one_poly, ctx2._zero_poly
         # pivots a1, a2, a1 + 1, a2 + 1: every step rescales the rows the
-        # eager sweep passes over
+        # eager sweep passes over.  Each row has a second entry, in a fifth
+        # column that is not searched, so no row is peeled
         rows = [
-            [a1, zero, zero, zero],
-            [zero, a2, zero, zero],
-            [zero, zero, a1 + one, zero],
-            [zero, zero, zero, a2 + one],
-            [one, one, one, one],
+            [a1, zero, zero, zero, one],
+            [zero, a2, zero, zero, one],
+            [zero, zero, a1 + one, zero, one],
+            [zero, zero, zero, a2 + one, one],
+            [one, one, one, one, zero],
         ]
+        assert not peels(rows, 4)
         calls = []
         real = linalg._divexact
         monkeypatch.setattr(linalg, "_divexact", lambda f, g: calls.append(1) or real(f, g))
@@ -622,6 +645,118 @@ class TestLazyRescale:
         assert got == want and got_rows == want_rows
         assert got[1] == [0, 1, 2, 3]
         assert lazy < len(calls)
+
+
+@st.composite
+def peel_inputs(draw, ctx, max_rows):
+    """(rows, search_cols, block) for _bareiss_jordan with single-entry
+    rows planted among the rows of ``poly_matrices``: up to two of them in
+    one column, a chain of two-entry rows that the peel takes one after
+    another, from a single-entry row at its head, and zero rows, shuffled.
+    The rows are searched over all columns or a drawn prefix of them, or
+    followed by the identity block of ``left_kernel_reference`` (block
+    True), which is not searched and gives every row a second entry."""
+    rows = draw(poly_matrices(ctx, max_rows))
+    ncols = len(ctx.patterns)
+    zero = ctx._zero_poly
+    entry = st.one_of(st.just(ctx._one_poly), nonzero_polys(ctx, max_degree=2, max_terms=2))
+
+    def planted(*cols):
+        row = [zero] * ncols
+        for j in cols:
+            row[j] = draw(entry)
+        return row
+
+    for j in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3)):
+        rows += [planted(j) for _ in range(draw(st.integers(1, 2)))]
+    chain = draw(st.lists(st.integers(0, ncols - 1), max_size=4, unique=True))
+    rows += [planted(j, k) for j, k in zip(chain, chain[1:])]
+    rows += [planted(j) for j in chain[:1]]
+    rows += [[zero] * ncols for _ in range(draw(st.integers(0, 2)))]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    if draw(st.booleans()):
+        one, m = ctx._one_poly, len(rows)
+        rows = [row + [one if j == i else zero for j in range(m)] for i, row in enumerate(rows)]
+        return rows, ncols, True
+    return rows, draw(st.one_of(st.just(ncols), st.integers(0, ncols - 1))), False
+
+
+def _cascade(ctx):
+    """Rows whose peel runs through columns 0 to 3 one after another, with
+    a second single-entry row in column 0, a zero row, and a row that the
+    peel leaves to the sweep."""
+    a1, a2 = (g.num for g in ctx.gens[:2])
+    one, zero = ctx._one_poly, ctx._zero_poly
+    return [
+        [zero, zero, a2, one + a1, zero, zero, zero, zero],
+        [a1, zero, zero, zero, zero, zero, zero, zero],
+        [zero] * 8,
+        [one, a2, zero, zero, zero, zero, zero, zero],
+        [a2, zero, zero, zero, zero, zero, zero, zero],
+        [zero, a1 * a2, one, zero, zero, zero, zero, zero],
+        [zero, zero, zero, a1, a1, one, one + a2, zero],
+    ]
+
+
+class TestPeel:
+    """_bareiss_jordan on inputs with single-entry rows, which it peels
+    before the sweep, against ``textbook_rref``."""
+
+    @given(inputs=peel_inputs(CTX2, max_rows=4))
+    def test_n2(self, ctx2, inputs):
+        self.check(ctx2, *inputs)
+
+    @given(inputs=peel_inputs(CTX3, max_rows=5))
+    @example(inputs=(_cascade(CTX3), 8, False))
+    @example(inputs=(_cascade(CTX3), 3, False))
+    def test_n3(self, ctx3, inputs):
+        self.check(ctx3, *inputs)
+
+    @staticmethod
+    def check(ctx, rows, search_cols, block):
+        past = assert_reduced(ctx, rows, search_cols)
+        if block:
+            # every row has its entry in the block, so nothing is peeled,
+            # and the rows past the rank, the left kernel that
+            # left_kernel_reference reads off them, are the eager sweep's
+            assert not peels(rows, search_cols)
+            want_rows = [list(r) for r in rows]
+            rank, _, _ = bareiss_jordan_reference(ctx, want_rows, search_cols)
+            assert past == want_rows[rank:]
+
+    def test_cascade_peels_every_column(self, ctx3):
+        rows = _cascade(ctx3)
+        got_rows = [list(r) for r in rows]
+        rank, pivots, last = linalg._bareiss_jordan(ctx3, got_rows, 8)
+        # columns 0 to 3 peeled, the last row swept with its column 3
+        # cleared, its leading entry the one pivot of the sweep; the peeled
+        # rows are last times unit rows, and the zero row and the second
+        # row of column 0, emptied, follow the rank
+        zero = ctx3._zero_poly
+        assert (rank, pivots, last) == (5, [0, 1, 2, 3, 4], rows[6][4])
+        units = [[last if j == i else zero for j in range(8)] for i in range(4)]
+        assert got_rows[:4] == units
+        assert got_rows[4] == [zero] * 4 + rows[6][4:]
+        assert got_rows[5:] == [[zero] * 8] * 2
+
+    def test_monomial_span_makes_no_product(self, ctx3, monkeypatch):
+        # a monomial's row has one entry, so the peel takes every row of a
+        # span of monomials: no product, no division, and last is 1.  The
+        # repeated column (a1, a1^3) empties its second row
+        a1, a2, a3 = (g.num for g in ctx3.gens)
+        monomials = [a1, a2 * a2, a1 * a2 * a3, a1 * a1 * a1, a3, a1 * a3]
+        rows = [_poly_row(FieldElement(ctx3, m, ctx3._one_poly)) for m in monomials]
+
+        def refuse(*args):
+            raise AssertionError("the peel multiplied or divided")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(linalg, "_divexact", refuse)
+        space = SqSubspace.from_poly_rows(ctx3, rows)
+        monkeypatch.undo()
+        assert space._last.is_one()
+        assert space.dim == 5
+        assert [str(e) for e in space.elements()] == ["1", "a1", "a3", "a1*a3", "a1*a2*a3"]
 
 
 def textbook_rref(rows):
@@ -644,6 +779,38 @@ def textbook_rref(rows):
                 rows[i] = [a - c * b for a, b in zip(row, rows[r])]
         pivots.append(col)
     return [tuple(r) for r in rows[: len(pivots)]], pivots
+
+
+def assert_reduced(ctx, rows, search_cols):
+    """_bareiss_jordan against ``textbook_rref`` over fractions: the rank
+    and pivots are the textbook pivots, each row up to the rank divided by
+    last is its reduced row, every pivot entry is last, and every row past
+    the rank is 0 in the searched columns.  Returns the rows past the rank.
+
+    The reference is the textbook form of the rows cut to the searched
+    columns, and the rows are compared there: cutting the columns maps the
+    span onto the span of the cut rows, with the same pivots and reduced
+    rows.  Past the searched columns a row may hold any vector of the span
+    that is 0 in every searched column, as a row of
+    ``left_kernel_reference``'s identity block does."""
+    got_rows = [list(r) for r in rows]
+    rank, pivots, last = linalg._bareiss_jordan(ctx, got_rows, search_cols)
+    one = ctx._one_poly
+    cut = [
+        [FieldElement(ctx, p, one) if p.terms else ctx.zero for p in r[:search_cols]] for r in rows
+    ]
+    want, want_pivots = textbook_rref(cut)
+    assert (rank, pivots) == (len(want_pivots), want_pivots)
+    assert len(got_rows) == len(rows)
+    for row, pc, reduced in zip(got_rows, pivots, want):
+        assert row[pc] == last
+        # compared outside the assert, as in check_rref
+        got = [FieldElement(ctx, p, last) if p.terms else ctx.zero for p in row[:search_cols]]
+        row_matches = got == list(reduced)
+        assert row_matches
+    for row in got_rows[rank:]:
+        assert not any(p.terms for p in row[:search_cols])
+    return got_rows[rank:]
 
 
 @st.composite
