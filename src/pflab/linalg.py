@@ -33,21 +33,21 @@ is already the reduced basis, every row times the one final pivot, and
 no second elimination is needed.
 
 ``_bareiss_jordan`` peels before it sweeps.  About half the rows it is
-given have a single nonzero entry, a monomial's row or a slot
-product's, and such a row in column j spans the unit row e_j, itself a
-row of the reduced echelon form: it is taken as it is, column j is
-cleared in every other row, and the peel repeats on the rows that
-clearing leaves with one entry, with no product and no division.  Only the rows left go through
-the fraction-free sweep (Bareiss, Math. Comp. 22, 1968), and each peeled
-row is written with the sweep's final pivot, the one scale every
-consumer divides by.  The sweep rescales lazily.  It would multiply
-every row whose pivot-column entry is 0 by p_k / p_(k-1) at each pivot
-p_k; those factors telescope to p_k / p_j, so each row records the pivot
-p_j it was last brought to and is brought up to date once, when it is
-next updated, chosen as the pivot row, or at the end.  Each catch-up
-division is exact, because its quotient is the entry the eager sweep
-would hold, an elimination minor, and the sweep's output is the eager
-sweep's row for row.
+given have a single nonzero entry, a monomial's row or a slot product's,
+and such a row in column j spans the unit row e_j, itself a row of the
+reduced echelon form: it is taken as it is, column j is cleared in every
+other row, and the peel repeats on the rows that clearing leaves with
+one entry, with no product and no division.  Only the rows left go
+through the fraction-free sweep (Bareiss, Math. Comp. 22, 1968), and
+each peeled row is written with the sweep's final pivot, the one scale
+every consumer divides by.  The sweep rescales lazily.  It would
+multiply every row whose pivot-column entry is 0 by p_k / p_(k-1) at
+each pivot p_k; those factors telescope to p_k / p_j, so each row
+records the pivot p_j it was last brought to and is brought up to date
+once, when it is next updated, chosen as the pivot row, or at the end.
+Each catch-up division is exact, because its quotient is the entry the
+eager sweep would hold, an elimination minor, and the sweep's output is
+the eager sweep's row for row.
 """
 
 from __future__ import annotations
